@@ -10,6 +10,7 @@ from .automata import (
     ArityMismatchError,
     AutomataError,
     BudgetExceededError,
+    FormatError,
     MultiTrackAutomaton,
     UnknownSymbolError,
     boolean,

@@ -52,6 +52,10 @@ class UnknownSymbolError(AutomataError):
     """A word uses a symbol outside the automaton's alphabet."""
 
 
+class FormatError(AutomataError):
+    """Malformed JSON input: a missing key or a wrongly shaped entry."""
+
+
 class _Budget:
     __slots__ = ("limit", "used")
 
@@ -922,15 +926,27 @@ def to_json_dict(a: MultiTrackAutomaton) -> dict:
     }
 
 
-def from_json_dict(d: dict) -> MultiTrackAutomaton:
+def json_field(d, key: str, what: str):
+    """``d[key]``, or a :class:`FormatError` naming the key if absent."""
     try:
-        return _freeze(
-            d["tracks"], tuple(d["alphabet"]), d["states"],
-            set(d["initial"]), set(d["accepting"]),
-            [(src, tuple(sym), dst) for src, sym, dst in d["transitions"]],
-        )
-    except KeyError as e:
-        raise AutomataError(f"automaton JSON missing key: {e}") from None
+        return d[key]
+    except (KeyError, TypeError, IndexError):
+        raise FormatError(f"{what} JSON missing key {key!r}") from None
+
+
+def from_json_dict(d: dict) -> MultiTrackAutomaton:
+    tracks, alphabet, states, initial, accepting, raw = (
+        json_field(d, key, "automaton") for key in
+        ("tracks", "alphabet", "states", "initial", "accepting", "transitions"))
+    trans = []
+    for t in raw:
+        try:
+            src, sym, dst = t
+            trans.append((src, tuple(sym), dst))
+        except (TypeError, ValueError):
+            raise FormatError(f"automaton JSON transition {t!r} is not a "
+                              "[src, [symbols], dst] triple") from None
+    return _freeze(tracks, tuple(alphabet), states, set(initial), set(accepting), trans)
 
 
 def dumps(a: MultiTrackAutomaton) -> str:

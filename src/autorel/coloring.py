@@ -276,7 +276,8 @@ def coloring_to_json_dict(c: RegularColoring) -> dict:
 
 
 def coloring_from_json_dict(d: dict) -> RegularColoring:
-    return RegularColoring(colors=tuple(au.from_json_dict(x) for x in d["colors"]))
+    return RegularColoring(colors=tuple(
+        au.from_json_dict(x) for x in au.json_field(d, "colors", "coloring")))
 
 
 def dumps_coloring(c: RegularColoring) -> str:

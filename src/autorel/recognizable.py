@@ -8,12 +8,13 @@ turns a 2-product instance into a k-product one.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import automata as au
 from . import relations as rel
-from .automata import ArityMismatchError, AutomataError, MultiTrackAutomaton
+from .automata import PAD, ArityMismatchError, AutomataError, MultiTrackAutomaton
 from .relations import AutomaticRelation
 
 
@@ -105,10 +106,46 @@ def partition_ok(langs: Sequence[MultiTrackAutomaton],
 
 def product_relation(left: MultiTrackAutomaton, right: MultiTrackAutomaton,
                      budget: Optional[int] = None) -> AutomaticRelation:
-    """The automatic relation A x B."""
-    a = au.cylindrify(left, 1, budget)
-    b = au.cylindrify(right, 0, budget)
-    return rel._wrap(au.intersect(a, b, budget))
+    """The automatic relation A x B, built as one product of A and B.
+
+    A state pairs a state of each side, where either side may have
+    finished its word and reads padding from then on.  Each column comes
+    from one move of A and one of B, so the cost is O(|delta_A| |delta_B|)
+    over at most (|Q_A|+1)(|Q_B|+1) states, not |Sigma|^2.  The state
+    budget is charged per product state.
+    """
+    if left.tracks != 1 or right.tracks != 1:
+        raise ArityMismatchError("products are built from 1-track languages")
+    if left.alphabet != right.alphabet:
+        raise ArityMismatchError("product languages must share the alphabet")
+    adj_a = au._augmented_adj(left)
+    adj_b = au._augmented_adj(right)
+    bud = au._Budget(budget)
+    start = [(p, q) for p in sorted(left.initial) for q in sorted(right.initial)]
+    index = {}
+    for s in start:
+        index[s] = len(index)
+        bud.charge()
+    queue = deque(start)
+    trans = []
+    while queue:
+        p, q = queue.popleft()
+        src = index[(p, q)]
+        for (x,), p2 in adj_a[p]:
+            for (y,), q2 in adj_b[q]:
+                if x == PAD and y == PAD:
+                    continue  # both words ended
+                key = (p2, q2)
+                if key not in index:
+                    index[key] = len(index)
+                    bud.charge()
+                    queue.append(key)
+                trans.append((src, (x, y), index[key]))
+    acc_a = set(left.accepting) | {left.states}
+    acc_b = set(right.accepting) | {right.states}
+    accepting = {i for (p, q), i in index.items() if p in acc_a and q in acc_b}
+    return rel._wrap(au._freeze(2, left.alphabet, max(len(index), 1),
+                                {index[s] for s in start}, accepting, trans))
 
 
 def to_automatic(s: RecognizableRelation,
@@ -292,8 +329,9 @@ def recognizable_to_json_dict(s: RecognizableRelation) -> dict:
 
 def recognizable_from_json_dict(d: dict) -> RecognizableRelation:
     prods = tuple(
-        (au.from_json_dict(p["left"]), au.from_json_dict(p["right"]))
-        for p in d["products"]
+        (au.from_json_dict(au.json_field(p, "left", "product")),
+         au.from_json_dict(au.json_field(p, "right", "product")))
+        for p in au.json_field(d, "products", "separator")
     )
     if not prods:
         raise AutomataError("recognizable JSON needs at least one product "
@@ -310,8 +348,9 @@ def partitioned_to_json_dict(p: PartitionedRecognizable) -> dict:
 
 def partitioned_from_json_dict(d: dict) -> PartitionedRecognizable:
     return PartitionedRecognizable(
-        partition=tuple(au.from_json_dict(l) for l in d["partition"]),
-        pairs=frozenset((i, j) for i, j in d["pairs"]),
+        partition=tuple(au.from_json_dict(l)
+                        for l in au.json_field(d, "partition", "partition")),
+        pairs=frozenset((i, j) for i, j in au.json_field(d, "pairs", "partition")),
     )
 
 

@@ -7,6 +7,7 @@ and the library of named relations used as fixtures throughout.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -245,17 +246,69 @@ def common_image_pairs(ra: AutomaticRelation, rb: AutomaticRelation,
 
 
 def functional(r: AutomaticRelation, budget: Optional[int] = None) -> bool:
-    """Out-degree <= 1 everywhere as a graph."""
-    clashes = common_image_pairs(inverse(r), inverse(r), budget)
-    bad = au.intersect(clashes.base, neq_relation(r.alphabet).base, budget)
-    return au.is_empty(bad)
+    """Out-degree <= 1 everywhere as a graph.
+
+    Runs two copies of ``r.base`` in lockstep on one shared left word and
+    looks for a pair of accepting runs whose right words differ, so the
+    cost is O(|delta|^2) over at most 2(|Q|+1)^2 product states, not the
+    |Sigma|^2 columns of an inequality relation.
+    """
+    return not _lockstep_clash(r, 0, budget)
 
 
 def co_functional(r: AutomaticRelation, budget: Optional[int] = None) -> bool:
-    """In-degree <= 1 everywhere as a graph."""
-    clashes = common_image_pairs(r, r, budget)
-    bad = au.intersect(clashes.base, neq_relation(r.alphabet).base, budget)
-    return au.is_empty(bad)
+    """In-degree <= 1 everywhere as a graph.
+
+    The lockstep check of :func:`functional` with the right track shared.
+    """
+    return not _lockstep_clash(r, 1, budget)
+
+
+def _lockstep_clash(r: AutomaticRelation, shared: int,
+                    budget: Optional[int]) -> bool:
+    """Whether R holds two pairs that agree on track ``shared`` and differ
+    on the other track.
+
+    Product states are (p, q, diverged) over the augmented adjacency, where
+    a finished run keeps reading all-pad columns; the budget is charged
+    per product state.
+    """
+    a = r.base
+    other = 1 - shared
+    accepting = set(a.accepting) | {a.states}
+    by_shared: dict = {}
+    for q, moves in au._augmented_adj(a).items():
+        out = by_shared[q] = {}
+        for sym, dst in moves:
+            out.setdefault(sym[shared], []).append((sym[other], dst))
+    bud = au._Budget(budget)
+    seen = set()
+    queue = deque()
+    for p in sorted(a.initial):
+        for q in sorted(a.initial):
+            seen.add((p, q, False))
+            bud.charge()
+            queue.append((p, q, False))
+    while queue:
+        p, q, diverged = queue.popleft()
+        moves_q = by_shared[q]
+        for x, ends_p in by_shared[p].items():
+            ends_q = moves_q.get(x)
+            if ends_q is None:
+                continue
+            for y1, p2 in ends_p:
+                for y2, q2 in ends_q:
+                    if x == PAD and y1 == PAD and y2 == PAD:
+                        continue  # both runs finished: not a column
+                    key = (p2, q2, diverged or y1 != y2)
+                    if key in seen:
+                        continue
+                    if key[2] and p2 in accepting and q2 in accepting:
+                        return True
+                    seen.add(key)
+                    bud.charge()
+                    queue.append(key)
+    return False
 
 
 def equivalent_rel(r1: AutomaticRelation, r2: AutomaticRelation,

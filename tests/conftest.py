@@ -124,6 +124,54 @@ def random_relation(rng: random.Random, alphabet=("a", "b"), states=3,
     return rel.relation(au.determinize_minimize(au.restrict_valid_pad(raw)))
 
 
+def random_padded_relation(rng: random.Random, alphabet=("a", "b"), states=4,
+                           density=0.2):
+    """Random relation straight out of `restrict_valid_pad`: up to three
+    initial states, not minimized."""
+    syms = list(au.valid_pad_automaton(2, alphabet).column_universe())
+    trans = [(src, sym, rng.randrange(states))
+             for src in range(states) for sym in syms if rng.random() < density]
+    raw = au.MultiTrackAutomaton(
+        tracks=2, alphabet=tuple(alphabet), states=states,
+        initial=frozenset(rng.sample(range(states), rng.randint(1, 3))),
+        accepting=frozenset(rng.sample(range(states), rng.randint(1, states))),
+        transitions=frozenset(trans),
+    )
+    return rel.relation(au.restrict_valid_pad(raw))
+
+
+def random_language(rng: random.Random, alphabet=("a", "b"), states=3,
+                    density=0.4):
+    """Random 1-track NFA with one or two initial states; it may accept
+    nothing."""
+    trans = [(src, (x,), rng.randrange(states))
+             for src in range(states) for x in alphabet if rng.random() < density]
+    return au.MultiTrackAutomaton(
+        tracks=1, alphabet=tuple(alphabet), states=states,
+        initial=frozenset(rng.sample(range(states), rng.randint(1, 2))),
+        accepting=frozenset(rng.sample(range(states), rng.randint(0, states))),
+        transitions=frozenset(trans),
+    )
+
+
+def functional_oracle(r):
+    """Out-degree <= 1, decided by composition: pairs of words with a
+    common image under the inverse, intersected with the inequality."""
+    clashes = rel.common_image_pairs(rel.inverse(r), rel.inverse(r))
+    return au.is_empty(au.intersect(clashes.base, rel.neq_relation(r.alphabet).base))
+
+
+def co_functional_oracle(r):
+    """In-degree <= 1, decided by composition as in `functional_oracle`."""
+    clashes = rel.common_image_pairs(r, r)
+    return au.is_empty(au.intersect(clashes.base, rel.neq_relation(r.alphabet).base))
+
+
+def product_oracle(left, right):
+    """A x B as the intersection of the two cylindrified languages."""
+    return au.intersect(au.cylindrify(left, 1), au.cylindrify(right, 0))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

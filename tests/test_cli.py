@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from autorel import automata as au
 from autorel import cli
 
 
@@ -153,3 +154,40 @@ def test_parse_error_exit_code(tmp_path):
                "--r2", str(bad)) == 2
     missing = tmp_path / "missing.json"
     assert run("tm-check", "--tm", str(missing)) == 2
+
+
+def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):
+    padded = tmp_path / "padded.json"
+    assert run("tm-pad", "--tm", str(fx / "demo-machine.json"),
+               "--out", str(padded)) == 0
+    assert run("--budget", "5", "tm-check", "--tm", str(padded)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sep-verify", "--r1", "FC1", "--r2", "FC1", "--s", "BAD"),
+    ("color-verify", "--graph", "FC1", "--coloring", "BAD"),
+])
+def test_empty_object_input_exits_2_with_error(fx, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    paths = {"FC1": str(fx / "fc1.json"), "BAD": str(bad)}
+    assert run(*(paths.get(a, a) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing key" in err
+
+
+def test_empty_object_partition_names_the_missing_key(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    with pytest.raises(au.FormatError, match="'partition'"):
+        cli.load_partitioned(str(bad))
+
+
+def test_two_field_transition_exits_2(fx, tmp_path, capsys):
+    d = json.loads((fx / "fc1.json").read_text())
+    d["transitions"][0] = d["transitions"][0][:2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert run("sep-1prod", "--r1", str(bad), "--r2", str(fx / "fc2.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "triple" in err

@@ -4,7 +4,7 @@ from autorel import automata as au
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import words_upto
+from conftest import product_oracle, random_language, words_upto
 
 A = ("a",)
 AB = ("a", "b")
@@ -31,6 +31,25 @@ def test_to_automatic_examples():
     assert au.is_empty(rc.to_automatic(
         rc.RecognizableRelation(alphabet=AB, products=())).base)
     assert au.is_empty(empty.base)
+
+
+def test_product_relation_matches_cylindrify_oracle(rng):
+    langs = [au.empty_language(1, AB), au.epsilon_language(1, AB),
+             au.full_language(AB)]
+    langs += [random_language(rng, density=rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(12)]
+    for left in langs:
+        for right in langs:
+            got = rc.product_relation(left, right).base
+            assert au.satisfies_valid_pad(got)
+            assert au.equivalent(got, product_oracle(left, right))
+
+
+def test_product_relation_rejects_mismatched_operands():
+    with pytest.raises(au.ArityMismatchError):
+        rc.product_relation(rel.successor_relation(1).base, au.full_language(A))
+    with pytest.raises(au.ArityMismatchError):
+        rc.product_relation(au.full_language(A), au.full_language(AB))
 
 
 def test_parity_separator_membership():

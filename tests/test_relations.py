@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from autorel import automata as au
 from autorel import relations as rel
 
-from conftest import pairs_upto, random_relation, words_upto
+from conftest import (co_functional_oracle, functional_oracle, pairs_upto,
+                      random_padded_relation, random_relation, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -126,6 +127,22 @@ def test_functionality_examples():
     assert rel.co_functional(branch)
     eqlen = rel.equal_length_relation(AB)
     assert not rel.functional(eqlen) and not rel.co_functional(eqlen)
+
+
+def test_functionality_agrees_with_composition_oracle(rng):
+    outcomes = set()
+    for i in range(120):
+        density = rng.choice((0.05, 0.1, 0.15, 0.25, 0.5))
+        if i % 2:
+            r = random_relation(rng, density=density)
+        else:
+            alphabet = rng.choice((AB, ("a", "b", "c")))
+            r = random_padded_relation(rng, alphabet, density=density)
+        got = (rel.functional(r), rel.co_functional(r))
+        assert got == (functional_oracle(r), co_functional_oracle(r))
+        outcomes.add((i % 2,) + got)
+    # both outcomes of both checks, on minimal DFAs and on raw NFAs
+    assert len(outcomes) == 8
 
 
 def test_relation_requires_two_tracks_and_valid_padding():

@@ -298,6 +298,14 @@ def test_pad_transform_exact_reversibility(fixture):
     assert rel.co_functional(g2)
 
 
+def test_exact_reversibility_check_charges_the_budget():
+    graph = tm.config_graph(tm.pad_transform(tm.halting_fixture()))
+    with pytest.raises(au.BudgetExceededError):
+        rel.functional(graph, budget=5)
+    with pytest.raises(au.BudgetExceededError):
+        rel.co_functional(graph, budget=5)
+
+
 def test_pad_transform_zone_shape_on_diverging_machine():
     t2 = tm.pad_transform(tm.looping_fixture())
     res = tm.reach_bfs(tm.config_graph(t2), tm.initial_config(t2), 18,
