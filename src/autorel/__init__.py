@@ -12,6 +12,7 @@ from .automata import (
     BudgetExceededError,
     FormatError,
     MultiTrackAutomaton,
+    SearchBudgetExceededError,
     UnknownSymbolError,
     boolean,
     complement_relative,

@@ -16,7 +16,6 @@ memory.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
@@ -44,6 +43,10 @@ class BudgetExceededError(AutomataError):
     """A construction exceeded its state budget."""
 
 
+class SearchBudgetExceededError(AutomataError):
+    """A bounded search ran out of steps or candidates; not a definitive no."""
+
+
 class ArityMismatchError(AutomataError):
     """Operands disagree on track count or alphabet."""
 
@@ -68,6 +71,63 @@ class _Budget:
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"state budget exceeded ({self.used} > {self.limit})")
+
+
+def _explore(start, successors, bud: _Budget):
+    """Breadth-first closure of ``start`` under ``successors``.
+
+    States are numbered in discovery order, start states first in the order
+    given (repeats dropped), and the budget is charged once per new state.
+    ``successors(state)`` yields ``(label, next_state)`` pairs.  Returns the
+    numbering and the ``(src, label, dst)`` edges between state numbers.
+    """
+    index: dict = {}
+    for s in start:
+        if s not in index:
+            index[s] = len(index)
+            bud.charge()
+    order = list(index)
+    edges = []
+    for src, state in enumerate(order):  # grows while iterated: a BFS queue
+        for label, nxt in successors(state):
+            dst = index.get(nxt)
+            if dst is None:
+                dst = index[nxt] = len(order)
+                bud.charge()
+                order.append(nxt)
+            edges.append((src, label, dst))
+    return index, edges
+
+
+def _explore_automaton(tracks, alphabet, start, successors, accepts,
+                       bud: _Budget) -> MultiTrackAutomaton:
+    """The automaton :func:`_explore` spans from ``start``, accepting the
+    explored states that satisfy ``accepts``."""
+    index, trans = _explore(start, successors, bud)
+    accepting = {i for s, i in index.items() if accepts(s)}
+    return _freeze(tracks, alphabet, max(len(index), 1),
+                   {index[s] for s in start}, accepting, trans)
+
+
+def _reach(sources, adj: dict) -> dict:
+    """Breadth-first distances from ``sources`` along ``adj`` (node -> nodes)."""
+    dist = dict.fromkeys(sources, 0)
+    order = list(dist)
+    for u in order:
+        d = dist[u] + 1
+        for v in adj.get(u, ()):
+            if v not in dist:
+                dist[v] = d
+                order.append(v)
+    return dist
+
+
+def _reverse(pairs) -> dict:
+    """Predecessor lists of the (src, dst) pairs."""
+    back: dict = {}
+    for src, dst in pairs:
+        back.setdefault(dst, []).append(src)
+    return back
 
 
 def check_alphabet(symbols: Iterable[str]) -> tuple:
@@ -276,30 +336,16 @@ def _pad_mask_step(mask: int, sym: TrackSymbol, tracks: int) -> Optional[int]:
 def restrict_valid_pad(a: MultiTrackAutomaton,
                        budget: Optional[int] = None) -> MultiTrackAutomaton:
     """Intersect with ValidPad(t) without materializing the pad DFA."""
-    bud = _Budget(budget)
-    start = [(q, 0) for q in sorted(a.initial)]
-    index = {}
-    for s in start:
-        index.setdefault(s, len(index))
-        bud.charge()
-    queue = deque(start)
-    trans = []
-    while queue:
-        q, mask = queue.popleft()
-        src = index[(q, mask)]
+    def successors(state):
+        q, mask = state
         for sym, dst in a._adj[q]:
             m2 = _pad_mask_step(mask, sym, a.tracks)
-            if m2 is None:
-                continue
-            key = (dst, m2)
-            if key not in index:
-                index[key] = len(index)
-                bud.charge()
-                queue.append(key)
-            trans.append((src, sym, index[key]))
-    accepting = {i for (q, _m), i in index.items() if q in a.accepting}
-    initial = {index[s] for s in start}
-    return _freeze(a.tracks, a.alphabet, max(len(index), 1), initial, accepting, trans)
+            if m2 is not None:
+                yield sym, (dst, m2)
+
+    start = [(q, 0) for q in sorted(a.initial)]
+    return _explore_automaton(a.tracks, a.alphabet, start, successors,
+                              lambda s: s[0] in a.accepting, _Budget(budget))
 
 
 def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
@@ -308,89 +354,48 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
     Runs a violation detector in product with `a` (complementation is
     relative to ValidPad here, so it cannot express this test).
     """
-    # detector state: pad mask, or the absorbing violation state
+    # detector state: pad mask, or None once the padding rule was broken
+    def successors(state):
+        q, mask = state
+        if mask is not None:
+            for sym, dst in a._adj[q]:
+                yield sym, (dst, _pad_mask_step(mask, sym, a.tracks))
+
+    # linear in the size of `a`, so left unbounded
+    index, _edges = _explore([(q, 0) for q in a.initial], successors,
+                             _Budget(float("inf")))
     live = _coaccessible(a)
-    bad_state = object()
-    start = [(q, 0) for q in a.initial]
-    seen = set(start)
-    queue = deque(start)
-    while queue:
-        q, mask = queue.popleft()
-        for sym, dst in a._adj[q]:
-            if mask is bad_state:
-                m2 = bad_state
-            else:
-                m2 = _pad_mask_step(mask, sym, a.tracks)
-                if m2 is None:
-                    m2 = bad_state
-            if m2 is bad_state and dst in live:
-                return False
-            key = (dst, m2)
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-    return True
+    return not any(mask is None and q in live for q, mask in index)
 
 
 def _coaccessible(a: MultiTrackAutomaton) -> frozenset:
-    back: dict = {}
-    for src, _sym, dst in a.transitions:
-        back.setdefault(dst, set()).add(src)
-    live = set(a.accepting)
-    queue = deque(live)
-    while queue:
-        q = queue.popleft()
-        for p in back.get(q, ()):
-            if p not in live:
-                live.add(p)
-                queue.append(p)
-    return frozenset(live)
+    return frozenset(_reach(a.accepting,
+                            _reverse((src, dst) for src, _sym, dst in a.transitions)))
 
 
 # ---------------------------------------------------------------------------
 # Determinization, minimization, canonical form
 
 def _determinize(a: MultiTrackAutomaton, bud: _Budget):
-    """Lazy subset construction.  Returns (subset list, trans dict, accept set)."""
-    start = frozenset(a.initial)
-    index = {start: 0}
-    bud.charge()
-    order = [start]
-    queue = deque([start])
-    trans: dict = {}
-    while queue:
-        cur = queue.popleft()
-        src = index[cur]
+    """Lazy subset construction.  Returns (state count, trans dict, accept set)."""
+    def successors(cur):
         out: dict = {}
         for q in cur:
             for sym, dst in a._adj[q]:
                 out.setdefault(sym, set()).add(dst)
         for sym in sorted(out, key=a.symbol_key):
-            nxt = frozenset(out[sym])
-            if nxt not in index:
-                index[nxt] = len(order)
-                bud.charge()
-                order.append(nxt)
-                queue.append(nxt)
-            trans[(src, sym)] = index[nxt]
+            yield sym, frozenset(out[sym])
+
+    index, edges = _explore([frozenset(a.initial)], successors, bud)
+    trans = {(src, sym): dst for src, sym, dst in edges}
     accept = {i for s, i in index.items() if s & a.accepting}
-    return order, trans, accept
+    return len(index), trans, accept
 
 
 def _trim(initial: int, trans: dict, accept: set):
     """Keep states that can reach acceptance; the initial state always stays."""
-    back: dict = {}
-    for (src, sym), dst in trans.items():
-        back.setdefault(dst, set()).add(src)
-    live = set(accept)
-    queue = deque(accept)
-    while queue:
-        q = queue.popleft()
-        for p in back.get(q, ()):
-            if p not in live:
-                live.add(p)
-                queue.append(p)
-    keep = live | {initial}
+    live = _reach(accept, _reverse((s, d) for (s, _sym), d in trans.items()))
+    keep = set(live) | {initial}
     trans2 = {(s, sym): d for (s, sym), d in trans.items()
               if s in keep and d in live}
     return keep, trans2
@@ -431,27 +436,17 @@ def determinize_minimize(a: MultiTrackAutomaton,
     block, _syms = _moore_minimize(keep, dtrans, daccept, a.symbol_key)
 
     # merge states block-wise, then renumber by BFS from the initial block
-    btrans: dict = {}
-    for (q, sym), d in dtrans.items():
-        btrans[(block[q], sym)] = block[d]
-    baccept = {block[q] for q in daccept}
-    b0 = block[0]
     out_sym: dict = {}
-    for (b, sym), d in btrans.items():
-        out_sym.setdefault(b, []).append((sym, d))
-    number = {b0: 0}
-    order = deque([b0])
-    while order:
-        b = order.popleft()
-        for sym, d in sorted(out_sym.get(b, ()), key=lambda t: a.symbol_key(t[0])):
-            if d not in number:
-                number[d] = len(number)
-                order.append(d)
-    trans = [(number[b], sym, number[d])
-             for (b, sym), d in btrans.items()
-             if b in number and d in number]
-    accepting = {number[b] for b in baccept if b in number}
-    return _freeze(a.tracks, a.alphabet, len(number), {0}, accepting, trans)
+    for (q, sym), d in dtrans.items():
+        out_sym.setdefault(block[q], {})[sym] = block[d]
+    baccept = {block[q] for q in daccept}
+
+    def successors(b):
+        return sorted(out_sym.get(b, {}).items(), key=lambda t: a.symbol_key(t[0]))
+
+    # at most as many blocks as subsets, so this never exceeds the budget
+    return _explore_automaton(a.tracks, a.alphabet, [block[0]], successors,
+                              baccept.__contains__, _Budget(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -465,33 +460,20 @@ def _require_same_shape(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> None:
 def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
               budget: Optional[int] = None) -> MultiTrackAutomaton:
     _require_same_shape(a, b)
-    bud = _Budget(budget)
     b_index: dict = {}
     for src, sym, dst in b.transitions:
         b_index.setdefault((src, sym), []).append(dst)
-    start = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
-    index = {}
-    for s in start:
-        if s not in index:
-            index[s] = len(index)
-            bud.charge()
-    queue = deque(index)
-    trans = []
-    while queue:
-        p, q = queue.popleft()
-        src = index[(p, q)]
+
+    def successors(state):
+        p, q = state
         for sym, p2 in a._adj[p]:
             for q2 in b_index.get((q, sym), ()):
-                key = (p2, q2)
-                if key not in index:
-                    index[key] = len(index)
-                    bud.charge()
-                    queue.append(key)
-                trans.append((src, sym, index[key]))
-    accepting = {i for (p, q), i in index.items()
-                 if p in a.accepting and q in b.accepting}
-    initial = {index[s] for s in start}
-    return _freeze(a.tracks, a.alphabet, max(len(index), 1), initial, accepting, trans)
+                yield sym, (p2, q2)
+
+    start = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
+    return _explore_automaton(a.tracks, a.alphabet, start, successors,
+                              lambda s: s[0] in a.accepting and s[1] in b.accepting,
+                              _Budget(budget))
 
 
 def union(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
@@ -512,36 +494,20 @@ def complement_relative(a: MultiTrackAutomaton,
     is meant for the small alphabets where the decision procedures live.
     """
     bud = _Budget(budget)
-    order, dtrans, daccept = _determinize(a, bud)
+    n, dtrans, daccept = _determinize(a, bud)
     universe = list(a.column_universe())
-    dead = len(order)  # explicit sink
-    bud.charge()
-    n = len(order) + 1
+    dead = n  # explicit sink, charged when the walk reaches it
+
     # complete, swap acceptance, track padding masks on the fly
-    index = {}
-    start = (0, 0)
-    index[start] = 0
-    queue = deque([start])
-    trans = []
-    accepting = set()
-    comp_accept = {q for q in range(n) if q not in daccept}
-    while queue:
-        q, mask = queue.popleft()
-        src = index[(q, mask)]
-        if q in comp_accept:
-            accepting.add(src)
+    def successors(state):
+        q, mask = state
         for sym in universe:
             m2 = _pad_mask_step(mask, sym, a.tracks)
-            if m2 is None:
-                continue
-            q2 = dtrans.get((q, sym), dead) if q != dead else dead
-            key = (q2, m2)
-            if key not in index:
-                index[key] = len(index)
-                bud.charge()
-                queue.append(key)
-            trans.append((src, sym, index[key]))
-    raw = _freeze(a.tracks, a.alphabet, len(index), {0}, accepting, trans)
+            if m2 is not None:
+                yield sym, (dtrans.get((q, sym), dead), m2)
+
+    raw = _explore_automaton(a.tracks, a.alphabet, [(0, 0)], successors,
+                             lambda s: s[0] not in daccept, bud)
     return determinize_minimize(raw, budget)
 
 
@@ -586,7 +552,7 @@ def project(a: MultiTrackAutomaton, drop_track: int,
             eps[src].add(dst)
         else:
             real.append((src, rest, dst))
-    closure = _eps_closure(a.states, eps)
+    closure = {q: frozenset(_reach([q], eps)) for q in range(a.states)}
     trans = set()
     for src, rest, dst in real:
         trans.add((src, rest, dst))
@@ -602,21 +568,6 @@ def project(a: MultiTrackAutomaton, drop_track: int,
     return restrict_valid_pad(
         _freeze(a.tracks - 1, a.alphabet, a.states, a.initial, accepting, trans),
         budget)
-
-
-def _eps_closure(n: int, eps: dict) -> dict:
-    closure = {}
-    for q in range(n):
-        seen = {q}
-        queue = deque([q])
-        while queue:
-            p = queue.popleft()
-            for r in eps.get(p, ()):
-                if r not in seen:
-                    seen.add(r)
-                    queue.append(r)
-        closure[q] = frozenset(seen)
-    return closure
 
 
 def cylindrify(a: MultiTrackAutomaton, insert_at: int,
@@ -677,17 +628,8 @@ def extend_alphabet(a: MultiTrackAutomaton, alphabet: Sequence[str]) -> MultiTra
 
 def emptiness_shortest(a: MultiTrackAutomaton) -> Optional[tuple]:
     """None iff the language is empty, else the shortlex-least column word."""
-    back: dict = {}
-    for src, sym, dst in a.transitions:
-        back.setdefault(dst, set()).add(src)
-    dist = {q: 0 for q in a.accepting}
-    queue = deque(a.accepting)
-    while queue:
-        q = queue.popleft()
-        for p in back.get(q, ()):
-            if p not in dist:
-                dist[p] = dist[q] + 1
-                queue.append(p)
+    dist = _reach(a.accepting,
+                  _reverse((src, dst) for src, _sym, dst in a.transitions))
     live_init = [q for q in a.initial if q in dist]
     if not live_init:
         return None
@@ -761,7 +703,6 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
         raise ArityMismatchError("join operands must share the alphabet")
     if not 0 <= join_a < a.tracks or not 0 <= join_b < b.tracks:
         raise AutomataError("join track out of range")
-    bud = _Budget(budget)
     out_tracks = (a.tracks - 1) + (b.tracks - 1)
     if out_tracks < 1:
         raise ArityMismatchError("join result needs at least one track")
@@ -771,53 +712,26 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
     acc_a = set(a.accepting) | {a.states}
     acc_b = set(b.accepting) | {b.states}
 
-    start = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
-    index = {}
-    for s in start:
-        if s not in index:
-            index[s] = len(index)
-            bud.charge()
-    queue = deque(index)
-    trans = []
-    suffix_edges: dict = {}
-    while queue:
-        p, q = queue.popleft()
-        src = index[(p, q)]
+    def successors(state):
+        p, q = state
         by_join: dict = {}
         for sym, dst in adj_b.get(q, ()):
             by_join.setdefault(sym[join_b], []).append((sym, dst))
         for syma, p2 in adj_a.get(p, ()):
             for symb, q2 in by_join.get(syma[join_a], ()):
-                out = (syma[:join_a] + syma[join_a + 1:]
-                       + symb[:join_b] + symb[join_b + 1:])
-                key = (p2, q2)
-                if key not in index:
-                    index[key] = len(index)
-                    bud.charge()
-                    queue.append(key)
-                if all(x == PAD for x in out):
-                    suffix_edges.setdefault(src, set()).add(index[key])
-                else:
-                    trans.append((src, out, index[key]))
+                yield (syma[:join_a] + syma[join_a + 1:]
+                       + symb[:join_b] + symb[join_b + 1:]), (p2, q2)
+
+    start = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
+    index, edges = _explore(start, successors, _Budget(budget))
+    all_pad = (PAD,) * out_tracks
+    trans = [e for e in edges if e[1] != all_pad]
+    suffix = [(src, dst) for src, out, dst in edges if out == all_pad]
     # a state accepts if a run of pure join-suffix columns reaches acceptance
-    accepting = set()
     base_accept = {i for (p, q), i in index.items() if p in acc_a and q in acc_b}
-    back: dict = {}
-    for s, dsts in suffix_edges.items():
-        for d in dsts:
-            back.setdefault(d, set()).add(s)
-    reach = set(base_accept)
-    queue2 = deque(base_accept)
-    while queue2:
-        s = queue2.popleft()
-        for p in back.get(s, ()):
-            if p not in reach:
-                reach.add(p)
-                queue2.append(p)
-    accepting = reach
-    initial = {index[s] for s in start}
+    accepting = set(_reach(base_accept, _reverse(suffix)))
     return _freeze(out_tracks, a.alphabet, max(len(index), 1),
-                   initial, accepting, trans)
+                   {index[s] for s in start}, accepting, trans)
 
 
 def _augmented_adj(a: MultiTrackAutomaton) -> dict:

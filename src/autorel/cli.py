@@ -21,7 +21,7 @@ from . import dot
 from . import recognizable as rc
 from . import relations as rel
 from . import tm
-from .automata import AutomataError, BudgetExceededError
+from .automata import AutomataError, BudgetExceededError, SearchBudgetExceededError
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -468,10 +468,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except de.SearchBudgetExceededError as e:
-        print(f"search budget exhausted (not a definitive no): {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except co.SearchBudgetExceeded as e:
+    except SearchBudgetExceededError as e:
         print(f"search budget exhausted (not a definitive no): {e}", file=sys.stderr)
         return EXIT_ERROR
     except AutomataError as e:

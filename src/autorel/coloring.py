@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 from . import automata as au
 from . import relations as rel
 from . import recognizable as rc
-from .automata import AutomataError, MultiTrackAutomaton
+from .automata import AutomataError, SearchBudgetExceededError
 from .recognizable import PartitionedRecognizable, RecognizableRelation
 from .relations import AutomaticRelation
 
@@ -29,10 +29,6 @@ class InvalidColoringError(AutomataError):
     def __init__(self, verdict):
         super().__init__(f"coloring is not proper: {verdict.kind} {verdict.witness}")
         self.verdict = verdict
-
-
-class SearchBudgetExceeded(AutomataError):
-    """Bounded search ran out of candidates; distinct from absence."""
 
 
 @dataclass(frozen=True)
@@ -257,7 +253,7 @@ def bounded_color_search(e: AutomaticRelation, k: int, state_bound: int,
                     continue  # color order is canonical up to renaming
                 seen += 1
                 if seen > candidate_budget:
-                    raise SearchBudgetExceeded(
+                    raise SearchBudgetExceededError(
                         f"candidate budget exhausted after {seen - 1} colorings")
                 if any(labels[run(u)] == labels[run(v)] for u, v in sample):
                     continue

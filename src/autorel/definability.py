@@ -13,13 +13,9 @@ from typing import Optional
 
 from . import automata as au
 from . import relations as rel
-from .automata import AutomataError, MultiTrackAutomaton
+from .automata import AutomataError, MultiTrackAutomaton, SearchBudgetExceededError
 from .recognizable import PartitionedRecognizable, RecognizableRelation, to_automatic
 from .relations import AutomaticRelation
-
-
-class SearchBudgetExceededError(AutomataError):
-    """The cover search ran out of steps; not a definitive no."""
 
 
 def build_equiv(r: AutomaticRelation, budget: Optional[int] = None) -> AutomaticRelation:
@@ -234,14 +230,23 @@ def kprod_definability(r: AutomaticRelation, k: int,
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
-    class_bound = 2 ** (2 * k)
-    dec = decompose(r, class_bound, budget)
+    dec = decompose(r, 2 ** (2 * k), budget)
     if dec.truncated:
         return None
-    matrix = QuotientMatrix.from_decomposition(dec)
+    return _kprod_witness(dec, QuotientMatrix.from_decomposition(dec), k,
+                          budget, step_budget)
+
+
+def _kprod_witness(dec: EquivalenceDecomposition, matrix: QuotientMatrix,
+                   k: int, budget: Optional[int],
+                   step_budget: int) -> Optional[RecognizableRelation]:
+    """The k-product answer from a complete (untruncated) decomposition."""
+    if dec.index > 2 ** (2 * k):
+        return None
     cover = rectangle_cover(matrix.ones(), k, step_budget)
     if cover is None:
         return None
+    r = dec.relation
     products = []
     for rows, cols in cover:
         left = _union_of_classes(dec, rows, budget)
@@ -264,10 +269,18 @@ def _union_of_classes(dec: EquivalenceDecomposition, idxs, budget) -> MultiTrack
 def min_prod(r: AutomaticRelation, kmax: int,
              budget: Optional[int] = None,
              step_budget: int = 200_000) -> Optional[int]:
-    """Least k <= kmax admitting a k-product presentation, or None."""
+    """Least k <= kmax admitting a k-product presentation, or None.
+
+    The congruence is decomposed once, with the class bound of kmax, and
+    that decomposition answers every k.
+    """
     if kmax < 1:
         raise AutomataError("kmax must be >= 1")
+    dec = decompose(r, 2 ** (2 * kmax), budget)
+    if dec.truncated:
+        return None
+    matrix = QuotientMatrix.from_decomposition(dec)
     for k in range(1, kmax + 1):
-        if kprod_definability(r, k, budget, step_budget) is not None:
+        if _kprod_witness(dec, matrix, k, budget, step_budget) is not None:
             return k
     return None

@@ -8,7 +8,6 @@ turns a 2-product instance into a k-product one.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,32 +119,20 @@ def product_relation(left: MultiTrackAutomaton, right: MultiTrackAutomaton,
         raise ArityMismatchError("product languages must share the alphabet")
     adj_a = au._augmented_adj(left)
     adj_b = au._augmented_adj(right)
-    bud = au._Budget(budget)
-    start = [(p, q) for p in sorted(left.initial) for q in sorted(right.initial)]
-    index = {}
-    for s in start:
-        index[s] = len(index)
-        bud.charge()
-    queue = deque(start)
-    trans = []
-    while queue:
-        p, q = queue.popleft()
-        src = index[(p, q)]
-        for (x,), p2 in adj_a[p]:
-            for (y,), q2 in adj_b[q]:
-                if x == PAD and y == PAD:
-                    continue  # both words ended
-                key = (p2, q2)
-                if key not in index:
-                    index[key] = len(index)
-                    bud.charge()
-                    queue.append(key)
-                trans.append((src, (x, y), index[key]))
     acc_a = set(left.accepting) | {left.states}
     acc_b = set(right.accepting) | {right.states}
-    accepting = {i for (p, q), i in index.items() if p in acc_a and q in acc_b}
-    return rel._wrap(au._freeze(2, left.alphabet, max(len(index), 1),
-                                {index[s] for s in start}, accepting, trans))
+
+    def successors(state):
+        p, q = state
+        for (x,), p2 in adj_a[p]:
+            for (y,), q2 in adj_b[q]:
+                if x != PAD or y != PAD:  # else both words ended
+                    yield (x, y), (p2, q2)
+
+    start = [(p, q) for p in sorted(left.initial) for q in sorted(right.initial)]
+    return rel._wrap(au._explore_automaton(
+        2, left.alphabet, start, successors,
+        lambda s: s[0] in acc_a and s[1] in acc_b, au._Budget(budget)))
 
 
 def to_automatic(s: RecognizableRelation,

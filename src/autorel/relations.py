@@ -7,7 +7,7 @@ and the library of named relations used as fixtures throughout.
 
 from __future__ import annotations
 
-from collections import deque
+import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -271,7 +271,7 @@ def _lockstep_clash(r: AutomaticRelation, shared: int,
 
     Product states are (p, q, diverged) over the augmented adjacency, where
     a finished run keeps reading all-pad columns; the budget is charged
-    per product state.
+    per product state, and the whole product is explored.
     """
     a = r.base
     other = 1 - shared
@@ -281,34 +281,20 @@ def _lockstep_clash(r: AutomaticRelation, shared: int,
         out = by_shared[q] = {}
         for sym, dst in moves:
             out.setdefault(sym[shared], []).append((sym[other], dst))
-    bud = au._Budget(budget)
-    seen = set()
-    queue = deque()
-    for p in sorted(a.initial):
-        for q in sorted(a.initial):
-            seen.add((p, q, False))
-            bud.charge()
-            queue.append((p, q, False))
-    while queue:
-        p, q, diverged = queue.popleft()
+
+    def successors(state):
+        p, q, diverged = state
         moves_q = by_shared[q]
         for x, ends_p in by_shared[p].items():
-            ends_q = moves_q.get(x)
-            if ends_q is None:
-                continue
+            ends_q = moves_q.get(x, ())
             for y1, p2 in ends_p:
                 for y2, q2 in ends_q:
-                    if x == PAD and y1 == PAD and y2 == PAD:
-                        continue  # both runs finished: not a column
-                    key = (p2, q2, diverged or y1 != y2)
-                    if key in seen:
-                        continue
-                    if key[2] and p2 in accepting and q2 in accepting:
-                        return True
-                    seen.add(key)
-                    bud.charge()
-                    queue.append(key)
-    return False
+                    if x != PAD or y1 != PAD or y2 != PAD:  # else both finished
+                        yield None, (p2, q2, diverged or y1 != y2)
+
+    start = [(p, q, False) for p in sorted(a.initial) for q in sorted(a.initial)]
+    index, _edges = au._explore(start, successors, au._Budget(budget))
+    return any(d and p in accepting and q in accepting for p, q, d in index)
 
 
 def equivalent_rel(r1: AutomaticRelation, r2: AutomaticRelation,
@@ -405,10 +391,13 @@ def fixtures(name: str, **params) -> AutomaticRelation:
 def parse_relation_spec(text: str,
                         alphabet: Optional[Sequence[str]] = None) -> AutomaticRelation:
     tokens = _tokenize(text)
-    expr, rest = _parse_expr(tokens)
-    if rest:
-        raise AutomataError(f"trailing tokens in relation spec: {rest[:3]}")
-    return _eval_spec(expr, tuple(alphabet) if alphabet else None)
+    try:  # parsing and evaluation both recurse once per nesting level
+        expr, rest = _parse_expr(tokens)
+        if rest:
+            raise AutomataError(f"trailing tokens in relation spec: {rest[:3]}")
+        return _eval_spec(expr, tuple(alphabet) if alphabet else None)
+    except RecursionError:
+        raise AutomataError("relation spec nested too deeply") from None
 
 
 def _tokenize(text: str) -> list:
@@ -422,7 +411,10 @@ def _tokenize(text: str) -> list:
             out.append(c)
             i += 1
         elif c == '"':
-            j = text.index('"', i + 1)
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise AutomataError(
+                    f"unterminated string at position {i} of relation spec")
             out.append(("str", text[i + 1:j]))
             i = j + 1
         else:
@@ -451,11 +443,30 @@ def _parse_expr(tokens: list):
     return head, rest
 
 
+#: Argument count of each fixed-arity spec constructor; ``pairs`` takes any.
+_SPEC_ARITY = {
+    "identity": 0, "equal-length": 0, "append-one": 0, "tree": 0,
+    "fc": 1, "offset-successor": 1, "load": 1, "inverse": 1,
+    "symmetric-closure": 1, "union": 2, "intersection": 2, "difference": 2,
+    "compose": 2,
+}
+
+
+def _spec_text(e) -> str:
+    """The text of an atom or string argument."""
+    if not isinstance(e, tuple):
+        raise AutomataError(f"expected a word or number in relation spec, got {e!r}")
+    return e[1]
+
+
 def _eval_spec(expr, alphabet):
     if not isinstance(expr, list) or not expr:
         raise AutomataError(f"bad relation spec form: {expr!r}")
     op = expr[0][1] if isinstance(expr[0], tuple) else expr[0]
     args = expr[1:]
+    arity = _SPEC_ARITY.get(op) if isinstance(op, str) else None
+    if arity is not None and len(args) != arity:
+        raise AutomataError(f"({op} ...) takes {arity} argument(s), got {len(args)}")
 
     def sub(e):
         return _eval_spec(e, alphabet)
@@ -465,7 +476,11 @@ def _eval_spec(expr, alphabet):
     if op == "equal-length":
         return equal_length_relation(alphabet or ("a", "b"))
     if op in ("fc", "offset-successor"):
-        c = int(args[0][1])
+        text = _spec_text(args[0])
+        try:
+            c = int(text)
+        except ValueError:
+            raise AutomataError(f"({op} c) needs an integer, got {text!r}") from None
         return successor_relation(c, alphabet or ("a",))
     if op == "append-one":
         return append_one_relation(alphabet or ("a", "b"))
@@ -476,13 +491,17 @@ def _eval_spec(expr, alphabet):
         for item in args:
             if not isinstance(item, list) or len(item) != 2:
                 raise AutomataError("(pairs (u v) ...) expects two-word lists")
-            pairs.append((item[0][1], item[1][1]))
+            pairs.append((_spec_text(item[0]), _spec_text(item[1])))
         alpha = alphabet or tuple(sorted({c for p in pairs for w in p for c in w})) or ("a",)
         return finite_relation(pairs, alpha)
     if op == "load":
-        path = args[0][1]
-        with open(path, "r", encoding="utf-8") as fh:
-            return relation(au.loads(fh.read()))
+        path = _spec_text(args[0])
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.loads(fh.read())
+        except (OSError, ValueError) as e:
+            raise AutomataError(f"(load {path!r}): {e}") from None
+        return relation(au.from_json_dict(data))
     if op == "union":
         return union_rel(sub(args[0]), sub(args[1]))
     if op == "intersection":

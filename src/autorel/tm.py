@@ -609,14 +609,20 @@ def machine_to_json_dict(t: TuringMachine) -> dict:
 
 
 def machine_from_json_dict(d: dict) -> TuringMachine:
-    try:
-        return make_machine(
-            states=d["states"], tape=d["tape"], blank=d["blank"],
-            initial=d["initial"], finals=d["final"],
-            delta={(q, s): (q2, s2, dd) for q, s, q2, s2, dd in d["delta"]},
-        )
-    except KeyError as e:
-        raise MachineError(f"machine JSON missing key: {e}") from None
+    states, tape, blank, initial, finals, raw = (
+        au.json_field(d, key, "machine") for key in
+        ("states", "tape", "blank", "initial", "final", "delta"))
+    delta = {}
+    for entry in raw:
+        try:
+            q, s, q2, s2, dd = entry
+            delta[(q, s)] = (q2, s2, dd)
+        except (TypeError, ValueError):
+            raise au.FormatError(f"machine JSON delta entry {entry!r} is not a "
+                                 "[state, symbol, state, symbol, direction] "
+                                 "list") from None
+    return make_machine(states=states, tape=tape, blank=blank,
+                        initial=initial, finals=finals, delta=delta)
 
 
 def dumps_machine(t: TuringMachine) -> str:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autorel import automata as au
+from autorel import recognizable as rc
+from autorel import relations as rel
 from autorel.automata import PAD
 
 from conftest import lang_upto, residual_signatures, words_upto
@@ -224,6 +226,32 @@ def test_budget_error_is_distinct():
     blow = nfa(1, AB, n + 1, {0}, {n}, trans)
     with pytest.raises(au.BudgetExceededError):
         au.determinize_minimize(blow, budget=64)
+
+
+def _kernel_cases():
+    raw = nfa(2, AB, 3, {0, 1}, {2},
+              [(0, ("a", "b"), 1), (1, (PAD, "a"), 2), (0, ("b", PAD), 2),
+               (2, ("a", "a"), 0), (2, (PAD, "b"), 2), (1, ("a", "b"), 0)])
+    fc1 = rel.successor_relation(1, AB).base
+    sym = rel.symmetric_closure(rel.successor_relation(2, AB)).base
+    return {
+        "restrict_valid_pad": lambda budget: au.restrict_valid_pad(raw, budget),
+        "intersect": lambda budget: au.intersect(sym, fc1, budget),
+        "relational_join": lambda budget: au.relational_join(sym, fc1, 1, 0, budget),
+        "product_relation": lambda budget: rc.product_relation(
+            aa_star(AB), a_star(), budget).base,
+    }
+
+
+@pytest.mark.parametrize("op", ["restrict_valid_pad", "intersect",
+                                "relational_join", "product_relation"])
+def test_kernel_charges_one_per_discovered_state(op):
+    build = _kernel_cases()[op]
+    out = build(None)
+    assert out.states > 1
+    assert build(out.states) == out
+    with pytest.raises(au.BudgetExceededError):
+        build(out.states - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from autorel import automata as au
 from autorel import cli
@@ -191,3 +192,55 @@ def test_two_field_transition_exits_2(fx, tmp_path, capsys):
     assert run("sep-1prod", "--r1", str(bad), "--r2", str(fx / "fc2.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "triple" in err
+
+
+def test_malformed_machine_delta_entry_exits_2(fx, tmp_path, capsys):
+    d = json.loads((fx / "demo-machine.json").read_text())
+    entry = d["delta"][0] = d["delta"][0][:4]
+    bad = tmp_path / "badm.json"
+    bad.write_text(json.dumps(d))
+    assert run("tm-check", "--tm", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(entry) in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("(fc)", "takes 1 argument"),
+    ("(union (fc 1))", "takes 2 argument"),
+    ('(pairs ("a b))', "unterminated string at position 8"),
+    ("(fc x)", "needs an integer"),
+    ('(load "no-such-file.json")', "no-such-file.json"),
+    pytest.param("(" * 2000, "nested too deeply", id="deep-nesting"),
+])
+def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):
+    assert run("make-rel", f"--spec={spec}", "--out", str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+_SPEC_TOKENS = ["(", ")", "fc", "1", "2", "x", "union", "intersection",
+                "difference", "compose", "inverse", "symmetric-closure",
+                "identity", "equal-length", "append-one", "tree", "pairs",
+                "load", '"ab"', '""', '"', "a", "b"]
+
+
+def _spec_tree():
+    leaf = st.sampled_from(["(fc 1)", "(fc 2)", "(identity)", "(equal-length)",
+                            "(append-one)", "(tree)", '(pairs (a b) ("ab" ""))',
+                            '(load "no-such-file.json")'])
+    return st.recursive(leaf, lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["union", "intersection", "difference",
+                                   "compose"]), kids, kids).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["inverse", "symmetric-closure"]), kids).map(
+            lambda t: f"({t[0]} {t[1]})")), max_leaves=3)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_spec_tree(),
+                      st.lists(st.sampled_from(_SPEC_TOKENS), max_size=12).map(" ".join)),
+       cut=st.integers(min_value=0, max_value=200))
+def test_truncated_specs_never_raise(tmp_path, text, cut):
+    code = cli.main(["make-rel", f"--spec={text[:cut]}", "--out", str(tmp_path / "r.json")])
+    assert code in (0, 1, 2)

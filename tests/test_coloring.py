@@ -221,7 +221,7 @@ def test_bounded_search_tree_absent_small_bounds():
 
 
 def test_bounded_search_budget_distinct():
-    with pytest.raises(co.SearchBudgetExceeded):
+    with pytest.raises(au.SearchBudgetExceededError):
         co.bounded_color_search(rel.tree_relation(), 2, 3, candidate_budget=5)
 
 

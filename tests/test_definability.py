@@ -266,3 +266,21 @@ def test_random_recognizable_roundtrip(rng):
         assert k is not None
         w = de.kprod_definability(r, k)
         assert rel.equivalent_rel(rc.to_automatic(w), r)
+
+
+def test_min_prod_builds_the_congruence_once(monkeypatch):
+    cases = [axb(), sym_axb(), rel.make_identity(AB), rel.successor_relation(1),
+             rel.finite_relation([("a", "b"), ("aa", "b"), ("a", "bb")], AB)]
+    # reference answers: the least k whose own kPROD decision says yes
+    expected = [next((k for k in (1, 2, 3)
+                      if de.kprod_definability(r, k) is not None), None)
+                for r in cases]
+    calls = []
+    real = de.build_equiv
+    monkeypatch.setattr(de, "build_equiv",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for r, want in zip(cases, expected):
+        calls.clear()
+        assert de.min_prod(r, 3) == want
+        assert len(calls) == 1
+    assert expected[:3] == [1, 2, None]
