@@ -26,6 +26,7 @@ from .automata import (
     permute_tracks,
     project,
     split_convolution,
+    state_budget,
     valid_pad_automaton,
 )
 from .coloring import (

@@ -8,14 +8,18 @@ language of 2-track columns.  Every language handled here lives inside
 of the word, and no column is padding on all tracks at once.
 
 All automata are immutable values; the operations below are pure functions
-and safe to call concurrently.  Constructions that can blow up take a
+and safe to call concurrently.  Constructions that can blow up charge a
 state budget and raise :class:`BudgetExceededError` instead of exhausting
-memory.
+memory.  Inside ``with state_budget(n):`` every construction charges one
+shared budget of ``n`` states; outside any scope each product or subset
+walk gets its own budget of :data:`DEFAULT_STATE_BUDGET` states.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
@@ -56,7 +60,7 @@ class UnknownSymbolError(AutomataError):
 
 
 class FormatError(AutomataError):
-    """Malformed JSON input: a missing key or a wrongly shaped entry."""
+    """Malformed JSON input: a missing key or a wrongly typed or shaped entry."""
 
 
 class _Budget:
@@ -73,14 +77,36 @@ class _Budget:
                 f"state budget exceeded ({self.used} > {self.limit})")
 
 
-def _explore(start, successors, bud: _Budget):
+# A context variable, not a module global, so concurrent callers each see
+# the budget of their own scope.
+_ACTIVE_BUDGET: ContextVar = ContextVar("autorel_state_budget", default=None)
+
+
+@contextmanager
+def state_budget(limit: Optional[int] = None):
+    """Bound the states built by every construction in the body, together.
+
+    Installs a fresh budget of ``limit`` states (default
+    :data:`DEFAULT_STATE_BUDGET`) for the length of the body; a nested
+    scope installs its own.  Exhaustion raises :class:`BudgetExceededError`.
+    """
+    token = _ACTIVE_BUDGET.set(_Budget(limit))
+    try:
+        yield
+    finally:
+        _ACTIVE_BUDGET.reset(token)
+
+
+def _explore(start, successors):
     """Breadth-first closure of ``start`` under ``successors``.
 
     States are numbered in discovery order, start states first in the order
-    given (repeats dropped), and the budget is charged once per new state.
+    given (repeats dropped), and each new state is charged to the budget of
+    the enclosing :func:`state_budget` scope, else to one for this walk.
     ``successors(state)`` yields ``(label, next_state)`` pairs.  Returns the
     numbering and the ``(src, label, dst)`` edges between state numbers.
     """
+    bud = _ACTIVE_BUDGET.get() or _Budget(None)
     index: dict = {}
     for s in start:
         if s not in index:
@@ -99,11 +125,11 @@ def _explore(start, successors, bud: _Budget):
     return index, edges
 
 
-def _explore_automaton(tracks, alphabet, start, successors, accepts,
-                       bud: _Budget) -> MultiTrackAutomaton:
+def _explore_automaton(tracks, alphabet, start, successors,
+                       accepts) -> MultiTrackAutomaton:
     """The automaton :func:`_explore` spans from ``start``, accepting the
     explored states that satisfy ``accepts``."""
-    index, trans = _explore(start, successors, bud)
+    index, trans = _explore(start, successors)
     accepting = {i for s, i in index.items() if accepts(s)}
     return _freeze(tracks, alphabet, max(len(index), 1),
                    {index[s] for s in start}, accepting, trans)
@@ -333,8 +359,7 @@ def _pad_mask_step(mask: int, sym: TrackSymbol, tracks: int) -> Optional[int]:
     return out
 
 
-def restrict_valid_pad(a: MultiTrackAutomaton,
-                       budget: Optional[int] = None) -> MultiTrackAutomaton:
+def restrict_valid_pad(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Intersect with ValidPad(t) without materializing the pad DFA."""
     def successors(state):
         q, mask = state
@@ -345,7 +370,7 @@ def restrict_valid_pad(a: MultiTrackAutomaton,
 
     start = [(q, 0) for q in sorted(a.initial)]
     return _explore_automaton(a.tracks, a.alphabet, start, successors,
-                              lambda s: s[0] in a.accepting, _Budget(budget))
+                              lambda s: s[0] in a.accepting)
 
 
 def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
@@ -361,9 +386,7 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
             for sym, dst in a._adj[q]:
                 yield sym, (dst, _pad_mask_step(mask, sym, a.tracks))
 
-    # linear in the size of `a`, so left unbounded
-    index, _edges = _explore([(q, 0) for q in a.initial], successors,
-                             _Budget(float("inf")))
+    index, _edges = _explore([(q, 0) for q in a.initial], successors)
     live = _coaccessible(a)
     return not any(mask is None and q in live for q, mask in index)
 
@@ -376,7 +399,7 @@ def _coaccessible(a: MultiTrackAutomaton) -> frozenset:
 # ---------------------------------------------------------------------------
 # Determinization, minimization, canonical form
 
-def _determinize(a: MultiTrackAutomaton, bud: _Budget):
+def _determinize(a: MultiTrackAutomaton):
     """Lazy subset construction.  Returns (state count, trans dict, accept set)."""
     def successors(cur):
         out: dict = {}
@@ -386,7 +409,7 @@ def _determinize(a: MultiTrackAutomaton, bud: _Budget):
         for sym in sorted(out, key=a.symbol_key):
             yield sym, frozenset(out[sym])
 
-    index, edges = _explore([frozenset(a.initial)], successors, bud)
+    index, edges = _explore([frozenset(a.initial)], successors)
     trans = {(src, sym): dst for src, sym, dst in edges}
     accept = {i for s, i in index.items() if s & a.accepting}
     return len(index), trans, accept
@@ -422,15 +445,13 @@ def _moore_minimize(states: set, trans: dict, accept: set,
     return block, syms
 
 
-def determinize_minimize(a: MultiTrackAutomaton,
-                         budget: Optional[int] = None) -> MultiTrackAutomaton:
+def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Canonical form: minimal partial DFA, states numbered breadth-first.
 
     Equal languages over the same alphabet yield identical encodings, so
     dataclass equality of canonical forms decides language equality.
     """
-    bud = _Budget(budget)
-    _order, dtrans, daccept = _determinize(a, bud)
+    _order, dtrans, daccept = _determinize(a)
     keep, dtrans = _trim(0, dtrans, daccept)
     daccept = daccept & keep
     block, _syms = _moore_minimize(keep, dtrans, daccept, a.symbol_key)
@@ -444,9 +465,8 @@ def determinize_minimize(a: MultiTrackAutomaton,
     def successors(b):
         return sorted(out_sym.get(b, {}).items(), key=lambda t: a.symbol_key(t[0]))
 
-    # at most as many blocks as subsets, so this never exceeds the budget
     return _explore_automaton(a.tracks, a.alphabet, [block[0]], successors,
-                              baccept.__contains__, _Budget(budget))
+                              baccept.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +477,7 @@ def _require_same_shape(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> None:
         raise ArityMismatchError("operands must share track count and alphabet")
 
 
-def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
-              budget: Optional[int] = None) -> MultiTrackAutomaton:
+def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
     _require_same_shape(a, b)
     b_index: dict = {}
     for src, sym, dst in b.transitions:
@@ -472,8 +491,7 @@ def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
 
     start = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
     return _explore_automaton(a.tracks, a.alphabet, start, successors,
-                              lambda s: s[0] in a.accepting and s[1] in b.accepting,
-                              _Budget(budget))
+                              lambda s: s[0] in a.accepting and s[1] in b.accepting)
 
 
 def union(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
@@ -486,15 +504,13 @@ def union(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton
                    trans)
 
 
-def complement_relative(a: MultiTrackAutomaton,
-                        budget: Optional[int] = None) -> MultiTrackAutomaton:
+def complement_relative(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """ValidPad(t) minus L(a).
 
     Cost scales with the full column universe, (|alphabet|+1)^t - 1, so this
     is meant for the small alphabets where the decision procedures live.
     """
-    bud = _Budget(budget)
-    n, dtrans, daccept = _determinize(a, bud)
+    n, dtrans, daccept = _determinize(a)
     universe = list(a.column_universe())
     dead = n  # explicit sink, charged when the walk reaches it
 
@@ -507,33 +523,31 @@ def complement_relative(a: MultiTrackAutomaton,
                 yield sym, (dtrans.get((q, sym), dead), m2)
 
     raw = _explore_automaton(a.tracks, a.alphabet, [(0, 0)], successors,
-                             lambda s: s[0] not in daccept, bud)
-    return determinize_minimize(raw, budget)
+                             lambda s: s[0] not in daccept)
+    return determinize_minimize(raw)
 
 
-def difference(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
-               budget: Optional[int] = None) -> MultiTrackAutomaton:
+def difference(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
     _require_same_shape(a, b)
-    return intersect(a, complement_relative(b, budget), budget)
+    return intersect(a, complement_relative(b))
 
 
-def boolean(a: MultiTrackAutomaton, b: MultiTrackAutomaton, mode: str,
-            budget: Optional[int] = None) -> MultiTrackAutomaton:
+def boolean(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
+            mode: str) -> MultiTrackAutomaton:
     """Set operation on languages: mode is intersect, union or difference."""
     if mode == "intersect":
-        return intersect(a, b, budget)
+        return intersect(a, b)
     if mode == "union":
         return union(a, b)
     if mode == "difference":
-        return difference(a, b, budget)
+        return difference(a, b)
     raise AutomataError(f"unknown boolean mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
 # Track operations
 
-def project(a: MultiTrackAutomaton, drop_track: int,
-            budget: Optional[int] = None) -> MultiTrackAutomaton:
+def project(a: MultiTrackAutomaton, drop_track: int) -> MultiTrackAutomaton:
     """Drop one track (0-based index), i.e. quantify it existentially.
 
     Columns that were padding everywhere except the dropped track turn
@@ -566,12 +580,10 @@ def project(a: MultiTrackAutomaton, drop_track: int,
                     trans.add((q, rest, dst))
     accepting = {q for q in range(a.states) if closure[q] & a.accepting}
     return restrict_valid_pad(
-        _freeze(a.tracks - 1, a.alphabet, a.states, a.initial, accepting, trans),
-        budget)
+        _freeze(a.tracks - 1, a.alphabet, a.states, a.initial, accepting, trans))
 
 
-def cylindrify(a: MultiTrackAutomaton, insert_at: int,
-               budget: Optional[int] = None) -> MultiTrackAutomaton:
+def cylindrify(a: MultiTrackAutomaton, insert_at: int) -> MultiTrackAutomaton:
     """Insert a fresh unconstrained track at the given 0-based position."""
     if not 0 <= insert_at <= a.tracks:
         raise AutomataError(f"insert position {insert_at} out of range")
@@ -593,7 +605,7 @@ def cylindrify(a: MultiTrackAutomaton, insert_at: int,
         trans.append((ext, ins(all_pad, x), ext))
     raw = _freeze(a.tracks + 1, a.alphabet, a.states + 1, a.initial,
                   set(a.accepting) | {ext}, trans)
-    return restrict_valid_pad(raw, budget)
+    return restrict_valid_pad(raw)
 
 
 def permute_tracks(a: MultiTrackAutomaton, permutation: Sequence[int]) -> MultiTrackAutomaton:
@@ -607,11 +619,10 @@ def permute_tracks(a: MultiTrackAutomaton, permutation: Sequence[int]) -> MultiT
 
 
 def cylindrify_permute(a: MultiTrackAutomaton,
-                       spec: Union[int, Sequence[int]],
-                       budget: Optional[int] = None) -> MultiTrackAutomaton:
+                       spec: Union[int, Sequence[int]]) -> MultiTrackAutomaton:
     """Dispatch: an int inserts a fresh track there, a sequence permutes."""
     if isinstance(spec, int):
-        return cylindrify(a, spec, budget)
+        return cylindrify(a, spec)
     return permute_tracks(a, spec)
 
 
@@ -659,34 +670,32 @@ def is_empty(a: MultiTrackAutomaton) -> bool:
     return emptiness_shortest(a) is None
 
 
-def difference_witness(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
-                       budget: Optional[int] = None) -> Optional[tuple]:
+def difference_witness(a: MultiTrackAutomaton,
+                       b: MultiTrackAutomaton) -> Optional[tuple]:
     """Shortlex-least column word in L(a) \\ L(b), if any."""
-    return emptiness_shortest(difference(a, b, budget))
+    return emptiness_shortest(difference(a, b))
 
 
-def intersection_witness(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
-                         budget: Optional[int] = None) -> Optional[tuple]:
-    return emptiness_shortest(intersect(a, b, budget))
+def intersection_witness(a: MultiTrackAutomaton,
+                         b: MultiTrackAutomaton) -> Optional[tuple]:
+    return emptiness_shortest(intersect(a, b))
 
 
-def included(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
-             budget: Optional[int] = None) -> bool:
-    return difference_witness(a, b, budget) is None
+def included(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
+    return difference_witness(a, b) is None
 
 
-def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
-               budget: Optional[int] = None) -> bool:
+def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
     """Language equality, as symmetric-difference emptiness.
 
     Equal canonical encodings short-circuit the decision.
     """
     _require_same_shape(a, b)
-    ca = determinize_minimize(a, budget)
-    cb = determinize_minimize(b, budget)
+    ca = determinize_minimize(a)
+    cb = determinize_minimize(b)
     if ca == cb:
         return True
-    return included(ca, cb, budget) and included(cb, ca, budget)
+    return included(ca, cb) and included(cb, ca)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +706,7 @@ def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
 # materialized, which keeps large-alphabet products feasible.
 
 def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
-                    join_a: int, join_b: int,
-                    budget: Optional[int] = None) -> MultiTrackAutomaton:
+                    join_a: int, join_b: int) -> MultiTrackAutomaton:
     if a.alphabet != b.alphabet:
         raise ArityMismatchError("join operands must share the alphabet")
     if not 0 <= join_a < a.tracks or not 0 <= join_b < b.tracks:
@@ -723,7 +731,7 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
                        + symb[:join_b] + symb[join_b + 1:]), (p2, q2)
 
     start = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
-    index, edges = _explore(start, successors, _Budget(budget))
+    index, edges = _explore(start, successors)
     all_pad = (PAD,) * out_tracks
     trans = [e for e in edges if e[1] != all_pad]
     suffix = [(src, dst) for src, out, dst in edges if out == all_pad]
@@ -848,18 +856,30 @@ def json_field(d, key: str, what: str):
         raise FormatError(f"{what} JSON missing key {key!r}") from None
 
 
+def _is_list_of(x, kind) -> bool:
+    return isinstance(x, list) and all(type(v) is kind for v in x)
+
+
 def from_json_dict(d: dict) -> MultiTrackAutomaton:
     tracks, alphabet, states, initial, accepting, raw = (
         json_field(d, key, "automaton") for key in
         ("tracks", "alphabet", "states", "initial", "accepting", "transitions"))
+    for key, ok, what in (  # type(...) is int, as JSON true and false are bools
+            ("tracks", type(tracks) is int, "an integer"),
+            ("alphabet", _is_list_of(alphabet, str), "a list of strings"),
+            ("states", type(states) is int, "an integer"),
+            ("initial", _is_list_of(initial, int), "a list of integers"),
+            ("accepting", _is_list_of(accepting, int), "a list of integers"),
+            ("transitions", isinstance(raw, list), "a list")):
+        if not ok:
+            raise FormatError(f"automaton JSON field {key!r} is not {what}")
     trans = []
     for t in raw:
-        try:
-            src, sym, dst = t
-            trans.append((src, tuple(sym), dst))
-        except (TypeError, ValueError):
+        if not (isinstance(t, list) and len(t) == 3 and type(t[0]) is int
+                and _is_list_of(t[1], str) and type(t[2]) is int):
             raise FormatError(f"automaton JSON transition {t!r} is not a "
-                              "[src, [symbols], dst] triple") from None
+                              "[src, [symbols], dst] triple of integers and strings")
+        trans.append((t[0], tuple(t[1]), t[2]))
     return _freeze(tracks, tuple(alphabet), states, set(initial), set(accepting), trans)
 
 

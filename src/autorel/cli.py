@@ -79,15 +79,14 @@ def load_machine(path: str) -> tm.TuringMachine:
 
 def _write(path: Optional[str], text: str) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise CliError(f"cannot write {path}: {e}") from None
 
 
-def _canon_rel(r: rel.AutomaticRelation, budget) -> rel.AutomaticRelation:
-    return rel.relation(au.determinize_minimize(r.base, budget))
-
-
-def _emit_relation(path: Optional[str], r: rel.AutomaticRelation, budget) -> None:
-    _write(path, au.dumps(au.determinize_minimize(r.base, budget)))
+def _emit_relation(path: Optional[str], r: rel.AutomaticRelation) -> None:
+    _write(path, au.dumps(au.determinize_minimize(r.base)))
 
 
 def _parse_word(text: str, alphabet) -> tuple:
@@ -106,14 +105,14 @@ def _parse_word(text: str, alphabet) -> tuple:
 def cmd_sep_verify(args) -> int:
     s = load_separator(args.s)
     r1, r2 = load_relation(args.r1), load_relation(args.r2)
-    v = rc.verify_separator(s, r1, r2, args.budget)
+    v = rc.verify_separator(s, r1, r2)
     print(v.kind if v.witness is None else f"{v.kind} witness={v.witness}")
     return EXIT_YES if v.ok else EXIT_NO
 
 
 def cmd_sep_1prod(args) -> int:
     r1, r2 = load_relation(args.r1), load_relation(args.r2)
-    s = rc.one_prod_separability(r1, r2, args.budget)
+    s = rc.one_prod_separability(r1, r2)
     if s is None:
         print("no 1-product separator exists")
         return EXIT_NO
@@ -124,7 +123,7 @@ def cmd_sep_1prod(args) -> int:
 
 def cmd_definable_krec(args) -> int:
     r = load_relation(args.r)
-    w = de.krec_definability(r, args.k, args.budget)
+    w = de.krec_definability(r, args.k)
     if w is None:
         print(f"not definable with a {args.k}-block partition")
         return EXIT_NO
@@ -136,7 +135,7 @@ def cmd_definable_krec(args) -> int:
 
 def cmd_definable_kprod(args) -> int:
     r = load_relation(args.r)
-    w = de.kprod_definability(r, args.k, args.budget, args.steps)
+    w = de.kprod_definability(r, args.k, args.steps)
     if w is None:
         print(f"not definable with {args.k} products")
         return EXIT_NO
@@ -148,7 +147,7 @@ def cmd_definable_kprod(args) -> int:
 
 def cmd_min_prod(args) -> int:
     r = load_relation(args.r)
-    k = de.min_prod(r, args.kmax, args.budget, args.steps)
+    k = de.min_prod(r, args.kmax, args.steps)
     if k is None:
         print(f"no presentation with at most {args.kmax} products")
         return EXIT_NO
@@ -158,8 +157,8 @@ def cmd_min_prod(args) -> int:
 
 def cmd_incomp(args) -> int:
     r1, r2 = load_relation(args.r1), load_relation(args.r2)
-    g = co.incompatibility_graph(r1, r2, args.budget)
-    _emit_relation(args.out, g, args.budget)
+    g = co.incompatibility_graph(r1, r2)
+    _emit_relation(args.out, g)
     print(f"incompatibility graph -> {args.out}")
     return EXIT_YES
 
@@ -167,20 +166,20 @@ def cmd_incomp(args) -> int:
 def cmd_reduce(args) -> int:
     if args.mode == "sep-to-color":
         r1, r2 = load_relation(args.r1), load_relation(args.r2)
-        g = co.reduce_sep_to_coloring(r1, r2, args.budget)
-        _emit_relation(args.out, g, args.budget)
+        g = co.reduce_sep_to_coloring(r1, r2)
+        _emit_relation(args.out, g)
         print(f"colorability instance -> {args.out}")
     elif args.mode == "color-to-sep":
         e = load_relation(args.graph)
         r1, r2 = co.reduce_coloring_to_sep(e)
-        _emit_relation(args.out1, r1, args.budget)
-        _emit_relation(args.out2, r2, args.budget)
+        _emit_relation(args.out1, r1)
+        _emit_relation(args.out2, r2)
         print(f"separability instance -> {args.out1}, {args.out2}")
     else:
         r = load_relation(args.r)
-        r1, r2 = co.definability_to_separability(r, args.budget)
-        _emit_relation(args.out1, r1, args.budget)
-        _emit_relation(args.out2, r2, args.budget)
+        r1, r2 = co.definability_to_separability(r)
+        _emit_relation(args.out1, r1)
+        _emit_relation(args.out2, r2)
         print(f"separability instance -> {args.out1}, {args.out2}")
     return EXIT_YES
 
@@ -188,7 +187,7 @@ def cmd_reduce(args) -> int:
 def cmd_color_verify(args) -> int:
     e = load_relation(args.graph)
     c = load_coloring(args.coloring)
-    v = co.verify_coloring(e, c, args.budget)
+    v = co.verify_coloring(e, c)
     if v.ok:
         print("PROPER")
         return EXIT_YES
@@ -199,7 +198,7 @@ def cmd_color_verify(args) -> int:
 
 def cmd_color_search(args) -> int:
     e = load_relation(args.graph)
-    c = co.bounded_color_search(e, args.k, args.states, args.budget)
+    c = co.bounded_color_search(e, args.k, args.states)
     if c is None:
         print("no coloring in the bounded space (not a proof of impossibility)")
         return EXIT_NO
@@ -211,7 +210,7 @@ def cmd_color_search(args) -> int:
 def cmd_separator_from_coloring(args) -> int:
     r1, r2 = load_relation(args.r1), load_relation(args.r2)
     c = load_coloring(args.coloring)
-    s = co.separator_from_coloring(r1, r2, c, args.budget)
+    s = co.separator_from_coloring(r1, r2, c)
     _write(args.out, rc.dumps_recognizable(s))
     print(f"separator with {len(s.products)} products"
           + (f" -> {args.out}" if args.out else ""))
@@ -220,9 +219,9 @@ def cmd_separator_from_coloring(args) -> int:
 
 def cmd_lift_kprod(args) -> int:
     r1, r2 = load_relation(args.r1), load_relation(args.r2)
-    l1, l2 = rc.lift_to_kprod(r1, r2, args.k, args.budget)
-    _emit_relation(args.out1, l1, args.budget)
-    _emit_relation(args.out2, l2, args.budget)
+    l1, l2 = rc.lift_to_kprod(r1, r2, args.k)
+    _emit_relation(args.out1, l1)
+    _emit_relation(args.out2, l2)
     print(f"lifted instance -> {args.out1}, {args.out2}")
     return EXIT_YES
 
@@ -230,14 +229,14 @@ def cmd_lift_kprod(args) -> int:
 def cmd_tm_compile(args) -> int:
     t = load_machine(args.tm)
     g = tm.config_graph(t)
-    _emit_relation(args.out, g, args.budget)
+    _emit_relation(args.out, g)
     print(f"configuration graph -> {args.out}")
     return EXIT_YES
 
 
 def cmd_tm_check(args) -> int:
     t = load_machine(args.tm)
-    rep = tm.wf_checks(t, depth=args.depth, budget=args.budget)
+    rep = tm.wf_checks(t, depth=args.depth)
     print(f"initial-no-predecessor: {rep.initial_no_predecessor}")
     print(f"functional: {rep.functional}")
     print(f"co-functional: {rep.co_functional}")
@@ -250,8 +249,8 @@ def cmd_tm_check(args) -> int:
 
 def cmd_tm_gadget(args) -> int:
     t = load_machine(args.tm)
-    g = tm.coloring_gadget(t, args.k, args.budget)
-    _emit_relation(args.out, g, args.budget)
+    g = tm.coloring_gadget(t, args.k)
+    _emit_relation(args.out, g)
     print(f"tagged gadget graph (k={args.k}) -> {args.out}")
     return EXIT_YES
 
@@ -259,7 +258,7 @@ def cmd_tm_gadget(args) -> int:
 def cmd_tm_pad(args) -> int:
     t = load_machine(args.tm)
     try:
-        t2 = tm.pad_transform(t, args.budget)
+        t2 = tm.pad_transform(t)
     except tm.PadTransformError as e:
         print(f"precondition failed: {e}")
         return EXIT_NO
@@ -294,34 +293,35 @@ def cmd_export_dot(args) -> int:
 def cmd_make_rel(args) -> int:
     r = rel.parse_relation_spec(args.spec, args.alphabet.split(",")
                                 if args.alphabet else None)
-    _emit_relation(args.out, r, args.budget)
+    _emit_relation(args.out, r)
     print(f"relation -> {args.out}")
     return EXIT_YES
 
 
 def cmd_fixtures(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    budget = args.budget
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot write {outdir}: {e}") from None
 
     def emit(name, text):
-        (outdir / name).write_text(text, encoding="utf-8")
+        _write(str(outdir / name), text)
         print(f"wrote {outdir / name}")
 
     fc1 = rel.successor_relation(1)
     fc2 = rel.successor_relation(2)
     eqlen = rel.equal_length_relation(("a", "b"))
     ap1 = rel.append_one_relation(("a", "b"))
-    emit("fc1.json", au.dumps(au.determinize_minimize(fc1.base, budget)))
-    emit("fc2.json", au.dumps(au.determinize_minimize(fc2.base, budget)))
-    emit("tree.json", au.dumps(au.determinize_minimize(
-        rel.tree_relation().base, budget)))
-    emit("equal-length.json", au.dumps(au.determinize_minimize(eqlen.base, budget)))
-    emit("append-one.json", au.dumps(au.determinize_minimize(ap1.base, budget)))
+    emit("fc1.json", au.dumps(au.determinize_minimize(fc1.base)))
+    emit("fc2.json", au.dumps(au.determinize_minimize(fc2.base)))
+    emit("tree.json", au.dumps(au.determinize_minimize(rel.tree_relation().base)))
+    emit("equal-length.json", au.dumps(au.determinize_minimize(eqlen.base)))
+    emit("append-one.json", au.dumps(au.determinize_minimize(ap1.base)))
     emit("parity-separator.json",
          rc.dumps_recognizable(rc.parity_separator()))
     emit("length-incomp.json", au.dumps(au.determinize_minimize(
-        co.incompatibility_graph(eqlen, ap1, budget).base, budget)))
+        co.incompatibility_graph(eqlen, ap1).base)))
     emit("demo-machine.json", tm.dumps_machine(tm.halting_fixture()))
     emit("looping-machine.json", tm.dumps_machine(tm.looping_fixture()))
     return EXIT_YES
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification, definability, regular colorings, and "
                     "Turing-machine instance generators.")
     p.add_argument("--budget", type=int, default=None,
-                   help="state budget for automata constructions")
+                   help="state budget for the whole command (all constructions)")
     sub = p.add_subparsers(dest="verb", required=True)
 
     def verb(name, fn, **kw):
@@ -461,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with au.state_budget(args.budget):
+            return args.fn(args)
     except (CliError, tm.MachineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -72,19 +72,17 @@ class ColoringVerdict:
         return self.kind == PROPER
 
 
-def verify_coloring(e: AutomaticRelation, c: RegularColoring,
-                    budget: Optional[int] = None) -> ColoringVerdict:
+def verify_coloring(e: AutomaticRelation, c: RegularColoring) -> ColoringVerdict:
     """PROPER, or NOT_PARTITION / MONOCHROME_EDGE with the shortlex-least
     violation."""
     if e.alphabet != c.alphabet:
         raise AutomataError("graph and coloring must share the alphabet")
-    bad_word = rc.partition_ok(c.colors, budget)
+    bad_word = rc.partition_ok(c.colors)
     if bad_word is not None:
         return ColoringVerdict(NOT_PARTITION, bad_word)
     best = None
     for i, color in enumerate(c.colors):
-        mono = au.intersect(e.base, rc.product_relation(color, color, budget).base,
-                            budget)
+        mono = au.intersect(e.base, rc.product_relation(color, color).base)
         w = au.emptiness_shortest(mono)
         if w is not None:
             key = (len(w), [e.base.symbol_key(s) for s in w], i)
@@ -99,8 +97,8 @@ def verify_coloring(e: AutomaticRelation, c: RegularColoring,
 # ---------------------------------------------------------------------------
 # Incompatibility graph
 
-def incompatibility_graph(r1: AutomaticRelation, r2: AutomaticRelation,
-                          budget: Optional[int] = None) -> AutomaticRelation:
+def incompatibility_graph(r1: AutomaticRelation,
+                          r2: AutomaticRelation) -> AutomaticRelation:
     """Edges join words that no recognizable separator may merge: some
     witness v puts one of (u,v),(u',v),(v,u),(v,u') in R1 and the matching
     pair in R2.  The four conditions come in mirror pairs, so the graph is
@@ -108,27 +106,26 @@ def incompatibility_graph(r1: AutomaticRelation, r2: AutomaticRelation,
     """
     if r1.alphabet != r2.alphabet:
         raise AutomataError("instance relations need one alphabet")
-    left = rel.common_image_pairs(r1, r2, budget)
-    right = rel.common_image_pairs(rel.inverse(r1), rel.inverse(r2), budget)
+    left = rel.common_image_pairs(r1, r2)
+    right = rel.common_image_pairs(rel.inverse(r1), rel.inverse(r2))
     half = au.union(left.base, right.base)
     sym = au.union(half, au.permute_tracks(half, (1, 0)))
-    return rel._wrap(au.determinize_minimize(sym, budget))
+    return rel._wrap(au.determinize_minimize(sym))
 
 
-def graph_equal(e1: AutomaticRelation, e2: AutomaticRelation,
-                budget: Optional[int] = None) -> bool:
+def graph_equal(e1: AutomaticRelation, e2: AutomaticRelation) -> bool:
     """Equality as graphs: same edge set ignoring direction."""
     return au.equivalent(rel.symmetric_closure(e1).base,
-                         rel.symmetric_closure(e2).base, budget)
+                         rel.symmetric_closure(e2).base)
 
 
 # ---------------------------------------------------------------------------
 # The three reductions
 
-def reduce_sep_to_coloring(r1: AutomaticRelation, r2: AutomaticRelation,
-                           budget: Optional[int] = None) -> AutomaticRelation:
+def reduce_sep_to_coloring(r1: AutomaticRelation,
+                           r2: AutomaticRelation) -> AutomaticRelation:
     """Separability instance -> colorability instance."""
-    return incompatibility_graph(r1, r2, budget)
+    return incompatibility_graph(r1, r2)
 
 
 def reduce_coloring_to_sep(e: AutomaticRelation) -> tuple:
@@ -136,50 +133,47 @@ def reduce_coloring_to_sep(e: AutomaticRelation) -> tuple:
     return (e, rel.make_identity(e.alphabet))
 
 
-def definability_to_separability(r: AutomaticRelation,
-                                 budget: Optional[int] = None) -> tuple:
+def definability_to_separability(r: AutomaticRelation) -> tuple:
     """Definability instance -> separability instance (R, complement of R)."""
-    return (r, rel.complement_relation(r, budget))
+    return (r, rel.complement_relation(r))
 
 
 def separator_from_coloring(r1: AutomaticRelation, r2: AutomaticRelation,
-                            c: RegularColoring,
-                            budget: Optional[int] = None) -> RecognizableRelation:
+                            c: RegularColoring) -> RecognizableRelation:
     """Closed-form separator from a proper coloring of the incompatibility
     graph: for each color A, take A x R1[A] and R1^{-1}[A] x A.
 
     The coloring is verified first, and the produced separator is
     re-verified before being returned.
     """
-    graph = incompatibility_graph(r1, r2, budget)
-    verdict = verify_coloring(graph, c, budget)
+    graph = incompatibility_graph(r1, r2)
+    verdict = verify_coloring(graph, c)
     if not verdict.ok:
         raise InvalidColoringError(verdict)
     products = []
     for color in c.colors:
-        img = au.determinize_minimize(rel.image(r1, color, budget), budget)
-        pre = au.determinize_minimize(rel.preimage(r1, color, budget), budget)
-        col = au.determinize_minimize(color, budget)
+        img = au.determinize_minimize(rel.image(r1, color))
+        pre = au.determinize_minimize(rel.preimage(r1, color))
+        col = au.determinize_minimize(color)
         products.append((col, img))
         products.append((pre, col))
     s = RecognizableRelation(alphabet=r1.alphabet, products=tuple(products))
-    check = rc.verify_separator(s, r1, r2, budget)
+    check = rc.verify_separator(s, r1, r2)
     if not check.ok:
         raise AutomataError(f"internal error: closed-form separator failed: {check.kind}")
     return s
 
 
-def coloring_from_separator(s: PartitionedRecognizable,
-                            budget: Optional[int] = None) -> RegularColoring:
+def coloring_from_separator(s: PartitionedRecognizable) -> RegularColoring:
     """The partition of a kREC separator is itself the coloring."""
-    bad = rc.partition_ok(s.partition, budget)
+    bad = rc.partition_ok(s.partition)
     if bad is not None:
         raise AutomataError(f"separator blocks do not partition: witness {bad}")
     return RegularColoring(colors=s.partition)
 
 
-def separator_from_kcoloring(e: AutomaticRelation, c: RegularColoring,
-                             budget: Optional[int] = None) -> PartitionedRecognizable:
+def separator_from_kcoloring(e: AutomaticRelation,
+                             c: RegularColoring) -> PartitionedRecognizable:
     """For the (E, Id) instance: the union of off-diagonal block products."""
     k = len(c.colors)
     pairs = frozenset((i, j) for i in range(k) for j in range(k) if i != j)
@@ -221,7 +215,6 @@ def _dfa_color_languages(alphabet, n, table, labels, k):
 
 
 def bounded_color_search(e: AutomaticRelation, k: int, state_bound: int,
-                         budget: Optional[int] = None,
                          candidate_budget: int = 2_000_000,
                          sample_len: int = 5) -> Optional[RegularColoring]:
     """Search k-colorings whose color map is a state labeling of a complete
@@ -259,7 +252,7 @@ def bounded_color_search(e: AutomaticRelation, k: int, state_bound: int,
                     continue
                 colors = _dfa_color_languages(alphabet, n, table, labels, k)
                 coloring = RegularColoring(colors=tuple(colors))
-                if verify_coloring(e, coloring, budget).ok:
+                if verify_coloring(e, coloring).ok:
                     return coloring
     return None
 

@@ -18,7 +18,7 @@ from .recognizable import PartitionedRecognizable, RecognizableRelation, to_auto
 from .relations import AutomaticRelation
 
 
-def build_equiv(r: AutomaticRelation, budget: Optional[int] = None) -> AutomaticRelation:
+def build_equiv(r: AutomaticRelation) -> AutomaticRelation:
     """The congruence: w ~ w' iff w and w' have the same row and the same
     column in R, i.e. no witness v tells them apart on either side.
 
@@ -26,17 +26,17 @@ def build_equiv(r: AutomaticRelation, budget: Optional[int] = None) -> Automatic
     joins (one per side and orientation).
     """
     rinv = rel.inverse(r)
-    d_row = _distinguished(r, budget)
-    d_col = _distinguished(rinv, budget)
+    d_row = _distinguished(r)
+    d_col = _distinguished(rinv)
     both = au.union(au.union(d_row.base, rel.inverse(d_row).base),
                     au.union(d_col.base, rel.inverse(d_col).base))
-    return rel._wrap(au.complement_relative(both, budget))
+    return rel._wrap(au.complement_relative(both))
 
 
-def _distinguished(r: AutomaticRelation, budget: Optional[int]) -> AutomaticRelation:
+def _distinguished(r: AutomaticRelation) -> AutomaticRelation:
     """{(w,w') | exists v: (w,v) in R and (w',v) not in R}."""
-    not_r = rel.complement_relation(r, budget)
-    return rel.common_image_pairs(r, not_r, budget)
+    not_r = rel.complement_relation(r)
+    return rel.common_image_pairs(r, not_r)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class EquivalenceDecomposition:
 
 
 def decompose(r: AutomaticRelation, bound: int,
-              budget: Optional[int] = None,
               equiv: Optional[AutomaticRelation] = None) -> EquivalenceDecomposition:
     """Peel off congruence classes in shortlex order of representatives.
 
@@ -67,7 +66,7 @@ def decompose(r: AutomaticRelation, bound: int,
     """
     if bound < 1:
         raise AutomataError("bound must be >= 1")
-    eq = equiv if equiv is not None else build_equiv(r, budget)
+    eq = equiv if equiv is not None else build_equiv(r)
     alpha = r.alphabet
     uncovered = au.full_language(alpha)
     reps = []
@@ -78,15 +77,13 @@ def decompose(r: AutomaticRelation, bound: int,
         if w is None:
             break
         rep = tuple(sym[0] for sym in w)
-        cls = au.determinize_minimize(
-            rel.image(eq, au.word_language(rep, alpha), budget), budget)
+        cls = au.determinize_minimize(rel.image(eq, au.word_language(rep, alpha)))
         reps.append(rep)
         classes.append(cls)
         if len(reps) > bound:
             truncated = True
             break
-        uncovered = au.determinize_minimize(
-            au.difference(uncovered, cls, budget), budget)
+        uncovered = au.determinize_minimize(au.difference(uncovered, cls))
     return EquivalenceDecomposition(
         relation=r, equiv=eq, representatives=tuple(reps),
         classes=tuple(classes), truncated=truncated)
@@ -117,23 +114,21 @@ class QuotientMatrix:
                          if self.entries[i][j])
 
 
-def krec_definability(r: AutomaticRelation, k: int,
-                      budget: Optional[int] = None
-                      ) -> Optional[PartitionedRecognizable]:
+def krec_definability(r: AutomaticRelation, k: int) -> Optional[PartitionedRecognizable]:
     """Witness that R is a union of block products over a <= k partition,
     or None when the congruence has more than k classes (a definitive no).
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
-    dec = decompose(r, k, budget)
+    dec = decompose(r, k)
     if dec.truncated:
         return None
     matrix = QuotientMatrix.from_decomposition(dec)
     witness = PartitionedRecognizable(
         partition=dec.classes, pairs=matrix.ones())
-    rebuilt = to_automatic(witness.to_recognizable(), budget) \
+    rebuilt = to_automatic(witness.to_recognizable()) \
         if witness.pairs else rel.empty_relation(r.alphabet)
-    if not au.equivalent(rebuilt.base, r.base, budget):
+    if not au.equivalent(rebuilt.base, r.base):
         raise AutomataError("internal error: block union failed to rebuild R")
     return witness
 
@@ -218,7 +213,6 @@ def rectangle_cover(ones: frozenset, k: int,
 
 
 def kprod_definability(r: AutomaticRelation, k: int,
-                       budget: Optional[int] = None,
                        step_budget: int = 200_000
                        ) -> Optional[RecognizableRelation]:
     """Witness that R is a union of <= k products, or None (definitive).
@@ -230,16 +224,15 @@ def kprod_definability(r: AutomaticRelation, k: int,
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
-    dec = decompose(r, 2 ** (2 * k), budget)
+    dec = decompose(r, 2 ** (2 * k))
     if dec.truncated:
         return None
     return _kprod_witness(dec, QuotientMatrix.from_decomposition(dec), k,
-                          budget, step_budget)
+                          step_budget)
 
 
 def _kprod_witness(dec: EquivalenceDecomposition, matrix: QuotientMatrix,
-                   k: int, budget: Optional[int],
-                   step_budget: int) -> Optional[RecognizableRelation]:
+                   k: int, step_budget: int) -> Optional[RecognizableRelation]:
     """The k-product answer from a complete (untruncated) decomposition."""
     if dec.index > 2 ** (2 * k):
         return None
@@ -249,25 +242,24 @@ def _kprod_witness(dec: EquivalenceDecomposition, matrix: QuotientMatrix,
     r = dec.relation
     products = []
     for rows, cols in cover:
-        left = _union_of_classes(dec, rows, budget)
-        right = _union_of_classes(dec, cols, budget)
+        left = _union_of_classes(dec, rows)
+        right = _union_of_classes(dec, cols)
         products.append((left, right))
     witness = RecognizableRelation(alphabet=r.alphabet, products=tuple(products))
-    rebuilt = to_automatic(witness, budget) if products else rel.empty_relation(r.alphabet)
-    if not au.equivalent(rebuilt.base, r.base, budget):
+    rebuilt = to_automatic(witness) if products else rel.empty_relation(r.alphabet)
+    if not au.equivalent(rebuilt.base, r.base):
         raise AutomataError("internal error: cover products failed to rebuild R")
     return witness
 
 
-def _union_of_classes(dec: EquivalenceDecomposition, idxs, budget) -> MultiTrackAutomaton:
+def _union_of_classes(dec: EquivalenceDecomposition, idxs) -> MultiTrackAutomaton:
     acc = au.empty_language(1, dec.relation.alphabet)
     for i in sorted(idxs):
         acc = au.union(acc, dec.classes[i])
-    return au.determinize_minimize(acc, budget)
+    return au.determinize_minimize(acc)
 
 
 def min_prod(r: AutomaticRelation, kmax: int,
-             budget: Optional[int] = None,
              step_budget: int = 200_000) -> Optional[int]:
     """Least k <= kmax admitting a k-product presentation, or None.
 
@@ -276,11 +268,11 @@ def min_prod(r: AutomaticRelation, kmax: int,
     """
     if kmax < 1:
         raise AutomataError("kmax must be >= 1")
-    dec = decompose(r, 2 ** (2 * kmax), budget)
+    dec = decompose(r, 2 ** (2 * kmax))
     if dec.truncated:
         return None
     matrix = QuotientMatrix.from_decomposition(dec)
     for k in range(1, kmax + 1):
-        if _kprod_witness(dec, matrix, k, budget, step_budget) is not None:
+        if _kprod_witness(dec, matrix, k, step_budget) is not None:
             return k
     return None

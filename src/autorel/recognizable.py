@@ -69,8 +69,8 @@ class PartitionedRecognizable:
     def alphabet(self) -> tuple:
         return self.partition[0].alphabet
 
-    def is_partition(self, budget: Optional[int] = None) -> bool:
-        return partition_ok(self.partition, budget) is None
+    def is_partition(self) -> bool:
+        return partition_ok(self.partition) is None
 
     def to_recognizable(self) -> RecognizableRelation:
         prods = tuple((self.partition[i], self.partition[j])
@@ -78,8 +78,7 @@ class PartitionedRecognizable:
         return RecognizableRelation(alphabet=self.alphabet, products=prods)
 
 
-def partition_ok(langs: Sequence[MultiTrackAutomaton],
-                 budget: Optional[int] = None) -> Optional[tuple]:
+def partition_ok(langs: Sequence[MultiTrackAutomaton]) -> Optional[tuple]:
     """None if the languages partition Sigma*, else a witness word.
 
     The witness is the shortlex-least word missing from the union or lying
@@ -90,12 +89,12 @@ def partition_ok(langs: Sequence[MultiTrackAutomaton],
     covered = langs[0]
     for lang in langs[1:]:
         covered = au.union(covered, lang)
-    missing = au.difference_witness(au.full_language(alpha), covered, budget)
+    missing = au.difference_witness(au.full_language(alpha), covered)
     if missing is not None:
         witnesses.append(tuple(s[0] for s in missing))
     for i in range(len(langs)):
         for j in range(i + 1, len(langs)):
-            w = au.intersection_witness(langs[i], langs[j], budget)
+            w = au.intersection_witness(langs[i], langs[j])
             if w is not None:
                 witnesses.append(tuple(s[0] for s in w))
     if not witnesses:
@@ -103,8 +102,8 @@ def partition_ok(langs: Sequence[MultiTrackAutomaton],
     return min(witnesses, key=lambda w: (len(w), w))
 
 
-def product_relation(left: MultiTrackAutomaton, right: MultiTrackAutomaton,
-                     budget: Optional[int] = None) -> AutomaticRelation:
+def product_relation(left: MultiTrackAutomaton,
+                     right: MultiTrackAutomaton) -> AutomaticRelation:
     """The automatic relation A x B, built as one product of A and B.
 
     A state pairs a state of each side, where either side may have
@@ -132,15 +131,14 @@ def product_relation(left: MultiTrackAutomaton, right: MultiTrackAutomaton,
     start = [(p, q) for p in sorted(left.initial) for q in sorted(right.initial)]
     return rel._wrap(au._explore_automaton(
         2, left.alphabet, start, successors,
-        lambda s: s[0] in acc_a and s[1] in acc_b, au._Budget(budget)))
+        lambda s: s[0] in acc_a and s[1] in acc_b))
 
 
-def to_automatic(s: RecognizableRelation,
-                 budget: Optional[int] = None) -> AutomaticRelation:
+def to_automatic(s: RecognizableRelation) -> AutomaticRelation:
     """Convolution automaton of the union of the products."""
     acc = au.empty_language(2, s.alphabet)
     for left, right in s.products:
-        acc = au.union(acc, product_relation(left, right, budget).base)
+        acc = au.union(acc, product_relation(left, right).base)
     return rel._wrap(acc)
 
 
@@ -172,14 +170,13 @@ class SeparatorVerdict:
 
 
 def verify_separator(s: RecognizableRelation, r1: AutomaticRelation,
-                     r2: AutomaticRelation,
-                     budget: Optional[int] = None) -> SeparatorVerdict:
+                     r2: AutomaticRelation) -> SeparatorVerdict:
     """Check R1 <= S and S disjoint from R2, reporting shortlex witnesses."""
     if s.alphabet != r1.alphabet or s.alphabet != r2.alphabet:
         raise ArityMismatchError("separator and relations need one alphabet")
-    s_auto = to_automatic(s, budget)
-    wc = au.difference_witness(r1.base, s_auto.base, budget)
-    wd = au.intersection_witness(r2.base, s_auto.base, budget)
+    s_auto = to_automatic(s)
+    wc = au.difference_witness(r1.base, s_auto.base)
+    wd = au.intersection_witness(r2.base, s_auto.base)
     cont = au.split_convolution(wc, 2) if wc is not None else None
     disj = au.split_convolution(wd, 2) if wd is not None else None
     if disj is not None:
@@ -189,9 +186,8 @@ def verify_separator(s: RecognizableRelation, r1: AutomaticRelation,
     return SeparatorVerdict(SEPARATES)
 
 
-def one_prod_separability(r1: AutomaticRelation, r2: AutomaticRelation,
-                          budget: Optional[int] = None
-                          ) -> Optional[RecognizableRelation]:
+def one_prod_separability(r1: AutomaticRelation,
+                          r2: AutomaticRelation) -> Optional[RecognizableRelation]:
     """Decide separability by a single product.
 
     A single product separates iff pi1(R1) x pi2(R1) does, so the check is
@@ -201,14 +197,13 @@ def one_prod_separability(r1: AutomaticRelation, r2: AutomaticRelation,
         alphabet=r1.alphabet,
         products=((au.determinize_minimize(rel.project_first(r1)),
                    au.determinize_minimize(rel.project_second(r1))),))
-    if verify_separator(cand, r1, r2, budget).ok:
+    if verify_separator(cand, r1, r2).ok:
         return cand
     return None
 
 
 def normalize_symmetric_separator(s: RecognizableRelation,
-                                  require_symmetric_context: bool = False,
-                                  budget: Optional[int] = None
+                                  require_symmetric_context: bool = False
                                   ) -> RecognizableRelation:
     """Replace a 2-product separator of a symmetric relation versus the
     identity by its symmetric core S cap S^{-1}, in (A x B) u (B x A) shape.
@@ -221,22 +216,20 @@ def normalize_symmetric_separator(s: RecognizableRelation,
         raise NotApplicableError("need exactly 2 products")
     (a1, b1), (b2, a2) = s.products
     for x, y in ((a1, b1), (a2, b2)):
-        if au.intersection_witness(x, y, budget) is not None:
+        if au.intersection_witness(x, y) is not None:
             raise NotApplicableError("product sides must be disjoint (A_i cap B_i = empty)")
-    left = au.determinize_minimize(au.intersect(a1, a2, budget))
-    right = au.determinize_minimize(au.intersect(b1, b2, budget))
+    left = au.determinize_minimize(au.intersect(a1, a2))
+    right = au.determinize_minimize(au.intersect(b1, b2))
     out = RecognizableRelation(alphabet=s.alphabet,
                                products=((left, right), (right, left)))
     if require_symmetric_context:
-        direct = au.intersect(to_automatic(s, budget).base,
-                              rel.inverse(to_automatic(s, budget)).base, budget)
-        if not au.equivalent(to_automatic(out, budget).base, direct, budget):
+        direct = au.intersect(to_automatic(s).base, rel.inverse(to_automatic(s)).base)
+        if not au.equivalent(to_automatic(out).base, direct):
             raise NotApplicableError("closed form disagrees with S cap S^-1")
     return out
 
 
-def lift_to_kprod(r1: AutomaticRelation, r2: AutomaticRelation, k: int,
-                  budget: Optional[int] = None) -> tuple:
+def lift_to_kprod(r1: AutomaticRelation, r2: AutomaticRelation, k: int) -> tuple:
     """Pad a 2-product instance into a k-product one with fresh symbols.
 
     Adds letters a#1..a#(k-2), b#1..b#(k-2); R1 gains the pairs (a#i, b#i)
@@ -266,18 +259,18 @@ def lift_to_kprod(r1: AutomaticRelation, r2: AutomaticRelation, k: int,
     for i in range(k - 2):
         ai = au.word_language((fresh_a[i],), alpha)
         bi = au.word_language((fresh_b[i],), alpha)
-        parts.append(product_relation(ai, old_words, budget).base)
-        parts.append(product_relation(old_words, bi, budget).base)
+        parts.append(product_relation(ai, old_words).base)
+        parts.append(product_relation(old_words, bi).base)
         for j in range(k - 2):
             bj = au.word_language((fresh_b[j],), alpha)
             aj = au.word_language((fresh_a[j],), alpha)
             if i != j:
-                parts.append(product_relation(ai, bj, budget).base)
-            parts.append(product_relation(bi, aj, budget).base)
+                parts.append(product_relation(ai, bj).base)
+            parts.append(product_relation(bi, aj).base)
     acc = parts[0]
     for p in parts[1:]:
         acc = au.union(acc, p)
-    new_r2 = rel._wrap(au.determinize_minimize(acc, budget))
+    new_r2 = rel._wrap(au.determinize_minimize(acc))
     return (new_r1, new_r2)
 
 

@@ -182,44 +182,38 @@ def union_rel(r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation
     return _wrap(au.union(r1.base, r2.base))
 
 
-def intersect_rel(r1: AutomaticRelation, r2: AutomaticRelation,
-                  budget: Optional[int] = None) -> AutomaticRelation:
-    return _wrap(au.intersect(r1.base, r2.base, budget))
+def intersect_rel(r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
+    return _wrap(au.intersect(r1.base, r2.base))
 
 
-def difference_rel(r1: AutomaticRelation, r2: AutomaticRelation,
-                   budget: Optional[int] = None) -> AutomaticRelation:
-    return _wrap(au.difference(r1.base, r2.base, budget))
+def difference_rel(r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
+    return _wrap(au.difference(r1.base, r2.base))
 
 
-def complement_relation(r: AutomaticRelation,
-                        budget: Optional[int] = None) -> AutomaticRelation:
+def complement_relation(r: AutomaticRelation) -> AutomaticRelation:
     """(Sigma* x Sigma*) minus R."""
-    return _wrap(au.complement_relative(r.base, budget))
+    return _wrap(au.complement_relative(r.base))
 
 
-def compose(r1: AutomaticRelation, r2: AutomaticRelation,
-            budget: Optional[int] = None) -> AutomaticRelation:
+def compose(r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
     """{(u, w) | exists v: (u,v) in R1 and (v,w) in R2}."""
     if r1.alphabet != r2.alphabet:
         raise ArityMismatchError("compose needs a shared alphabet")
-    return _wrap(au.relational_join(r1.base, r2.base, 1, 0, budget))
+    return _wrap(au.relational_join(r1.base, r2.base, 1, 0))
 
 
-def image(r: AutomaticRelation, lang: MultiTrackAutomaton,
-          budget: Optional[int] = None) -> MultiTrackAutomaton:
+def image(r: AutomaticRelation, lang: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """R[X] = {v | exists u in X with (u,v) in R}."""
     if lang.tracks != 1:
         raise ArityMismatchError("image takes a 1-track language")
-    return au.relational_join(lang, r.base, 0, 0, budget)
+    return au.relational_join(lang, r.base, 0, 0)
 
 
-def preimage(r: AutomaticRelation, lang: MultiTrackAutomaton,
-             budget: Optional[int] = None) -> MultiTrackAutomaton:
+def preimage(r: AutomaticRelation, lang: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """R^{-1}[X] = {u | exists v in X with (u,v) in R}."""
     if lang.tracks != 1:
         raise ArityMismatchError("preimage takes a 1-track language")
-    return au.relational_join(lang, r.base, 0, 1, budget)
+    return au.relational_join(lang, r.base, 0, 1)
 
 
 def project_first(r: AutomaticRelation) -> MultiTrackAutomaton:
@@ -232,20 +226,19 @@ def project_second(r: AutomaticRelation) -> MultiTrackAutomaton:
     return au.project(r.base, 0)
 
 
-def init_set(r: AutomaticRelation, budget: Optional[int] = None) -> MultiTrackAutomaton:
+def init_set(r: AutomaticRelation) -> MultiTrackAutomaton:
     """Vertices with no predecessor in the graph of R: Sigma* \\ pi2(R)."""
-    return au.complement_relative(project_second(r), budget)
+    return au.complement_relative(project_second(r))
 
 
-def common_image_pairs(ra: AutomaticRelation, rb: AutomaticRelation,
-                       budget: Optional[int] = None) -> AutomaticRelation:
+def common_image_pairs(ra: AutomaticRelation, rb: AutomaticRelation) -> AutomaticRelation:
     """{(u, u') | exists v: (u,v) in RA and (u',v) in RB}."""
     if ra.alphabet != rb.alphabet:
         raise ArityMismatchError("operands need a shared alphabet")
-    return _wrap(au.relational_join(ra.base, rb.base, 1, 1, budget))
+    return _wrap(au.relational_join(ra.base, rb.base, 1, 1))
 
 
-def functional(r: AutomaticRelation, budget: Optional[int] = None) -> bool:
+def functional(r: AutomaticRelation) -> bool:
     """Out-degree <= 1 everywhere as a graph.
 
     Runs two copies of ``r.base`` in lockstep on one shared left word and
@@ -253,19 +246,18 @@ def functional(r: AutomaticRelation, budget: Optional[int] = None) -> bool:
     cost is O(|delta|^2) over at most 2(|Q|+1)^2 product states, not the
     |Sigma|^2 columns of an inequality relation.
     """
-    return not _lockstep_clash(r, 0, budget)
+    return not _lockstep_clash(r, 0)
 
 
-def co_functional(r: AutomaticRelation, budget: Optional[int] = None) -> bool:
+def co_functional(r: AutomaticRelation) -> bool:
     """In-degree <= 1 everywhere as a graph.
 
     The lockstep check of :func:`functional` with the right track shared.
     """
-    return not _lockstep_clash(r, 1, budget)
+    return not _lockstep_clash(r, 1)
 
 
-def _lockstep_clash(r: AutomaticRelation, shared: int,
-                    budget: Optional[int]) -> bool:
+def _lockstep_clash(r: AutomaticRelation, shared: int) -> bool:
     """Whether R holds two pairs that agree on track ``shared`` and differ
     on the other track.
 
@@ -293,13 +285,12 @@ def _lockstep_clash(r: AutomaticRelation, shared: int,
                         yield None, (p2, q2, diverged or y1 != y2)
 
     start = [(p, q, False) for p in sorted(a.initial) for q in sorted(a.initial)]
-    index, _edges = au._explore(start, successors, au._Budget(budget))
+    index, _edges = au._explore(start, successors)
     return any(d and p in accepting and q in accepting for p, q, d in index)
 
 
-def equivalent_rel(r1: AutomaticRelation, r2: AutomaticRelation,
-                   budget: Optional[int] = None) -> bool:
-    return au.equivalent(r1.base, r2.base, budget)
+def equivalent_rel(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
+    return au.equivalent(r1.base, r2.base)
 
 
 def relation_pairs(r: AutomaticRelation, max_conv_len: int) -> Iterator[tuple]:

@@ -201,12 +201,11 @@ def config_graph(t: TuringMachine) -> AutomaticRelation:
     return rel._wrap(au._freeze(2, alpha, nstates, {pre}, {copy, end}, trans))
 
 
-def machine_init_configs(t: TuringMachine,
-                         budget: Optional[int] = None) -> MultiTrackAutomaton:
+def machine_init_configs(t: TuringMachine) -> MultiTrackAutomaton:
     """Configurations with no predecessor (in-degree 0 in the step graph)."""
     graph = config_graph(t)
-    no_pred = rel.init_set(graph, budget)
-    return au.intersect(no_pred, configs_language(t), budget)
+    no_pred = rel.init_set(graph)
+    return au.intersect(no_pred, configs_language(t))
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +234,13 @@ class WfReport:
 
 
 def wf_checks(t: TuringMachine, depth: int = 32, sample_len: int = 4,
-              sample_cap: int = 60, budget: Optional[int] = None) -> WfReport:
+              sample_cap: int = 60) -> WfReport:
     graph = config_graph(t)
-    inits = machine_init_configs(t, budget)
+    inits = machine_init_configs(t)
     initial_ok = au.membership(inits, (initial_config(t),))
-    func = rel.functional(graph, budget)
-    cofunc = rel.co_functional(graph, budget)
+    func = rel.functional(graph)
+    cofunc = rel.co_functional(graph)
+    inv = rel.inverse(graph)  # shared by every backward walk below
 
     cycles = []
     deep = []
@@ -252,7 +252,7 @@ def wf_checks(t: TuringMachine, depth: int = 32, sample_len: int = 4,
         seen = {w}
         cur = w
         for step in range(depth):
-            preds = rel.predecessor_words(graph, cur, len(cur) + 2)
+            preds = rel.successor_words(inv, cur, len(cur) + 2)
             if not preds:
                 break
             cur = preds[0]
@@ -291,8 +291,7 @@ def _equal_pairs(lang: MultiTrackAutomaton) -> MultiTrackAutomaton:
                       lang.accepting, trans)
 
 
-def coloring_gadget(t: TuringMachine, k: int = 2,
-               budget: Optional[int] = None) -> AutomaticRelation:
+def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
     """Tagged configuration graph whose 2-regular colorability encodes the
     regularity of the machine's reachable set.
 
@@ -317,11 +316,11 @@ def coloring_gadget(t: TuringMachine, k: int = 2,
     red_blue = _prepend_column(step, ("R", "B"))
 
     c_init = initial_config(t)
-    inits = au.extend_alphabet(machine_init_configs(t, budget), alpha)
-    others = au.difference(inits, au.word_language(c_init, alpha), budget)
+    inits = au.extend_alphabet(machine_init_configs(t), alpha)
+    others = au.difference(inits, au.word_language(c_init, alpha))
     from . import recognizable as rc
     init_edges = _prepend_column(
-        rc.product_relation(au.word_language(c_init, alpha), others, budget).base,
+        rc.product_relation(au.word_language(c_init, alpha), others).base,
         ("B", "B"))
 
     edges = au.union(au.union(blue_red, red_blue), init_edges)
@@ -329,20 +328,20 @@ def coloring_gadget(t: TuringMachine, k: int = 2,
     if k > 2:
         tagged = rel._wrap(edges)
         incident = au.determinize_minimize(
-            au.union(rel.project_first(tagged), rel.project_second(tagged)), budget)
+            au.union(rel.project_first(tagged), rel.project_second(tagged)))
         parts = [edges]
         for i, ki in enumerate(clique):
             ki_lang = au.word_language((ki,), alpha)
-            parts.append(rc.product_relation(ki_lang, incident, budget).base)
+            parts.append(rc.product_relation(ki_lang, incident).base)
             for j, kj in enumerate(clique):
                 if i != j:
                     parts.append(rc.product_relation(
-                        ki_lang, au.word_language((kj,), alpha), budget).base)
+                        ki_lang, au.word_language((kj,), alpha)).base)
         acc = parts[0]
         for p in parts[1:]:
             acc = au.union(acc, p)
         edges = acc
-    return rel._wrap(au.determinize_minimize(edges, budget))
+    return rel._wrap(au.determinize_minimize(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +402,14 @@ def reach_bfs(r: AutomaticRelation, start: Sequence[str], max_len: int,
 #     in cell one and are rewritten as twins, so the boot entry can never
 #     collide with the regular thread of the same rule.
 
-def pad_transform(t: TuringMachine, budget: Optional[int] = None) -> TuringMachine:
+def pad_transform(t: TuringMachine) -> TuringMachine:
     """Compile a reversible machine into one whose step also grows an
     a^n b^n zone; halting input gives a finite reachable set, diverging
     input a reachable set with a non-regular {a,b}-projection."""
     graph = config_graph(t)
-    if not rel.functional(graph, budget):
+    if not rel.functional(graph):
         raise PadTransformError("input machine is not deterministic on configurations")
-    if not rel.co_functional(graph, budget):
+    if not rel.co_functional(graph):
         raise PadTransformError("input machine is not reversible (exact check failed)")
 
     fresh = ("a", "b", "#")

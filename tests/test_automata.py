@@ -224,8 +224,8 @@ def test_budget_error_is_distinct():
         trans.append((i, ("a",), i + 1))
         trans.append((i, ("b",), i + 1))
     blow = nfa(1, AB, n + 1, {0}, {n}, trans)
-    with pytest.raises(au.BudgetExceededError):
-        au.determinize_minimize(blow, budget=64)
+    with pytest.raises(au.BudgetExceededError), au.state_budget(64):
+        au.determinize_minimize(blow)
 
 
 def _kernel_cases():
@@ -234,12 +234,12 @@ def _kernel_cases():
                (2, ("a", "a"), 0), (2, (PAD, "b"), 2), (1, ("a", "b"), 0)])
     fc1 = rel.successor_relation(1, AB).base
     sym = rel.symmetric_closure(rel.successor_relation(2, AB)).base
+    left, right = aa_star(AB), a_star()
     return {
-        "restrict_valid_pad": lambda budget: au.restrict_valid_pad(raw, budget),
-        "intersect": lambda budget: au.intersect(sym, fc1, budget),
-        "relational_join": lambda budget: au.relational_join(sym, fc1, 1, 0, budget),
-        "product_relation": lambda budget: rc.product_relation(
-            aa_star(AB), a_star(), budget).base,
+        "restrict_valid_pad": lambda: au.restrict_valid_pad(raw),
+        "intersect": lambda: au.intersect(sym, fc1),
+        "relational_join": lambda: au.relational_join(sym, fc1, 1, 0),
+        "product_relation": lambda: rc.product_relation(left, right).base,
     }
 
 
@@ -247,11 +247,27 @@ def _kernel_cases():
                                 "relational_join", "product_relation"])
 def test_kernel_charges_one_per_discovered_state(op):
     build = _kernel_cases()[op]
-    out = build(None)
+    out = build()
     assert out.states > 1
-    assert build(out.states) == out
-    with pytest.raises(au.BudgetExceededError):
-        build(out.states - 1)
+    with au.state_budget(out.states):
+        assert build() == out
+    with pytest.raises(au.BudgetExceededError), au.state_budget(out.states - 1):
+        build()
+
+
+def test_state_budget_bounds_constructions_together():
+    cases = _kernel_cases()
+    first, second = cases["intersect"], cases["relational_join"]
+    n = max(first().states, second().states)
+    for build in (first, second):
+        with au.state_budget(n):
+            build()
+    with pytest.raises(au.BudgetExceededError), au.state_budget(n):
+        first()
+        second()
+    # outside a scope each construction has a budget of its own
+    first()
+    second()
 
 
 # ---------------------------------------------------------------------------

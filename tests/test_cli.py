@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -165,6 +166,18 @@ def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--budget", "100", "min-prod", "--r", "FC1", "--kmax", "2"),
+    ("--budget", "30", "sep-verify", "--s", "PARITY", "--r1", "FC1", "--r2", "FC2"),
+])
+def test_budget_bounds_the_whole_command(fx, capsys, argv):
+    # each construction fits alone; together they build more states
+    paths = {"FC1": str(fx / "fc1.json"), "FC2": str(fx / "fc2.json"),
+             "PARITY": str(fx / "parity-separator.json")}
+    assert run(*(paths.get(a, a) for a in argv)) == 2
+    assert capsys.readouterr().err.startswith("budget exhausted: ")
+
+
+@pytest.mark.parametrize("argv", [
     ("sep-verify", "--r1", "FC1", "--r2", "FC1", "--s", "BAD"),
     ("color-verify", "--graph", "FC1", "--coloring", "BAD"),
 ])
@@ -192,6 +205,37 @@ def test_two_field_transition_exits_2(fx, tmp_path, capsys):
     assert run("sep-1prod", "--r1", str(bad), "--r2", str(fx / "fc2.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "triple" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tracks", "2", "'tracks' is not an integer"),
+    ("initial", 5, "'initial' is not a list of integers"),
+    ("states", None, "'states' is not an integer"),
+    ("alphabet", "a", "'alphabet' is not a list of strings"),
+    ("accepting", [True], "'accepting' is not a list of integers"),
+    ("transitions", {}, "'transitions' is not a list"),
+    ("transitions", [[0, [["a"]], 1]], "triple"),
+    ("transitions", [["0", ["a", "a"], 0]], "triple"),
+], ids=["tracks-str", "initial-int", "states-null", "alphabet-str", "accepting-bool",
+        "transitions-object", "symbol-list", "src-str"])
+def test_wrongly_typed_field_exits_2(fx, tmp_path, capsys, key, value, message):
+    d = json.loads((fx / "fc1.json").read_text())
+    d[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert run("sep-1prod", "--r1", str(bad), "--r2", str(fx / "fc2.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("make-rel", "--spec=(fc 1)", "--out", "TMP/no-such-dir/r.json"),
+    ("fixtures", "--outdir", "TMP/a-file"),
+])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "a-file").write_text("")
+    assert run(*(a.replace("TMP", str(tmp_path)) for a in argv)) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 def test_malformed_machine_delta_entry_exits_2(fx, tmp_path, capsys):
@@ -244,3 +288,59 @@ def _spec_tree():
 def test_truncated_specs_never_raise(tmp_path, text, cut):
     code = cli.main(["make-rel", f"--spec={text[:cut]}", "--out", str(tmp_path / "r.json")])
     assert code in (0, 1, 2)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-2, max_value=4)
+    | st.sampled_from(["", "a", "b", "_", "ab"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["tracks", "states", "a"]), kids, max_size=2),
+    max_leaves=4)
+
+
+def _positions(node, path=()):
+    """Key/index paths of every value nested in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def _mutate(data, doc):
+    """Delete, retype or truncate one to three nested values of ``doc``."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        paths = list(_positions(doc))
+        if not paths:
+            break
+        *head, last = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        kind = data.draw(st.sampled_from(["delete", "retype", "truncate"]))
+        if kind == "delete":
+            del parent[last]
+        elif kind == "truncate" and isinstance(parent[last], list):
+            value = parent[last]
+            parent[last] = value[:data.draw(st.integers(0, max(len(value) - 1, 0)))]
+        else:
+            parent[last] = data.draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_fixture_json_never_raises(fx, tmp_path, data):
+    name = data.draw(st.sampled_from(["fc1.json", "fc2.json", "tree.json"]))
+    doc = _mutate(data, json.loads((fx / name).read_text()))
+    bad = tmp_path / "mutated.json"
+    bad.write_text(json.dumps(doc))
+    other = str(fx / name)
+    first, second = data.draw(st.permutations([str(bad), other]))
+    assert cli.main(["sep-1prod", "--r1", first, "--r2", second]) in (0, 1, 2)

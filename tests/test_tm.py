@@ -111,6 +111,18 @@ def test_wf_checks_flags_backward_cycle():
     assert rep.backward_cycles  # but the sampled walk finds the 2-cycle
 
 
+def test_wf_checks_inverts_the_step_relation_once(monkeypatch):
+    calls = []
+    permute = au.permute_tracks
+    monkeypatch.setattr(au, "permute_tracks",
+                        lambda a, perm: calls.append(perm) or permute(a, perm))
+    rep = tm.wf_checks(tm.two_cycle_fixture(), depth=4, sample_len=3)
+    assert calls == [(1, 0)]
+    assert rep.sampled > 1
+    assert rep.co_functional
+    assert rep.backward_cycles
+
+
 def test_machine_init_configs_contains_initial():
     t = tm.halting_fixture()
     inits = tm.machine_init_configs(t)
@@ -300,10 +312,10 @@ def test_pad_transform_exact_reversibility(fixture):
 
 def test_exact_reversibility_check_charges_the_budget():
     graph = tm.config_graph(tm.pad_transform(tm.halting_fixture()))
-    with pytest.raises(au.BudgetExceededError):
-        rel.functional(graph, budget=5)
-    with pytest.raises(au.BudgetExceededError):
-        rel.co_functional(graph, budget=5)
+    with pytest.raises(au.BudgetExceededError), au.state_budget(5):
+        rel.functional(graph)
+    with pytest.raises(au.BudgetExceededError), au.state_budget(5):
+        rel.co_functional(graph)
 
 
 def test_pad_transform_zone_shape_on_diverging_machine():
