@@ -50,6 +50,7 @@ from .definability import (
     kprod_definability,
     krec_definability,
     min_prod,
+    recognizable as is_recognizable,  # ``recognizable`` names the submodule
 )
 from .recognizable import (
     PartitionedRecognizable,

@@ -10,9 +10,11 @@ of the word, and no column is padding on all tracks at once.
 All automata are immutable values; the operations below are pure functions
 and safe to call concurrently.  Constructions that can blow up charge a
 state budget and raise :class:`BudgetExceededError` instead of exhausting
-memory.  Inside ``with state_budget(n):`` every construction charges one
+memory.  Inside ``with state_budget(n):`` every construction, and every
+automaton loaded from JSON with its declared state count, charges one
 shared budget of ``n`` states; outside any scope each product or subset
-walk gets its own budget of :data:`DEFAULT_STATE_BUDGET` states.
+walk, and each load, gets its own budget of :data:`DEFAULT_STATE_BUDGET`
+states.
 """
 
 from __future__ import annotations
@@ -873,6 +875,8 @@ def from_json_dict(d: dict) -> MultiTrackAutomaton:
             ("transitions", isinstance(raw, list), "a list")):
         if not ok:
             raise FormatError(f"automaton JSON field {key!r} is not {what}")
+    # the declared states cost memory whether or not transitions use them
+    (_ACTIVE_BUDGET.get() or _Budget(None)).charge(max(states, 0))
     trans = []
     for t in raw:
         if not (isinstance(t, list) and len(t) == 3 and type(t[0]) is int

@@ -54,13 +54,6 @@ def load_relation(path: str) -> rel.AutomaticRelation:
     return rel.relation(a)
 
 
-def load_language(path: str) -> au.MultiTrackAutomaton:
-    a = au.from_json_dict(_load_json(path))
-    if a.tracks != 1:
-        raise CliError(f"{path}: expected a 1-track language automaton")
-    return a
-
-
 def load_separator(path: str) -> rc.RecognizableRelation:
     return rc.recognizable_from_json_dict(_load_json(path))
 
@@ -153,6 +146,15 @@ def cmd_min_prod(args) -> int:
         return EXIT_NO
     print(f"min products: {k}")
     return EXIT_YES
+
+
+def cmd_recognizable(args) -> int:
+    r = load_relation(args.r)
+    if de.recognizable(r):
+        print("recognizable: the congruence has finite index")
+        return EXIT_YES
+    print("not recognizable: the congruence has infinite index")
+    return EXIT_NO
 
 
 def cmd_incomp(args) -> int:
@@ -371,6 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", required=True)
     sp.add_argument("--kmax", type=int, required=True)
     sp.add_argument("--steps", type=int, default=200_000)
+
+    sp = verb("recognizable", cmd_recognizable,
+              help="decide whether a relation is recognizable at all")
+    sp.add_argument("--r", required=True)
 
     sp = verb("incomp", cmd_incomp, help="build the incompatibility graph")
     sp.add_argument("--r1", required=True)

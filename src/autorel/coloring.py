@@ -272,6 +272,3 @@ def coloring_from_json_dict(d: dict) -> RegularColoring:
 def dumps_coloring(c: RegularColoring) -> str:
     return json.dumps(coloring_to_json_dict(c), indent=2) + "\n"
 
-
-def loads_coloring(text: str) -> RegularColoring:
-    return coloring_from_json_dict(json.loads(text))

@@ -3,12 +3,15 @@
 The pivot is the equivalence relating words with identical rows and
 columns in R; its index bounds decide membership in the k-block partition
 class exactly, and a rectangle cover of the quotient matrix decides the
-k-product class.
+k-product class.  The shortlex-least members of its classes form a regular
+set, Reps, built once per relation: its size is the index, and R is
+recognizable exactly when Reps is finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import automata as au
@@ -39,54 +42,125 @@ def _distinguished(r: AutomaticRelation) -> AutomaticRelation:
     return rel.common_image_pairs(r, not_r)
 
 
+def _shortlex_order(alphabet) -> MultiTrackAutomaton:
+    """{(u, v) | u <sl v}: u is shorter than v, or as long and
+    lexicographically smaller in alphabet order."""
+    equal, less, greater, shorter = range(4)
+    trans = []
+    for i, x in enumerate(alphabet):
+        trans += [(q, (au.PAD, x), shorter) for q in range(4)]
+        for j, y in enumerate(alphabet):
+            trans += [(equal, (x, y), equal if i == j else less if i < j else greater),
+                      (less, (x, y), less), (greater, (x, y), greater)]
+    return au._freeze(2, alphabet, 4, {equal}, {less, shorter}, trans)
+
+
+def least_representatives(eq: AutomaticRelation) -> MultiTrackAutomaton:
+    """Reps = Sigma* minus pi2(E and <sl): the shortlex-least word of every
+    class of the equivalence E, as a canonical 1-track DFA."""
+    later = au.intersect(eq.base, _shortlex_order(eq.alphabet))
+    return au.complement_relative(au.project(later, 0))
+
+
+def _word_count(a: MultiTrackAutomaton) -> Optional[int]:
+    """|L(a)| for a canonical DFA, or None when a cycle makes it infinite
+    (every state of a canonical DFA is reachable and, unless the language is
+    empty, co-reachable)."""
+    indegree = [0] * a.states
+    for _src, _sym, dst in a.transitions:
+        indegree[dst] += 1
+    order = [q for q in range(a.states) if indegree[q] == 0]
+    for q in order:  # grows while iterated: Kahn's topological sort
+        for _sym, dst in a._adj[q]:
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                order.append(dst)
+    if len(order) < a.states:
+        return None
+    count = [0] * a.states
+    for q in reversed(order):
+        count[q] = (q in a.accepting) + sum(count[d] for _sym, d in a._adj[q])
+    return count[next(iter(a.initial))]
+
+
+def _shortlex_first(a: MultiTrackAutomaton, n: int) -> tuple:
+    """The first n words (tuples of symbols) of a canonical 1-track DFA's
+    language, in shortlex order; the language must have at least n words."""
+    # ends[r]: states from which some word of length exactly r is accepted
+    ends = [set(a.accepting)]
+    start = next(iter(a.initial))
+    out: list = []
+    length = 0
+    while len(out) < n:
+        stack = [((), start)] if start in ends[length] else []
+        while stack and len(out) < n:
+            word, q = stack.pop()
+            rem = length - len(word)
+            if rem == 0:
+                out.append(word)
+                continue
+            stack += reversed([(word + sym, d) for sym, d in a._adj[q]
+                               if d in ends[rem - 1]])
+        ends.append({q for q in range(a.states)
+                     if any(d in ends[-1] for _sym, d in a._adj[q])})
+        length += 1
+    return tuple(out)
+
+
+def recognizable(r: AutomaticRelation) -> bool:
+    """Whether R is recognizable (a finite union of products), i.e. whether
+    its congruence has finite index: exactly when Reps is finite."""
+    return _word_count(least_representatives(build_equiv(r))) is not None
+
+
 @dataclass(frozen=True)
 class EquivalenceDecomposition:
-    """Representatives and classes of the congruence, shortlex-first.
+    """The first classes of the congruence, by shortlex-least member.
 
-    truncated means the bound was hit before the classes were exhausted,
-    so the listed classes need not cover all words.
+    ``representatives`` lists the shortlex-least words of the classes in
+    shortlex order: all of them, or, when ``truncated`` (more than the bound
+    exist), the first bound + 1.  ``classes[i]`` is the class of
+    ``representatives[i]`` as a canonical 1-track DFA; it is built from
+    ``equiv`` on first read, so a decision that only needs the index or the
+    quotient matrix never builds it.
     """
 
     relation: AutomaticRelation
     equiv: AutomaticRelation
     representatives: tuple  # tuple[Word, ...]
-    classes: tuple  # tuple[MultiTrackAutomaton, ...]
     truncated: bool
 
     @property
     def index(self) -> int:
         return len(self.representatives)
 
+    @cached_property
+    def classes(self) -> tuple:  # tuple[MultiTrackAutomaton, ...]
+        alpha = self.relation.alphabet
+        return tuple(
+            au.determinize_minimize(rel.image(self.equiv, au.word_language(w, alpha)))
+            for w in self.representatives)
+
 
 def decompose(r: AutomaticRelation, bound: int,
               equiv: Optional[AutomaticRelation] = None) -> EquivalenceDecomposition:
-    """Peel off congruence classes in shortlex order of representatives.
+    """The classes of the congruence E, read off the regular set Reps of
+    their shortlex-least members (see :func:`least_representatives`).
 
-    Stops with truncated=True as soon as more than ``bound`` classes exist.
+    The index is |Reps|.  When Reps has a cycle or more than ``bound`` words
+    the decomposition is truncated and lists the first bound + 1
+    representatives in shortlex order; otherwise it lists all of them.
     """
     if bound < 1:
         raise AutomataError("bound must be >= 1")
     eq = equiv if equiv is not None else build_equiv(r)
-    alpha = r.alphabet
-    uncovered = au.full_language(alpha)
-    reps = []
-    classes = []
-    truncated = False
-    while True:
-        w = au.emptiness_shortest(uncovered)
-        if w is None:
-            break
-        rep = tuple(sym[0] for sym in w)
-        cls = au.determinize_minimize(rel.image(eq, au.word_language(rep, alpha)))
-        reps.append(rep)
-        classes.append(cls)
-        if len(reps) > bound:
-            truncated = True
-            break
-        uncovered = au.determinize_minimize(au.difference(uncovered, cls))
+    reps = least_representatives(eq)
+    count = _word_count(reps)
+    truncated = count is None or count > bound
+    n = bound + 1 if truncated else count
     return EquivalenceDecomposition(
-        relation=r, equiv=eq, representatives=tuple(reps),
-        classes=tuple(classes), truncated=truncated)
+        relation=r, equiv=eq, representatives=_shortlex_first(reps, n),
+        truncated=truncated)
 
 
 @dataclass(frozen=True)

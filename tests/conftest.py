@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from autorel import automata as au
+from autorel import definability as de
 from autorel import relations as rel
 
 
@@ -68,6 +69,27 @@ def equiv_oracle(r, bound):
         else:
             classes.append([w])
     return classes
+
+
+def decompose_peel_oracle(r, bound, equiv=None):
+    """Congruence classes peeled one at a time in shortlex order of their
+    least members: take the least uncovered word, add its class, remove the
+    class from the uncovered words.  Stops once more than `bound` classes
+    were found.  Returns (representatives, classes, truncated)."""
+    eq = equiv if equiv is not None else de.build_equiv(r)
+    uncovered = au.full_language(r.alphabet)
+    reps, classes = [], []
+    while True:
+        w = au.emptiness_shortest(uncovered)
+        if w is None:
+            return tuple(reps), tuple(classes), False
+        rep = tuple(sym[0] for sym in w)
+        cls = au.determinize_minimize(rel.image(eq, au.word_language(rep, r.alphabet)))
+        reps.append(rep)
+        classes.append(cls)
+        if len(reps) > bound:
+            return tuple(reps), tuple(classes), True
+        uncovered = au.determinize_minimize(au.difference(uncovered, cls))
 
 
 def min_cover_oracle(ones, kmax):

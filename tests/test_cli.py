@@ -166,7 +166,7 @@ def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--budget", "100", "min-prod", "--r", "FC1", "--kmax", "2"),
+    ("--budget", "40", "min-prod", "--r", "FC1", "--kmax", "2"),
     ("--budget", "30", "sep-verify", "--s", "PARITY", "--r1", "FC1", "--r2", "FC2"),
 ])
 def test_budget_bounds_the_whole_command(fx, capsys, argv):
@@ -175,6 +175,27 @@ def test_budget_bounds_the_whole_command(fx, capsys, argv):
              "PARITY": str(fx / "parity-separator.json")}
     assert run(*(paths.get(a, a) for a in argv)) == 2
     assert capsys.readouterr().err.startswith("budget exhausted: ")
+
+
+def test_declared_states_charge_the_budget(fx, tmp_path, capsys):
+    # two states in use, 400000 declared: loading alone exceeds the budget
+    d = json.loads((fx / "fc1.json").read_text())
+    d["states"] = 400_000
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(d))
+    assert run("--budget", "1000", "sep-1prod", "--r1", str(big),
+               "--r2", str(fx / "fc2.json")) == 2
+    assert capsys.readouterr().err.startswith("budget exhausted: ")
+
+
+def test_recognizable_exit_codes(fx, tmp_path, capsys):
+    assert run("recognizable", "--r", str(fx / "fc1.json")) == 1
+    assert capsys.readouterr().out.startswith("not recognizable")
+    finite = tmp_path / "finite.json"
+    assert run("make-rel", "--spec", "(pairs (a b) (aa b))", "--out", str(finite)) == 0
+    capsys.readouterr()
+    assert run("recognizable", "--r", str(finite)) == 0
+    assert capsys.readouterr().out.startswith("recognizable")
 
 
 @pytest.mark.parametrize("argv", [

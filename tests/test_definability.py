@@ -7,7 +7,8 @@ from autorel import definability as de
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import equiv_oracle, min_cover_oracle, random_relation, words_upto
+from conftest import (decompose_peel_oracle, equiv_oracle, min_cover_oracle,
+                      random_language, random_relation, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -115,6 +116,51 @@ def test_decompose_truncates_on_infinite_index():
     assert dec.representatives == ((), ("a",), ("b",), ("a", "a"))
 
 
+def test_shortlex_order_matches_brute_force():
+    abc = ("a", "b", "c")
+    order = rel.relation(de._shortlex_order(abc))
+    ws = words_upto(abc, 3)
+    rank = {w: i for i, w in enumerate(ws)}  # words_upto lists them shortlex
+    for u in ws:
+        for v in ws:
+            assert order.contains(u, v) == (rank[u] < rank[v]), (u, v)
+
+
+@pytest.mark.parametrize("alphabet, count", [
+    (AB, 40), (("a", "b", "c"), 20), (("b", "a"), 8)], ids=["ab", "abc", "ba"])
+def test_decompose_agrees_with_the_peel(alphabet, count):
+    # shortlex follows the alphabet's order, so ("b", "a") puts b first.
+    # Relations of at most 4 states: larger ones can take seconds in build_equiv
+    rng = random.Random(6060 + len(alphabet))
+    cases = []
+    while len(cases) < count:
+        r = random_relation(rng, alphabet, rng.randint(1, 3))
+        if r.base.states <= 4:
+            cases.append(r)
+    if alphabet == AB:
+        cases += [rel.make_identity(AB), rel.equal_length_relation(AB),
+                  rel.successor_relation(1)]
+    for r in cases:
+        eq = de.build_equiv(r)
+        for bound in (1, 3, 8, 64):
+            reps, classes, truncated = decompose_peel_oracle(r, bound, eq)
+            dec = de.decompose(r, bound, eq)
+            assert dec.representatives == reps
+            assert dec.truncated == truncated
+            assert dec.index == len(reps)
+            assert [au.determinize_minimize(c) for c in dec.classes] == list(classes)
+
+
+def test_truncated_decomposition_builds_classes_on_first_read(monkeypatch):
+    calls = []
+    real = rel.image
+    monkeypatch.setattr(rel, "image", lambda *a: calls.append(1) or real(*a))
+    dec = de.decompose(rel.successor_relation(1), 64)
+    assert dec.truncated and dec.index == 65 and not calls
+    assert len(dec.classes) == 65 and len(calls) == 65
+    assert list(au.iter_words(dec.classes[3], 5)) == [("a",) * 3]
+
+
 def test_quotient_matrix_entries_mean_block_products():
     dec = de.decompose(axb(), 8)
     m = de.QuotientMatrix.from_decomposition(dec)
@@ -128,6 +174,29 @@ def test_quotient_matrix_entries_mean_block_products():
             for u in members[i]:
                 for v in members[j]:
                     assert dec.relation.contains(u, v) == m.entries[i][j]
+
+
+# ---------------------------------------------------------------------------
+# recognizability
+
+@pytest.mark.parametrize("make", [
+    lambda: rel.successor_relation(1),
+    lambda: rel.make_identity(AB),
+    lambda: rel.equal_length_relation(AB),
+], ids=["fc1", "identity", "equal-length"])
+def test_not_recognizable(make):
+    assert de.recognizable(make()) is False
+
+
+def test_recognizable_products_and_planted_unions(rng):
+    assert de.recognizable(axb()) is True
+    assert de.recognizable(sym_axb()) is True
+    assert de.recognizable(rel.full_relation(AB)) is True
+    for _ in range(6):
+        products = tuple((random_language(rng, AB), random_language(rng, AB))
+                         for _ in range(rng.randint(1, 3)))
+        r = rc.to_automatic(rc.RecognizableRelation(alphabet=AB, products=products))
+        assert de.recognizable(r) is True
 
 
 # ---------------------------------------------------------------------------
