@@ -99,6 +99,12 @@ def state_budget(limit: Optional[int] = None):
         _ACTIVE_BUDGET.reset(token)
 
 
+def _active_budget() -> _Budget:
+    """The budget of the enclosing :func:`state_budget` scope, else a fresh
+    one for the caller alone."""
+    return _ACTIVE_BUDGET.get() or _Budget(None)
+
+
 def _explore(start, successors):
     """Breadth-first closure of ``start`` under ``successors``.
 
@@ -108,7 +114,7 @@ def _explore(start, successors):
     ``successors(state)`` yields ``(label, next_state)`` pairs.  Returns the
     numbering and the ``(src, label, dst)`` edges between state numbers.
     """
-    bud = _ACTIVE_BUDGET.get() or _Budget(None)
+    bud = _active_budget()
     index: dict = {}
     for s in start:
         if s not in index:
@@ -758,30 +764,59 @@ def _augmented_adj(a: MultiTrackAutomaton) -> dict:
 # ---------------------------------------------------------------------------
 # Language enumeration
 
-def iter_column_words(a: MultiTrackAutomaton, max_len: int) -> Iterator[tuple]:
-    """Accepted column words of length <= max_len, in shortlex order."""
-    level = [((), frozenset(a.initial))]
-    if a.initial & a.accepting:
+def iter_column_words(a: MultiTrackAutomaton,
+                      max_len: Optional[int] = None) -> Iterator[tuple]:
+    """Accepted column words of length <= max_len (of any length when None),
+    in shortlex order: by length, then column by column in ``symbol_key``
+    order.  Lazy, so the first words of an infinite language come cheaply.
+
+    Each length is a depth-first walk that follows a column only when the
+    states it leads to can still accept at exactly that length.
+    """
+    adj = a._adj
+    start = frozenset(a.initial)
+    reach = set(_reach(start, {q: [d for _sym, d in out] for q, out in adj.items()}))
+    ends = [frozenset(a.accepting)]  # ends[r]: states accepting some word of length r
+    length = 0
+    while (max_len is None or length <= max_len) and reach & ends[length]:
+        if start & ends[length]:
+            yield from _exact_length_words(a, start, ends, length)
+        ends.append(frozenset(q for q in adj
+                              if any(d in ends[length] for _sym, d in adj[q])))
+        length += 1
+
+
+def _exact_length_words(a: MultiTrackAutomaton, start: frozenset, ends: list,
+                        length: int) -> Iterator[tuple]:
+    if length == 0:
         yield ()
-    for _ in range(max_len):
-        nxt = []
-        for word, states in level:
-            out: dict = {}
-            for q in states:
-                for sym, dst in a._adj[q]:
+        return
+
+    def steps(states, rem):  # columns to states that accept at length rem
+        out: dict = {}
+        for q in states:
+            for sym, dst in a._adj[q]:
+                if dst in ends[rem]:
                     out.setdefault(sym, set()).add(dst)
-            for sym in sorted(out, key=a.symbol_key):
-                nxt.append((word + (sym,), frozenset(out[sym])))
-        merged: dict = {}
-        for word, states in nxt:
-            merged[word] = merged.get(word, frozenset()) | states
-        level = sorted(merged.items())
-        for word, states in level:
-            if states & a.accepting:
-                yield word
+        return iter(sorted(out.items(), key=lambda t: a.symbol_key(t[0])))
+
+    path: list = []
+    stack = [steps(start, length - 1)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif len(path) + 1 == length:
+            yield (*path, step[0])
+        else:
+            path.append(step[0])
+            stack.append(steps(step[1], length - len(path) - 1))
 
 
-def iter_words(a: MultiTrackAutomaton, max_len: int) -> Iterator[tuple]:
+def iter_words(a: MultiTrackAutomaton,
+               max_len: Optional[int] = None) -> Iterator[tuple]:
     """For 1-track automata: accepted words (tuples of symbols), shortlex."""
     if a.tracks != 1:
         raise ArityMismatchError("iter_words is for 1-track automata")
@@ -876,7 +911,7 @@ def from_json_dict(d: dict) -> MultiTrackAutomaton:
         if not ok:
             raise FormatError(f"automaton JSON field {key!r} is not {what}")
     # the declared states cost memory whether or not transitions use them
-    (_ACTIVE_BUDGET.get() or _Budget(None)).charge(max(states, 0))
+    _active_budget().charge(max(states, 0))
     trans = []
     for t in raw:
         if not (isinstance(t, list) and len(t) == 3 and type(t[0]) is int

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 from . import automata as au
@@ -42,24 +43,67 @@ def _distinguished(r: AutomaticRelation) -> AutomaticRelation:
     return rel.common_image_pairs(r, not_r)
 
 
+# States of the shortlex-order DFA.  Every continuation accepted from one
+# state is accepted from the states above it: greater < equal < less and
+# shorter < less.
+_EQUAL, _LESS, _GREATER, _SHORTER = range(4)
+_BELOW = {_LESS: (_EQUAL, _GREATER, _SHORTER), _EQUAL: (_GREATER,)}
+
+
 def _shortlex_order(alphabet) -> MultiTrackAutomaton:
     """{(u, v) | u <sl v}: u is shorter than v, or as long and
     lexicographically smaller in alphabet order."""
-    equal, less, greater, shorter = range(4)
     trans = []
     for i, x in enumerate(alphabet):
-        trans += [(q, (au.PAD, x), shorter) for q in range(4)]
+        trans += [(q, (au.PAD, x), _SHORTER) for q in range(4)]
         for j, y in enumerate(alphabet):
-            trans += [(equal, (x, y), equal if i == j else less if i < j else greater),
-                      (less, (x, y), less), (greater, (x, y), greater)]
-    return au._freeze(2, alphabet, 4, {equal}, {less, shorter}, trans)
+            trans += [(_EQUAL, (x, y), _EQUAL if i == j else _LESS if i < j else _GREATER),
+                      (_LESS, (x, y), _LESS), (_GREATER, (x, y), _GREATER)]
+    return au._freeze(2, alphabet, 4, {_EQUAL}, {_LESS, _SHORTER}, trans)
 
 
 def least_representatives(eq: AutomaticRelation) -> MultiTrackAutomaton:
     """Reps = Sigma* minus pi2(E and <sl): the shortlex-least word of every
-    class of the equivalence E, as a canonical 1-track DFA."""
-    later = au.intersect(eq.base, _shortlex_order(eq.alphabet))
-    return au.complement_relative(au.project(later, 0))
+    class of the equivalence E, as a canonical 1-track DFA.
+
+    One subset construction reads w and tracks the runs of E and <sl on the
+    pairs (w', w) over all candidate w'; it accepts when no run accepts.  A
+    run whose order state lies below another run's on the same E state adds
+    nothing and is dropped, which keeps the subsets small.
+    """
+    e, order = eq.base, _shortlex_order(eq.alphabet)
+    e_next: dict = {}
+    for src, sym, dst in e.transitions:
+        e_next.setdefault((src, sym), []).append(dst)
+    o_next = {(src, sym): dst for src, sym, dst in order.transitions}
+    firsts = eq.alphabet + (au.PAD,)
+
+    def prune(runs: set) -> frozenset:
+        return frozenset(runs.difference(
+            [(q, low) for q, o in runs for low in _BELOW.get(o, ())]))
+
+    moves: dict = {}  # (E state, order state) -> {y: successor runs}
+
+    def move(run) -> dict:
+        if run not in moves:
+            q, o = run
+            moves[run] = {y: [(d, o_next[o, (x, y)]) for x in firsts
+                              if (o, (x, y)) in o_next
+                              for d in e_next.get((q, (x, y)), ())]
+                          for y in eq.alphabet}
+        return moves[run]
+
+    def successors(runs):
+        steps = [move(run) for run in runs]
+        for y in eq.alphabet:
+            yield (y,), prune({run for step in steps for run in step[y]})
+
+    def no_smaller_equivalent(runs) -> bool:
+        return not any(q in e.accepting and o in order.accepting for q, o in runs)
+
+    start = prune({(q, _EQUAL) for q in e.initial})
+    return au.determinize_minimize(au._explore_automaton(
+        1, eq.alphabet, [start], successors, no_smaller_equivalent))
 
 
 def _word_count(a: MultiTrackAutomaton) -> Optional[int]:
@@ -83,30 +127,6 @@ def _word_count(a: MultiTrackAutomaton) -> Optional[int]:
     return count[next(iter(a.initial))]
 
 
-def _shortlex_first(a: MultiTrackAutomaton, n: int) -> tuple:
-    """The first n words (tuples of symbols) of a canonical 1-track DFA's
-    language, in shortlex order; the language must have at least n words."""
-    # ends[r]: states from which some word of length exactly r is accepted
-    ends = [set(a.accepting)]
-    start = next(iter(a.initial))
-    out: list = []
-    length = 0
-    while len(out) < n:
-        stack = [((), start)] if start in ends[length] else []
-        while stack and len(out) < n:
-            word, q = stack.pop()
-            rem = length - len(word)
-            if rem == 0:
-                out.append(word)
-                continue
-            stack += reversed([(word + sym, d) for sym, d in a._adj[q]
-                               if d in ends[rem - 1]])
-        ends.append({q for q in range(a.states)
-                     if any(d in ends[-1] for _sym, d in a._adj[q])})
-        length += 1
-    return tuple(out)
-
-
 def recognizable(r: AutomaticRelation) -> bool:
     """Whether R is recognizable (a finite union of products), i.e. whether
     its congruence has finite index: exactly when Reps is finite."""
@@ -122,7 +142,10 @@ class EquivalenceDecomposition:
     exist), the first bound + 1.  ``classes[i]`` is the class of
     ``representatives[i]`` as a canonical 1-track DFA; it is built from
     ``equiv`` on first read, so a decision that only needs the index or the
-    quotient matrix never builds it.
+    quotient matrix never builds it.  That first read is a construction:
+    it charges the :func:`~autorel.automata.state_budget` scope active at
+    the read, not the one :func:`decompose` ran in, and can raise
+    ``BudgetExceededError``.
     """
 
     relation: AutomaticRelation
@@ -150,6 +173,9 @@ def decompose(r: AutomaticRelation, bound: int,
     The index is |Reps|.  When Reps has a cycle or more than ``bound`` words
     the decomposition is truncated and lists the first bound + 1
     representatives in shortlex order; otherwise it lists all of them.
+    Each representative w is charged to the state budget as len(w) + 1
+    states, so a large bound on an infinite index exhausts the budget
+    instead of memory.
     """
     if bound < 1:
         raise AutomataError("bound must be >= 1")
@@ -158,9 +184,13 @@ def decompose(r: AutomaticRelation, bound: int,
     count = _word_count(reps)
     truncated = count is None or count > bound
     n = bound + 1 if truncated else count
+    budget = au._active_budget()
+    words = []
+    for w in islice(au.iter_words(reps), n):
+        budget.charge(len(w) + 1)  # as the len(w) + 1 states of its path
+        words.append(w)
     return EquivalenceDecomposition(
-        relation=r, equiv=eq, representatives=_shortlex_first(reps, n),
-        truncated=truncated)
+        relation=r, equiv=eq, representatives=tuple(words), truncated=truncated)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,6 +280,24 @@ def test_iter_column_words_is_shortlex():
     keys = [(len(w), [x.symbol_key(s) for s in w]) for w in got]
     assert keys == sorted(keys)
     assert got[0] == ()
+
+
+def test_iter_words_follows_the_alphabet_order():
+    ba = au.full_language(("b", "a"))
+    assert list(au.iter_words(ba, 2)) == [
+        (), ("b",), ("a",), ("b", "b"), ("b", "a"), ("a", "b"), ("a", "a")]
+
+
+def test_iter_words_without_a_length_bound():
+    # a finite language ends; an infinite one yields lazily
+    finite = au.union(au.word_language(("a", "b", "b"), AB), au.word_language(("b",), AB))
+    assert list(au.iter_words(finite)) == [("b",), ("a", "b", "b")]
+    # a dead cycle and an unreachable accepting cycle do not keep it going
+    cycles = nfa(1, AB, 4, {0}, {1, 2}, [(0, ("a",), 1), (0, ("b",), 3), (3, ("b",), 3),
+                                          (2, ("a",), 2)])
+    assert list(au.iter_words(cycles)) == [("a",)]
+    gaps = nfa(1, AB, 3, {0}, {0}, [(0, ("a",), 1), (1, ("b",), 2), (2, ("a",), 0)])
+    assert list(islice(au.iter_words(gaps), 3)) == [(), ("a", "b", "a"), ("a", "b", "a") * 2]
 
 
 def test_json_round_trip_object_and_bytes():

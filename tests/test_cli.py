@@ -166,7 +166,7 @@ def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--budget", "40", "min-prod", "--r", "FC1", "--kmax", "2"),
+    ("--budget", "200", "min-prod", "--r", "FC1", "--kmax", "2"),
     ("--budget", "30", "sep-verify", "--s", "PARITY", "--r1", "FC1", "--r2", "FC2"),
 ])
 def test_budget_bounds_the_whole_command(fx, capsys, argv):
@@ -174,6 +174,13 @@ def test_budget_bounds_the_whole_command(fx, capsys, argv):
     paths = {"FC1": str(fx / "fc1.json"), "FC2": str(fx / "fc2.json"),
              "PARITY": str(fx / "parity-separator.json")}
     assert run(*(paths.get(a, a) for a in argv)) == 2
+    assert capsys.readouterr().err.startswith("budget exhausted: ")
+
+
+def test_representatives_charge_the_budget(fx, capsys):
+    # fc1 has infinite index: --kmax 8 asks for its first 65537 classes
+    assert run("--budget", "1000", "min-prod", "--r", str(fx / "fc1.json"),
+               "--kmax", "8") == 2
     assert capsys.readouterr().err.startswith("budget exhausted: ")
 
 

@@ -151,6 +151,20 @@ def test_decompose_agrees_with_the_peel(alphabet, count):
             assert [au.determinize_minimize(c) for c in dec.classes] == list(classes)
 
 
+def test_least_representatives_keep_their_subsets_small():
+    # a 7-state relation with a 150-state congruence: projecting E and <sl
+    # and then determinizing built about 38,600 states; pruning dominated
+    # runs builds about 9,100
+    rng = random.Random(6062)
+    for _ in range(31):
+        r = random_relation(rng, AB, rng.randint(1, 3))
+    eq = de.build_equiv(r)
+    with au.state_budget(12_000):
+        dec = de.decompose(r, 64, eq)
+    assert dec.truncated
+    assert dec.representatives == decompose_peel_oracle(r, 64, eq)[0]
+
+
 def test_truncated_decomposition_builds_classes_on_first_read(monkeypatch):
     calls = []
     real = rel.image
