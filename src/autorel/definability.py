@@ -3,8 +3,11 @@
 The pivot is the equivalence relating words with identical rows and
 columns in R; its index bounds decide membership in the k-block partition
 class exactly, and a rectangle cover of the quotient matrix decides the
-k-product class.  The shortlex-least members of its classes form a regular
-set, Reps, built once per relation: its size is the index, and R is
+k-product class.  It is read directly off R's DFA: one subset walk over
+triples of two R states and a flag finds the pairs with the same row, the
+same walk on the inverse those with the same column, and the congruence is
+their intersection.  The shortlex-least members of its classes form a
+regular set, Reps, built once per relation: its size is the index, and R is
 recognizable exactly when Reps is finite.
 """
 
@@ -17,7 +20,7 @@ from typing import Optional
 
 from . import automata as au
 from . import relations as rel
-from .automata import AutomataError, MultiTrackAutomaton, SearchBudgetExceededError
+from .automata import PAD, AutomataError, MultiTrackAutomaton, SearchBudgetExceededError
 from .recognizable import PartitionedRecognizable, RecognizableRelation, to_automatic
 from .relations import AutomaticRelation
 
@@ -26,21 +29,77 @@ def build_equiv(r: AutomaticRelation) -> AutomaticRelation:
     """The congruence: w ~ w' iff w and w' have the same row and the same
     column in R, i.e. no witness v tells them apart on either side.
 
-    Built as the complement of the distinguishable pairs, which are four
-    joins (one per side and orientation).
+    The pairs with the same row, intersected with the pairs with the same
+    column (the same rows of the inverse).  Each side is one subset walk on
+    R's DFA (see :func:`_same_rows`), minimized before the intersection.
     """
-    rinv = rel.inverse(r)
-    d_row = _distinguished(r)
-    d_col = _distinguished(rinv)
-    both = au.union(au.union(d_row.base, rel.inverse(d_row).base),
-                    au.union(d_col.base, rel.inverse(d_col).base))
-    return rel._wrap(au.complement_relative(both))
+    d = au.determinize_minimize(r.base)
+    rows = au.determinize_minimize(_same_rows(d))
+    cols = au.determinize_minimize(_same_rows(au.permute_tracks(d, (1, 0))))
+    return rel._wrap(au.determinize_minimize(au.intersect(rows, cols)))
 
 
-def _distinguished(r: AutomaticRelation) -> AutomaticRelation:
-    """{(w,w') | exists v: (w,v) in R and (w',v) not in R}."""
-    not_r = rel.complement_relation(r)
-    return rel.common_image_pairs(r, not_r)
+def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
+    """{(u, u') | for every v, (u, v) in R iff (u', v) in R}, for the
+    partial DFA ``d`` of R.
+
+    One subset walk reads the columns (x, x') of (u, u').  Its states hold
+    a triple (p, q, done) for every prefix of a witness v read alongside:
+    d's states on (u, v) and on (u', v), None when dead, and whether v has
+    ended.  A side that has read all of its pair stays put; a (dead, dead)
+    triple can tell nothing apart and is dropped.  A walk state accepts
+    unless one of its triples is bad: the rest of v, read as (PAD, y)
+    columns once the pair has ended, leaves exactly one side accepting.
+    """
+    delta = {(src, sym): dst for src, sym, dst in d.transitions}
+    # Once the pair has ended, an unfinished v tells p and q apart exactly
+    # when they are inequivalent in d restricted to the (PAD, y) columns.
+    nodes = set(range(d.states)) | {None}
+    suffix = {(p, (PAD, y)): delta.get((p, (PAD, y))) for p in nodes for y in d.alphabet}
+    block, _syms = au._moore_minimize(nodes, suffix, set(d.accepting), d.symbol_key)
+
+    def bad(t) -> bool:
+        p, q, done = t
+        return (p in d.accepting) != (q in d.accepting) if done else block[p] != block[q]
+
+    v_symbols = d.alphabet + (PAD,)
+    columns = list(d.column_universe())
+    legal = {mask: [(col, m2) for col in columns
+                    if (m2 := au._pad_mask_step(mask, col, 2)) is not None]
+             for mask in range(4)}
+    moves: dict = {}  # (triple, pad mask) -> {column: successor triples}
+
+    def move(t, mask) -> dict:
+        p, q, done = t
+        out = {}
+        for (x, x2), _m2 in legal[mask]:
+            nxt = []
+            for y in (PAD,) if done else v_symbols:
+                p2 = p if x == PAD == y else delta.get((p, (x, y)))
+                q2 = q if x2 == PAD == y else delta.get((q, (x2, y)))
+                if p2 is not None or q2 is not None:
+                    nxt.append((p2, q2, y == PAD))
+            out[x, x2] = nxt
+        return out
+
+    def successors(state):
+        triples, mask = state
+        tables = []
+        for t in triples:
+            table = moves.get((t, mask))
+            if table is None:
+                table = moves[t, mask] = move(t, mask)
+            tables.append(table)
+        for col, m2 in legal[mask]:
+            nxt: set = set()
+            for table in tables:
+                nxt.update(table[col])
+            yield col, (frozenset(nxt), m2)
+
+    q0 = next(iter(d.initial))
+    return au._explore_automaton(
+        2, d.alphabet, [(frozenset({(q0, q0, False)}), 0)], successors,
+        lambda s: not any(map(bad, s[0])))
 
 
 # States of the shortlex-order DFA.  Every continuation accepted from one

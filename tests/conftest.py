@@ -9,7 +9,6 @@ from itertools import combinations, product
 import pytest
 
 from autorel import automata as au
-from autorel import definability as de
 from autorel import relations as rel
 
 
@@ -71,12 +70,25 @@ def equiv_oracle(r, bound):
     return classes
 
 
+def build_equiv_oracle(r):
+    """The congruence by composition: the complement of the pairs that a
+    witness v tells apart, which are four joins of R and its complement (one
+    per side and orientation)."""
+    def distinguished(s):  # {(w, w') | exists v: (w, v) in S, (w', v) not in S}
+        return rel.common_image_pairs(s, rel.complement_relation(s))
+
+    d_row, d_col = distinguished(r), distinguished(rel.inverse(r))
+    both = au.union(au.union(d_row.base, rel.inverse(d_row).base),
+                    au.union(d_col.base, rel.inverse(d_col).base))
+    return rel.relation(au.complement_relative(both))
+
+
 def decompose_peel_oracle(r, bound, equiv=None):
     """Congruence classes peeled one at a time in shortlex order of their
     least members: take the least uncovered word, add its class, remove the
     class from the uncovered words.  Stops once more than `bound` classes
     were found.  Returns (representatives, classes, truncated)."""
-    eq = equiv if equiv is not None else de.build_equiv(r)
+    eq = equiv if equiv is not None else build_equiv_oracle(r)
     uncovered = au.full_language(r.alphabet)
     reps, classes = [], []
     while True:

@@ -166,7 +166,7 @@ def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--budget", "200", "min-prod", "--r", "FC1", "--kmax", "2"),
+    ("--budget", "100", "min-prod", "--r", "FC1", "--kmax", "2"),
     ("--budget", "30", "sep-verify", "--s", "PARITY", "--r1", "FC1", "--r2", "FC2"),
 ])
 def test_budget_bounds_the_whole_command(fx, capsys, argv):

@@ -7,8 +7,9 @@ from autorel import definability as de
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import (decompose_peel_oracle, equiv_oracle, min_cover_oracle,
-                      random_language, random_relation, words_upto)
+from conftest import (build_equiv_oracle, decompose_peel_oracle, equiv_oracle,
+                      min_cover_oracle, random_language, random_padded_relation,
+                      random_relation, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -93,6 +94,40 @@ def test_congruence_property_sampled():
                 assert r.contains(v, w1) == r.contains(v, w2)
 
 
+def test_build_equiv_matches_composition_oracle():
+    cases = [rel.make_identity(AB), rel.equal_length_relation(AB),
+             rel.successor_relation(1), rel.successor_relation(2),
+             rel.tree_relation(AB), rel.append_one_relation(AB),
+             rel.full_relation(AB), rel.empty_relation(AB)]
+    # canonical numbering follows the alphabet's order, so ("b", "a") too
+    for alphabet, count in ((AB, 16), (("a", "b", "c"), 6), (("b", "a"), 6)):
+        rng = random.Random(7070 + len(alphabet))
+        drawn = []
+        while len(drawn) < count:
+            r = random_relation(rng, alphabet, rng.randint(1, 3))
+            if r.base.states <= 4:
+                drawn.append(r)
+        cases += drawn
+    rng = random.Random(7073)
+    drawn = []
+    while len(drawn) < 10:  # raw NFAs: several initial states, not minimized
+        r = random_padded_relation(rng, AB)
+        if len(r.base.initial) > 1:
+            drawn.append(r)
+    cases += drawn
+    for r in cases:
+        assert de.build_equiv(r).base == build_equiv_oracle(r).base
+
+
+def test_build_equiv_stays_small_on_a_five_state_relation():
+    # the composition built about 324,000 states here before its complement
+    # finished; the direct walks build about 47,000
+    rng = random.Random(6063)
+    r = random_relation(rng, ("a", "b", "c"), rng.randint(1, 2))
+    with au.state_budget(100_000):
+        assert de.build_equiv(r).base.states == 206
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -130,7 +165,9 @@ def test_shortlex_order_matches_brute_force():
     (AB, 40), (("a", "b", "c"), 20), (("b", "a"), 8)], ids=["ab", "abc", "ba"])
 def test_decompose_agrees_with_the_peel(alphabet, count):
     # shortlex follows the alphabet's order, so ("b", "a") puts b first.
-    # Relations of at most 4 states: larger ones can take seconds in build_equiv
+    # Relations of at most 4 states keep this fast: the peel builds one class
+    # at a time, and on some larger relations the walks of build_equiv still
+    # build tens of thousands of states
     rng = random.Random(6060 + len(alphabet))
     cases = []
     while len(cases) < count:
