@@ -384,8 +384,9 @@ def restrict_valid_pad(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
 def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
     """Inclusion test L(a) <= ValidPad(t).
 
-    Runs a violation detector in product with `a` (complementation is
-    relative to ValidPad here, so it cannot express this test).
+    ``included(a, valid_pad_automaton(...))`` without building the pad DFA:
+    `a` in product with a pad mask, which a column breaking the padding rule
+    sets to None; a violation is a broken run that can still accept.
     """
     # detector state: pad mask, or None once the padding rule was broken
     def successors(state):
@@ -395,13 +396,8 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
                 yield sym, (dst, _pad_mask_step(mask, sym, a.tracks))
 
     index, _edges = _explore([(q, 0) for q in a.initial], successors)
-    live = _coaccessible(a)
+    live = _reach(a.accepting, _reverse((src, dst) for src, _sym, dst in a.transitions))
     return not any(mask is None and q in live for q, mask in index)
-
-
-def _coaccessible(a: MultiTrackAutomaton) -> frozenset:
-    return frozenset(_reach(a.accepting,
-                            _reverse((src, dst) for src, _sym, dst in a.transitions)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,31 +509,32 @@ def union(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton
 
 
 def complement_relative(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
-    """ValidPad(t) minus L(a).
+    """ValidPad(t) minus L(a), canonical.
 
-    Cost scales with the full column universe, (|alphabet|+1)^t - 1, so this
-    is meant for the small alphabets where the decision procedures live.
+    The :func:`difference` of the ValidPad DFA and ``a``: it follows every
+    legal column, (|alphabet|+1)^t - 1 of them, from each pad mask, so it
+    is meant for the small alphabets where a true complement is needed.
     """
-    n, dtrans, daccept = _determinize(a)
-    universe = list(a.column_universe())
-    dead = n  # explicit sink, charged when the walk reaches it
-
-    # complete, swap acceptance, track padding masks on the fly
-    def successors(state):
-        q, mask = state
-        for sym in universe:
-            m2 = _pad_mask_step(mask, sym, a.tracks)
-            if m2 is not None:
-                yield sym, (dtrans.get((q, sym), dead), m2)
-
-    raw = _explore_automaton(a.tracks, a.alphabet, [(0, 0)], successors,
-                             lambda s: s[0] not in daccept)
-    return determinize_minimize(raw)
+    return determinize_minimize(
+        difference(valid_pad_automaton(a.tracks, a.alphabet), a))
 
 
 def difference(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
+    """L(a) minus L(b), without complementing b: a's NFA in product with
+    b's subset construction.  A state (p, S) pairs a state of a with b's
+    states on the same word and accepts when p does and no state of S does.
+    Only a's columns are followed."""
     _require_same_shape(a, b)
-    return intersect(a, complement_relative(b))
+
+    def successors(state):
+        p, subset = state
+        for sym, p2 in a._adj[p]:
+            yield sym, (p2, b.step(subset, sym))
+
+    start = [(p, frozenset(b.initial)) for p in sorted(a.initial)]
+    return _explore_automaton(
+        a.tracks, a.alphabet, start, successors,
+        lambda s: s[0] in a.accepting and not s[1] & b.accepting)
 
 
 def boolean(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
@@ -885,31 +882,40 @@ def to_json_dict(a: MultiTrackAutomaton) -> dict:
     }
 
 
-def json_field(d, key: str, what: str):
-    """``d[key]``, or a :class:`FormatError` naming the key if absent."""
-    try:
-        return d[key]
-    except (KeyError, TypeError, IndexError):
-        raise FormatError(f"{what} JSON missing key {key!r}") from None
-
-
 def _is_list_of(x, kind) -> bool:
     return isinstance(x, list) and all(type(v) is kind for v in x)
 
 
+# type(...) is int and not isinstance, as JSON true and false are bools
+_JSON_KINDS = {
+    "an integer": lambda x: type(x) is int,
+    "a string": lambda x: type(x) is str,
+    "a list": lambda x: isinstance(x, list),
+    "a list of integers": lambda x: _is_list_of(x, int),
+    "a list of strings": lambda x: _is_list_of(x, str),
+    "a list of integer pairs": lambda x: isinstance(x, list) and all(
+        _is_list_of(p, int) and len(p) == 2 for p in x),
+}
+
+
+def json_field(d, key: str, what: str, kind: Optional[str] = None):
+    """``d[key]``, or a :class:`FormatError` naming the key if it is absent
+    or, given a ``kind`` such as ``"a list of strings"``, not of that kind."""
+    try:
+        value = d[key]
+    except (KeyError, TypeError, IndexError):
+        raise FormatError(f"{what} JSON missing key {key!r}") from None
+    if kind is not None and not _JSON_KINDS[kind](value):
+        raise FormatError(f"{what} JSON field {key!r} is not {kind}")
+    return value
+
+
 def from_json_dict(d: dict) -> MultiTrackAutomaton:
     tracks, alphabet, states, initial, accepting, raw = (
-        json_field(d, key, "automaton") for key in
-        ("tracks", "alphabet", "states", "initial", "accepting", "transitions"))
-    for key, ok, what in (  # type(...) is int, as JSON true and false are bools
-            ("tracks", type(tracks) is int, "an integer"),
-            ("alphabet", _is_list_of(alphabet, str), "a list of strings"),
-            ("states", type(states) is int, "an integer"),
-            ("initial", _is_list_of(initial, int), "a list of integers"),
-            ("accepting", _is_list_of(accepting, int), "a list of integers"),
-            ("transitions", isinstance(raw, list), "a list")):
-        if not ok:
-            raise FormatError(f"automaton JSON field {key!r} is not {what}")
+        json_field(d, key, "automaton", kind) for key, kind in (
+            ("tracks", "an integer"), ("alphabet", "a list of strings"),
+            ("states", "an integer"), ("initial", "a list of integers"),
+            ("accepting", "a list of integers"), ("transitions", "a list")))
     # the declared states cost memory whether or not transitions use them
     _active_budget().charge(max(states, 0))
     trans = []

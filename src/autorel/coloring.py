@@ -266,7 +266,7 @@ def coloring_to_json_dict(c: RegularColoring) -> dict:
 
 def coloring_from_json_dict(d: dict) -> RegularColoring:
     return RegularColoring(colors=tuple(
-        au.from_json_dict(x) for x in au.json_field(d, "colors", "coloring")))
+        au.from_json_dict(x) for x in au.json_field(d, "colors", "coloring", "a list")))
 
 
 def dumps_coloring(c: RegularColoring) -> str:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import automata as au
@@ -84,22 +86,12 @@ def partition_ok(langs: Sequence[MultiTrackAutomaton]) -> Optional[tuple]:
     The witness is the shortlex-least word missing from the union or lying
     in two blocks.
     """
-    witnesses = []
-    alpha = langs[0].alphabet
-    covered = langs[0]
-    for lang in langs[1:]:
-        covered = au.union(covered, lang)
-    missing = au.difference_witness(au.full_language(alpha), covered)
-    if missing is not None:
-        witnesses.append(tuple(s[0] for s in missing))
-    for i in range(len(langs)):
-        for j in range(i + 1, len(langs)):
-            w = au.intersection_witness(langs[i], langs[j])
-            if w is not None:
-                witnesses.append(tuple(s[0] for s in w))
-    if not witnesses:
-        return None
-    return min(witnesses, key=lambda w: (len(w), w))
+    covered = reduce(au.union, langs)
+    witnesses = [au.difference_witness(au.full_language(covered.alphabet), covered)]
+    witnesses += [au.intersection_witness(x, y) for x, y in combinations(langs, 2)]
+    least = min((w for w in witnesses if w is not None), default=None,
+                key=lambda w: (len(w), [covered.symbol_key(sym) for sym in w]))
+    return None if least is None else tuple(sym[0] for sym in least)
 
 
 def product_relation(left: MultiTrackAutomaton,
@@ -311,7 +303,7 @@ def recognizable_from_json_dict(d: dict) -> RecognizableRelation:
     prods = tuple(
         (au.from_json_dict(au.json_field(p, "left", "product")),
          au.from_json_dict(au.json_field(p, "right", "product")))
-        for p in au.json_field(d, "products", "separator")
+        for p in au.json_field(d, "products", "separator", "a list")
     )
     if not prods:
         raise AutomataError("recognizable JSON needs at least one product "
@@ -327,10 +319,11 @@ def partitioned_to_json_dict(p: PartitionedRecognizable) -> dict:
 
 
 def partitioned_from_json_dict(d: dict) -> PartitionedRecognizable:
+    blocks = au.json_field(d, "partition", "partition", "a list")
+    pairs = au.json_field(d, "pairs", "partition", "a list of integer pairs")
     return PartitionedRecognizable(
-        partition=tuple(au.from_json_dict(l)
-                        for l in au.json_field(d, "partition", "partition")),
-        pairs=frozenset((i, j) for i, j in au.json_field(d, "pairs", "partition")),
+        partition=tuple(au.from_json_dict(l) for l in blocks),
+        pairs=frozenset((i, j) for i, j in pairs),
     )
 
 

@@ -203,9 +203,7 @@ def config_graph(t: TuringMachine) -> AutomaticRelation:
 
 def machine_init_configs(t: TuringMachine) -> MultiTrackAutomaton:
     """Configurations with no predecessor (in-degree 0 in the step graph)."""
-    graph = config_graph(t)
-    no_pred = rel.init_set(graph)
-    return au.intersect(no_pred, configs_language(t))
+    return au.difference(configs_language(t), rel.project_second(config_graph(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +607,17 @@ def machine_to_json_dict(t: TuringMachine) -> dict:
 
 def machine_from_json_dict(d: dict) -> TuringMachine:
     states, tape, blank, initial, finals, raw = (
-        au.json_field(d, key, "machine") for key in
-        ("states", "tape", "blank", "initial", "final", "delta"))
+        au.json_field(d, key, "machine", kind) for key, kind in (
+            ("states", "a list of strings"), ("tape", "a list of strings"),
+            ("blank", "a string"), ("initial", "a string"),
+            ("final", "a list of strings"), ("delta", "a list")))
     delta = {}
     for entry in raw:
-        try:
-            q, s, q2, s2, dd = entry
-            delta[(q, s)] = (q2, s2, dd)
-        except (TypeError, ValueError):
+        if not (au._is_list_of(entry, str) and len(entry) == 5):
             raise au.FormatError(f"machine JSON delta entry {entry!r} is not a "
                                  "[state, symbol, state, symbol, direction] "
-                                 "list") from None
+                                 "list of strings")
+        delta[entry[0], entry[1]] = tuple(entry[2:])
     return make_machine(states=states, tape=tape, blank=blank,
                         initial=initial, finals=finals, delta=delta)
 

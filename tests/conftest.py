@@ -70,6 +70,31 @@ def equiv_oracle(r, bound):
     return classes
 
 
+def complement_relative_oracle(a):
+    """ValidPad(t) minus L(a) by completion: determinize a, walk every legal
+    column from each (DFA state, pad mask) pair, sending missing moves to an
+    explicit dead sink, swap acceptance and minimize."""
+    n, dtrans, daccept = au._determinize(a)
+    universe = list(a.column_universe())
+    dead = n
+
+    def successors(state):
+        q, mask = state
+        for sym in universe:
+            m2 = au._pad_mask_step(mask, sym, a.tracks)
+            if m2 is not None:
+                yield sym, (dtrans.get((q, sym), dead), m2)
+
+    raw = au._explore_automaton(a.tracks, a.alphabet, [(0, 0)], successors,
+                                lambda s: s[0] not in daccept)
+    return au.determinize_minimize(raw)
+
+
+def difference_oracle(a, b):
+    """L(a) minus L(b) as the intersection of a with b's complement."""
+    return au.intersect(a, complement_relative_oracle(b))
+
+
 def build_equiv_oracle(r):
     """The congruence by composition: the complement of the pairs that a
     witness v tells apart, which are four joins of R and its complement (one

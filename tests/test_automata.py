@@ -1,3 +1,4 @@
+import random
 from itertools import islice, product
 
 import pytest
@@ -8,7 +9,9 @@ from autorel import recognizable as rc
 from autorel import relations as rel
 from autorel.automata import PAD
 
-from conftest import lang_upto, residual_signatures, words_upto
+from conftest import (complement_relative_oracle, difference_oracle, lang_upto,
+                      random_language, random_padded_relation, random_relation,
+                      residual_signatures, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -140,6 +143,40 @@ def test_complement_of_identity_is_inequality():
 def test_double_complement_is_identity():
     x = fc_base(1)
     assert au.equivalent(au.complement_relative(au.complement_relative(x)), x)
+
+
+def _difference_cases(tracks, alphabet, rng):
+    """Edge languages and seeded random automata on `tracks` tracks."""
+    cases = [au.empty_language(tracks, alphabet),
+             au.epsilon_language(tracks, alphabet),
+             au.valid_pad_automaton(tracks, alphabet)]
+    if tracks == 1:
+        cases.append(au.full_language(alphabet))
+        cases += [random_language(rng, alphabet) for _ in range(6)]
+    else:
+        cases += [random_relation(rng, alphabet, rng.randint(1, 3)).base
+                  for _ in range(3)]
+        raw = []  # straight out of restrict_valid_pad: several initial states
+        while len(raw) < 3:
+            r = random_padded_relation(rng, alphabet)
+            if len(r.base.initial) > 1:
+                raw.append(r.base)
+        cases += raw
+    return cases
+
+
+def test_difference_matches_complement_composition():
+    for tracks, alphabet, seed in ((1, AB, 9091), (1, ("b", "a"), 9092),
+                                   (2, AB, 9093), (2, ("b", "a"), 9094)):
+        cases = _difference_cases(tracks, alphabet, random.Random(seed))
+        for b in cases:
+            assert au.dumps(au.complement_relative(b)) == \
+                au.dumps(complement_relative_oracle(b))
+            for a in cases:
+                expect = difference_oracle(a, b)
+                assert au.determinize_minimize(au.difference(a, b)) == \
+                    au.determinize_minimize(expect)
+                assert au.difference_witness(a, b) == au.emptiness_shortest(expect)
 
 
 # ---------------------------------------------------------------------------

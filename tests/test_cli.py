@@ -1,11 +1,17 @@
+import contextlib
 import copy
+import hashlib
+import io
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from autorel import automata as au
 from autorel import cli
+from autorel import coloring as co
+from autorel import recognizable as rc
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +19,22 @@ def fx(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixtures")
     assert cli.main(["fixtures", "--outdir", str(d)]) == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def readers(fx, tmp_path_factory):
+    """A file of each input kind but relations, and a verb that reads it
+    with its other inputs fixed; "BAD" marks the file's place."""
+    col = tmp_path_factory.mktemp("coloring") / "parity-coloring.json"
+    col.write_text(co.dumps_coloring(co.RegularColoring(rc.even_odd_languages())))
+    fc1, fc2 = str(fx / "fc1.json"), str(fx / "fc2.json")
+    return {
+        "parity-separator.json": (fx / "parity-separator.json",
+                                  ("sep-verify", "--s", "BAD", "--r1", fc1, "--r2", fc2)),
+        "parity-coloring.json": (col, ("color-verify", "--graph", fc1, "--coloring", "BAD")),
+        "demo-machine.json": (fx / "demo-machine.json",
+                              ("tm-check", "--tm", "BAD", "--depth", "4")),
+    }
 
 
 def run(*args):
@@ -235,25 +257,46 @@ def test_two_field_transition_exits_2(fx, tmp_path, capsys):
     assert err.startswith("error: ") and "triple" in err
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("tracks", "2", "'tracks' is not an integer"),
-    ("initial", 5, "'initial' is not a list of integers"),
-    ("states", None, "'states' is not an integer"),
-    ("alphabet", "a", "'alphabet' is not a list of strings"),
-    ("accepting", [True], "'accepting' is not a list of integers"),
-    ("transitions", {}, "'transitions' is not a list"),
-    ("transitions", [[0, [["a"]], 1]], "triple"),
-    ("transitions", [["0", ["a", "a"], 0]], "triple"),
+@pytest.mark.parametrize("name, key, value, message", [
+    ("fc1.json", "tracks", "2", "'tracks' is not an integer"),
+    ("fc1.json", "initial", 5, "'initial' is not a list of integers"),
+    ("fc1.json", "states", None, "'states' is not an integer"),
+    ("fc1.json", "alphabet", "a", "'alphabet' is not a list of strings"),
+    ("fc1.json", "accepting", [True], "'accepting' is not a list of integers"),
+    ("fc1.json", "transitions", {}, "'transitions' is not a list"),
+    ("fc1.json", "transitions", [[0, [["a"]], 1]], "triple"),
+    ("fc1.json", "transitions", [["0", ["a", "a"], 0]], "triple"),
+    ("parity-separator.json", "products", 5, "'products' is not a list"),
+    ("parity-coloring.json", "colors", 5, "'colors' is not a list"),
+    ("demo-machine.json", "states", 5, "'states' is not a list of strings"),
+    ("demo-machine.json", "tape", 5, "'tape' is not a list of strings"),
+    ("demo-machine.json", "tape", "12", "'tape' is not a list of strings"),
+    ("demo-machine.json", "final", 5, "'final' is not a list of strings"),
+    ("demo-machine.json", "delta", 5, "'delta' is not a list"),
+    ("demo-machine.json", "blank", 5, "'blank' is not a string"),
+    ("demo-machine.json", "delta", [["q0", "_", "q1", 1, "R"]], "list of strings"),
 ], ids=["tracks-str", "initial-int", "states-null", "alphabet-str", "accepting-bool",
-        "transitions-object", "symbol-list", "src-str"])
-def test_wrongly_typed_field_exits_2(fx, tmp_path, capsys, key, value, message):
-    d = json.loads((fx / "fc1.json").read_text())
+        "transitions-object", "symbol-list", "src-str", "products-int", "colors-int",
+        "machine-states-int", "tape-int", "tape-str", "final-int", "delta-int",
+        "blank-int", "delta-symbol-int"])
+def test_wrongly_typed_field_exits_2(fx, readers, tmp_path, capsys, name, key,
+                                     value, message):
+    source, argv = readers.get(
+        name, (fx / name, ("sep-1prod", "--r1", "BAD", "--r2", str(fx / "fc2.json"))))
+    d = json.loads(source.read_text())
     d[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
-    assert run("sep-1prod", "--r1", str(bad), "--r2", str(fx / "fc2.json")) == 2
+    assert run(*(str(bad) if a == "BAD" else a for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_partition_pairs_must_be_integer_pairs(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"partition": [], "pairs": [[0]]}))
+    with pytest.raises(au.FormatError, match="'pairs' is not a list of integer pairs"):
+        cli.load_partitioned(str(bad))
 
 
 @pytest.mark.parametrize("argv", [
@@ -274,6 +317,104 @@ def test_malformed_machine_delta_entry_exits_2(fx, tmp_path, capsys):
     assert run("tm-check", "--tm", str(bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(entry) in err
+
+
+# Cheap verbs on the `fixtures` outputs, run in order in an empty directory.
+_PINNED_CALLS = [
+    ("fixtures", "--outdir", "fx"),
+    ("tm-gadget", "--tm", "fx/demo-machine.json", "--k", "2", "--out", "gadget2.json"),
+    ("tm-gadget", "--tm", "fx/demo-machine.json", "--k", "3", "--out", "gadget3.json"),
+    ("tm-pad", "--tm", "fx/demo-machine.json", "--out", "padded.json"),
+    ("tm-check", "--tm", "padded.json", "--depth", "4"),
+    ("tm-gadget", "--tm", "padded.json", "--k", "2", "--out", "gadget-padded.json"),
+    ("tm-check", "--tm", "fx/looping-machine.json", "--depth", "6"),
+    ("sep-verify", "--s", "fx/parity-separator.json", "--r1", "fx/fc1.json",
+     "--r2", "fx/fc2.json"),
+    ("sep-verify", "--s", "fx/parity-separator.json", "--r1", "fx/fc2.json",
+     "--r2", "fx/fc1.json"),
+    ("sep-1prod", "--r1", "fx/fc1.json", "--r2", "fx/fc2.json"),
+    ("reduce", "--mode", "def-to-sep", "--r", "fx/fc1.json",
+     "--out1", "def1.json", "--out2", "def2.json"),
+    ("make-rel", "--spec", "(difference (equal-length) (identity))", "--out", "diff.json"),
+    ("min-prod", "--r", "diff.json", "--kmax", "2"),
+    ("incomp", "--r1", "fx/equal-length.json", "--r2", "fx/append-one.json",
+     "--out", "incomp.json"),
+    ("color-search", "--k", "2", "--states", "2", "--graph", "incomp.json",
+     "--out", "coloring.json"),
+    ("color-verify", "--graph", "incomp.json", "--coloring", "coloring.json"),
+    ("separator-from-coloring", "--r1", "fx/equal-length.json",
+     "--r2", "fx/append-one.json", "--coloring", "coloring.json",
+     "--out", "separator.json"),
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _pinned_outputs() -> dict:
+    """Run `_PINNED_CALLS` in the current directory: each call's exit code
+    and stdout digest, then the digest of every file left behind."""
+    out = {}
+    for i, argv in enumerate(_PINNED_CALLS):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(list(argv))
+        out[f"{i:02d} {argv[0]}"] = (code, _digest(buf.getvalue().encode()))
+    for root, _dirs, files in os.walk("."):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path)] = _digest(f.read())
+    return out
+
+
+# Exit codes and sha256 prefixes of the outputs above.  Emitted JSON is
+# canonical, so a digest changes only when a verdict, a witness or an
+# output language does.
+_PINNED_DIGESTS = {
+    '00 fixtures': (0, '639e1ea37819545a'),
+    '01 tm-gadget': (0, '38bb5e2f9632399d'),
+    '02 tm-gadget': (0, 'b8b644b2b073eb21'),
+    '03 tm-pad': (0, 'e87fe1b3946c6d2d'),
+    '04 tm-check': (0, 'c2404de1df1cd4b0'),
+    '05 tm-gadget': (0, '7cfb4d92384cf7e2'),
+    '06 tm-check': (0, '450b46067b956f09'),
+    '07 sep-verify': (0, 'c16a9745c57ab49b'),
+    '08 sep-verify': (1, 'c29f0b290e389058'),
+    '09 sep-1prod': (1, 'a91804d344d41208'),
+    '10 reduce': (0, 'c466f163dd1b90bd'),
+    '11 make-rel': (0, 'f337cf04026d8a53'),
+    '12 min-prod': (1, '4cdbfe6f75d38f94'),
+    '13 incomp': (0, '5beb7fd2b1499b58'),
+    '14 color-search': (0, 'e45f60e7b7eb0ac0'),
+    '15 color-verify': (0, '445355ce080fa3e8'),
+    '16 separator-from-coloring': (0, '1a33dd52c0feb30e'),
+    'coloring.json': '0fbe6969729f70ef',
+    'def1.json': '927f04b5960ccfaf',
+    'def2.json': 'a2db2be291584bee',
+    'diff.json': '97a602f9f590d540',
+    'fx/append-one.json': '0e0a4cb827908e8d',
+    'fx/demo-machine.json': '0c6ec754fc580458',
+    'fx/equal-length.json': '639d377796f012cc',
+    'fx/fc1.json': '927f04b5960ccfaf',
+    'fx/fc2.json': '67f00b48a951b9db',
+    'fx/length-incomp.json': '4a0759b79118d973',
+    'fx/looping-machine.json': 'a14b886a99280c25',
+    'fx/parity-separator.json': 'e89fe2f5ccdeaa11',
+    'fx/tree.json': 'bd0d49b6781c379f',
+    'gadget-padded.json': '8dd2a27defd44ad1',
+    'gadget2.json': '74364baa99518880',
+    'gadget3.json': 'bd30da2fc5170af3',
+    'incomp.json': '4a0759b79118d973',
+    'padded.json': '071b07766446828a',
+    'separator.json': '068242a0e31782ca',
+}
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _pinned_outputs() == _PINNED_DIGESTS
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -361,14 +502,19 @@ def _mutate(data, doc):
     return doc
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_fixture_json_never_raises(fx, tmp_path, data):
-    name = data.draw(st.sampled_from(["fc1.json", "fc2.json", "tree.json"]))
-    doc = _mutate(data, json.loads((fx / name).read_text()))
+def test_mutated_fixture_json_never_raises(fx, readers, tmp_path, data):
+    name = data.draw(st.sampled_from(["fc1.json", "fc2.json", "tree.json",
+                                      *sorted(readers)]))
     bad = tmp_path / "mutated.json"
-    bad.write_text(json.dumps(doc))
-    other = str(fx / name)
-    first, second = data.draw(st.permutations([str(bad), other]))
-    assert cli.main(["sep-1prod", "--r1", first, "--r2", second]) in (0, 1, 2)
+    if name in readers:
+        source, argv = readers[name]
+        argv = [str(bad) if a == "BAD" else a for a in argv]
+    else:
+        source = fx / name
+        first, second = data.draw(st.permutations([str(bad), str(source)]))
+        argv = ["sep-1prod", "--r1", first, "--r2", second]
+    bad.write_text(json.dumps(_mutate(data, json.loads(source.read_text()))))
+    assert cli.main(argv) in (0, 1, 2)

@@ -1,6 +1,7 @@
 import pytest
 
 from autorel import automata as au
+from autorel import coloring as co
 from autorel import recognizable as rc
 from autorel import relations as rel
 
@@ -219,3 +220,14 @@ def test_partition_ok_reports_least_witness():
     assert rc.partition_ok((even, even)) is not None
     gap = rc.partition_ok((even,))
     assert gap == ("a",)
+
+
+def test_partition_ok_ranks_witnesses_in_alphabet_order():
+    # Sigma* overlaps {a} and {b}; over the alphabet (b, a) the shortlex-least
+    # overlap is b, though "a" sorts first as a string
+    ba = ("b", "a")
+    blocks = (au.full_language(ba), au.word_language(("a",), ba),
+              au.word_language(("b",), ba))
+    assert rc.partition_ok(blocks) == ("b",)
+    verdict = co.verify_coloring(rel.make_identity(ba), co.RegularColoring(blocks))
+    assert (verdict.kind, verdict.witness) == (co.NOT_PARTITION, ("b",))
