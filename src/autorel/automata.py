@@ -201,19 +201,23 @@ class MultiTrackAutomaton:
         if self.tracks < 1:
             raise AutomataError("tracks must be >= 1")
         check_alphabet(self.alphabet)
-        ok = set(self.alphabet)
+        n = self.states
         for q in self.initial | self.accepting:
-            if not 0 <= q < self.states:
+            if not 0 <= q < n:
                 raise AutomataError(f"state {q} out of range")
         for src, sym, dst in self.transitions:
-            if not (0 <= src < self.states and 0 <= dst < self.states):
+            if not (0 <= src < n and 0 <= dst < n):
                 raise AutomataError(f"transition state out of range: {(src, sym, dst)}")
+        # a column is legal or not wherever it occurs: check each one once
+        ok = set(self.alphabet)
+        ok.add(PAD)
+        for sym in {sym for _src, sym, _dst in self.transitions}:
             if len(sym) != self.tracks:
                 raise ArityMismatchError(f"column {sym!r} has wrong arity")
             if all(x == PAD for x in sym):
                 raise AutomataError("all-padding column is illegal")
             for x in sym:
-                if x != PAD and x not in ok:
+                if x not in ok:
                     raise UnknownSymbolError(f"column {sym!r} uses unknown symbol {x!r}")
 
     @cached_property
@@ -229,12 +233,22 @@ class MultiTrackAutomaton:
 
     @cached_property
     def _adj(self) -> dict:
+        """Per state, its (column, dst) moves in (``_rank``, dst) order."""
+        rank = self._rank
         out: dict = {q: [] for q in range(self.states)}
         for src, sym, dst in self.transitions:
-            out[src].append((sym, dst))
-        for q in out:
-            out[q].sort(key=lambda t: (self.symbol_key(t[0]), t[1]))
+            out[src].append((rank[sym], dst, sym))
+        for q, moves in out.items():
+            moves.sort()
+            out[q] = [(sym, dst) for _r, dst, sym in moves]
         return out
+
+    @cached_property
+    def _rank(self) -> dict:
+        """Column -> its position among this automaton's columns in
+        ``symbol_key`` order: one integer sort key per column."""
+        cols = {sym for _src, sym, _dst in self.transitions}
+        return {sym: i for i, sym in enumerate(sorted(cols, key=self.symbol_key))}
 
     @cached_property
     def _step_map(self) -> dict:
@@ -346,7 +360,8 @@ def membership(a: MultiTrackAutomaton,
 def valid_pad_automaton(tracks: int, alphabet: Sequence[str]) -> MultiTrackAutomaton:
     """DFA for ValidPad(t): padding only as a per-track suffix."""
     alphabet = check_alphabet(alphabet)
-    masks = list(range(1 << tracks))
+    # the all-padding mask is unreachable, as no column is padding everywhere
+    masks = list(range((1 << tracks) - 1))
     trans = []
     probe = _freeze(tracks, alphabet, 1, {0}, {0}, ())
     for m in masks:
@@ -405,12 +420,14 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
 
 def _determinize(a: MultiTrackAutomaton):
     """Lazy subset construction.  Returns (state count, trans dict, accept set)."""
+    rank = a._rank
+
     def successors(cur):
         out: dict = {}
         for q in cur:
             for sym, dst in a._adj[q]:
                 out.setdefault(sym, set()).add(dst)
-        for sym in sorted(out, key=a.symbol_key):
+        for sym in sorted(out, key=rank.__getitem__):
             yield sym, frozenset(out[sym])
 
     index, edges = _explore([frozenset(a.initial)], successors)
@@ -428,37 +445,54 @@ def _trim(initial: int, trans: dict, accept: set):
     return keep, trans2
 
 
-def _moore_minimize(states: set, trans: dict, accept: set,
-                    symbol_key) -> tuple:
-    """Partition refinement with an implicit dead state."""
-    block = {q: (1 if q in accept else 0) for q in states}
-    syms = sorted({sym for (_s, sym) in trans}, key=symbol_key)
+def _moore_minimize(states: set, trans: dict, accept: set) -> dict:
+    """Partition refinement with an implicit dead state: state -> block.
+
+    The initial blocks split by acceptance and by the set of columns with a
+    move, so within a block every state has its moves on the same columns
+    and a round compares only the blocks of their targets.
+    """
+    cols: dict = {}  # column -> position, in first-seen order
+    out: dict = {q: [] for q in states}
+    for (q, sym), d in trans.items():
+        out[q].append((cols.setdefault(sym, len(cols)), d))
+    dsts = {}
+    first: dict = {}
+    block = {}
+    for q, moves in out.items():
+        moves.sort()  # positions are distinct, so targets are never compared
+        dsts[q] = [d for _c, d in moves]
+        key = (q in accept, *[c for c, _d in moves])
+        block[q] = first.setdefault(key, len(first))
+    count = len(first)
     while True:
-        sigs: dict = {}
-        for q in states:
-            sig = (block[q],
-                   tuple((i, block[trans[(q, sym)]])
-                         for i, sym in enumerate(syms) if (q, sym) in trans))
-            sigs.setdefault(sig, []).append(q)
-        if len(sigs) == len(set(block.values())):
-            break
-        block = {}
-        for i, (_sig, members) in enumerate(sorted(sigs.items())):
-            for q in members:
-                block[q] = i
-    return block, syms
+        ids: dict = {}
+        prev = block.__getitem__
+        block = {q: ids.setdefault((prev(q), *map(prev, dsts[q])), len(ids))
+                 for q in states}
+        if len(ids) == count:
+            return block
+        count = len(ids)
+
+
+# Instance flag marking a result of determinize_minimize.  Only that
+# function sets it; an automaton loaded from JSON or built otherwise has none.
+_CANONICAL = "_canonical"
 
 
 def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Canonical form: minimal partial DFA, states numbered breadth-first.
 
     Equal languages over the same alphabet yield identical encodings, so
-    dataclass equality of canonical forms decides language equality.
+    dataclass equality of canonical forms decides language equality.  A
+    canonical input, i.e. a result of this function, is returned as is.
     """
+    if a.__dict__.get(_CANONICAL):
+        return a
     _order, dtrans, daccept = _determinize(a)
     keep, dtrans = _trim(0, dtrans, daccept)
     daccept = daccept & keep
-    block, _syms = _moore_minimize(keep, dtrans, daccept, a.symbol_key)
+    block = _moore_minimize(keep, dtrans, daccept)
 
     # merge states block-wise, then renumber by BFS from the initial block
     out_sym: dict = {}
@@ -466,11 +500,17 @@ def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
         out_sym.setdefault(block[q], {})[sym] = block[d]
     baccept = {block[q] for q in daccept}
 
-    def successors(b):
-        return sorted(out_sym.get(b, {}).items(), key=lambda t: a.symbol_key(t[0]))
+    rank = a._rank
 
-    return _explore_automaton(a.tracks, a.alphabet, [block[0]], successors,
-                              baccept.__contains__)
+    def successors(b):
+        moves = out_sym.get(b, {})
+        return [(sym, moves[sym]) for sym in sorted(moves, key=rank.__getitem__)]
+
+    c = _explore_automaton(a.tracks, a.alphabet, [block[0]], successors,
+                           baccept.__contains__)
+    # kept beside the fields, like a cached_property, so == and hash ignore it
+    c.__dict__[_CANONICAL] = True
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +691,7 @@ def emptiness_shortest(a: MultiTrackAutomaton) -> Optional[tuple]:
         return None
     rem = min(dist[q] for q in live_init)
     cur = set(live_init)
+    rank = a._rank
     word = []
     while rem > 0:
         best_sym = None
@@ -658,7 +699,7 @@ def emptiness_shortest(a: MultiTrackAutomaton) -> Optional[tuple]:
         for q in cur:
             for sym, dst in a._adj[q]:
                 if dist.get(dst, -1) == rem - 1:
-                    k = a.symbol_key(sym)
+                    k = rank[sym]
                     if best_key is None or k < best_key:
                         best_key = k
                         best_sym = sym
@@ -788,6 +829,7 @@ def _exact_length_words(a: MultiTrackAutomaton, start: frozenset, ends: list,
     if length == 0:
         yield ()
         return
+    rank = a._rank
 
     def steps(states, rem):  # columns to states that accept at length rem
         out: dict = {}
@@ -795,7 +837,7 @@ def _exact_length_words(a: MultiTrackAutomaton, start: frozenset, ends: list,
             for sym, dst in a._adj[q]:
                 if dst in ends[rem]:
                     out.setdefault(sym, set()).add(dst)
-        return iter(sorted(out.items(), key=lambda t: a.symbol_key(t[0])))
+        return iter([(sym, out[sym]) for sym in sorted(out, key=rank.__getitem__)])
 
     path: list = []
     stack = [steps(start, length - 1)]
@@ -871,7 +913,8 @@ def from_word_list(words: Iterable[Sequence[str]],
 # transition lists, fixed key order, two-space indent, trailing newline.
 
 def to_json_dict(a: MultiTrackAutomaton) -> dict:
-    trans = sorted(a.transitions, key=lambda t: (t[0], a.symbol_key(t[1]), t[2]))
+    rank = a._rank
+    trans = sorted(a.transitions, key=lambda t: (t[0], rank[t[1]], t[2]))
     return {
         "tracks": a.tracks,
         "alphabet": list(a.alphabet),

@@ -102,15 +102,21 @@ def incompatibility_graph(r1: AutomaticRelation,
     """Edges join words that no recognizable separator may merge: some
     witness v puts one of (u,v),(u',v),(v,u),(v,u') in R1 and the matching
     pair in R2.  The four conditions come in mirror pairs, so the graph is
-    the symmetric closure of two joins.
+    the symmetric closure of two joins.  The result is canonical.
     """
+    return rel._wrap(au.determinize_minimize(_incompatibility_nfa(r1, r2).base))
+
+
+def _incompatibility_nfa(r1: AutomaticRelation,
+                         r2: AutomaticRelation) -> AutomaticRelation:
+    """The incompatibility graph as the NFA of its construction: the union
+    of the two joins and its mirror, not determinized."""
     if r1.alphabet != r2.alphabet:
         raise AutomataError("instance relations need one alphabet")
     left = rel.common_image_pairs(r1, r2)
     right = rel.common_image_pairs(rel.inverse(r1), rel.inverse(r2))
     half = au.union(left.base, right.base)
-    sym = au.union(half, au.permute_tracks(half, (1, 0)))
-    return rel._wrap(au.determinize_minimize(sym))
+    return rel._wrap(au.union(half, au.permute_tracks(half, (1, 0))))
 
 
 def graph_equal(e1: AutomaticRelation, e2: AutomaticRelation) -> bool:
@@ -144,10 +150,11 @@ def separator_from_coloring(r1: AutomaticRelation, r2: AutomaticRelation,
     graph: for each color A, take A x R1[A] and R1^{-1}[A] x A.
 
     The coloring is verified first, and the produced separator is
-    re-verified before being returned.
+    re-verified before being returned.  The verdict and its shortlex-least
+    witness depend only on the graph's language, so the coloring is checked
+    on the graph's NFA, which is never determinized.
     """
-    graph = incompatibility_graph(r1, r2)
-    verdict = verify_coloring(graph, c)
+    verdict = verify_coloring(_incompatibility_nfa(r1, r2), c)
     if not verdict.ok:
         raise InvalidColoringError(verdict)
     products = []

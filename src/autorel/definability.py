@@ -56,7 +56,7 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     # when they are inequivalent in d restricted to the (PAD, y) columns.
     nodes = set(range(d.states)) | {None}
     suffix = {(p, (PAD, y)): delta.get((p, (PAD, y))) for p in nodes for y in d.alphabet}
-    block, _syms = au._moore_minimize(nodes, suffix, set(d.accepting), d.symbol_key)
+    block = au._moore_minimize(nodes, suffix, set(d.accepting))
 
     def bad(t) -> bool:
         p, q, done = t

@@ -90,6 +90,28 @@ def complement_relative_oracle(a):
     return au.determinize_minimize(raw)
 
 
+def moore_minimize_oracle(states, trans, accept, symbol_key):
+    """Partition refinement with an implicit dead state, by sorted
+    signatures: a state's block and its (column position, target block)
+    list over all columns in ``symbol_key`` order.  Returns state -> block."""
+    block = {q: (1 if q in accept else 0) for q in states}
+    syms = sorted({sym for (_s, sym) in trans}, key=symbol_key)
+    while True:
+        sigs: dict = {}
+        for q in states:
+            sig = (block[q],
+                   tuple((i, block[trans[(q, sym)]])
+                         for i, sym in enumerate(syms) if (q, sym) in trans))
+            sigs.setdefault(sig, []).append(q)
+        if len(sigs) == len(set(block.values())):
+            break
+        block = {}
+        for i, (_sig, members) in enumerate(sorted(sigs.items())):
+            for q in members:
+                block[q] = i
+    return block
+
+
 def difference_oracle(a, b):
     """L(a) minus L(b) as the intersection of a with b's complement."""
     return au.intersect(a, complement_relative_oracle(b))

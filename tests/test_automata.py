@@ -10,8 +10,8 @@ from autorel import relations as rel
 from autorel.automata import PAD
 
 from conftest import (complement_relative_oracle, difference_oracle, lang_upto,
-                      random_language, random_padded_relation, random_relation,
-                      residual_signatures, words_upto)
+                      moore_minimize_oracle, random_language, random_padded_relation,
+                      random_relation, residual_signatures, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -92,6 +92,129 @@ def test_minimize_idempotent_and_canonical():
     m2 = au.determinize_minimize(m1)
     assert m1 == m2
     assert au.equivalent(x, m1)
+
+
+def _blocks(block):
+    """The partition a state -> block map stands for, as a set of sets."""
+    groups: dict = {}
+    for q, b in block.items():
+        groups.setdefault(b, set()).add(q)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_moore_minimize_matches_oracle_on_random_dfas():
+    rng = random.Random(7001)
+    cols = [(x, y) for x in AB + (PAD,) for y in AB + (PAD,)][:-1]
+    key = nfa(2, AB, 1, {0}, (), ()).symbol_key
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        trans = {(q, c): rng.randrange(n) for q in range(n) for c in cols
+                 if rng.random() < 0.4}
+        accept = {q for q in range(n) if rng.random() < 0.4}
+        assert _blocks(au._moore_minimize(set(range(n)), trans, accept)) == \
+            _blocks(moore_minimize_oracle(set(range(n)), trans, accept, key))
+
+
+def test_moore_minimize_matches_oracle_inside_determinize_minimize():
+    rng = random.Random(7002)
+    for i in range(60):
+        a = (random_padded_relation(rng, states=rng.randint(3, 5)).base if i % 2
+             else random_language(rng, states=rng.randint(2, 5)))
+        _n, dtrans, daccept = au._determinize(a)
+        keep, dtrans = au._trim(0, dtrans, daccept)
+        args = (keep, dtrans, daccept & keep)
+        assert _blocks(au._moore_minimize(*args)) == \
+            _blocks(moore_minimize_oracle(*args, a.symbol_key))
+
+
+def test_moore_minimize_matches_oracle_on_suffix_map_with_dead_node():
+    # the map definability._same_rows refines: (PAD, y) moves of R's DFA
+    # over its states plus a None node for "dead", total and with None targets
+    rng = random.Random(7003)
+    for _ in range(40):
+        d = random_relation(rng, states=rng.randint(1, 4)).base
+        delta = {(src, sym): dst for src, sym, dst in d.transitions}
+        nodes = set(range(d.states)) | {None}
+        suffix = {(p, (PAD, y)): delta.get((p, (PAD, y)))
+                  for p in nodes for y in d.alphabet}
+        args = (nodes, suffix, set(d.accepting))
+        assert _blocks(au._moore_minimize(*args)) == \
+            _blocks(moore_minimize_oracle(*args, d.symbol_key))
+
+
+def test_minimize_returns_canonical_input_as_is():
+    rng = random.Random(7004)
+    for _ in range(30):
+        x = random_padded_relation(rng, states=rng.randint(3, 5)).base
+        c = au.determinize_minimize(x)
+        assert au.determinize_minimize(c) is c
+        # the same fields without the flag canonicalize to an equal value
+        copy = au._freeze(c.tracks, c.alphabet, c.states, c.initial,
+                          c.accepting, c.transitions)
+        again = au.determinize_minimize(copy)
+        assert again is not copy and again == c == copy
+        # a loaded automaton carries no flag, so it is canonicalized anew
+        loaded = au.from_json_dict(au.to_json_dict(c))
+        assert loaded == c and au._CANONICAL not in vars(loaded)
+        assert au.determinize_minimize(loaded) is not loaded
+
+
+def _constructor_fields(fault=None):
+    """Fields of a 4-state 2-track automaton with one kind of fault (none by
+    default), a bad column or state on many transitions among good ones."""
+    n = 4
+    cols = [(x, y) for x in AB + (PAD,) for y in AB + (PAD,)][:-1]
+    good = [(q, c, (q + i) % n) for q in range(n) for i, c in enumerate(cols)]
+    fields = dict(tracks=2, alphabet=AB, states=n, initial={0},
+                  accepting={1, 2}, transitions=good)
+    bad_column = {"arity": ("a",), "arity-long": ("a", "b", "a"),
+                  "all-padding": (PAD, PAD), "unknown": ("a", "c"),
+                  "unknown-display-pad": ("⊥", "a")}
+    if fault in bad_column:
+        fields["transitions"] = good + [(q, bad_column[fault], (q + 1) % n)
+                                        for q in range(n)]
+    elif fault == "initial":
+        fields["initial"] = {0, n}
+    elif fault == "accepting":
+        fields["accepting"] = {1, -1}
+    elif fault == "src":
+        fields["transitions"] = good + [(n + q, ("a", "a"), q) for q in range(n)]
+    elif fault == "dst":
+        fields["transitions"] = good + [(q, ("b", "b"), n) for q in range(n)]
+    elif fault == "tracks":
+        fields["tracks"] = 0
+    elif fault is not None:
+        fields["alphabet"] = {"alphabet-empty": (), "alphabet-dup": ("a", "b", "a"),
+                              "alphabet-pad": ("a", "b", PAD),
+                              "alphabet-nonstr": ("a", "b", 1)}[fault]
+    return fields
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("initial", au.AutomataError),
+    ("accepting", au.AutomataError),
+    ("src", au.AutomataError),
+    ("dst", au.AutomataError),
+    ("arity", au.ArityMismatchError),
+    ("arity-long", au.ArityMismatchError),
+    ("all-padding", au.AutomataError),
+    ("unknown", au.UnknownSymbolError),
+    ("unknown-display-pad", au.UnknownSymbolError),
+    ("tracks", au.AutomataError),
+    ("alphabet-empty", au.AutomataError),
+    ("alphabet-dup", au.AutomataError),
+    ("alphabet-pad", au.AutomataError),
+    ("alphabet-nonstr", au.AutomataError),
+])
+def test_constructor_rejects_each_fault(fault, error):
+    with pytest.raises(error) as info:
+        nfa(**_constructor_fields(fault))
+    assert type(info.value) is error
+
+
+def test_constructor_accepts_the_fault_free_fields():
+    f = _constructor_fields()
+    assert len(nfa(**f).transitions) == len(f["transitions"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from autorel import automata as au
@@ -83,6 +86,43 @@ def test_incomp_identity_with_itself_cross_module_oracle():
     # every word collides with itself through the shared image, nothing else
     ident = rel.make_identity(AB)
     assert au.equivalent(co.incompatibility_graph(ident, ident).base, ident.base)
+
+
+def _small_colorings(alphabet):
+    """Every 2-coloring read off a complete DFA of at most 2 states, and
+    one overlapping pair of colors (not a partition)."""
+    out = []
+    for n in (1, 2):
+        for table in co._canonical_dfas(alphabet, n):
+            for labels in product(range(2), repeat=n):
+                colors = co._dfa_color_languages(alphabet, n, table, labels, 2)
+                out.append(co.RegularColoring(colors=tuple(colors)))
+    full = au.full_language(alphabet)
+    out.append(co.RegularColoring(colors=(full, parity_colors(alphabet)[0])))
+    return out
+
+
+def test_verify_coloring_agrees_on_graph_nfa_and_canonical_graph():
+    # separator_from_coloring checks a coloring on the graph's NFA; the
+    # verdict and witness must be those of the canonical graph
+    eqlen, ap1 = rel.equal_length_relation(AB), rel.append_one_relation(AB)
+    instances = [(eqlen, ap1), (ap1, eqlen),
+                 (rel.tree_relation(), rel.make_identity(AB)),
+                 (rel.successor_relation(1), rel.successor_relation(2))]
+    rng = random.Random(7101)
+    instances += [(random_relation(rng, states=rng.randint(1, 3)),
+                   random_relation(rng, states=rng.randint(1, 3)))
+                  for _ in range(8)]
+    kinds = set()
+    for r1, r2 in instances:
+        nfa = co._incompatibility_nfa(r1, r2)
+        graph = co.incompatibility_graph(r1, r2)
+        assert au.equivalent(nfa.base, graph.base)
+        for c in _small_colorings(r1.alphabet):
+            verdict = co.verify_coloring(nfa, c)
+            assert verdict == co.verify_coloring(graph, c)
+            kinds.add(verdict.kind)
+    assert kinds == {co.PROPER, co.NOT_PARTITION, co.MONOCHROME_EDGE}
 
 
 # ---------------------------------------------------------------------------
