@@ -180,6 +180,11 @@ def check_alphabet(symbols: Iterable[str]) -> tuple:
     return tuple(out)
 
 
+def _check_tracks(tracks: int) -> None:
+    if tracks < 1:
+        raise AutomataError("tracks must be >= 1")
+
+
 @dataclass(frozen=True)
 class MultiTrackAutomaton:
     """NFA over t-track columns.
@@ -187,7 +192,8 @@ class MultiTrackAutomaton:
     States are ``0 .. states-1``.  Transitions are (src, column, dst)
     triples; a column is a t-tuple over ``alphabet + (PAD,)`` that is not
     padding on every track.  Missing transitions are implicitly dead, so a
-    "deterministic" automaton here is a partial DFA.
+    "deterministic" automaton here is a partial DFA.  The constructor checks
+    every field; the constructions below, valid by construction, skip it.
     """
 
     tracks: int
@@ -198,8 +204,7 @@ class MultiTrackAutomaton:
     transitions: frozenset
 
     def __post_init__(self):
-        if self.tracks < 1:
-            raise AutomataError("tracks must be >= 1")
+        _check_tracks(self.tracks)
         check_alphabet(self.alphabet)
         n = self.states
         for q in self.initial | self.accepting:
@@ -293,8 +298,18 @@ class MultiTrackAutomaton:
 _EMPTY_SET: frozenset = frozenset()
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``,
+    built without ``__post_init__``: for results that are valid by
+    construction.  Public constructors and JSON loads validate instead."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _freeze(tracks, alphabet, n, initial, accepting, transitions) -> MultiTrackAutomaton:
-    return MultiTrackAutomaton(
+    return _trusted(
+        MultiTrackAutomaton,
         tracks=tracks,
         alphabet=tuple(alphabet),
         states=n,
@@ -359,6 +374,7 @@ def membership(a: MultiTrackAutomaton,
 
 def valid_pad_automaton(tracks: int, alphabet: Sequence[str]) -> MultiTrackAutomaton:
     """DFA for ValidPad(t): padding only as a per-track suffix."""
+    _check_tracks(tracks)
     alphabet = check_alphabet(alphabet)
     # the all-padding mask is unreachable, as no column is padding everywhere
     masks = list(range((1 << tracks) - 1))
@@ -401,18 +417,16 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
 
     ``included(a, valid_pad_automaton(...))`` without building the pad DFA:
     `a` in product with a pad mask, which a column breaking the padding rule
-    sets to None; a violation is a broken run that can still accept.
+    sets to None for good; a violation is a broken run that accepts.
     """
-    # detector state: pad mask, or None once the padding rule was broken
     def successors(state):
         q, mask = state
-        if mask is not None:
-            for sym, dst in a._adj[q]:
-                yield sym, (dst, _pad_mask_step(mask, sym, a.tracks))
+        for sym, dst in a._adj[q]:
+            yield sym, (dst, mask if mask is None
+                        else _pad_mask_step(mask, sym, a.tracks))
 
     index, _edges = _explore([(q, 0) for q in a.initial], successors)
-    live = _reach(a.accepting, _reverse((src, dst) for src, _sym, dst in a.transitions))
-    return not any(mask is None and q in live for q, mask in index)
+    return not any(mask is None and q in a.accepting for q, mask in index)
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +552,19 @@ def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutom
                               lambda s: s[0] in a.accepting and s[1] in b.accepting)
 
 
-def union(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
-    _require_same_shape(a, b)
-    off = a.states
-    trans = list(a.transitions) + [(s + off, sym, d + off) for s, sym, d in b.transitions]
-    return _freeze(a.tracks, a.alphabet, a.states + b.states,
-                   set(a.initial) | {q + off for q in b.initial},
-                   set(a.accepting) | {q + off for q in b.accepting},
-                   trans)
+def union(first: MultiTrackAutomaton, *rest: MultiTrackAutomaton) -> MultiTrackAutomaton:
+    """The disjoint union of the operands' NFAs, states numbered operand by
+    operand: the NFA of folding the binary union left to right."""
+    initial, accepting = set(first.initial), set(first.accepting)
+    trans = list(first.transitions)
+    off = first.states
+    for b in rest:
+        _require_same_shape(first, b)
+        initial.update(q + off for q in b.initial)
+        accepting.update(q + off for q in b.accepting)
+        trans += [(s + off, sym, d + off) for s, sym, d in b.transitions]
+        off += b.states
+    return _freeze(first.tracks, first.alphabet, off, initial, accepting, trans)
 
 
 def complement_relative(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
@@ -867,10 +886,12 @@ def iter_words(a: MultiTrackAutomaton,
 # Small constructors
 
 def empty_language(tracks: int, alphabet: Sequence[str]) -> MultiTrackAutomaton:
+    _check_tracks(tracks)
     return _freeze(tracks, check_alphabet(alphabet), 1, {0}, (), ())
 
 
 def epsilon_language(tracks: int, alphabet: Sequence[str]) -> MultiTrackAutomaton:
+    _check_tracks(tracks)
     return _freeze(tracks, check_alphabet(alphabet), 1, {0}, {0}, ())
 
 
@@ -897,10 +918,8 @@ def from_word_list(words: Iterable[Sequence[str]],
                    alphabet: Sequence[str]) -> MultiTrackAutomaton:
     """1-track finite language."""
     alphabet = check_alphabet(alphabet)
-    acc = empty_language(1, alphabet)
-    for w in words:
-        acc = union(acc, word_language(w, alphabet))
-    return determinize_minimize(acc)
+    return determinize_minimize(union(
+        empty_language(1, alphabet), *(word_language(w, alphabet) for w in words)))
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +987,10 @@ def from_json_dict(d: dict) -> MultiTrackAutomaton:
             raise FormatError(f"automaton JSON transition {t!r} is not a "
                               "[src, [symbols], dst] triple of integers and strings")
         trans.append((t[0], tuple(t[1]), t[2]))
-    return _freeze(tracks, tuple(alphabet), states, set(initial), set(accepting), trans)
+    return MultiTrackAutomaton(
+        tracks=tracks, alphabet=tuple(alphabet), states=states,
+        initial=frozenset(initial), accepting=frozenset(accepting),
+        transitions=frozenset(trans))
 
 
 def dumps(a: MultiTrackAutomaton) -> str:

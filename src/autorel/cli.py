@@ -9,6 +9,7 @@ file re-verifies under the matching verify verb.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -331,6 +332,7 @@ def cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="autorel",

@@ -416,10 +416,9 @@ def _kprod_witness(dec: EquivalenceDecomposition, matrix: QuotientMatrix,
 
 
 def _union_of_classes(dec: EquivalenceDecomposition, idxs) -> MultiTrackAutomaton:
-    acc = au.empty_language(1, dec.relation.alphabet)
-    for i in sorted(idxs):
-        acc = au.union(acc, dec.classes[i])
-    return au.determinize_minimize(acc)
+    return au.determinize_minimize(au.union(
+        au.empty_language(1, dec.relation.alphabet),
+        *(dec.classes[i] for i in sorted(idxs))))
 
 
 def min_prod(r: AutomaticRelation, kmax: int,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -86,7 +85,7 @@ def partition_ok(langs: Sequence[MultiTrackAutomaton]) -> Optional[tuple]:
     The witness is the shortlex-least word missing from the union or lying
     in two blocks.
     """
-    covered = reduce(au.union, langs)
+    covered = au.union(*langs)
     witnesses = [au.difference_witness(au.full_language(covered.alphabet), covered)]
     witnesses += [au.intersection_witness(x, y) for x, y in combinations(langs, 2)]
     least = min((w for w in witnesses if w is not None), default=None,
@@ -128,10 +127,8 @@ def product_relation(left: MultiTrackAutomaton,
 
 def to_automatic(s: RecognizableRelation) -> AutomaticRelation:
     """Convolution automaton of the union of the products."""
-    acc = au.empty_language(2, s.alphabet)
-    for left, right in s.products:
-        acc = au.union(acc, product_relation(left, right).base)
-    return rel._wrap(acc)
+    return rel._wrap(au.union(au.empty_language(2, s.alphabet), *(
+        product_relation(left, right).base for left, right in s.products)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +256,7 @@ def lift_to_kprod(r1: AutomaticRelation, r2: AutomaticRelation, k: int) -> tuple
             if i != j:
                 parts.append(product_relation(ai, bj).base)
             parts.append(product_relation(bi, aj).base)
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = au.union(acc, p)
-    new_r2 = rel._wrap(au.determinize_minimize(acc))
+    new_r2 = rel._wrap(au.determinize_minimize(au.union(*parts)))
     return (new_r1, new_r2)
 
 
@@ -273,6 +267,8 @@ def even_odd_languages(letter: str = "a",
                        alphabet: Sequence[str] = ("a",)) -> tuple:
     """(even, odd) length-parity languages of letter^* over the alphabet."""
     alphabet = au.check_alphabet(alphabet)
+    if letter not in alphabet:
+        raise au.UnknownSymbolError(f"symbol {letter!r} outside alphabet")
     even = au._freeze(1, alphabet, 2, {0}, {0},
                       [(0, (letter,), 1), (1, (letter,), 0)])
     odd = au._freeze(1, alphabet, 2, {0}, {1},

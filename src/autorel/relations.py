@@ -55,9 +55,7 @@ def relation(base: MultiTrackAutomaton) -> AutomaticRelation:
 
 def _wrap(base: MultiTrackAutomaton) -> AutomaticRelation:
     # internal constructions are valid by construction; skip the pad check
-    rel = object.__new__(AutomaticRelation)
-    object.__setattr__(rel, "base", base)
-    return rel
+    return au._trusted(AutomaticRelation, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +126,14 @@ def finite_relation(pairs: Iterable[tuple],
                     alphabet: Sequence[str]) -> AutomaticRelation:
     """Relation given by an explicit finite list of word pairs."""
     alphabet = au.check_alphabet(alphabet)
-    acc = au.empty_language(2, alphabet)
+    singles = []
     for left, right in pairs:
         word = au.convolve((left, right), alphabet)
         n = len(word)
         trans = [(i, sym, i + 1) for i, sym in enumerate(word)]
-        single = au._freeze(2, alphabet, n + 1, {0}, {n}, trans)
-        acc = au.union(acc, single)
-    return _wrap(au.determinize_minimize(acc))
+        singles.append(au._freeze(2, alphabet, n + 1, {0}, {n}, trans))
+    return _wrap(au.determinize_minimize(
+        au.union(au.empty_language(2, alphabet), *singles)))
 
 
 def empty_relation(alphabet: Sequence[str]) -> AutomaticRelation:
@@ -301,43 +299,9 @@ def relation_pairs(r: AutomaticRelation, max_conv_len: int) -> Iterator[tuple]:
 
 def successor_words(r: AutomaticRelation, word: Sequence[str],
                     max_len: int) -> list:
-    """Words v with (word, v) in R and |v| <= max_len, in shortlex order.
-
-    Direct product walk; avoids building the image automaton per query.
-    """
-    base = r.base
-    w = tuple(word)
-    order = {s: i for i, s in enumerate(base.alphabet)}
-
-    def left_sym(i):
-        return w[i] if i < len(w) else PAD
-
-    def accepts_ending_here(states, i):
-        # v ends at column i; the remaining columns (w[j], PAD) are forced
-        cur = states
-        for j in range(i, len(w)):
-            cur = base.step(cur, (w[j], PAD))
-            if not cur:
-                return False
-        return bool(cur & base.accepting)
-
-    out = []
-    frontier = [((), frozenset(base.initial))]
-    while frontier:
-        nxt: dict = {}
-        for prefix, states in frontier:
-            if accepts_ending_here(states, len(prefix)):
-                out.append(prefix)
-            if len(prefix) >= max_len:
-                continue
-            ls = left_sym(len(prefix))
-            for y in base.alphabet:
-                s2 = base.step(states, (ls, y))
-                if s2:
-                    key = prefix + (y,)
-                    nxt[key] = nxt.get(key, frozenset()) | s2
-        frontier = sorted(nxt.items(), key=lambda kv: [order[c] for c in kv[0]])
-    return sorted(set(out), key=lambda v: (len(v), [order[c] for c in v]))
+    """Words v with (word, v) in R and |v| <= max_len, in shortlex order:
+    the image of {word}, enumerated."""
+    return list(au.iter_words(image(r, au.word_language(word, r.alphabet)), max_len))
 
 
 def predecessor_words(r: AutomaticRelation, word: Sequence[str],

@@ -113,11 +113,9 @@ def initial_config(t: TuringMachine) -> tuple:
     return (head_token(t.blank, t.initial),)
 
 
-def configs_language(t: TuringMachine,
-                     alphabet: Optional[tuple] = None) -> MultiTrackAutomaton:
+def configs_language(t: TuringMachine) -> MultiTrackAutomaton:
     """All configuration words: written prefix, head token, written suffix;
     a blank under the head only at the very end."""
-    alpha = alphabet if alphabet is not None else config_alphabet(t)
     trans = []
     for g in t.tape:
         trans.append((0, (g,), 0))
@@ -126,7 +124,7 @@ def configs_language(t: TuringMachine,
         for g in t.tape:
             trans.append((0, (head_token(g, q),), 1))
         trans.append((0, (head_token(t.blank, q),), 2))
-    return au._freeze(1, alpha, 3, {0}, {1, 2}, trans)
+    return au._freeze(1, config_alphabet(t), 3, {0}, {1, 2}, trans)
 
 
 def decode_config(word: Sequence[str]) -> Optional[tuple]:
@@ -321,7 +319,7 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
         rc.product_relation(au.word_language(c_init, alpha), others).base,
         ("B", "B"))
 
-    edges = au.union(au.union(blue_red, red_blue), init_edges)
+    edges = au.union(blue_red, red_blue, init_edges)
 
     if k > 2:
         tagged = rel._wrap(edges)
@@ -335,10 +333,7 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
                 if i != j:
                     parts.append(rc.product_relation(
                         ki_lang, au.word_language((kj,), alpha)).base)
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = au.union(acc, p)
-        edges = acc
+        edges = au.union(*parts)
     return rel._wrap(au.determinize_minimize(edges))
 
 

@@ -217,6 +217,57 @@ def test_constructor_accepts_the_fault_free_fields():
     assert len(nfa(**f).transitions) == len(f["transitions"])
 
 
+def _loaded_with(**changes):
+    d = au.to_json_dict(fc_base(1, AB))
+    d.update(changes)
+    return au.from_json_dict(d)
+
+
+# Each public constructor checks what its caller passes, as results built
+# inside the package are not checked again.
+@pytest.mark.parametrize("build, error", [
+    (lambda: au.empty_language(0, AB), au.AutomataError),
+    (lambda: au.epsilon_language(0, AB), au.AutomataError),
+    (lambda: au.valid_pad_automaton(0, AB), au.AutomataError),
+    (lambda: au.empty_language(1, ("a", PAD)), au.AutomataError),
+    (lambda: au.epsilon_language(2, ("a", "a")), au.AutomataError),
+    (lambda: au.valid_pad_automaton(2, ("a", "⊥")), au.AutomataError),
+    (lambda: au.full_language(("a", "b", "a")), au.AutomataError),
+    (lambda: au.full_language(()), au.AutomataError),
+    (lambda: au.word_language(("a", "z"), AB), au.UnknownSymbolError),
+    (lambda: au.word_language((PAD,), AB), au.UnknownSymbolError),
+    (lambda: au.word_language(("a",), ("a", "")), au.AutomataError),
+    (lambda: au.from_word_list([("a",), ("z",)], AB), au.UnknownSymbolError),
+    (lambda: au.from_word_list([("a",)], ("a", "a")), au.AutomataError),
+    (lambda: au.extend_alphabet(a_star(), ("a", "b", PAD)), au.AutomataError),
+    (lambda: au.extend_alphabet(a_star(), ("a",)), au.AutomataError),
+    (lambda: _loaded_with(tracks=0), au.AutomataError),
+    (lambda: _loaded_with(alphabet=["a", "a"]), au.AutomataError),
+    (lambda: _loaded_with(alphabet=["b"]), au.UnknownSymbolError),
+    (lambda: rel.make_identity(("a", PAD)), au.AutomataError),
+    (lambda: rel.equal_length_relation(("a", "a")), au.AutomataError),
+    (lambda: rel.successor_relation(1, ("a",), "z"), au.AutomataError),
+    (lambda: rel.successor_relation(1, ("a", "a")), au.AutomataError),
+    (lambda: rel.append_one_relation(("⊥",)), au.AutomataError),
+    (lambda: rel.tree_relation(("a", "b", "b")), au.AutomataError),
+    (lambda: rel.tree_relation(("a", "c")), au.AutomataError),
+    (lambda: rel.finite_relation([("a", "z")], ("a",)), au.UnknownSymbolError),
+    (lambda: rel.finite_relation([("a", "a")], ("a", "")), au.AutomataError),
+    (lambda: rel.empty_relation(("a", "a")), au.AutomataError),
+    (lambda: rel.full_relation((PAD,)), au.AutomataError),
+    (lambda: rel.neq_relation(("a", "a")), au.AutomataError),
+    (lambda: rel.relation(a_star()), au.ArityMismatchError),
+    (lambda: rc.even_odd_languages("z", ("a",)), au.UnknownSymbolError),
+    (lambda: rc.even_odd_languages("a", ("a", "a")), au.AutomataError),
+    (lambda: rc.parity_separator(("b",)), au.UnknownSymbolError),
+    (lambda: rc.RecognizableRelation(alphabet=("a", PAD), products=()),
+     au.AutomataError),
+])
+def test_public_constructors_reject_bad_input(build, error):
+    with pytest.raises(error):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # boolean
 
@@ -261,6 +312,25 @@ def test_complement_of_identity_is_inequality():
     ident = rel.make_identity(AB)
     comp = au.complement_relative(ident.base)
     assert au.equivalent(comp, rel.neq_relation(AB).base)
+
+
+def test_satisfies_valid_pad_matches_inclusion(rng):
+    """The pad-mask walk against inclusion in the ValidPad DFA, on random
+    1-3 track NFAs whose columns may break the padding rule."""
+    verdicts = set()
+    for _ in range(900):
+        tracks = rng.randint(1, 3)
+        alphabet = AB if tracks < 3 else A
+        cols = list(au.valid_pad_automaton(tracks, alphabet).column_universe())
+        n = rng.randint(1, 4)
+        trans = [(q, c, rng.randrange(n)) for q in range(n) for c in cols
+                 if rng.random() < 2 / len(cols)]
+        a = nfa(tracks, alphabet, n, rng.sample(range(n), rng.randint(1, min(n, 2))),
+                rng.sample(range(n), rng.randint(0, n)), trans)
+        expect = au.included(a, au.valid_pad_automaton(tracks, alphabet))
+        assert au.satisfies_valid_pad(a) == expect
+        verdicts.add(expect)
+    assert verdicts == {True, False}
 
 
 def test_double_complement_is_identity():

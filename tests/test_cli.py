@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -156,6 +158,60 @@ def test_reach_and_dot(fx, tmp_path, capsys):
                "--max-len", "3", "--out", str(dotfile)) == 0
     text = dotfile.read_text()
     assert "digraph" in text and '"aa" -> "aaa"' in text
+
+
+def test_reach_rejects_a_start_word_outside_the_alphabet(fx, capsys):
+    assert run("reach", "--rel", str(fx / "fc1.json"), "--start", "zz") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'z'" in captured.err
+
+
+def _in_process(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _in_own_process(argv, cwd) -> tuple:
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "autorel.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, encoding="utf-8")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_verbs_back_to_back_match_each_run_alone(fx, tmp_path, monkeypatch):
+    fc1, fc2 = str(fx / "fc1.json"), str(fx / "fc2.json")
+    sep = ("sep-verify", "--s", str(fx / "parity-separator.json"),
+           "--r1", fc1, "--r2", fc2)
+    calls = [
+        sep,
+        ("min-prod", "--r", fc1, "--kmax", "2"),
+        ("reach", "--rel", fc1, "--start", "", "--max-len", "3"),
+        ("no-such-verb",),
+        ("tm-check", "--tm", str(fx / "demo-machine.json"), "--depth", "4"),
+        ("make-rel", "--spec", "(union (fc 1) (fc 2))", "--out", "u.json"),
+        ("make-rel", "--spec", "(fc", "--out", "bad.json"),
+        ("sep-verify", "--s", str(fx / "parity-separator.json")),
+        ("reach", "--rel", fc1, "--start", "zz"),
+        ("--budget", "30", *sep),
+        sep,
+    ]
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    monkeypatch.chdir(together)
+    got = [_in_process(argv) for argv in calls]
+    want = [_in_own_process(argv, alone) for argv in calls]
+    assert got == want
+    assert [code for code, _out, _err in got] == [0, 1, 0, 2, 0, 0, 2, 2, 2, 2, 0]
+    assert sorted(os.listdir(together)) == sorted(os.listdir(alone)) == ["u.json"]
+    assert (together / "u.json").read_bytes() == (alone / "u.json").read_bytes()
 
 
 def test_export_dot_with_coloring_and_secondary(fx, tmp_path):

@@ -164,6 +164,17 @@ def test_successor_and_predecessor_words():
     assert rel.successor_words(fc1, (), 3) == [("a",)]
 
 
+def test_successor_words_match_membership(rng):
+    ws = words_upto(AB, 3)
+    for _ in range(12):
+        r = random_relation(rng, AB, rng.randint(1, 3))
+        for u in words_upto(AB, 2):
+            assert rel.successor_words(r, u, 3) == [v for v in ws if r.contains(u, v)]
+            assert rel.predecessor_words(r, u, 3) == [v for v in ws if r.contains(v, u)]
+    with pytest.raises(au.UnknownSymbolError):
+        rel.successor_words(rel.successor_relation(1), ("z",), 3)
+
+
 def test_fixture_registry():
     assert rel.fixtures("fc", c=2).contains("a", "aaa")
     assert rel.fixtures("tree").contains("", "a")
