@@ -14,11 +14,8 @@ from .automata import (
     MultiTrackAutomaton,
     SearchBudgetExceededError,
     UnknownSymbolError,
-    boolean,
     complement_relative,
     convolve,
-    cylindrify,
-    cylindrify_permute,
     determinize_minimize,
     emptiness_shortest,
     equivalent,

@@ -596,98 +596,34 @@ def difference(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAuto
         lambda s: s[0] in a.accepting and not s[1] & b.accepting)
 
 
-def boolean(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
-            mode: str) -> MultiTrackAutomaton:
-    """Set operation on languages: mode is intersect, union or difference."""
-    if mode == "intersect":
-        return intersect(a, b)
-    if mode == "union":
-        return union(a, b)
-    if mode == "difference":
-        return difference(a, b)
-    raise AutomataError(f"unknown boolean mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Track operations
 
 def project(a: MultiTrackAutomaton, drop_track: int) -> MultiTrackAutomaton:
     """Drop one track (0-based index), i.e. quantify it existentially.
 
-    Columns that were padding everywhere except the dropped track turn
-    into epsilon moves; they occur only as suffixes of valid words, and
-    eliminating them re-normalizes the result to ValidPad(t-1).
+    The :func:`relational_join` of ``a`` with Sigma* on the dropped track:
+    projection, image, preimage and composition are one join, which never
+    materializes the joined track.  Like the other joins it assumes L(a)
+    lies inside ValidPad(t); it does not restrict the result to
+    ValidPad(t-1) again.
     """
     if a.tracks < 2:
         raise ArityMismatchError("projection needs at least 2 tracks")
     if not 0 <= drop_track < a.tracks:
         raise AutomataError(f"track index {drop_track} out of range")
-    eps: dict = {q: set() for q in range(a.states)}
-    real = []
-    for src, sym, dst in a.transitions:
-        rest = sym[:drop_track] + sym[drop_track + 1:]
-        if all(x == PAD for x in rest):
-            eps[src].add(dst)
-        else:
-            real.append((src, rest, dst))
-    closure = {q: frozenset(_reach([q], eps)) for q in range(a.states)}
-    trans = set()
-    for src, rest, dst in real:
-        trans.add((src, rest, dst))
-    # pull real transitions backward through epsilon prefixes
-    for q in range(a.states):
-        for r in closure[q]:
-            if r == q:
-                continue
-            for src, rest, dst in real:
-                if src == r:
-                    trans.add((q, rest, dst))
-    accepting = {q for q in range(a.states) if closure[q] & a.accepting}
-    return restrict_valid_pad(
-        _freeze(a.tracks - 1, a.alphabet, a.states, a.initial, accepting, trans))
-
-
-def cylindrify(a: MultiTrackAutomaton, insert_at: int) -> MultiTrackAutomaton:
-    """Insert a fresh unconstrained track at the given 0-based position."""
-    if not 0 <= insert_at <= a.tracks:
-        raise AutomataError(f"insert position {insert_at} out of range")
-    ext = a.states
-    pool = tuple(a.alphabet) + (PAD,)
-    all_pad = (PAD,) * a.tracks
-
-    def ins(sym, x):
-        return sym[:insert_at] + (x,) + sym[insert_at:]
-
-    trans = []
-    for src, sym, dst in a.transitions:
-        for x in pool:
-            trans.append((src, ins(sym, x), dst))
-    for f in a.accepting:
-        for x in a.alphabet:
-            trans.append((f, ins(all_pad, x), ext))
-    for x in a.alphabet:
-        trans.append((ext, ins(all_pad, x), ext))
-    raw = _freeze(a.tracks + 1, a.alphabet, a.states + 1, a.initial,
-                  set(a.accepting) | {ext}, trans)
-    return restrict_valid_pad(raw)
+    return relational_join(a, full_language(a.alphabet), drop_track, 0)
 
 
 def permute_tracks(a: MultiTrackAutomaton, permutation: Sequence[int]) -> MultiTrackAutomaton:
     """Reorder tracks: output track i carries former track permutation[i]."""
     perm = tuple(permutation)
-    if sorted(perm) != list(range(a.tracks)):
+    if (not all(isinstance(i, int) for i in perm)
+            or sorted(perm) != list(range(a.tracks))):
         raise AutomataError(f"malformed permutation {perm!r}")
     trans = [(src, tuple(sym[perm[i]] for i in range(a.tracks)), dst)
              for src, sym, dst in a.transitions]
     return _freeze(a.tracks, a.alphabet, a.states, a.initial, a.accepting, trans)
-
-
-def cylindrify_permute(a: MultiTrackAutomaton,
-                       spec: Union[int, Sequence[int]]) -> MultiTrackAutomaton:
-    """Dispatch: an int inserts a fresh track there, a sequence permutes."""
-    if isinstance(spec, int):
-        return cylindrify(a, spec)
-    return permute_tracks(a, spec)
 
 
 def extend_alphabet(a: MultiTrackAutomaton, alphabet: Sequence[str]) -> MultiTrackAutomaton:
@@ -764,11 +700,14 @@ def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Joins: the existential product used by composition, images and the
-# incompatibility conditions.  relational_join(a, b, ja, jb) is the relation
+# Joins: the existential product behind projection, images, preimages,
+# composition and the incompatibility conditions.
+# relational_join(a, b, ja, jb) is the relation
 #   { (x, y) | exists v: (x|v at ja) in L(a)  and  (y|v at jb) in L(b) }
-# where x are a's non-join tracks and y are b's.  The join track is never
-# materialized, which keeps large-alphabet products feasible.
+# where x are a's non-join tracks and y are b's.  Projection is the join
+# with Sigma*, images and preimages the join with a language, composition
+# the join of two relations.  The join track is never materialized, which
+# keeps large-alphabet products feasible.
 
 def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
                     join_a: int, join_b: int) -> MultiTrackAutomaton:
@@ -784,14 +723,17 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
     adj_b = _augmented_adj(b)
     acc_a = set(a.accepting) | {a.states}
     acc_b = set(b.accepting) | {b.states}
+    by_join: dict = {}  # b state -> join symbol -> [(column, dst)]
 
     def successors(state):
         p, q = state
-        by_join: dict = {}
-        for sym, dst in adj_b.get(q, ()):
-            by_join.setdefault(sym[join_b], []).append((sym, dst))
+        moves_b = by_join.get(q)
+        if moves_b is None:  # grouped once per b state, in adjacency order
+            moves_b = by_join[q] = {}
+            for sym, dst in adj_b.get(q, ()):
+                moves_b.setdefault(sym[join_b], []).append((sym, dst))
         for syma, p2 in adj_a.get(p, ()):
-            for symb, q2 in by_join.get(syma[join_a], ()):
+            for symb, q2 in moves_b.get(syma[join_a], ()):
                 yield (syma[:join_a] + syma[join_a + 1:]
                        + symb[:join_b] + symb[join_b + 1:]), (p2, q2)
 
@@ -904,7 +846,12 @@ def full_language(alphabet: Sequence[str]) -> MultiTrackAutomaton:
 
 def word_language(word: Sequence[str], alphabet: Sequence[str]) -> MultiTrackAutomaton:
     """1-track singleton {word}."""
-    alphabet = check_alphabet(alphabet)
+    return _word_automaton(word, check_alphabet(alphabet))
+
+
+def _word_automaton(word: Sequence[str], alphabet: tuple) -> MultiTrackAutomaton:
+    """:func:`word_language` over an alphabet already checked: only the
+    word's symbols are."""
     w = tuple(word)
     ok = set(alphabet)
     for x in w:

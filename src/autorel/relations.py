@@ -146,25 +146,6 @@ def full_relation(alphabet: Sequence[str]) -> AutomaticRelation:
     return _wrap(au.valid_pad_automaton(2, alphabet))
 
 
-def neq_relation(alphabet: Sequence[str]) -> AutomaticRelation:
-    """All pairs (u, v) with u != v."""
-    alphabet = au.check_alphabet(alphabet)
-    pool = tuple(alphabet) + (PAD,)
-    trans = [(0, (x, x), 0) for x in alphabet]
-    for x in pool:
-        for y in pool:
-            if x == y or (x == PAD and y == PAD):
-                continue
-            trans.append((0, (x, y), 1))
-    for x in pool:
-        for y in pool:
-            if x == PAD and y == PAD:
-                continue
-            trans.append((1, (x, y), 1))
-    raw = au._freeze(2, alphabet, 2, {0}, {1}, trans)
-    return _wrap(au.restrict_valid_pad(raw))
-
-
 # ---------------------------------------------------------------------------
 # Relational operators
 
@@ -301,12 +282,7 @@ def successor_words(r: AutomaticRelation, word: Sequence[str],
                     max_len: int) -> list:
     """Words v with (word, v) in R and |v| <= max_len, in shortlex order:
     the image of {word}, enumerated."""
-    return list(au.iter_words(image(r, au.word_language(word, r.alphabet)), max_len))
-
-
-def predecessor_words(r: AutomaticRelation, word: Sequence[str],
-                      max_len: int) -> list:
-    return successor_words(inverse(r), word, max_len)
+    return list(au.iter_words(image(r, au._word_automaton(word, r.alphabet)), max_len))
 
 
 # ---------------------------------------------------------------------------

@@ -235,22 +235,75 @@ def random_language(rng: random.Random, alphabet=("a", "b"), states=3,
     )
 
 
+def project_oracle(a, drop_track):
+    """Projection by epsilon elimination: columns that are padding
+    everywhere except the dropped track become epsilon moves, real moves
+    are pulled back through epsilon prefixes, and the result is restricted
+    to ValidPad(t-1)."""
+    eps = {q: set() for q in range(a.states)}
+    real = []
+    for src, sym, dst in a.transitions:
+        rest = sym[:drop_track] + sym[drop_track + 1:]
+        if all(x == au.PAD for x in rest):
+            eps[src].add(dst)
+        else:
+            real.append((src, rest, dst))
+    closure = {q: frozenset(au._reach([q], eps)) for q in range(a.states)}
+    trans = set(real)
+    for q in range(a.states):
+        for r in closure[q] - {q}:
+            trans.update((q, rest, dst) for src, rest, dst in real if src == r)
+    accepting = {q for q in range(a.states) if closure[q] & a.accepting}
+    return au.restrict_valid_pad(
+        au._freeze(a.tracks - 1, a.alphabet, a.states, a.initial, accepting, trans))
+
+
+def cylindrify(a, insert_at):
+    """Insert a fresh unconstrained track at the given 0-based position, by
+    spelling out every symbol on it."""
+    ext = a.states
+    pool = tuple(a.alphabet) + (au.PAD,)
+    all_pad = (au.PAD,) * a.tracks
+
+    def ins(sym, x):
+        return sym[:insert_at] + (x,) + sym[insert_at:]
+
+    trans = [(src, ins(sym, x), dst) for src, sym, dst in a.transitions for x in pool]
+    trans += [(f, ins(all_pad, x), ext) for f in a.accepting for x in a.alphabet]
+    trans += [(ext, ins(all_pad, x), ext) for x in a.alphabet]
+    raw = au._freeze(a.tracks + 1, a.alphabet, a.states + 1, a.initial,
+                     set(a.accepting) | {ext}, trans)
+    return au.restrict_valid_pad(raw)
+
+
+def neq_relation(alphabet):
+    """All pairs (u, v) with u != v, over every legal column."""
+    alphabet = au.check_alphabet(alphabet)
+    pool = tuple(alphabet) + (au.PAD,)
+    legal = [(x, y) for x in pool for y in pool if (x, y) != (au.PAD, au.PAD)]
+    trans = [(0, (x, x), 0) for x in alphabet]
+    trans += [(0, (x, y), 1) for x, y in legal if x != y]
+    trans += [(1, sym, 1) for sym in legal]
+    raw = au._freeze(2, alphabet, 2, {0}, {1}, trans)
+    return rel.relation(au.restrict_valid_pad(raw))
+
+
 def functional_oracle(r):
     """Out-degree <= 1, decided by composition: pairs of words with a
     common image under the inverse, intersected with the inequality."""
     clashes = rel.common_image_pairs(rel.inverse(r), rel.inverse(r))
-    return au.is_empty(au.intersect(clashes.base, rel.neq_relation(r.alphabet).base))
+    return au.is_empty(au.intersect(clashes.base, neq_relation(r.alphabet).base))
 
 
 def co_functional_oracle(r):
     """In-degree <= 1, decided by composition as in `functional_oracle`."""
     clashes = rel.common_image_pairs(r, r)
-    return au.is_empty(au.intersect(clashes.base, rel.neq_relation(r.alphabet).base))
+    return au.is_empty(au.intersect(clashes.base, neq_relation(r.alphabet).base))
 
 
 def product_oracle(left, right):
     """A x B as the intersection of the two cylindrified languages."""
-    return au.intersect(au.cylindrify(left, 1), au.cylindrify(right, 0))
+    return au.intersect(cylindrify(left, 1), cylindrify(right, 0))
 
 
 @pytest.fixture

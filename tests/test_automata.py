@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from autorel import automata as au
 from autorel import recognizable as rc
 from autorel import relations as rel
+from autorel import tm
 from autorel.automata import PAD
 
-from conftest import (complement_relative_oracle, difference_oracle, lang_upto,
-                      moore_minimize_oracle, random_language, random_padded_relation,
-                      random_relation, residual_signatures, words_upto)
+from conftest import (complement_relative_oracle, cylindrify, difference_oracle,
+                      lang_upto, moore_minimize_oracle, neq_relation, project_oracle,
+                      random_language, random_padded_relation, random_relation,
+                      residual_signatures, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -255,7 +257,7 @@ def _loaded_with(**changes):
     (lambda: rel.finite_relation([("a", "a")], ("a", "")), au.AutomataError),
     (lambda: rel.empty_relation(("a", "a")), au.AutomataError),
     (lambda: rel.full_relation((PAD,)), au.AutomataError),
-    (lambda: rel.neq_relation(("a", "a")), au.AutomataError),
+    (lambda: rel.append_one_relation(("a", "a")), au.AutomataError),
     (lambda: rel.relation(a_star()), au.ArityMismatchError),
     (lambda: rc.even_odd_languages("z", ("a",)), au.UnknownSymbolError),
     (lambda: rc.even_odd_languages("a", ("a", "a")), au.AutomataError),
@@ -269,18 +271,18 @@ def test_public_constructors_reject_bad_input(build, error):
 
 
 # ---------------------------------------------------------------------------
-# boolean
+# intersect / union / difference
 
 def test_boolean_intersect_examples():
-    inter = au.boolean(a_star(A), aa_star(), "intersect")
+    inter = au.intersect(a_star(A), aa_star())
     assert au.equivalent(inter, aa_star())
-    assert au.is_empty(au.boolean(fc_base(1), fc_base(2), "intersect"))
+    assert au.is_empty(au.intersect(fc_base(1), fc_base(2)))
 
 
 def test_boolean_union_identity_in_equal_length():
     ident = nfa(2, A, 1, {0}, {0}, [(0, ("a", "a"), 0)])
     eqlen = nfa(2, A, 1, {0}, {0}, [(0, ("a", "a"), 0)])
-    got = au.boolean(eqlen, ident, "union")
+    got = au.union(eqlen, ident)
     # Id over a one-letter alphabet IS equal-length; checked on words <= 5
     ws = words_upto(A, 5)
     for u in ws:
@@ -290,12 +292,10 @@ def test_boolean_union_identity_in_equal_length():
 
 
 def test_boolean_difference_and_mode_error():
-    aplus = au.boolean(a_star(A), nfa(1, A, 1, {0}, {0}, ()), "difference")
+    aplus = au.difference(a_star(A), nfa(1, A, 1, {0}, {0}, ()))
     assert lang_upto(aplus, 3) == {("a",), ("a", "a"), ("a", "a", "a")}
-    with pytest.raises(au.AutomataError):
-        au.boolean(a_star(A), a_star(A), "xor")
     with pytest.raises(au.ArityMismatchError):
-        au.boolean(a_star(A), a_star(AB), "union")
+        au.union(a_star(A), a_star(AB))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +308,9 @@ def test_complement_of_empty_is_all_valid_convolutions():
 
 
 def test_complement_of_identity_is_inequality():
-    from autorel import relations as rel
     ident = rel.make_identity(AB)
     comp = au.complement_relative(ident.base)
-    assert au.equivalent(comp, rel.neq_relation(AB).base)
+    assert au.equivalent(comp, neq_relation(AB).base)
 
 
 def test_satisfies_valid_pad_matches_inclusion(rng):
@@ -373,7 +372,7 @@ def test_difference_matches_complement_composition():
 
 
 # ---------------------------------------------------------------------------
-# project / cylindrify / permute
+# project / permute
 
 def test_project_components():
     fc1 = fc_base(1)
@@ -396,8 +395,48 @@ def test_project_identity_second_track_is_full():
         au.project(a_star(), 0)
 
 
+def _random_padded_automaton(rng, tracks):
+    """A random NFA with one to three initial states, restricted to
+    ValidPad(tracks)."""
+    alphabet = AB if tracks < 3 else rng.choice((A, AB))
+    cols = list(au.valid_pad_automaton(tracks, alphabet).column_universe())
+    n = rng.randint(1, 5)
+    trans = [(q, c, rng.randrange(n)) for q in range(n) for c in cols
+             if rng.random() < 3 / len(cols)]
+    raw = nfa(tracks, alphabet, n, rng.sample(range(n), rng.randint(1, min(n, 3))),
+              rng.sample(range(n), rng.randint(0, n)), trans)
+    return au.restrict_valid_pad(raw)
+
+
+def _assert_project_matches_oracle(a, drop):
+    got, expect = au.project(a, drop), project_oracle(a, drop)
+    assert au.satisfies_valid_pad(got)
+    assert au.determinize_minimize(got) == au.determinize_minimize(expect)
+    assert au.emptiness_shortest(got) == au.emptiness_shortest(expect)
+
+
+def test_project_matches_epsilon_elimination_oracle():
+    rng = random.Random(4411)
+    nonempty = 0
+    for i in range(320):
+        a = _random_padded_automaton(rng, 2 + i % 2)
+        for drop in range(a.tracks):
+            _assert_project_matches_oracle(a, drop)
+        nonempty += not au.is_empty(a)
+    assert nonempty > 100
+
+
+@pytest.mark.parametrize("machine, symbols", [
+    (tm.halting_fixture, 289), (tm.mixed_fixture, 545)])
+def test_project_matches_oracle_on_machine_graphs(machine, symbols):
+    g = tm.config_graph(tm.pad_transform(machine())).base
+    assert len(g.alphabet) == symbols
+    for drop in (0, 1):
+        _assert_project_matches_oracle(g, drop)
+
+
 def test_cylindrify_pairs_with_free_track():
-    cyl = au.cylindrify(a_star(A), 1)
+    cyl = cylindrify(a_star(A), 1)
     for n in range(3):
         for m in range(3):
             assert au.membership(cyl, (("a",) * n, ("a",) * m))
@@ -411,13 +450,8 @@ def test_permute_is_relation_inverse():
     assert au.equivalent(au.permute_tracks(fc1, (0, 1)), fc1)
     with pytest.raises(au.AutomataError):
         au.permute_tracks(fc1, (0, 0))
-
-
-def test_cylindrify_permute_dispatch():
-    fc1 = fc_base(1)
-    assert au.cylindrify_permute(fc1, (1, 0)) == au.permute_tracks(fc1, (1, 0))
-    assert au.equivalent(au.cylindrify_permute(a_star(A), 1),
-                         au.cylindrify(a_star(A), 1))
+    with pytest.raises(au.AutomataError):
+        au.permute_tracks(fc1, (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +614,16 @@ def small_automaton(tracks):
 @settings(max_examples=30, deadline=None)
 @given(small_automaton(2), small_automaton(2))
 def test_de_morgan_on_random_automata(x, y):
-    lhs = au.complement_relative(au.boolean(x, y, "union"))
-    rhs = au.boolean(au.complement_relative(x), au.complement_relative(y),
-                     "intersect")
+    lhs = au.complement_relative(au.union(x, y))
+    rhs = au.intersect(au.complement_relative(x), au.complement_relative(y))
     assert au.equivalent(lhs, rhs)
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_automaton(1))
 def test_project_after_cylindrify_is_identity(x):
-    assert au.equivalent(au.project(au.cylindrify(x, 1), 1), x)
-    assert au.equivalent(au.project(au.cylindrify(x, 0), 0), x)
+    assert au.equivalent(au.project(cylindrify(x, 1), 1), x)
+    assert au.equivalent(au.project(cylindrify(x, 0), 0), x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -607,7 +640,7 @@ def test_operations_stay_inside_validpad(x):
     assert au.satisfies_valid_pad(x)
     assert au.satisfies_valid_pad(au.determinize_minimize(x))
     assert au.satisfies_valid_pad(au.project(x, 0))
-    assert au.satisfies_valid_pad(au.cylindrify(x, 2))
+    assert au.satisfies_valid_pad(cylindrify(x, 2))
     assert au.satisfies_valid_pad(au.permute_tracks(x, (1, 0)))
 
 

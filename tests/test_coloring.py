@@ -8,7 +8,7 @@ from autorel import coloring as co
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import random_relation, words_upto
+from conftest import neq_relation, random_relation, words_upto
 
 A = ("a",)
 AB = ("a", "b")
@@ -216,7 +216,7 @@ def test_definability_to_separability():
     assert au.is_empty(r2.base)
     ident = rel.make_identity(AB)
     _, complement = co.definability_to_separability(ident)
-    assert rel.equivalent_rel(complement, rel.neq_relation(AB))
+    assert rel.equivalent_rel(complement, neq_relation(AB))
     # any separator of (a* x b*, complement) must equal the relation itself
     from autorel import definability as de
     axb = rc.to_automatic(rc.RecognizableRelation(
