@@ -25,7 +25,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 #: Padding token.  Reserved: never a member of any alphabet.
 PAD = "_"
@@ -459,12 +459,14 @@ def _trim(initial: int, trans: dict, accept: set):
     return keep, trans2
 
 
-def _moore_minimize(states: set, trans: dict, accept: set) -> dict:
+def _moore_minimize(states: Collection, trans: dict, accept: set) -> dict:
     """Partition refinement with an implicit dead state: state -> block.
 
     The initial blocks split by acceptance and by the set of columns with a
     move, so within a block every state has its moves on the same columns
-    and a round compares only the blocks of their targets.
+    and a round compares only the blocks of their targets.  Blocks are
+    numbered by the first appearance of a member in the order ``states``
+    is given.
     """
     cols: dict = {}  # column -> position, in first-seen order
     out: dict = {q: [] for q in states}
@@ -500,28 +502,20 @@ def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     Equal languages over the same alphabet yield identical encodings, so
     dataclass equality of canonical forms decides language equality.  A
     canonical input, i.e. a result of this function, is returned as is.
+
+    The numbering is the subset walk's, breadth-first with moves in
+    ``_rank`` order: the states of a block move on the same columns into the
+    same blocks, so numbering blocks by least member numbers them
+    breadth-first.
     """
     if a.__dict__.get(_CANONICAL):
         return a
     _order, dtrans, daccept = _determinize(a)
     keep, dtrans = _trim(0, dtrans, daccept)
-    daccept = daccept & keep
-    block = _moore_minimize(keep, dtrans, daccept)
-
-    # merge states block-wise, then renumber by BFS from the initial block
-    out_sym: dict = {}
-    for (q, sym), d in dtrans.items():
-        out_sym.setdefault(block[q], {})[sym] = block[d]
-    baccept = {block[q] for q in daccept}
-
-    rank = a._rank
-
-    def successors(b):
-        moves = out_sym.get(b, {})
-        return [(sym, moves[sym]) for sym in sorted(moves, key=rank.__getitem__)]
-
-    c = _explore_automaton(a.tracks, a.alphabet, [block[0]], successors,
-                           baccept.__contains__)
+    block = _moore_minimize(sorted(keep), dtrans, daccept)
+    c = _freeze(a.tracks, a.alphabet, max(block.values()) + 1, {0},
+                {block[q] for q in daccept},
+                {(block[q], sym, block[d]) for (q, sym), d in dtrans.items()})
     # kept beside the fields, like a cached_property, so == and hash ignore it
     c.__dict__[_CANONICAL] = True
     return c
@@ -537,9 +531,7 @@ def _require_same_shape(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> None:
 
 def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
     _require_same_shape(a, b)
-    b_index: dict = {}
-    for src, sym, dst in b.transitions:
-        b_index.setdefault((src, sym), []).append(dst)
+    b_index = b._step_map
 
     def successors(state):
         p, q = state

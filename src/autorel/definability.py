@@ -131,9 +131,6 @@ def least_representatives(eq: AutomaticRelation) -> MultiTrackAutomaton:
     nothing and is dropped, which keeps the subsets small.
     """
     e, order = eq.base, _shortlex_order(eq.alphabet)
-    e_next: dict = {}
-    for src, sym, dst in e.transitions:
-        e_next.setdefault((src, sym), []).append(dst)
     o_next = {(src, sym): dst for src, sym, dst in order.transitions}
     firsts = eq.alphabet + (au.PAD,)
 
@@ -148,7 +145,7 @@ def least_representatives(eq: AutomaticRelation) -> MultiTrackAutomaton:
             q, o = run
             moves[run] = {y: [(d, o_next[o, (x, y)]) for x in firsts
                               if (o, (x, y)) in o_next
-                              for d in e_next.get((q, (x, y)), ())]
+                              for d in e._step_map.get((q, (x, y)), ())]
                           for y in eq.alphabet}
         return moves[run]
 
@@ -165,10 +162,10 @@ def least_representatives(eq: AutomaticRelation) -> MultiTrackAutomaton:
         1, eq.alphabet, [start], successors, no_smaller_equivalent))
 
 
-def _word_count(a: MultiTrackAutomaton) -> Optional[int]:
-    """|L(a)| for a canonical DFA, or None when a cycle makes it infinite
-    (every state of a canonical DFA is reachable and, unless the language is
-    empty, co-reachable)."""
+def _finite(a: MultiTrackAutomaton) -> bool:
+    """Whether L(a) is finite, for a canonical DFA: whether it has no cycle
+    (every state of a canonical DFA is reachable and, unless the language
+    is empty, co-reachable)."""
     indegree = [0] * a.states
     for _src, _sym, dst in a.transitions:
         indegree[dst] += 1
@@ -178,18 +175,13 @@ def _word_count(a: MultiTrackAutomaton) -> Optional[int]:
             indegree[dst] -= 1
             if indegree[dst] == 0:
                 order.append(dst)
-    if len(order) < a.states:
-        return None
-    count = [0] * a.states
-    for q in reversed(order):
-        count[q] = (q in a.accepting) + sum(count[d] for _sym, d in a._adj[q])
-    return count[next(iter(a.initial))]
+    return len(order) == a.states
 
 
 def recognizable(r: AutomaticRelation) -> bool:
     """Whether R is recognizable (a finite union of products), i.e. whether
     its congruence has finite index: exactly when Reps is finite."""
-    return _word_count(least_representatives(build_equiv(r))) is not None
+    return _finite(least_representatives(build_equiv(r)))
 
 
 @dataclass(frozen=True)
@@ -229,27 +221,23 @@ def decompose(r: AutomaticRelation, bound: int,
     """The classes of the congruence E, read off the regular set Reps of
     their shortlex-least members (see :func:`least_representatives`).
 
-    The index is |Reps|.  When Reps has a cycle or more than ``bound`` words
-    the decomposition is truncated and lists the first bound + 1
-    representatives in shortlex order; otherwise it lists all of them.
-    Each representative w is charged to the state budget as len(w) + 1
-    states, so a large bound on an infinite index exhausts the budget
-    instead of memory.
+    The index is |Reps|.  When Reps has more than ``bound`` words, infinitely
+    many included, the decomposition is truncated and lists the first
+    bound + 1 representatives in shortlex order; otherwise it lists all of
+    them.  Each representative w is charged to the state budget as
+    len(w) + 1 states, so a large bound on an infinite index exhausts the
+    budget instead of memory.
     """
     if bound < 1:
         raise AutomataError("bound must be >= 1")
     eq = equiv if equiv is not None else build_equiv(r)
-    reps = least_representatives(eq)
-    count = _word_count(reps)
-    truncated = count is None or count > bound
-    n = bound + 1 if truncated else count
     budget = au._active_budget()
     words = []
-    for w in islice(au.iter_words(reps), n):
+    for w in islice(au.iter_words(least_representatives(eq)), bound + 1):
         budget.charge(len(w) + 1)  # as the len(w) + 1 states of its path
         words.append(w)
-    return EquivalenceDecomposition(
-        relation=r, equiv=eq, representatives=tuple(words), truncated=truncated)
+    return EquivalenceDecomposition(relation=r, equiv=eq, representatives=tuple(words),
+                                    truncated=len(words) > bound)
 
 
 @dataclass(frozen=True)

@@ -83,13 +83,13 @@ def partition_ok(langs: Sequence[MultiTrackAutomaton]) -> Optional[tuple]:
     """None if the languages partition Sigma*, else a witness word.
 
     The witness is the shortlex-least word missing from the union or lying
-    in two blocks.
+    in two blocks, read off one automaton: the uncovered words united with
+    every pairwise intersection.
     """
     covered = au.union(*langs)
-    witnesses = [au.difference_witness(au.full_language(covered.alphabet), covered)]
-    witnesses += [au.intersection_witness(x, y) for x, y in combinations(langs, 2)]
-    least = min((w for w in witnesses if w is not None), default=None,
-                key=lambda w: (len(w), [covered.symbol_key(sym) for sym in w]))
+    bad = au.union(au.difference(au.full_language(covered.alphabet), covered),
+                   *(au.intersect(x, y) for x, y in combinations(langs, 2)))
+    least = au.emptiness_shortest(bad)
     return None if least is None else tuple(sym[0] for sym in least)
 
 

@@ -402,21 +402,15 @@ def _eval_spec(expr, alphabet):
     def sub(e):
         return _eval_spec(e, alphabet)
 
-    if op == "identity":
-        return make_identity(alphabet or ("a", "b"))
-    if op == "equal-length":
-        return equal_length_relation(alphabet or ("a", "b"))
-    if op in ("fc", "offset-successor"):
-        text = _spec_text(args[0])
-        try:
-            c = int(text)
-        except ValueError:
-            raise AutomataError(f"({op} c) needs an integer, got {text!r}") from None
-        return successor_relation(c, alphabet or ("a",))
-    if op == "append-one":
-        return append_one_relation(alphabet or ("a", "b"))
-    if op == "tree":
-        return tree_relation(alphabet or ("a", "b"))
+    if op in ("identity", "equal-length", "append-one", "tree", "fc", "offset-successor"):
+        params = {} if alphabet is None else {"alphabet": alphabet}
+        if args:
+            text = _spec_text(args[0])
+            try:
+                params["c"] = int(text)
+            except ValueError:
+                raise AutomataError(f"({op} c) needs an integer, got {text!r}") from None
+        return fixtures(op, **params)
     if op == "pairs":
         pairs = []
         for item in args:

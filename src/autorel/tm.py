@@ -232,8 +232,10 @@ class WfReport:
 def wf_checks(t: TuringMachine, depth: int = 32, sample_len: int = 4,
               sample_cap: int = 60) -> WfReport:
     graph = config_graph(t)
-    inits = machine_init_configs(t)
-    initial_ok = au.membership(inits, (initial_config(t),))
+    # a lone blank head token is always a configuration, so it is initial
+    # exactly when nothing steps to it
+    initial_ok = au.is_empty(rel.preimage(
+        graph, au._word_automaton(initial_config(t), graph.alphabet)))
     func = rel.functional(graph)
     cofunc = rel.co_functional(graph)
     inv = rel.inverse(graph)  # shared by every backward walk below

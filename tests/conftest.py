@@ -90,6 +90,28 @@ def complement_relative_oracle(a):
     return au.determinize_minimize(raw)
 
 
+def determinize_minimize_oracle(a):
+    """The canonical form by a second walk: minimize the subset walk's
+    states, merge them block-wise and renumber the blocks breadth-first
+    from the initial one, moves in ``_rank`` order."""
+    _order, dtrans, daccept = au._determinize(a)
+    keep, dtrans = au._trim(0, dtrans, daccept)
+    daccept = daccept & keep
+    block = au._moore_minimize(keep, dtrans, daccept)
+    out_sym: dict = {}
+    for (q, sym), d in dtrans.items():
+        out_sym.setdefault(block[q], {})[sym] = block[d]
+    baccept = {block[q] for q in daccept}
+    rank = a._rank
+
+    def successors(b):
+        moves = out_sym.get(b, {})
+        return [(sym, moves[sym]) for sym in sorted(moves, key=rank.__getitem__)]
+
+    return au._explore_automaton(a.tracks, a.alphabet, [block[0]], successors,
+                                 baccept.__contains__)
+
+
 def moore_minimize_oracle(states, trans, accept, symbol_key):
     """Partition refinement with an implicit dead state, by sorted
     signatures: a state's block and its (column position, target block)

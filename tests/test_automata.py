@@ -10,8 +10,9 @@ from autorel import relations as rel
 from autorel import tm
 from autorel.automata import PAD
 
-from conftest import (complement_relative_oracle, cylindrify, difference_oracle,
-                      lang_upto, moore_minimize_oracle, neq_relation, project_oracle,
+from conftest import (complement_relative_oracle, cylindrify, determinize_minimize_oracle,
+                      difference_oracle, lang_upto, moore_minimize_oracle,
+                      neq_relation, project_oracle,
                       random_language, random_padded_relation, random_relation,
                       residual_signatures, words_upto)
 
@@ -159,6 +160,30 @@ def test_minimize_returns_canonical_input_as_is():
         loaded = au.from_json_dict(au.to_json_dict(c))
         assert loaded == c and au._CANONICAL not in vars(loaded)
         assert au.determinize_minimize(loaded) is not loaded
+
+
+def _same_canonical_bytes(a):
+    assert au.dumps(au.determinize_minimize(a)) == au.dumps(determinize_minimize_oracle(a))
+
+
+def test_determinize_minimize_matches_renumbering_oracle_on_random_automata():
+    rng = random.Random(7005)
+    for i in range(1200):
+        alphabet = ("a", "b", "c") if i % 4 == 3 else AB
+        a = (random_padded_relation(rng, alphabet, states=rng.randint(3, 6)).base
+             if i % 2 else random_language(rng, alphabet, states=rng.randint(2, 6)))
+        _same_canonical_bytes(a)
+
+
+@pytest.mark.parametrize("machine", [tm.halting_fixture(), tm.looping_fixture(),
+                                     tm.mixed_fixture(), tm.two_cycle_fixture()])
+def test_determinize_minimize_matches_renumbering_oracle_on_machine_graphs(machine):
+    # the padded machines have alphabets of 179 to 545 symbols
+    for t in (machine, tm.pad_transform(machine)):
+        graph = tm.config_graph(t)
+        for a in (graph.base, rel.project_first(graph), rel.project_second(graph),
+                  tm.machine_init_configs(t)):
+            _same_canonical_bytes(a)
 
 
 def _constructor_fields(fault=None):

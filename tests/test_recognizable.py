@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from autorel import automata as au
@@ -231,3 +233,31 @@ def test_partition_ok_ranks_witnesses_in_alphabet_order():
     assert rc.partition_ok(blocks) == ("b",)
     verdict = co.verify_coloring(rel.make_identity(ba), co.RegularColoring(blocks))
     assert (verdict.kind, verdict.witness) == (co.NOT_PARTITION, ("b",))
+
+
+def _state_partition(rng, alphabet, n):
+    """The blocks {w | a complete random DFA ends in state i on w}."""
+    trans = frozenset((q, (x,), rng.randrange(n)) for q in range(n) for x in alphabet)
+    return tuple(au.MultiTrackAutomaton(1, alphabet, n, frozenset({0}),
+                                        frozenset({i}), trans)
+                 for i in range(n))
+
+
+def test_partition_ok_matches_brute_force_on_random_blocks():
+    # words_upto lists the words in shortlex order of the given alphabet
+    rng = random.Random(7101)
+    for i in range(400):
+        alphabet = ("b", "a") if i % 3 == 2 else AB
+        if i % 4 == 3:
+            blocks = _state_partition(rng, alphabet, rng.randint(1, 4))
+        else:
+            blocks = tuple(random_language(rng, alphabet, states=rng.randint(2, 3))
+                           for _ in range(rng.randint(1, 4)))
+        got = rc.partition_ok(blocks)
+        bad = [w for w in words_upto(alphabet, 5)
+               if sum(b.accepts_columns([(x,) for x in w]) for b in blocks) != 1]
+        if bad:
+            assert got == bad[0]
+        else:
+            assert got is None or len(got) > 5
+            assert i % 4 != 3 or got is None

@@ -1,5 +1,5 @@
 import re
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -127,6 +127,23 @@ def test_machine_init_configs_contains_initial():
     t = tm.halting_fixture()
     inits = tm.machine_init_configs(t)
     assert au.membership(inits, (tm.initial_config(t),))
+
+
+@pytest.mark.parametrize("machine", [tm.halting_fixture(), tm.looping_fixture(),
+                                     tm.mixed_fixture(), tm.two_cycle_fixture()])
+def test_empty_preimage_agrees_with_machine_init_configs(machine):
+    # the test wf_checks makes of the initial configuration, made of every
+    # configuration up to length 3; the padded machine has 179 to 545
+    # symbols and up to 270,750 such words at one join each, so every 53rd
+    for t, stride in ((machine, 1), (tm.pad_transform(machine), 53)):
+        graph = tm.config_graph(t)
+        inits = tm.machine_init_configs(t)
+        verdicts = set()
+        for w in islice(au.iter_words(tm.configs_language(t), 3), 0, None, stride):
+            no_pred = au.is_empty(rel.preimage(graph, au._word_automaton(w, graph.alphabet)))
+            assert no_pred == au.membership(inits, (w,)), w
+            verdicts.add(no_pred)
+        assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
