@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _cartesian
+from itertools import pairwise, product as _cartesian
 from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 #: Padding token.  Reserved: never a member of any alphabet.
@@ -227,14 +227,10 @@ class MultiTrackAutomaton:
 
     @cached_property
     def deterministic(self) -> bool:
-        if len(self.initial) != 1:
-            return False
-        seen = set()
-        for src, sym, _dst in self.transitions:
-            if (src, sym) in seen:
-                return False
-            seen.add((src, sym))
-        return True
+        """One initial state and at most one move per column and state,
+        read off ``_adj``, where the moves on one column are adjacent."""
+        return len(self.initial) == 1 and all(
+            s != t for moves in self._adj.values() for (s, _d), (t, _e) in pairwise(moves))
 
     @cached_property
     def _adj(self) -> dict:
@@ -450,6 +446,15 @@ def _determinize(a: MultiTrackAutomaton):
     return len(index), trans, accept
 
 
+def _walk_states(a: MultiTrackAutomaton):
+    """:func:`_determinize` of a deterministic ``a``, whose subsets would
+    all be singletons: the same walk over its states."""
+    index, edges = _explore(a.initial, a._adj.__getitem__)
+    trans = {(src, sym): dst for src, sym, dst in edges}
+    accept = {i for q, i in index.items() if q in a.accepting}
+    return len(index), trans, accept
+
+
 def _trim(initial: int, trans: dict, accept: set):
     """Keep states that can reach acceptance; the initial state always stays."""
     live = _reach(accept, _reverse((s, d) for (s, _sym), d in trans.items()))
@@ -506,11 +511,13 @@ def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     The numbering is the subset walk's, breadth-first with moves in
     ``_rank`` order: the states of a block move on the same columns into the
     same blocks, so numbering blocks by least member numbers them
-    breadth-first.
+    breadth-first.  A deterministic input skips the subset construction,
+    whose subsets would all be singletons: the walk runs over its states,
+    along ``_adj`` in ``_rank`` order, and numbers and charges them alike.
     """
     if a.__dict__.get(_CANONICAL):
         return a
-    _order, dtrans, daccept = _determinize(a)
+    _n, dtrans, daccept = (_walk_states if a.deterministic else _determinize)(a)
     keep, dtrans = _trim(0, dtrans, daccept)
     block = _moore_minimize(sorted(keep), dtrans, daccept)
     c = _freeze(a.tracks, a.alphabet, max(block.values()) + 1, {0},

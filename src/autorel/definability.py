@@ -6,7 +6,11 @@ class exactly, and a rectangle cover of the quotient matrix decides the
 k-product class.  It is read directly off R's DFA: one subset walk over
 triples of two R states and a flag finds the pairs with the same row, the
 same walk on the inverse those with the same column, and the congruence is
-their intersection.  The shortlex-least members of its classes form a
+their intersection.  The walk stays small because a side of a triple whose
+word has ended, or whose witness has, reads only the columns of one pad
+pattern from then on; it is kept as the least state of its class under
+R's DFA restricted to those columns, which changes no walk state's
+language.  The shortlex-least members of the congruence classes form a
 regular set, Reps, built once per relation: its size is the index, and R is
 recognizable exactly when Reps is finite.
 """
@@ -46,21 +50,45 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     One subset walk reads the columns (x, x') of (u, u').  Its states hold
     a triple (p, q, done) for every prefix of a witness v read alongside:
     d's states on (u, v) and on (u', v), None when dead, and whether v has
-    ended.  A side that has read all of its pair stays put; a (dead, dead)
-    triple can tell nothing apart and is dropped.  A walk state accepts
-    unless one of its triples is bad: the rest of v, read as (PAD, y)
-    columns once the pair has ended, leaves exactly one side accepting.
+    ended.  A side that has read all of its pair stays put.  A walk state
+    accepts unless one of its triples is bad: the rest of v, read as
+    (PAD, y) columns once the pair has ended, leaves exactly one side
+    accepting.
+
+    Each side of a triple is kept as the least member of its class under
+    the columns it can still read, which its pad pattern fixes: once its
+    own word has ended it reads only (PAD, y) columns, once v has ended
+    only (x, PAD) columns, and once both have ended none, so that only
+    acceptance is left.  The classes are Moore partitions of d over those
+    columns, with None as the dead state and the least member.  Each
+    partition is stable under its columns and refines acceptance and the
+    partition of every later pattern, and ``bad`` reads only acceptance or
+    ``block``.  So every walk state is the raw walk's state with each side
+    replaced, a replaced triple is bad exactly when the raw one is, and the
+    language, hence the minimal DFA, is unchanged.  A triple with both
+    sides dead can tell nothing apart and is dropped.
     """
     delta = {(src, sym): dst for src, sym, dst in d.transitions}
+    nodes = set(range(d.states)) | {None}
+    accept = set(d.accepting)
+
+    def classes(cols) -> dict:
+        return au._moore_minimize(
+            nodes, {(p, col): delta.get((p, col)) for p in nodes for col in cols}, accept)
+
     # Once the pair has ended, an unfinished v tells p and q apart exactly
     # when they are inequivalent in d restricted to the (PAD, y) columns.
-    nodes = set(range(d.states)) | {None}
-    suffix = {(p, (PAD, y)): delta.get((p, (PAD, y))) for p in nodes for y in d.alphabet}
-    block = au._moore_minimize(nodes, suffix, set(d.accepting))
+    block = classes([(PAD, y) for y in d.alphabet])
+    # rep[ended][done]: a side's representative, by whether its own word
+    # and v have ended
+    rep = ((dict(zip(nodes, nodes)),
+            _least_members(classes([(x, PAD) for x in d.alphabet]))),
+           (_least_members(block),
+            _least_members({p: p in accept for p in nodes})))
 
     def bad(t) -> bool:
         p, q, done = t
-        return (p in d.accepting) != (q in d.accepting) if done else block[p] != block[q]
+        return (p in accept) != (q in accept) if done else block[p] != block[q]
 
     v_symbols = d.alphabet + (PAD,)
     columns = list(d.column_universe())
@@ -72,13 +100,15 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     def move(t, mask) -> dict:
         p, q, done = t
         out = {}
-        for (x, x2), _m2 in legal[mask]:
+        for (x, x2), m2 in legal[mask]:
+            p_rep, q_rep = rep[m2 & 1], rep[m2 >> 1]
             nxt = []
             for y in (PAD,) if done else v_symbols:
-                p2 = p if x == PAD == y else delta.get((p, (x, y)))
-                q2 = q if x2 == PAD == y else delta.get((q, (x2, y)))
+                end = y == PAD
+                p2 = p_rep[end][p if x == PAD == y else delta.get((p, (x, y)))]
+                q2 = q_rep[end][q if x2 == PAD == y else delta.get((q, (x2, y)))]
                 if p2 is not None or q2 is not None:
-                    nxt.append((p2, q2, y == PAD))
+                    nxt.append((p2, q2, end))
             out[x, x2] = nxt
         return out
 
@@ -100,6 +130,15 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     return au._explore_automaton(
         2, d.alphabet, [(frozenset({(q0, q0, False)}), 0)], successors,
         lambda s: not any(map(bad, s[0])))
+
+
+def _least_members(block: dict) -> dict:
+    """Node -> the least node of its block, None (dead) below every state.
+    Ties are settled by sorting, not by the iteration order of a set."""
+    least: dict = {}
+    for p in sorted(block, key=lambda p: -1 if p is None else p):
+        least.setdefault(block[p], p)
+    return {p: least[b] for p, b in block.items()}
 
 
 # States of the shortlex-order DFA.  Every continuation accepted from one

@@ -152,6 +152,45 @@ def build_equiv_oracle(r):
     return rel.relation(au.complement_relative(both))
 
 
+def same_rows_oracle(d):
+    """{(u, u') | for every v, (u, v) in R iff (u', v) in R} for the partial
+    DFA ``d`` of R, by a subset walk over raw triples (p, q, done): d's
+    states on (u, v) and (u', v), None when dead, and whether v has ended.
+    No triple is merged with an equivalent one; (dead, dead) is dropped."""
+    delta = {(src, sym): dst for src, sym, dst in d.transitions}
+    nodes = set(range(d.states)) | {None}
+    suffix = {(p, (au.PAD, y)): delta.get((p, (au.PAD, y)))
+              for p in nodes for y in d.alphabet}
+    block = au._moore_minimize(nodes, suffix, set(d.accepting))
+
+    def bad(t) -> bool:
+        p, q, done = t
+        return (p in d.accepting) != (q in d.accepting) if done else block[p] != block[q]
+
+    v_symbols = d.alphabet + (au.PAD,)
+    columns = list(d.column_universe())
+    legal = {mask: [(col, m2) for col in columns
+                    if (m2 := au._pad_mask_step(mask, col, 2)) is not None]
+             for mask in range(4)}
+
+    def successors(state):
+        triples, mask = state
+        for (x, x2), m2 in legal[mask]:
+            nxt = set()
+            for p, q, done in triples:
+                for y in (au.PAD,) if done else v_symbols:
+                    p2 = p if x == au.PAD == y else delta.get((p, (x, y)))
+                    q2 = q if x2 == au.PAD == y else delta.get((q, (x2, y)))
+                    if p2 is not None or q2 is not None:
+                        nxt.add((p2, q2, y == au.PAD))
+            yield (x, x2), (frozenset(nxt), m2)
+
+    q0 = next(iter(d.initial))
+    return au._explore_automaton(
+        2, d.alphabet, [(frozenset({(q0, q0, False)}), 0)], successors,
+        lambda s: not any(map(bad, s[0])))
+
+
 def decompose_peel_oracle(r, bound, equiv=None):
     """Congruence classes peeled one at a time in shortlex order of their
     least members: take the least uncovered word, add its class, remove the

@@ -163,6 +163,8 @@ def test_minimize_returns_canonical_input_as_is():
 
 
 def _same_canonical_bytes(a):
+    moves = {(src, sym) for src, sym, _dst in a.transitions}
+    assert a.deterministic == (len(a.initial) == 1 and len(moves) == len(a.transitions))
     assert au.dumps(au.determinize_minimize(a)) == au.dumps(determinize_minimize_oracle(a))
 
 
@@ -184,6 +186,48 @@ def test_determinize_minimize_matches_renumbering_oracle_on_machine_graphs(machi
         for a in (graph.base, rel.project_first(graph), rel.project_second(graph),
                   tm.machine_init_configs(t)):
             _same_canonical_bytes(a)
+
+
+def _random_dfa(rng, alphabet, n):
+    """A random partial DFA over 1 or 2 tracks; sparse moves and a random
+    initial state leave some states unreachable and some dead."""
+    tracks = rng.randint(1, 2)
+    cols = list(nfa(tracks, alphabet, 1, {0}, (), ()).column_universe())
+    trans = [(q, c, rng.randrange(n)) for q in range(n) for c in cols
+             if rng.random() < 0.3]
+    return nfa(tracks, alphabet, n, {rng.randrange(n)},
+               rng.sample(range(n), rng.randint(0, n)), trans)
+
+
+def test_determinize_minimize_matches_renumbering_oracle_on_random_dfas():
+    rng = random.Random(7006)
+    unreachable = dead = 0
+    for i in range(400):
+        a = _random_dfa(rng, ("a", "b", "c") if i % 4 == 3 else AB, rng.randint(1, 7))
+        assert a.deterministic
+        reach = au._reach(a.initial, {q: [d for _s, d in m] for q, m in a._adj.items()})
+        live = au._reach(a.accepting, au._reverse((s, d) for s, _c, d in a.transitions))
+        unreachable += len(reach) < a.states
+        dead += not set(reach) <= set(live)
+        _same_canonical_bytes(a)
+    assert unreachable > 100 and dead > 100
+
+
+def test_determinize_minimize_charges_a_dfa_like_the_subset_walk(monkeypatch):
+    rng = random.Random(7007)
+    cases = [_random_dfa(rng, AB, rng.randint(1, 7)) for _ in range(100)]
+    charged = []
+    for a in cases:
+        with au.state_budget():
+            au._determinize(a)
+            charged.append(au._active_budget().used)
+    # a deterministic input never enters the subset construction
+    monkeypatch.setattr(au, "_determinize", None)
+    for a, n in zip(cases, charged):
+        with au.state_budget(n):
+            au.determinize_minimize(a)
+        with pytest.raises(au.BudgetExceededError), au.state_budget(n - 1):
+            au.determinize_minimize(a)
 
 
 def _constructor_fields(fault=None):

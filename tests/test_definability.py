@@ -1,4 +1,6 @@
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from autorel import relations as rel
 
 from conftest import (build_equiv_oracle, decompose_peel_oracle, equiv_oracle,
                       min_cover_oracle, random_language, random_padded_relation,
-                      random_relation, words_upto)
+                      random_relation, same_rows_oracle, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -126,6 +128,53 @@ def test_build_equiv_stays_small_on_a_five_state_relation():
     r = random_relation(rng, ("a", "b", "c"), rng.randint(1, 2))
     with au.state_budget(100_000):
         assert de.build_equiv(r).base.states == 206
+
+
+def test_build_equiv_stays_small_on_an_eight_state_relation():
+    # E is the identity; walking raw triples charged about 55,000 states
+    # here, merging equivalent sides of the triples about 4,200
+    rng = random.Random(6062)
+    for _ in range(2):
+        r = random_relation(rng, AB, rng.randint(1, 3))
+    assert r.base.states == 8
+    with au.state_budget(10_000):
+        eq = de.build_equiv(r)
+    assert rel.equivalent_rel(eq, rel.make_identity(AB))
+
+
+def _same_rows_agree(d):
+    """The walk and the raw-triple oracle have the same language, on d and
+    on its inverse: their canonical bytes are equal."""
+    for side in (d, au.permute_tracks(d, (1, 0))):
+        assert au.dumps(au.determinize_minimize(de._same_rows(side))) == \
+            au.dumps(au.determinize_minimize(same_rows_oracle(side)))
+
+
+def test_same_rows_matches_raw_triple_oracle_on_workload_relations(tmp_path, monkeypatch):
+    # the relations of the benchmark's definability workload, seed 41
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    paths = {q.argv[q.argv.index("--r") + 1] for q in workloads.definability(41, tmp_path)}
+    assert len(paths) == 12
+    for path in sorted(paths):
+        _same_rows_agree(au.determinize_minimize(au.loads(Path(path).read_text())))
+
+
+@pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c"), ("b", "a")])
+def test_same_rows_matches_raw_triple_oracle_on_random_relations(alphabet):
+    rng = random.Random(7400 + len(alphabet) + (alphabet[0] == "b"))
+    most = 6 - len(alphabet)  # the raw walk grows fast past that many states
+    drawn = 0
+    while drawn < 100:
+        r = random_relation(rng, alphabet, rng.randint(1, 3))
+        if r.base.states <= most:
+            _same_rows_agree(r.base)
+            drawn += 1
+
+
+def test_same_rows_least_members_put_dead_first():
+    block = {3: 0, None: 1, 1: 0, 2: 1, 0: 2}
+    assert de._least_members(block) == {0: 0, 1: 1, 2: None, 3: 1, None: None}
 
 
 # ---------------------------------------------------------------------------
