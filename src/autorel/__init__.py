@@ -12,7 +12,6 @@ from .automata import (
     BudgetExceededError,
     FormatError,
     MultiTrackAutomaton,
-    SearchBudgetExceededError,
     UnknownSymbolError,
     complement_relative,
     convolve,

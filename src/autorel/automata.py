@@ -8,13 +8,12 @@ language of 2-track columns.  Every language handled here lives inside
 of the word, and no column is padding on all tracks at once.
 
 All automata are immutable values; the operations below are pure functions
-and safe to call concurrently.  Constructions that can blow up charge a
-state budget and raise :class:`BudgetExceededError` instead of exhausting
-memory.  Inside ``with state_budget(n):`` every construction, and every
-automaton loaded from JSON with its declared state count, charges one
-shared budget of ``n`` states; outside any scope each product or subset
-walk, and each load, gets its own budget of :data:`DEFAULT_STATE_BUDGET`
-states.
+and safe to call concurrently.  Work that can blow up charges a budget and
+raises :class:`BudgetExceededError` instead of exhausting memory or time:
+see :func:`state_budget` for what costs a unit.  ``with state_budget(n):``
+shares one budget of ``n`` units among all the work in its body; outside
+any scope each walk, load, decomposition and search has its own budget of
+:data:`DEFAULT_STATE_BUDGET` units.
 """
 
 from __future__ import annotations
@@ -46,11 +45,7 @@ class AutomataError(Exception):
 
 
 class BudgetExceededError(AutomataError):
-    """A construction exceeded its state budget."""
-
-
-class SearchBudgetExceededError(AutomataError):
-    """A bounded search ran out of steps or candidates; not a definitive no."""
+    """Work exceeded its budget (see :func:`state_budget`)."""
 
 
 class ArityMismatchError(AutomataError):
@@ -86,11 +81,13 @@ _ACTIVE_BUDGET: ContextVar = ContextVar("autorel_state_budget", default=None)
 
 @contextmanager
 def state_budget(limit: Optional[int] = None):
-    """Bound the states built by every construction in the body, together.
+    """Bound all the work in the body by one budget of ``limit`` units
+    (default :data:`DEFAULT_STATE_BUDGET`); a nested scope installs its own.
 
-    Installs a fresh budget of ``limit`` states (default
-    :data:`DEFAULT_STATE_BUDGET`) for the length of the body; a nested
-    scope installs its own.  Exhaustion raises :class:`BudgetExceededError`.
+    One unit is charged per state a construction discovers, per state
+    declared by a loaded automaton, per rectangle cover search step and per
+    candidate coloring; a listed class representative w costs len(w) + 1.
+    Exhaustion always raises :class:`BudgetExceededError`.
     """
     token = _ACTIVE_BUDGET.set(_Budget(limit))
     try:
@@ -207,6 +204,8 @@ class MultiTrackAutomaton:
         _check_tracks(self.tracks)
         check_alphabet(self.alphabet)
         n = self.states
+        if n < 0:
+            raise AutomataError("states must be >= 0")
         for q in self.initial | self.accepting:
             if not 0 <= q < n:
                 raise AutomataError(f"state {q} out of range")
@@ -897,6 +896,7 @@ def _is_list_of(x, kind) -> bool:
 # type(...) is int and not isinstance, as JSON true and false are bools
 _JSON_KINDS = {
     "an integer": lambda x: type(x) is int,
+    "an integer >= 0": lambda x: type(x) is int and x >= 0,
     "a string": lambda x: type(x) is str,
     "a list": lambda x: isinstance(x, list),
     "a list of integers": lambda x: _is_list_of(x, int),
@@ -922,10 +922,10 @@ def from_json_dict(d: dict) -> MultiTrackAutomaton:
     tracks, alphabet, states, initial, accepting, raw = (
         json_field(d, key, "automaton", kind) for key, kind in (
             ("tracks", "an integer"), ("alphabet", "a list of strings"),
-            ("states", "an integer"), ("initial", "a list of integers"),
+            ("states", "an integer >= 0"), ("initial", "a list of integers"),
             ("accepting", "a list of integers"), ("transitions", "a list")))
     # the declared states cost memory whether or not transitions use them
-    _active_budget().charge(max(states, 0))
+    _active_budget().charge(states)
     trans = []
     for t in raw:
         if not (isinstance(t, list) and len(t) == 3 and type(t[0]) is int

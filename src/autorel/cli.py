@@ -22,7 +22,7 @@ from . import dot
 from . import recognizable as rc
 from . import relations as rel
 from . import tm
-from .automata import AutomataError, BudgetExceededError, SearchBudgetExceededError
+from .automata import AutomataError, BudgetExceededError
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -129,7 +129,7 @@ def cmd_definable_krec(args) -> int:
 
 def cmd_definable_kprod(args) -> int:
     r = load_relation(args.r)
-    w = de.kprod_definability(r, args.k, args.steps)
+    w = de.kprod_definability(r, args.k)
     if w is None:
         print(f"not definable with {args.k} products")
         return EXIT_NO
@@ -141,7 +141,7 @@ def cmd_definable_kprod(args) -> int:
 
 def cmd_min_prod(args) -> int:
     r = load_relation(args.r)
-    k = de.min_prod(r, args.kmax, args.steps)
+    k = de.min_prod(r, args.kmax)
     if k is None:
         print(f"no presentation with at most {args.kmax} products")
         return EXIT_NO
@@ -166,24 +166,27 @@ def cmd_incomp(args) -> int:
     return EXIT_YES
 
 
+# per mode: the reduction, the options naming its inputs and its outputs,
+# and the kind of instance it builds
+_REDUCTIONS = {
+    "sep-to-color": (lambda r1, r2: (co.reduce_sep_to_coloring(r1, r2),),
+                     ("r1", "r2"), ("out",), "colorability"),
+    "color-to-sep": (co.reduce_coloring_to_sep, ("graph",), ("out1", "out2"),
+                     "separability"),
+    "def-to-sep": (co.definability_to_separability, ("r",), ("out1", "out2"),
+                   "separability"),
+}
+
+
 def cmd_reduce(args) -> int:
-    if args.mode == "sep-to-color":
-        r1, r2 = load_relation(args.r1), load_relation(args.r2)
-        g = co.reduce_sep_to_coloring(r1, r2)
-        _emit_relation(args.out, g)
-        print(f"colorability instance -> {args.out}")
-    elif args.mode == "color-to-sep":
-        e = load_relation(args.graph)
-        r1, r2 = co.reduce_coloring_to_sep(e)
-        _emit_relation(args.out1, r1)
-        _emit_relation(args.out2, r2)
-        print(f"separability instance -> {args.out1}, {args.out2}")
-    else:
-        r = load_relation(args.r)
-        r1, r2 = co.definability_to_separability(r)
-        _emit_relation(args.out1, r1)
-        _emit_relation(args.out2, r2)
-        print(f"separability instance -> {args.out1}, {args.out2}")
+    reduce, inputs, outputs, kind = _REDUCTIONS[args.mode]
+    missing = [f"--{a}" for a in inputs + outputs if not getattr(args, a)]
+    if missing:
+        raise CliError(f"reduce --mode {args.mode} needs {', '.join(missing)}")
+    paths = [getattr(args, a) for a in outputs]
+    for path, r in zip(paths, reduce(*(load_relation(getattr(args, a)) for a in inputs))):
+        _emit_relation(path, r)
+    print(f"{kind} instance -> {', '.join(paths)}")
     return EXIT_YES
 
 
@@ -332,6 +335,17 @@ def cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 @functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -340,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification, definability, regular colorings, and "
                     "Turing-machine instance generators.")
     p.add_argument("--budget", type=int, default=None,
-                   help="state budget for the whole command (all constructions)")
+                   help="budget for the whole command: one unit per state built or "
+                        "loaded, per cover-search step and per candidate coloring")
     sub = p.add_subparsers(dest="verb", required=True)
 
     def verb(name, fn, **kw):
@@ -369,12 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--out")
-    sp.add_argument("--steps", type=int, default=200_000)
 
     sp = verb("min-prod", cmd_min_prod, help="least k with a k-product presentation")
     sp.add_argument("--r", required=True)
     sp.add_argument("--kmax", type=int, required=True)
-    sp.add_argument("--steps", type=int, default=200_000)
 
     sp = verb("recognizable", cmd_recognizable,
               help="decide whether a relation is recognizable at all")
@@ -429,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = verb("tm-check", cmd_tm_check, help="well-formedness report")
     sp.add_argument("--tm", required=True)
-    sp.add_argument("--depth", type=int, default=32)
+    sp.add_argument("--depth", type=_count, default=32)
 
     sp = verb("tm-gadget", cmd_tm_gadget, help="build the tagged gadget graph")
     sp.add_argument("--tm", required=True)
@@ -443,14 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = verb("reach", cmd_reach, help="bounded forward reachability")
     sp.add_argument("--rel", required=True)
     sp.add_argument("--start", default="")
-    sp.add_argument("--max-len", type=int, default=8)
-    sp.add_argument("--max-steps", type=int, default=10_000)
+    sp.add_argument("--max-len", type=_count, default=8)
+    sp.add_argument("--max-steps", type=_count, default=10_000)
 
     sp = verb("export-dot", cmd_export_dot, help="DOT slice of a graph")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--coloring")
     sp.add_argument("--r2")
-    sp.add_argument("--max-len", type=int, default=3)
+    sp.add_argument("--max-len", type=_count, default=3)
     sp.add_argument("--out")
 
     sp = verb("fixtures", cmd_fixtures, help="materialize the worked examples")
@@ -471,16 +484,10 @@ def main(argv=None) -> int:
     try:
         with au.state_budget(args.budget):
             return args.fn(args)
-    except (CliError, tm.MachineError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
     except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except SearchBudgetExceededError as e:
-        print(f"search budget exhausted (not a definitive no): {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except AutomataError as e:
+    except (CliError, AutomataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

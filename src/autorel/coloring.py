@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 from . import automata as au
 from . import relations as rel
 from . import recognizable as rc
-from .automata import AutomataError, SearchBudgetExceededError
+from .automata import AutomataError
 from .recognizable import PartitionedRecognizable, RecognizableRelation
 from .relations import AutomaticRelation
 
@@ -222,22 +222,21 @@ def _dfa_color_languages(alphabet, n, table, labels, k):
 
 
 def bounded_color_search(e: AutomaticRelation, k: int, state_bound: int,
-                         candidate_budget: int = 2_000_000,
                          sample_len: int = 5) -> Optional[RegularColoring]:
     """Search k-colorings whose color map is a state labeling of a complete
     DFA with at most state_bound states.
 
     Enumeration is canonical (state count, then transition table, then
-    labeling), so the first hit is reproducible.  Returns None when the
-    bounded space is exhausted; that is no proof the graph is not
-    k-regular-colorable.
+    labeling), so the first hit is reproducible.  Each candidate charges
+    one unit to the state budget.  Returns None when the bounded space is
+    exhausted; that is no proof the graph is not k-regular-colorable.
     """
     if k < 1 or state_bound < 1:
         raise AutomataError("k and state_bound must be >= 1")
+    budget = au._active_budget()
     alphabet = e.alphabet
     # cheap rejection first: edges on short words must be bichrome
     sample = [p for p in rel.relation_pairs(e, sample_len)]
-    seen = 0
     for n in range(1, state_bound + 1):
         for table in _canonical_dfas(alphabet, n):
             k_idx = {a: i for i, a in enumerate(alphabet)}
@@ -251,10 +250,7 @@ def bounded_color_search(e: AutomaticRelation, k: int, state_bound: int,
             for labels in _cartesian(range(k), repeat=n):
                 if labels[0] != 0:
                     continue  # color order is canonical up to renaming
-                seen += 1
-                if seen > candidate_budget:
-                    raise SearchBudgetExceededError(
-                        f"candidate budget exhausted after {seen - 1} colorings")
+                budget.charge()
                 if any(labels[run(u)] == labels[run(v)] for u, v in sample):
                     continue
                 colors = _dfa_color_languages(alphabet, n, table, labels, k)

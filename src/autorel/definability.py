@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import automata as au
 from . import relations as rel
-from .automata import PAD, AutomataError, MultiTrackAutomaton, SearchBudgetExceededError
+from .automata import PAD, AutomataError, MultiTrackAutomaton
 from .recognizable import PartitionedRecognizable, RecognizableRelation, to_automatic
 from .relations import AutomaticRelation
 
@@ -356,22 +356,21 @@ def maximal_rectangles(ones: frozenset) -> list:
     return out
 
 
-def rectangle_cover(ones: frozenset, k: int,
-                    step_budget: int = 200_000) -> Optional[list]:
+def rectangle_cover(ones: frozenset, k: int) -> Optional[list]:
     """<= k maximal rectangles covering every 1-entry (0-entries are never
     inside a candidate), or None if impossible.
 
     Branches on the least uncovered entry; failed (uncovered, k) pairs are
-    memoized.  Raises SearchBudgetExceededError when out of steps, which is
-    distinct from the definitive None.
+    memoized.  Each step charges one unit to the state budget; running out
+    raises ``BudgetExceededError``, never the definitive None.
     """
     if not ones:
         return []
     if k <= 0:
         return None
+    budget = au._active_budget()
     rects = maximal_rectangles(ones)
     memo: set = set()
-    steps = [0]
 
     def covers(rect, cell):
         return cell[0] in rect[0] and cell[1] in rect[1]
@@ -380,9 +379,7 @@ def rectangle_cover(ones: frozenset, k: int,
         return {(i, j) for i in rect[0] for j in rect[1]}
 
     def search(uncovered: frozenset, budget_k: int):
-        steps[0] += 1
-        if steps[0] > step_budget:
-            raise SearchBudgetExceededError("rectangle cover search budget exhausted")
+        budget.charge()
         if not uncovered:
             return []
         if budget_k == 0:
@@ -402,9 +399,7 @@ def rectangle_cover(ones: frozenset, k: int,
     return search(frozenset(ones), k)
 
 
-def kprod_definability(r: AutomaticRelation, k: int,
-                       step_budget: int = 200_000
-                       ) -> Optional[RecognizableRelation]:
+def kprod_definability(r: AutomaticRelation, k: int) -> Optional[RecognizableRelation]:
     """Witness that R is a union of <= k products, or None (definitive).
 
     Any k-product presentation refines the congruence into at most 2^(2k)
@@ -417,16 +412,15 @@ def kprod_definability(r: AutomaticRelation, k: int,
     dec = decompose(r, 2 ** (2 * k))
     if dec.truncated:
         return None
-    return _kprod_witness(dec, QuotientMatrix.from_decomposition(dec), k,
-                          step_budget)
+    return _kprod_witness(dec, QuotientMatrix.from_decomposition(dec), k)
 
 
 def _kprod_witness(dec: EquivalenceDecomposition, matrix: QuotientMatrix,
-                   k: int, step_budget: int) -> Optional[RecognizableRelation]:
+                   k: int) -> Optional[RecognizableRelation]:
     """The k-product answer from a complete (untruncated) decomposition."""
     if dec.index > 2 ** (2 * k):
         return None
-    cover = rectangle_cover(matrix.ones(), k, step_budget)
+    cover = rectangle_cover(matrix.ones(), k)
     if cover is None:
         return None
     r = dec.relation
@@ -448,8 +442,7 @@ def _union_of_classes(dec: EquivalenceDecomposition, idxs) -> MultiTrackAutomato
         *(dec.classes[i] for i in sorted(idxs))))
 
 
-def min_prod(r: AutomaticRelation, kmax: int,
-             step_budget: int = 200_000) -> Optional[int]:
+def min_prod(r: AutomaticRelation, kmax: int) -> Optional[int]:
     """Least k <= kmax admitting a k-product presentation, or None.
 
     The congruence is decomposed once, with the class bound of kmax, and
@@ -462,6 +455,6 @@ def min_prod(r: AutomaticRelation, kmax: int,
         return None
     matrix = QuotientMatrix.from_decomposition(dec)
     for k in range(1, kmax + 1):
-        if _kprod_witness(dec, matrix, k, step_budget) is not None:
+        if _kprod_witness(dec, matrix, k) is not None:
             return k
     return None

@@ -254,6 +254,8 @@ def _constructor_fields(fault=None):
         fields["transitions"] = good + [(q, ("b", "b"), n) for q in range(n)]
     elif fault == "tracks":
         fields["tracks"] = 0
+    elif fault == "states":  # the only fault: no state is used
+        fields.update(states=-3, initial=set(), accepting=set(), transitions=[])
     elif fault is not None:
         fields["alphabet"] = {"alphabet-empty": (), "alphabet-dup": ("a", "b", "a"),
                               "alphabet-pad": ("a", "b", PAD),
@@ -272,6 +274,7 @@ def _constructor_fields(fault=None):
     ("unknown", au.UnknownSymbolError),
     ("unknown-display-pad", au.UnknownSymbolError),
     ("tracks", au.AutomataError),
+    ("states", au.AutomataError),
     ("alphabet-empty", au.AutomataError),
     ("alphabet-dup", au.AutomataError),
     ("alphabet-pad", au.AutomataError),
@@ -315,6 +318,8 @@ def _loaded_with(**changes):
     (lambda: _loaded_with(tracks=0), au.AutomataError),
     (lambda: _loaded_with(alphabet=["a", "a"]), au.AutomataError),
     (lambda: _loaded_with(alphabet=["b"]), au.UnknownSymbolError),
+    (lambda: _loaded_with(states=-3, initial=[], accepting=[], transitions=[]),
+     au.FormatError),
     (lambda: rel.make_identity(("a", PAD)), au.AutomataError),
     (lambda: rel.equal_length_relation(("a", "a")), au.AutomataError),
     (lambda: rel.successor_relation(1, ("a",), "z"), au.AutomataError),

@@ -109,6 +109,24 @@ def test_reduce_modes(fx, tmp_path):
                "--out1", str(o1), "--out2", str(o2)) == 0
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (("--mode", "sep-to-color", "--out", "OUT"), "--r1, --r2"),
+    (("--mode", "sep-to-color", "--r1", "FC1", "--r2", "FC1"), "--out"),
+    (("--mode", "def-to-sep", "--out1", "OUT", "--out2", "OUT"), "--r"),
+    (("--mode", "color-to-sep", "--graph", "FC1"), "--out1, --out2"),
+    (("--mode", "color-to-sep", "--graph", "FC1", "--out1", "OUT"), "--out2"),
+], ids=["sep-to-color-inputs", "sep-to-color-output", "def-to-sep-input",
+        "color-to-sep-outputs", "color-to-sep-out2"])
+def test_reduce_needs_each_input_and_output_of_its_mode(fx, tmp_path, capsys,
+                                                        argv, missing):
+    paths = {"FC1": str(fx / "fc1.json"), "OUT": str(tmp_path / "out.json")}
+    assert run("reduce", *(paths.get(a, a) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.rstrip().endswith(missing)
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_sep_1prod(fx, tmp_path):
     assert run("sep-1prod", "--r1", str(fx / "fc1.json"),
                "--r2", str(fx / "fc2.json")) == 1
@@ -317,6 +335,7 @@ def test_two_field_transition_exits_2(fx, tmp_path, capsys):
     ("fc1.json", "tracks", "2", "'tracks' is not an integer"),
     ("fc1.json", "initial", 5, "'initial' is not a list of integers"),
     ("fc1.json", "states", None, "'states' is not an integer"),
+    ("fc1.json", "states", -3, "'states' is not an integer >= 0"),
     ("fc1.json", "alphabet", "a", "'alphabet' is not a list of strings"),
     ("fc1.json", "accepting", [True], "'accepting' is not a list of integers"),
     ("fc1.json", "transitions", {}, "'transitions' is not a list"),
@@ -331,10 +350,10 @@ def test_two_field_transition_exits_2(fx, tmp_path, capsys):
     ("demo-machine.json", "delta", 5, "'delta' is not a list"),
     ("demo-machine.json", "blank", 5, "'blank' is not a string"),
     ("demo-machine.json", "delta", [["q0", "_", "q1", 1, "R"]], "list of strings"),
-], ids=["tracks-str", "initial-int", "states-null", "alphabet-str", "accepting-bool",
-        "transitions-object", "symbol-list", "src-str", "products-int", "colors-int",
-        "machine-states-int", "tape-int", "tape-str", "final-int", "delta-int",
-        "blank-int", "delta-symbol-int"])
+], ids=["tracks-str", "initial-int", "states-null", "states-negative", "alphabet-str",
+        "accepting-bool", "transitions-object", "symbol-list", "src-str", "products-int",
+        "colors-int", "machine-states-int", "tape-int", "tape-str", "final-int",
+        "delta-int", "blank-int", "delta-symbol-int"])
 def test_wrongly_typed_field_exits_2(fx, readers, tmp_path, capsys, name, key,
                                      value, message):
     source, argv = readers.get(
@@ -353,6 +372,28 @@ def test_partition_pairs_must_be_integer_pairs(tmp_path):
     bad.write_text(json.dumps({"partition": [], "pairs": [[0]]}))
     with pytest.raises(au.FormatError, match="'pairs' is not a list of integer pairs"):
         cli.load_partitioned(str(bad))
+
+
+@pytest.mark.parametrize("argv", [
+    ("tm-check", "--tm", "fx/demo-machine.json", "--depth", "-1"),
+    ("reach", "--rel", "fx/fc1.json", "--max-len", "-1"),
+    ("reach", "--rel", "fx/fc1.json", "--max-steps", "-1"),
+    ("export-dot", "--graph", "fx/fc1.json", "--max-len", "-1"),
+])
+def test_negative_bounds_are_rejected_by_the_parser(fx, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(*(a.replace("fx", str(fx)) for a in argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected an integer >= 0, got '-1'" in captured.err
+
+
+def test_budget_bounds_the_coloring_search(fx, capsys):
+    # the bounded space holds 889 candidates and no coloring
+    argv = ("color-search", "--graph", str(fx / "tree.json"), "--k", "2", "--states", "3")
+    assert run("--budget", "100", *argv) == 2
+    assert capsys.readouterr().err.startswith("budget exhausted: ")
+    assert run(*argv) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -261,8 +261,14 @@ def test_bounded_search_tree_absent_small_bounds():
 
 
 def test_bounded_search_budget_distinct():
-    with pytest.raises(au.SearchBudgetExceededError):
-        co.bounded_color_search(rel.tree_relation(), 2, 3, candidate_budget=5)
+    # each candidate coloring charges one unit: the whole bounded space
+    # holds no coloring, and one unit less raises instead of answering
+    tree = rel.tree_relation()
+    with au.state_budget():
+        assert co.bounded_color_search(tree, 2, 3) is None
+        candidates = au._active_budget().used
+    with pytest.raises(au.BudgetExceededError), au.state_budget(candidates - 1):
+        co.bounded_color_search(tree, 2, 3)
 
 
 def test_symmetric_two_product_bridge():

@@ -361,9 +361,14 @@ def test_rectangle_cover_agrees_with_exhaustive_oracle(rng):
 
 
 def test_rectangle_cover_budget_is_distinct_from_no():
+    # each search step charges one unit: the whole search says no, and one
+    # unit less raises instead of answering
     ones = frozenset((i, j) for i in range(5) for j in range(5) if i != j)
-    with pytest.raises(de.SearchBudgetExceededError):
-        de.rectangle_cover(ones, 4, step_budget=2)
+    with au.state_budget():
+        assert de.rectangle_cover(ones, 3) is None
+        steps = au._active_budget().used
+    with pytest.raises(au.BudgetExceededError), au.state_budget(steps - 1):
+        de.rectangle_cover(ones, 3)
 
 
 # ---------------------------------------------------------------------------
