@@ -377,30 +377,37 @@ def valid_pad_automaton(tracks: int, alphabet: Sequence[str]) -> MultiTrackAutom
     probe = _freeze(tracks, alphabet, 1, {0}, {0}, ())
     for m in masks:
         for sym in probe.column_universe():
-            m2 = _pad_mask_step(m, sym, tracks)
+            m2 = _pad_mask_step(m, sym)
             if m2 is not None:
                 trans.append((m, sym, m2))
     return _freeze(tracks, alphabet, len(masks), {0}, set(masks), trans)
 
 
-def _pad_mask_step(mask: int, sym: TrackSymbol, tracks: int) -> Optional[int]:
-    out = mask
-    for i in range(tracks):
-        if sym[i] == PAD:
-            out |= 1 << i
-        elif mask & (1 << i):
-            return None
-    return out
+def _pad_bits(sym: TrackSymbol) -> tuple:
+    """(pad, letters): the tracks on which column ``sym`` is padding and
+    those on which it is a letter, as bit masks.  After pad mask m (the
+    tracks whose word has ended) ``sym`` breaks ValidPad if m & letters,
+    else the mask becomes m | pad."""
+    pad = sum(1 << i for i, x in enumerate(sym) if x == PAD)
+    return pad, ((1 << len(sym)) - 1) ^ pad
+
+
+def _pad_mask_step(mask: int, sym: TrackSymbol) -> Optional[int]:
+    """The pad mask after ``sym``, or None if ``sym`` breaks ValidPad."""
+    pad, letters = _pad_bits(sym)
+    return None if mask & letters else mask | pad
 
 
 def restrict_valid_pad(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Intersect with ValidPad(t) without materializing the pad DFA."""
+    adj, table = a._adj, {sym: _pad_bits(sym) for sym in a._rank}
+
     def successors(state):
         q, mask = state
-        for sym, dst in a._adj[q]:
-            m2 = _pad_mask_step(mask, sym, a.tracks)
-            if m2 is not None:
-                yield sym, (dst, m2)
+        for sym, dst in adj[q]:
+            pad, letters = table[sym]
+            if not mask & letters:
+                yield sym, (dst, mask | pad)
 
     start = [(q, 0) for q in sorted(a.initial)]
     return _explore_automaton(a.tracks, a.alphabet, start, successors,
@@ -414,11 +421,17 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
     `a` in product with a pad mask, which a column breaking the padding rule
     sets to None for good; a violation is a broken run that accepts.
     """
+    adj, table = a._adj, {sym: _pad_bits(sym) for sym in a._rank}
+
     def successors(state):
         q, mask = state
-        for sym, dst in a._adj[q]:
-            yield sym, (dst, mask if mask is None
-                        else _pad_mask_step(mask, sym, a.tracks))
+        if mask is None:
+            for sym, dst in adj[q]:
+                yield sym, (dst, None)
+            return
+        for sym, dst in adj[q]:
+            pad, letters = table[sym]
+            yield sym, (dst, None if mask & letters else mask | pad)
 
     index, _edges = _explore([(q, 0) for q in a.initial], successors)
     return not any(mask is None and q in a.accepting for q, mask in index)
@@ -875,18 +888,77 @@ def from_word_list(words: Iterable[Sequence[str]],
 #
 # "_" encodes the padding token.  Emitted files are canonical: sorted
 # transition lists, fixed key order, two-space indent, trailing newline.
+# :func:`dumps` and :func:`dumps_json` write that text themselves, byte for
+# byte what ``json.dumps(..., indent=2)`` writes for the same dict, as the
+# ``test_dumps_match_json_dumps_*`` tests in tests/test_automata.py pin.
+# With an indent, ``json.dumps`` runs CPython's pure-Python encoder, which
+# renders the same column anew for every transition; here each distinct
+# column is rendered once and each transition is one ``%``-format.
+
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
+
+
+def _sorted_transitions(a: MultiTrackAutomaton) -> list:
+    rank = a._rank
+    return sorted(a.transitions, key=lambda t: (t[0], rank[t[1]], t[2]))
+
 
 def to_json_dict(a: MultiTrackAutomaton) -> dict:
-    rank = a._rank
-    trans = sorted(a.transitions, key=lambda t: (t[0], rank[t[1]], t[2]))
     return {
         "tracks": a.tracks,
         "alphabet": list(a.alphabet),
         "states": a.states,
         "initial": sorted(a.initial),
         "accepting": sorted(a.accepting),
-        "transitions": [[src, list(sym), dst] for src, sym, dst in trans],
+        "transitions": [[src, list(sym), dst] for src, sym, dst in _sorted_transitions(a)],
     }
+
+
+def _json_block(brackets: str, items: list, level: int) -> str:
+    """What ``json.dumps(..., indent=2)`` writes for a list (``brackets``
+    "[]") or an object ("{}") of the already written ``items``, opened
+    ``level`` deep."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + "  " * level + brackets[1])
+
+
+def _automaton_json(a: MultiTrackAutomaton, level: int) -> str:
+    """The text of ``to_json_dict(a)``, opened ``level`` deep."""
+    enc = _encode_str
+    column = {sym: _json_block("[]", [enc(x) for x in sym], level + 3) for sym in a._rank}
+    row = _json_block("[]", ["%d", "%s", "%d"], level + 2)
+    fields = (
+        ("tracks", "%d" % a.tracks),
+        ("alphabet", _json_block("[]", [enc(x) for x in a.alphabet], level + 1)),
+        ("states", "%d" % a.states),
+        ("initial", _json_block("[]", ["%d" % q for q in sorted(a.initial)], level + 1)),
+        ("accepting", _json_block("[]", ["%d" % q for q in sorted(a.accepting)], level + 1)),
+        ("transitions", _json_block(
+            "[]", [row % (src, column[sym], dst) for src, sym, dst in _sorted_transitions(a)],
+            level + 1)),
+    )
+    return _json_block("{}", [f"{enc(key)}: {text}" for key, text in fields], level)
+
+
+def _json_text(node, level: int) -> str:
+    if isinstance(node, MultiTrackAutomaton):
+        return _automaton_json(node, level)
+    if isinstance(node, dict):
+        return _json_block("{}", [f"{_encode_str(k)}: {_json_text(v, level + 1)}"
+                                  for k, v in node.items()], level)
+    if isinstance(node, list):
+        return _json_block("[]", [_json_text(v, level + 1) for v in node], level)
+    return json.dumps(node)
+
+
+def dumps_json(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, where ``doc`` nests dicts with
+    string keys, lists, JSON scalars and automata, and an automaton stands
+    for its :func:`to_json_dict`."""
+    return _json_text(doc, 0) + "\n"
 
 
 def _is_list_of(x, kind) -> bool:
@@ -918,6 +990,11 @@ def json_field(d, key: str, what: str, kind: Optional[str] = None):
     return value
 
 
+def _bad_transition(t) -> FormatError:
+    return FormatError(f"automaton JSON transition {t!r} is not a "
+                       "[src, [symbols], dst] triple of integers and strings")
+
+
 def from_json_dict(d: dict) -> MultiTrackAutomaton:
     tracks, alphabet, states, initial, accepting, raw = (
         json_field(d, key, "automaton", kind) for key, kind in (
@@ -927,12 +1004,22 @@ def from_json_dict(d: dict) -> MultiTrackAutomaton:
     # the declared states cost memory whether or not transitions use them
     _active_budget().charge(states)
     trans = []
+    columns: dict = {}  # one shared tuple per distinct column, checked once
     for t in raw:
+        # a list, not a string: tuple("aa") == ("a", "a")
         if not (isinstance(t, list) and len(t) == 3 and type(t[0]) is int
-                and _is_list_of(t[1], str) and type(t[2]) is int):
-            raise FormatError(f"automaton JSON transition {t!r} is not a "
-                              "[src, [symbols], dst] triple of integers and strings")
-        trans.append((t[0], tuple(t[1]), t[2]))
+                and isinstance(t[1], list) and type(t[2]) is int):
+            raise _bad_transition(t)
+        sym = tuple(t[1])
+        try:
+            sym = columns[sym]
+        except KeyError:
+            if not all(type(x) is str for x in sym):
+                raise _bad_transition(t) from None
+            columns[sym] = sym
+        except TypeError:  # an unhashable symbol
+            raise _bad_transition(t) from None
+        trans.append((t[0], sym, t[2]))
     return MultiTrackAutomaton(
         tracks=tracks, alphabet=tuple(alphabet), states=states,
         initial=frozenset(initial), accepting=frozenset(accepting),
@@ -940,7 +1027,7 @@ def from_json_dict(d: dict) -> MultiTrackAutomaton:
 
 
 def dumps(a: MultiTrackAutomaton) -> str:
-    return json.dumps(to_json_dict(a), indent=2) + "\n"
+    return dumps_json(a)
 
 
 def loads(text: str) -> MultiTrackAutomaton:

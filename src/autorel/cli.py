@@ -335,15 +335,17 @@ def cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _count(text: str) -> int:
-    """An argparse type: an integer >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return n
+def _at_least(low: int):
+    """An argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+    return parse
 
 
 @functools.cache  # one parser per process; parsing leaves it unchanged
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision procedures for automatic relations: separator "
                     "verification, definability, regular colorings, and "
                     "Turing-machine instance generators.")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_at_least(1), default=None,
                    help="budget for the whole command: one unit per state built or "
                         "loaded, per cover-search step and per candidate coloring")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -442,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = verb("tm-check", cmd_tm_check, help="well-formedness report")
     sp.add_argument("--tm", required=True)
-    sp.add_argument("--depth", type=_count, default=32)
+    sp.add_argument("--depth", type=_at_least(0), default=32)
 
     sp = verb("tm-gadget", cmd_tm_gadget, help="build the tagged gadget graph")
     sp.add_argument("--tm", required=True)
@@ -456,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = verb("reach", cmd_reach, help="bounded forward reachability")
     sp.add_argument("--rel", required=True)
     sp.add_argument("--start", default="")
-    sp.add_argument("--max-len", type=_count, default=8)
-    sp.add_argument("--max-steps", type=_count, default=10_000)
+    sp.add_argument("--max-len", type=_at_least(0), default=8)
+    sp.add_argument("--max-steps", type=_at_least(0), default=10_000)
 
     sp = verb("export-dot", cmd_export_dot, help="DOT slice of a graph")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--coloring")
     sp.add_argument("--r2")
-    sp.add_argument("--max-len", type=_count, default=3)
+    sp.add_argument("--max-len", type=_at_least(0), default=3)
     sp.add_argument("--out")
 
     sp = verb("fixtures", cmd_fixtures, help="materialize the worked examples")

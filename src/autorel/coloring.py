@@ -10,7 +10,6 @@ implemented and re-verified at the instance level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterator, Optional, Sequence
@@ -263,8 +262,9 @@ def bounded_color_search(e: AutomaticRelation, k: int, state_bound: int,
 # ---------------------------------------------------------------------------
 # JSON
 
-def coloring_to_json_dict(c: RegularColoring) -> dict:
-    return {"colors": [au.to_json_dict(x) for x in c.colors]}
+def coloring_to_json_dict(c: RegularColoring, automaton=au.to_json_dict) -> dict:
+    """The JSON document of ``c``, with ``automaton(a)`` for each automaton."""
+    return {"colors": [automaton(x) for x in c.colors]}
 
 
 def coloring_from_json_dict(d: dict) -> RegularColoring:
@@ -273,5 +273,5 @@ def coloring_from_json_dict(d: dict) -> RegularColoring:
 
 
 def dumps_coloring(c: RegularColoring) -> str:
-    return json.dumps(coloring_to_json_dict(c), indent=2) + "\n"
+    return au.dumps_json(coloring_to_json_dict(c, automaton=lambda a: a))
 

@@ -93,7 +93,7 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     v_symbols = d.alphabet + (PAD,)
     columns = list(d.column_universe())
     legal = {mask: [(col, m2) for col in columns
-                    if (m2 := au._pad_mask_step(mask, col, 2)) is not None]
+                    if (m2 := au._pad_mask_step(mask, col)) is not None]
              for mask in range(4)}
     moves: dict = {}  # (triple, pad mask) -> {column: successor triples}
 

@@ -286,10 +286,12 @@ def parity_separator(alphabet: Sequence[str] = ("a",)) -> RecognizableRelation:
 # ---------------------------------------------------------------------------
 # JSON formats
 
-def recognizable_to_json_dict(s: RecognizableRelation) -> dict:
+def recognizable_to_json_dict(s: RecognizableRelation,
+                              automaton=au.to_json_dict) -> dict:
+    """The JSON document of ``s``, with ``automaton(a)`` for each automaton."""
     return {
         "products": [
-            {"left": au.to_json_dict(l), "right": au.to_json_dict(r)}
+            {"left": automaton(l), "right": automaton(r)}
             for l, r in s.products
         ]
     }
@@ -307,9 +309,11 @@ def recognizable_from_json_dict(d: dict) -> RecognizableRelation:
     return RecognizableRelation(alphabet=prods[0][0].alphabet, products=prods)
 
 
-def partitioned_to_json_dict(p: PartitionedRecognizable) -> dict:
+def partitioned_to_json_dict(p: PartitionedRecognizable,
+                             automaton=au.to_json_dict) -> dict:
+    """The JSON document of ``p``, with ``automaton(a)`` for each automaton."""
     return {
-        "partition": [au.to_json_dict(l) for l in p.partition],
+        "partition": [automaton(l) for l in p.partition],
         "pairs": sorted([i, j] for i, j in p.pairs),
     }
 
@@ -324,7 +328,7 @@ def partitioned_from_json_dict(d: dict) -> PartitionedRecognizable:
 
 
 def dumps_recognizable(s: RecognizableRelation) -> str:
-    return json.dumps(recognizable_to_json_dict(s), indent=2) + "\n"
+    return au.dumps_json(recognizable_to_json_dict(s, automaton=lambda a: a))
 
 
 def loads_recognizable(text: str) -> RecognizableRelation:
@@ -332,7 +336,7 @@ def loads_recognizable(text: str) -> RecognizableRelation:
 
 
 def dumps_partitioned(p: PartitionedRecognizable) -> str:
-    return json.dumps(partitioned_to_json_dict(p), indent=2) + "\n"
+    return au.dumps_json(partitioned_to_json_dict(p, automaton=lambda a: a))
 
 
 def loads_partitioned(text: str) -> PartitionedRecognizable:

@@ -81,7 +81,7 @@ def complement_relative_oracle(a):
     def successors(state):
         q, mask = state
         for sym in universe:
-            m2 = au._pad_mask_step(mask, sym, a.tracks)
+            m2 = au._pad_mask_step(mask, sym)
             if m2 is not None:
                 yield sym, (dtrans.get((q, sym), dead), m2)
 
@@ -170,7 +170,7 @@ def same_rows_oracle(d):
     v_symbols = d.alphabet + (au.PAD,)
     columns = list(d.column_universe())
     legal = {mask: [(col, m2) for col in columns
-                    if (m2 := au._pad_mask_step(mask, col, 2)) is not None]
+                    if (m2 := au._pad_mask_step(mask, col)) is not None]
              for mask in range(4)}
 
     def successors(state):
@@ -365,6 +365,29 @@ def co_functional_oracle(r):
 def product_oracle(left, right):
     """A x B as the intersection of the two cylindrified languages."""
     return au.intersect(cylindrify(left, 1), cylindrify(right, 0))
+
+
+def valid_pad_walk_size(a):
+    """How many (state, pad mask) pairs a depth-first walk of ``a`` reaches
+    from its initial states.  The mask is the set of tracks whose word has
+    ended, or None for good once a column breaks ValidPad (a letter after
+    padding on its track)."""
+    moves = {}
+    for src, sym, dst in a.transitions:
+        moves.setdefault(src, []).append((sym, dst))
+    seen = {(q, frozenset()) for q in a.initial}
+    todo = list(seen)
+    while todo:
+        q, ended = todo.pop()
+        for sym, dst in moves.get(q, ()):
+            if ended is None or any(sym[i] != au.PAD for i in ended):
+                nxt = (dst, None)
+            else:
+                nxt = (dst, ended | {i for i, x in enumerate(sym) if x == au.PAD})
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return len(seen)
 
 
 @pytest.fixture

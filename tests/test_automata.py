@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import islice, product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autorel import automata as au
+from autorel import coloring as co
 from autorel import recognizable as rc
 from autorel import relations as rel
 from autorel import tm
@@ -644,6 +646,59 @@ def test_json_round_trip_object_and_bytes():
     back = au.loads(text)
     assert back == m
     assert au.dumps(back) == text
+
+
+# symbols json.dumps escapes, and "%" for the emitter's %-format rows
+_ODD_SYMBOLS = ('"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "λ", "日", "\U0001f600",
+                "%s", "%d", "a b")
+
+
+def _random_emittable(rng, tracks, alphabet):
+    """A random automaton that may have no states, no initial or accepting
+    states and no transitions."""
+    n = rng.choice([0, 1, 2, 3, 5])
+    cols = list(nfa(tracks, alphabet, 0, (), (), ()).column_universe())
+    trans = [(rng.randrange(n), rng.choice(cols), rng.randrange(n))
+             for _ in range(rng.randint(0, 12) if n else 0)]
+    return nfa(tracks, alphabet, n, rng.sample(range(n), rng.randint(0, n)),
+               rng.sample(range(n), rng.randint(0, n)), trans)
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_dumps_match_json_dumps_on_random_automata():
+    rng = random.Random(1515)
+    seen = set()
+    for _ in range(400):
+        alphabet = tuple(rng.sample(AB + _ODD_SYMBOLS, rng.randint(1, 4)))
+        a = _random_emittable(rng, rng.randint(1, 3), alphabet)
+        seen.update(field for field in ("states", "initial", "accepting", "transitions")
+                    if not getattr(a, field))
+        assert au.dumps(a) == _json_dumps(au.to_json_dict(a))
+        # the nested formats, each automaton opened deeper
+        langs = tuple(_random_emittable(rng, 1, alphabet) for _ in range(rng.randint(1, 3)))
+        k = len(langs)
+        products = tuple(zip(langs, reversed(langs)))[:rng.randint(0, k)]
+        s = rc.RecognizableRelation(alphabet, products)
+        assert rc.dumps_recognizable(s) == _json_dumps(rc.recognizable_to_json_dict(s))
+        p = rc.PartitionedRecognizable(langs, frozenset(
+            (rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, 3))))
+        assert rc.dumps_partitioned(p) == _json_dumps(rc.partitioned_to_json_dict(p))
+        c = co.RegularColoring(langs)
+        assert co.dumps_coloring(c) == _json_dumps(co.coloring_to_json_dict(c))
+    assert seen == {"states", "initial", "accepting", "transitions"}
+
+
+@pytest.mark.parametrize("machine", [tm.halting_fixture(), tm.looping_fixture(),
+                                     tm.mixed_fixture(), tm.two_cycle_fixture()])
+def test_dumps_match_json_dumps_on_machine_graphs(machine):
+    # the padded machines have alphabets of 179 to 545 symbols
+    for t in (machine, tm.pad_transform(machine)):
+        graph = tm.config_graph(t).base
+        for a in (graph, au.determinize_minimize(graph)):
+            assert au.dumps(a) == _json_dumps(au.to_json_dict(a))
 
 
 def test_json_pad_encoding_and_errors():

@@ -15,6 +15,8 @@ from autorel import cli
 from autorel import coloring as co
 from autorel import recognizable as rc
 
+from conftest import valid_pad_walk_size
+
 
 @pytest.fixture(scope="module")
 def fx(tmp_path_factory):
@@ -386,6 +388,56 @@ def test_negative_bounds_are_rejected_by_the_parser(fx, capsys, argv):
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "expected an integer >= 0, got '-1'" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
+def test_budget_below_one_is_rejected_by_the_parser(fx, capsys, value):
+    # a budget that can pay for nothing would pass for a real exhaustion
+    with pytest.raises(SystemExit) as info:
+        run("--budget", value, "recognizable", "--r", str(fx / "fc1.json"))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"expected an integer >= 1, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("bad", [
+    [0, "aa", 0],  # a string column after the valid column ["a", "a"]
+    [0, [["a"], "a"], 0],  # an unhashable symbol
+    [0, ["a", 1], 0],
+    [True, ["a", "a"], 0],
+    [0, ["a", "a"], 1.0],
+    [0, ["a", "a"]],
+    [0, ["a", "a"], 0, 0],
+], ids=["string-column", "unhashable-symbol", "int-symbol", "bool-src", "float-dst",
+        "two-fields", "four-fields"])
+def test_malformed_transition_loads_exit_2(fx, tmp_path, capsys, bad):
+    d = json.loads((fx / "fc1.json").read_text())
+    assert d["transitions"][0] == [0, ["a", "a"], 0]
+    d["transitions"].append(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert run("sep-1prod", "--r1", str(path), "--r2", str(fx / "fc2.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"transition {bad!r} is not a" in err
+    assert "triple" in err
+    with pytest.raises(au.FormatError, match="triple"):
+        au.loads(json.dumps(d))
+
+
+@pytest.mark.parametrize("name, units", [
+    ("fc1.json", 4), ("fc2.json", 6), ("tree.json", 16),
+    ("equal-length.json", 2), ("append-one.json", 4), ("length-incomp.json", 5),
+])
+def test_load_relation_charges_declared_states_and_valid_pad_walk(fx, name, units):
+    # loading charges the declared states, then the ValidPad check one unit
+    # per (state, pad mask) pair it discovers; --budget counts on both
+    a = au.loads((fx / name).read_text())
+    assert a.states + valid_pad_walk_size(a) == units
+    with au.state_budget():
+        cli.load_relation(str(fx / name))
+        assert au._active_budget().used == units
+    with au.state_budget(units - 1), pytest.raises(au.BudgetExceededError):
+        cli.load_relation(str(fx / name))
 
 
 def test_budget_bounds_the_coloring_search(fx, capsys):
