@@ -400,14 +400,12 @@ def _pad_mask_step(mask: int, sym: TrackSymbol) -> Optional[int]:
 
 def restrict_valid_pad(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Intersect with ValidPad(t) without materializing the pad DFA."""
-    adj, table = a._adj, {sym: _pad_bits(sym) for sym in a._rank}
-
     def successors(state):
         q, mask = state
-        for sym, dst in adj[q]:
-            pad, letters = table[sym]
-            if not mask & letters:
-                yield sym, (dst, mask | pad)
+        for sym, dst in a._adj[q]:
+            m2 = _pad_mask_step(mask, sym)
+            if m2 is not None:
+                yield sym, (dst, m2)
 
     start = [(q, 0) for q in sorted(a.initial)]
     return _explore_automaton(a.tracks, a.alphabet, start, successors,

@@ -262,9 +262,8 @@ def bounded_color_search(e: AutomaticRelation, k: int, state_bound: int,
 # ---------------------------------------------------------------------------
 # JSON
 
-def coloring_to_json_dict(c: RegularColoring, automaton=au.to_json_dict) -> dict:
-    """The JSON document of ``c``, with ``automaton(a)`` for each automaton."""
-    return {"colors": [automaton(x) for x in c.colors]}
+def coloring_to_json_dict(c: RegularColoring) -> dict:
+    return {"colors": [au.to_json_dict(x) for x in c.colors]}
 
 
 def coloring_from_json_dict(d: dict) -> RegularColoring:
@@ -273,5 +272,5 @@ def coloring_from_json_dict(d: dict) -> RegularColoring:
 
 
 def dumps_coloring(c: RegularColoring) -> str:
-    return au.dumps_json(coloring_to_json_dict(c, automaton=lambda a: a))
+    return au.dumps_json({"colors": list(c.colors)})
 

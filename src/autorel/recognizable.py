@@ -286,12 +286,10 @@ def parity_separator(alphabet: Sequence[str] = ("a",)) -> RecognizableRelation:
 # ---------------------------------------------------------------------------
 # JSON formats
 
-def recognizable_to_json_dict(s: RecognizableRelation,
-                              automaton=au.to_json_dict) -> dict:
-    """The JSON document of ``s``, with ``automaton(a)`` for each automaton."""
+def recognizable_to_json_dict(s: RecognizableRelation) -> dict:
     return {
         "products": [
-            {"left": automaton(l), "right": automaton(r)}
+            {"left": au.to_json_dict(l), "right": au.to_json_dict(r)}
             for l, r in s.products
         ]
     }
@@ -309,11 +307,9 @@ def recognizable_from_json_dict(d: dict) -> RecognizableRelation:
     return RecognizableRelation(alphabet=prods[0][0].alphabet, products=prods)
 
 
-def partitioned_to_json_dict(p: PartitionedRecognizable,
-                             automaton=au.to_json_dict) -> dict:
-    """The JSON document of ``p``, with ``automaton(a)`` for each automaton."""
+def partitioned_to_json_dict(p: PartitionedRecognizable) -> dict:
     return {
-        "partition": [automaton(l) for l in p.partition],
+        "partition": [au.to_json_dict(l) for l in p.partition],
         "pairs": sorted([i, j] for i, j in p.pairs),
     }
 
@@ -328,7 +324,8 @@ def partitioned_from_json_dict(d: dict) -> PartitionedRecognizable:
 
 
 def dumps_recognizable(s: RecognizableRelation) -> str:
-    return au.dumps_json(recognizable_to_json_dict(s, automaton=lambda a: a))
+    return au.dumps_json(
+        {"products": [{"left": l, "right": r} for l, r in s.products]})
 
 
 def loads_recognizable(text: str) -> RecognizableRelation:
@@ -336,7 +333,8 @@ def loads_recognizable(text: str) -> RecognizableRelation:
 
 
 def dumps_partitioned(p: PartitionedRecognizable) -> str:
-    return au.dumps_json(partitioned_to_json_dict(p, automaton=lambda a: a))
+    return au.dumps_json({"partition": list(p.partition),
+                          "pairs": sorted([i, j] for i, j in p.pairs)})
 
 
 def loads_partitioned(text: str) -> PartitionedRecognizable:

@@ -376,28 +376,26 @@ def test_partition_pairs_must_be_integer_pairs(tmp_path):
         cli.load_partitioned(str(bad))
 
 
-@pytest.mark.parametrize("argv", [
-    ("tm-check", "--tm", "fx/demo-machine.json", "--depth", "-1"),
-    ("reach", "--rel", "fx/fc1.json", "--max-len", "-1"),
-    ("reach", "--rel", "fx/fc1.json", "--max-steps", "-1"),
-    ("export-dot", "--graph", "fx/fc1.json", "--max-len", "-1"),
-])
-def test_negative_bounds_are_rejected_by_the_parser(fx, capsys, argv):
+_BAD_BOUNDS = [
+    (("tm-check", "--tm", "fx/demo-machine.json", "--depth", "-1"), ">= 0, got '-1'"),
+    (("reach", "--rel", "fx/fc1.json", "--max-len", "-1"), ">= 0, got '-1'"),
+    (("reach", "--rel", "fx/fc1.json", "--max-steps", "-1"), ">= 0, got '-1'"),
+    (("export-dot", "--graph", "fx/fc1.json", "--max-len", "-1"), ">= 0, got '-1'"),
+    # a budget that can pay for nothing would pass for a real exhaustion
+    (("--budget", "0", "recognizable", "--r", "fx/fc1.json"), ">= 1, got '0'"),
+    (("--budget", "-5", "recognizable", "--r", "fx/fc1.json"), ">= 1, got '-5'"),
+    (("--budget", "x", "recognizable", "--r", "fx/fc1.json"), ">= 1, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_BOUNDS,
+                         ids=[f"argv{i}" for i in range(len(_BAD_BOUNDS))])
+def test_negative_bounds_are_rejected_by_the_parser(fx, capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         run(*(a.replace("fx", str(fx)) for a in argv))
     assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "expected an integer >= 0, got '-1'" in captured.err
-
-
-@pytest.mark.parametrize("value", ["0", "-5", "x"])
-def test_budget_below_one_is_rejected_by_the_parser(fx, capsys, value):
-    # a budget that can pay for nothing would pass for a real exhaustion
-    with pytest.raises(SystemExit) as info:
-        run("--budget", value, "recognizable", "--r", str(fx / "fc1.json"))
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and f"expected an integer >= 1, got '{value}'" in captured.err
+    assert captured.out == "" and f"expected an integer {message}" in captured.err
 
 
 @pytest.mark.parametrize("bad", [
