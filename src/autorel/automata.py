@@ -10,9 +10,12 @@ of the word, and no column is padding on all tracks at once.
 All automata are immutable values; the operations below are pure functions
 and safe to call concurrently.  Work that can blow up charges a budget and
 raises :class:`BudgetExceededError` instead of exhausting memory or time:
-see :func:`state_budget` for what costs a unit.  ``with state_budget(n):``
-shares one budget of ``n`` units among all the work in its body; outside
-any scope each walk, load, decomposition and search has its own budget of
+see :func:`state_budget` for what costs a unit.  A witness search, such as
+:func:`intersection_witness` or :func:`difference_witness`, builds no
+product: it charges one unit per product state it discovers and stops at
+the first witness.  ``with state_budget(n):`` shares one budget of ``n``
+units among all the work in its body; outside any scope each walk, load,
+decomposition and search has its own budget of
 :data:`DEFAULT_STATE_BUDGET` units.
 """
 
@@ -87,7 +90,9 @@ def state_budget(limit: Optional[int] = None):
     One unit is charged per state a construction discovers, per state
     declared by a loaded automaton, per rectangle cover search step and per
     candidate coloring; a listed class representative w costs len(w) + 1.
-    Exhaustion always raises :class:`BudgetExceededError`.
+    A witness search charges one unit per product state it discovers and
+    stops at the first witness, so it charges at most what building the
+    product would.  Exhaustion always raises :class:`BudgetExceededError`.
     """
     token = _ACTIVE_BUDGET.set(_Budget(limit))
     try:
@@ -128,6 +133,70 @@ def _explore(start, successors):
                 order.append(nxt)
             edges.append((src, label, dst))
     return index, edges
+
+
+def _shortest_word(start, successors, rank, accepts) -> Optional[tuple]:
+    """The shortlex-least word on which :func:`_explore` would reach a state
+    satisfying ``accepts`` from ``start``, or None if there is none.
+
+    A breadth-first walk that keeps no edges and stops at the first
+    accepting state it discovers.  ``successors(state)`` yields
+    ``(column, next_state)`` pairs with columns in ``rank`` order (a column
+    -> integer mapping) and the moves on one column adjacent, as ``_adj``
+    gives them.  Each new state is charged to the budget as in
+    :func:`_explore`, so a search that finds nothing charges what the full
+    walk does.
+
+    The states of a level are grouped by their least word, and a group's
+    moves are merged by column before they are visited.  Visiting state by
+    state would be wrong: of two states with one least word, the later one
+    can read a lesser column than the earlier one, and what it reaches
+    would be discovered after words that are greater.  A group of one state
+    reads its moves as given.
+    """
+    bud = _active_budget()
+    seen = set()
+    level = []
+    for s in start:
+        if s not in seen:
+            seen.add(s)
+            bud.charge()
+            if accepts(s):
+                return ()
+            level.append(s)
+    links = [None]  # group -> (parent group, column); group 0 holds the start
+    groups = [(0, level)] if level else []
+    while groups:
+        next_groups = []
+        for g, states in groups:
+            if len(states) == 1:
+                moves = successors(states[0])
+            else:
+                merged: dict = {}
+                for state in states:
+                    for col, s in successors(state):
+                        merged.setdefault(col, []).append(s)
+                moves = [(col, s) for col in sorted(merged, key=rank.__getitem__)
+                         for s in merged[col]]
+            group = None
+            for col, s in moves:
+                if s in seen:
+                    continue
+                seen.add(s)
+                bud.charge()
+                if accepts(s):
+                    word = [col]
+                    while g:
+                        g, col = links[g]
+                        word.append(col)
+                    return tuple(reversed(word))
+                if group is None or col != group_col:
+                    group, group_col = [], col
+                    links.append((g, col))
+                    next_groups.append((len(links) - 1, group))
+                group.append(s)
+        groups = next_groups
+    return None
 
 
 def _explore_automaton(tracks, alphabet, start, successors,
@@ -209,13 +278,19 @@ class MultiTrackAutomaton:
         for q in self.initial | self.accepting:
             if not 0 <= q < n:
                 raise AutomataError(f"state {q} out of range")
-        for src, sym, dst in self.transitions:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise AutomataError(f"transition state out of range: {(src, sym, dst)}")
+        # set order varies with the hash seed: report the first fault in
+        # repr order, so that one input always gets one message
+        bad = [(src, sym, dst) for src, sym, dst in self.transitions
+               if not (0 <= src < n and 0 <= dst < n)]
+        if bad:
+            raise AutomataError(f"transition state out of range: {min(bad, key=repr)}")
         # a column is legal or not wherever it occurs: check each one once
         ok = set(self.alphabet)
         ok.add(PAD)
-        for sym in {sym for _src, sym, _dst in self.transitions}:
+        cols = {sym for _src, sym, _dst in self.transitions}
+        bad = [sym for sym in cols if len(sym) != self.tracks
+               or not ok.issuperset(sym) or all(x == PAD for x in sym)]
+        for sym in sorted(bad, key=repr):  # raises on the first
             if len(sym) != self.tracks:
                 raise ArityMismatchError(f"column {sym!r} has wrong arity")
             if all(x == PAD for x in sym):
@@ -417,22 +492,30 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
 
     ``included(a, valid_pad_automaton(...))`` without building the pad DFA:
     `a` in product with a pad mask, which a column breaking the padding rule
-    sets to None for good; a violation is a broken run that accepts.
+    sets to None for good; a violation is a broken run that accepts.  The
+    walk charges one unit per (state, mask) pair it discovers, keeps no
+    edges and stops at the first broken pair whose state accepts.
     """
-    adj, table = a._adj, {sym: _pad_bits(sym) for sym in a._rank}
-
-    def successors(state):
-        q, mask = state
-        if mask is None:
-            for sym, dst in adj[q]:
-                yield sym, (dst, None)
-            return
+    adj, accepting = a._adj, a.accepting
+    table = {sym: _pad_bits(sym) for sym in a._rank}
+    bud = _active_budget()
+    seen = {(q, 0) for q in a.initial}
+    bud.charge(len(seen))
+    order = list(seen)
+    for q, mask in order:  # grows while iterated: a BFS queue
         for sym, dst in adj[q]:
-            pad, letters = table[sym]
-            yield sym, (dst, None if mask & letters else mask | pad)
-
-    index, _edges = _explore([(q, 0) for q in a.initial], successors)
-    return not any(mask is None and q in a.accepting for q, mask in index)
+            if mask is None:
+                nxt = (dst, None)
+            else:
+                pad, letters = table[sym]
+                nxt = (dst, None if mask & letters else mask | pad)
+            if nxt not in seen:
+                bud.charge()
+                if nxt[1] is None and dst in accepting:
+                    return False
+                seen.add(nxt)
+                order.append(nxt)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +629,9 @@ def _require_same_shape(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> None:
         raise ArityMismatchError("operands must share track count and alphabet")
 
 
-def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
+def _intersection_product(a: MultiTrackAutomaton, b: MultiTrackAutomaton):
+    """(start, successors, accepts) of the product of a and b, whose states
+    pair a state of each and whose moves follow a's ``_adj``."""
     _require_same_shape(a, b)
     b_index = b._step_map
 
@@ -557,8 +642,11 @@ def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutom
                 yield sym, (p2, q2)
 
     start = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
-    return _explore_automaton(a.tracks, a.alphabet, start, successors,
-                              lambda s: s[0] in a.accepting and s[1] in b.accepting)
+    return start, successors, lambda s: s[0] in a.accepting and s[1] in b.accepting
+
+
+def intersect(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:
+    return _explore_automaton(a.tracks, a.alphabet, *_intersection_product(a, b))
 
 
 def union(first: MultiTrackAutomaton, *rest: MultiTrackAutomaton) -> MultiTrackAutomaton:
@@ -592,6 +680,11 @@ def difference(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAuto
     b's subset construction.  A state (p, S) pairs a state of a with b's
     states on the same word and accepts when p does and no state of S does.
     Only a's columns are followed."""
+    return _explore_automaton(a.tracks, a.alphabet, *_difference_product(a, b))
+
+
+def _difference_product(a: MultiTrackAutomaton, b: MultiTrackAutomaton):
+    """(start, successors, accepts) of :func:`difference`'s product."""
     _require_same_shape(a, b)
 
     def successors(state):
@@ -600,9 +693,7 @@ def difference(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAuto
             yield sym, (p2, b.step(subset, sym))
 
     start = [(p, frozenset(b.initial)) for p in sorted(a.initial)]
-    return _explore_automaton(
-        a.tracks, a.alphabet, start, successors,
-        lambda s: s[0] in a.accepting and not s[1] & b.accepting)
+    return start, successors, lambda s: s[0] in a.accepting and not s[1] & b.accepting
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +773,18 @@ def is_empty(a: MultiTrackAutomaton) -> bool:
 
 def difference_witness(a: MultiTrackAutomaton,
                        b: MultiTrackAutomaton) -> Optional[tuple]:
-    """Shortlex-least column word in L(a) \\ L(b), if any."""
-    return emptiness_shortest(difference(a, b))
+    """Shortlex-least column word in L(a) \\ L(b), if any: a search of
+    :func:`difference`'s product, which is never built."""
+    start, successors, accepts = _difference_product(a, b)
+    return _shortest_word(start, successors, a._rank, accepts)
 
 
 def intersection_witness(a: MultiTrackAutomaton,
                          b: MultiTrackAutomaton) -> Optional[tuple]:
-    return emptiness_shortest(intersect(a, b))
+    """Shortlex-least column word in L(a) and L(b), if any: a search of
+    :func:`intersect`'s product, which is never built."""
+    start, successors, accepts = _intersection_product(a, b)
+    return _shortest_word(start, successors, a._rank, accepts)
 
 
 def included(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
@@ -729,18 +825,21 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
         raise ArityMismatchError("join result needs at least one track")
 
     adj_a = _augmented_adj(a)
-    adj_b = _augmented_adj(b)
     acc_a = set(a.accepting) | {a.states}
     acc_b = set(b.accepting) | {b.states}
-    by_join: dict = {}  # b state -> join symbol -> [(column, dst)]
+    # b state -> join symbol -> [(column, dst)], grouped once per b state in
+    # adjacency order and kept on b, as _step_map is, for the next join on
+    # this track: a walk of images steps through one graph many times
+    by_join = b.__dict__.setdefault(_JOIN_GROUPS, {}).setdefault(join_b, {})
 
     def successors(state):
         p, q = state
         moves_b = by_join.get(q)
-        if moves_b is None:  # grouped once per b state, in adjacency order
-            moves_b = by_join[q] = {}
-            for sym, dst in adj_b.get(q, ()):
+        if moves_b is None:  # stored once whole, for concurrent readers
+            moves_b = {}
+            for sym, dst in _augmented_moves(b, q):
                 moves_b.setdefault(sym[join_b], []).append((sym, dst))
+            by_join[q] = moves_b
         for syma, p2 in adj_a.get(p, ()):
             for symb, q2 in moves_b.get(syma[join_a], ()):
                 yield (syma[:join_a] + syma[join_a + 1:]
@@ -758,15 +857,22 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
                    {index[s] for s in start}, accepting, trans)
 
 
+# Instance key of relational_join's cached grouping of an operand's moves.
+_JOIN_GROUPS = "_join_groups"
+
+
+def _augmented_moves(a: MultiTrackAutomaton, q: int) -> list:
+    """State q's moves in the adjacency of :func:`_augmented_adj`."""
+    if q == a.states:
+        return [((PAD,) * a.tracks, q)]
+    if q in a.accepting:
+        return a._adj[q] + [((PAD,) * a.tracks, a.states)]
+    return a._adj[q]
+
+
 def _augmented_adj(a: MultiTrackAutomaton) -> dict:
     """Adjacency with a synthetic finished state reading all-pad columns."""
-    ext = a.states
-    all_pad = (PAD,) * a.tracks
-    adj = {q: list(v) for q, v in a._adj.items()}
-    for f in a.accepting:
-        adj.setdefault(f, []).append((all_pad, ext))
-    adj[ext] = [(all_pad, ext)]
-    return adj
+    return {q: _augmented_moves(a, q) for q in range(a.states + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,7 @@ def verify_coloring(e: AutomaticRelation, c: RegularColoring) -> ColoringVerdict
         return ColoringVerdict(NOT_PARTITION, bad_word)
     best = None
     for i, color in enumerate(c.colors):
-        mono = au.intersect(e.base, rc.product_relation(color, color).base)
-        w = au.emptiness_shortest(mono)
+        w = au.intersection_witness(e.base, rc.product_relation(color, color).base)
         if w is not None:
             key = (len(w), [e.base.symbol_key(s) for s in w], i)
             if best is None or key < best[0]:

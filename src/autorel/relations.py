@@ -241,8 +241,9 @@ def _lockstep_clash(r: AutomaticRelation, shared: int) -> bool:
     on the other track.
 
     Product states are (p, q, diverged) over the augmented adjacency, where
-    a finished run keeps reading all-pad columns; the budget is charged
-    per product state, and the whole product is explored.
+    a finished run keeps reading all-pad columns.  The walk charges the
+    budget per product state it discovers, keeps no edges and stops at the
+    first diverged state where both runs accept.
     """
     a = r.base
     other = 1 - shared
@@ -253,19 +254,26 @@ def _lockstep_clash(r: AutomaticRelation, shared: int) -> bool:
         for sym, dst in moves:
             out.setdefault(sym[shared], []).append((sym[other], dst))
 
-    def successors(state):
-        p, q, diverged = state
+    bud = au._active_budget()
+    seen = {(p, q, False) for p in a.initial for q in a.initial}
+    bud.charge(len(seen))
+    order = list(seen)
+    for p, q, diverged in order:  # grows while iterated: a BFS queue
         moves_q = by_shared[q]
         for x, ends_p in by_shared[p].items():
             ends_q = moves_q.get(x, ())
             for y1, p2 in ends_p:
                 for y2, q2 in ends_q:
-                    if x != PAD or y1 != PAD or y2 != PAD:  # else both finished
-                        yield None, (p2, q2, diverged or y1 != y2)
-
-    start = [(p, q, False) for p in sorted(a.initial) for q in sorted(a.initial)]
-    index, _edges = au._explore(start, successors)
-    return any(d and p in accepting and q in accepting for p, q, d in index)
+                    if x == PAD and y1 == PAD and y2 == PAD:  # both finished
+                        continue
+                    nxt = (p2, q2, diverged or y1 != y2)
+                    if nxt not in seen:
+                        bud.charge()
+                        if nxt[2] and p2 in accepting and q2 in accepting:
+                            return True
+                        seen.add(nxt)
+                        order.append(nxt)
+    return False
 
 
 def equivalent_rel(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:

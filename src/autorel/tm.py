@@ -232,10 +232,13 @@ class WfReport:
 def wf_checks(t: TuringMachine, depth: int = 32, sample_len: int = 4,
               sample_cap: int = 60) -> WfReport:
     graph = config_graph(t)
-    # a lone blank head token is always a configuration, so it is initial
-    # exactly when nothing steps to it
-    initial_ok = au.is_empty(rel.preimage(
-        graph, au._word_automaton(initial_config(t), graph.alphabet)))
+    # The initial configuration, a lone blank head token, never has a
+    # predecessor: every step leads to a word of length >= 2.  A right move
+    # writes a symbol and puts the head after it; a left move puts the head
+    # on the written left neighbour, and the written symbol stays after it.
+    # So the report needs no preimage join; the tests still run that join
+    # on the fixture machines and their pad transforms.
+    initial_ok = True
     func = rel.functional(graph)
     cofunc = rel.co_functional(graph)
     inv = rel.inverse(graph)  # shared by every backward walk below

@@ -362,6 +362,44 @@ def co_functional_oracle(r):
     return au.is_empty(au.intersect(clashes.base, neq_relation(r.alphabet).base))
 
 
+def intersection_witness_oracle(a, b):
+    """The shortlex-least word of L(a) and L(b), read off the built product."""
+    return au.emptiness_shortest(au.intersect(a, b))
+
+
+def difference_witness_oracle(a, b):
+    """The shortlex-least word of L(a) minus L(b), read off the built product."""
+    return au.emptiness_shortest(au.difference(a, b))
+
+
+def satisfies_valid_pad_oracle(a):
+    """L(a) inside ValidPad(t), by a whole `_explore` walk over (state, pad
+    mask) pairs that records every edge; the mask turns None for good when
+    a column breaks the padding rule, and a broken pair must not accept."""
+    def successors(state):
+        q, mask = state
+        for sym, dst in a._adj[q]:
+            yield sym, (dst, None if mask is None else au._pad_mask_step(mask, sym))
+
+    index, _edges = au._explore([(q, 0) for q in sorted(a.initial)], successors)
+    return not any(mask is None and q in a.accepting for q, mask in index)
+
+
+def random_nfa(rng: random.Random, tracks, alphabet, states):
+    """Random t-track NFA over every legal column, padding-breaking ones
+    included: up to three initial states, up to two accepting ones (maybe
+    none), and zero to two moves per state and column."""
+    cols = list(au.valid_pad_automaton(tracks, alphabet).column_universe())
+    trans = {(q, c, rng.randrange(states)) for q in range(states) for c in cols
+             for _ in range(rng.choice((0, 0, 1, 1, 2)))}
+    return au.MultiTrackAutomaton(
+        tracks=tracks, alphabet=tuple(alphabet), states=states,
+        initial=frozenset(rng.sample(range(states), rng.randint(1, min(3, states)))),
+        accepting=frozenset(rng.sample(range(states), rng.randint(0, min(2, states)))),
+        transitions=frozenset(trans),
+    )
+
+
 def product_oracle(left, right):
     """A x B as the intersection of the two cylindrified languages."""
     return au.intersect(cylindrify(left, 1), cylindrify(right, 0))

@@ -13,10 +13,11 @@ from autorel import tm
 from autorel.automata import PAD
 
 from conftest import (complement_relative_oracle, cylindrify, determinize_minimize_oracle,
-                      difference_oracle, lang_upto, moore_minimize_oracle,
-                      neq_relation, project_oracle,
-                      random_language, random_padded_relation, random_relation,
-                      residual_signatures, words_upto)
+                      difference_oracle, difference_witness_oracle,
+                      intersection_witness_oracle, lang_upto, moore_minimize_oracle,
+                      neq_relation, project_oracle, random_language, random_nfa,
+                      random_padded_relation, random_relation, residual_signatures,
+                      satisfies_valid_pad_oracle, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -445,6 +446,99 @@ def test_difference_matches_complement_composition():
                 assert au.determinize_minimize(au.difference(a, b)) == \
                     au.determinize_minimize(expect)
                 assert au.difference_witness(a, b) == au.emptiness_shortest(expect)
+
+
+def _random_pairs(seed, count):
+    """``count`` pairs of random NFAs of 1 to 4 states sharing a shape: 1
+    track over two or three letters, or 2 tracks over two, in both orders."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tracks = rng.choice((1, 2))
+        alphabet = rng.choice((AB, ("b", "a")) + ((("a", "b", "c"),) if tracks == 1 else ()))
+        yield (random_nfa(rng, tracks, alphabet, rng.randint(1, 4)),
+               random_nfa(rng, tracks, alphabet, rng.randint(1, 4)))
+
+
+def test_witness_search_matches_product_oracles():
+    found = set()
+    for a, b in _random_pairs(4401, 3000):
+        for search, oracle in ((au.intersection_witness, intersection_witness_oracle),
+                               (au.difference_witness, difference_witness_oracle)):
+            w = search(a, b)
+            assert w == oracle(a, b), (au.dumps(a), au.dumps(b), search.__name__)
+            found.add((a.tracks, w is None, bool(w)))
+    # both shapes, with empty, nonempty and empty-word answers
+    assert found >= {(t, e, n) for t in (1, 2) for e, n in ((True, False), (False, True))}
+    assert any(not e and not n for _t, e, n in found)
+
+
+def _per_state_shortest_word(start, successors, accepts):
+    """A breadth-first walk with a parent pointer per state, visiting each
+    state's moves on its own: the recipe that misses shortlex order."""
+    parent = dict.fromkeys(start)
+    if any(map(accepts, parent)):
+        return ()
+    order = list(parent)
+    for state in order:
+        for col, nxt in successors(state):
+            if nxt not in parent:
+                parent[nxt] = (state, col)
+                order.append(nxt)
+                if accepts(nxt):
+                    word = []
+                    while parent[nxt] is not None:
+                        nxt, col = parent[nxt]
+                        word.append(col)
+                    return tuple(reversed(word))
+    return None
+
+
+def test_witness_search_merges_the_moves_of_states_with_one_word():
+    # the start states (0, {1, 2}) and (1, {1, 2}) share the empty word; the
+    # first reads "a", the second "b", which comes first in this alphabet
+    ba = ("b", "a")
+    a = nfa(1, ba, 2, {0, 1}, {0, 1}, [(0, ("a",), 1), (1, ("b",), 1)])
+    b = nfa(1, ba, 3, {1, 2}, {2}, [(0, ("a",), 2), (1, ("b",), 1)])
+    assert au.difference_witness(a, b) == difference_witness_oracle(a, b) == (("b",),)
+    assert _per_state_shortest_word(*au._difference_product(a, b)) == (("a",),)
+
+
+def test_witness_search_charges_the_product_walk_when_there_is_no_witness():
+    empty = 0
+    for a, b in _random_pairs(4402, 300):
+        for search, build in ((au.intersection_witness, au.intersect),
+                              (au.difference_witness, au.difference)):
+            with au.state_budget():
+                built = build(a, b)
+                whole = au._active_budget().used
+            with au.state_budget():
+                w = search(a, b)
+                used = au._active_budget().used
+            if w is None:
+                empty += 1
+                assert used == whole == built.states
+            else:
+                assert used <= whole
+    assert empty > 100
+
+
+def test_valid_pad_walk_matches_edge_recording_oracle():
+    rng = random.Random(4403)
+    verdicts = set()
+    for _ in range(1500):
+        tracks = rng.randint(1, 3)
+        a = random_nfa(rng, tracks, AB if tracks < 3 else A, rng.randint(1, 4))
+        expect = satisfies_valid_pad_oracle(a)
+        with au.state_budget():
+            assert au.satisfies_valid_pad(a) == expect
+            used = au._active_budget().used
+        with au.state_budget():
+            satisfies_valid_pad_oracle(a)
+            assert used <= au._active_budget().used
+            if expect:
+                assert used == au._active_budget().used
+        verdicts.add(expect)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,29 @@ def _in_own_process(argv, cwd) -> tuple:
     return done.returncode, done.stdout, done.stderr
 
 
+@pytest.mark.parametrize("edit, message", [
+    # fc1's columns ("a", "a") and ("_", "a") both have the wrong arity
+    ({"tracks": 3}, "column ('_', 'a') has wrong arity"),
+    # both transitions lead to state 1 of 1
+    ({"states": 1, "accepting": [0], "transitions": [[0, ["b", "b"], 1], [0, ["a", "a"], 1]]},
+     "transition state out of range: (0, ('a', 'a'), 1)"),
+])
+def test_bad_column_or_transition_error_is_the_same_under_two_hash_seeds(
+        fx, tmp_path, edit, message):
+    # of several faults, the one reported is the first in repr order
+    d = json.loads((fx / "fc1.json").read_text())
+    d["alphabet"] = ["a", "b"]
+    d.update(edit)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for seed in ("0", "1"):
+        done = subprocess.run([sys.executable, "-m", "autorel.cli", "recognizable",
+                               "--r", str(bad)], env=dict(env, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (2, f"error: {message}\n")
+
+
 def test_verbs_back_to_back_match_each_run_alone(fx, tmp_path, monkeypatch):
     fc1, fc2 = str(fx / "fc1.json"), str(fx / "fc2.json")
     sep = ("sep-verify", "--s", str(fx / "parity-separator.json"),

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,3 +221,49 @@ def test_fixture_membership_agrees_with_pair_enumeration(rng):
     enumerated = {p for p in rel.relation_pairs(r, 4)
                   if len(p[0]) <= 3 and len(p[1]) <= 3}
     assert pairs == enumerated
+
+
+def _fresh_copy(r):
+    """The same relation in a new object, with no join grouping kept yet."""
+    b = r.base
+    return rel._wrap(au._freeze(2, b.alphabet, b.states, b.initial, b.accepting,
+                                b.transitions))
+
+
+def test_joins_reuse_the_grouping_kept_on_their_operand(rng):
+    # images and preimages through one relation, in turn, against the same
+    # joins through fresh copies
+    for _ in range(20):
+        r = random_relation(rng, AB, rng.randint(1, 4))
+        for w in words_upto(AB, 2):
+            word = au.word_language(w, AB)
+            for join in (rel.image, rel.preimage):
+                assert au.dumps(join(r, word)) == au.dumps(join(_fresh_copy(r), word))
+        assert set(r.base.__dict__[au._JOIN_GROUPS]) == {0, 1}
+
+
+def test_joins_through_one_relation_from_many_threads(rng):
+    # the grouping kept on the relation is filled by whichever thread
+    # reaches a state first; every thread must still see whole groups
+    r = random_relation(rng, AB, 4)
+    words = [au.word_language(w, AB) for w in words_upto(AB, 3)]
+    expect = [au.dumps(join(_fresh_copy(r), word))
+              for word in words for join in (rel.image, rel.preimage)]
+    got = [[] for _ in range(8)]
+
+    def work(out):
+        out.extend(au.dumps(join(r, word))
+                   for word in words for join in (rel.image, rel.preimage))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == expect for out in got)

@@ -105,6 +105,18 @@ def test_wf_checks_halting_fixture():
     assert rep.functional and rep.co_functional
 
 
+@pytest.mark.parametrize("machine", [tm.halting_fixture(), tm.looping_fixture(),
+                                     tm.mixed_fixture(), tm.two_cycle_fixture()])
+def test_initial_configuration_has_no_predecessor(machine):
+    # wf_checks reports this without a join: every step leads to a word of
+    # at least two letters, and the initial configuration has one
+    for t in (machine, tm.pad_transform(machine)):
+        graph = tm.config_graph(t)
+        start = au._word_automaton(tm.initial_config(t), graph.alphabet)
+        assert au.is_empty(rel.preimage(graph, start))
+        assert not list(au.iter_words(rel.project_second(graph), 1))
+
+
 def test_wf_checks_flags_backward_cycle():
     rep = tm.wf_checks(tm.two_cycle_fixture(), depth=4, sample_len=3)
     assert rep.co_functional  # locally fine
