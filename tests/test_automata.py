@@ -461,15 +461,20 @@ def _random_pairs(seed, count):
 
 def test_witness_search_matches_product_oracles():
     found = set()
+    per_state_misses = 0
     for a, b in _random_pairs(4401, 3000):
-        for search, oracle in ((au.intersection_witness, intersection_witness_oracle),
-                               (au.difference_witness, difference_witness_oracle)):
+        for search, oracle, product in (
+                (au.intersection_witness, intersection_witness_oracle, au._intersection_product),
+                (au.difference_witness, difference_witness_oracle, au._difference_product)):
             w = search(a, b)
             assert w == oracle(a, b), (au.dumps(a), au.dumps(b), search.__name__)
             found.add((a.tracks, w is None, bool(w)))
+            per_state_misses += _per_state_shortest_word(*product(a, b)) != w
     # both shapes, with empty, nonempty and empty-word answers
     assert found >= {(t, e, n) for t in (1, 2) for e, n in ((True, False), (False, True))}
     assert any(not e and not n for _t, e, n in found)
+    # the draws hold pairs on which merging the moves of a group matters
+    assert per_state_misses > 0
 
 
 def _per_state_shortest_word(start, successors, accepts):
