@@ -90,6 +90,9 @@ def state_budget(limit: Optional[int] = None):
     One unit is charged per state a construction discovers, per state
     declared by a loaded automaton, per rectangle cover search step and per
     candidate coloring; a listed class representative w costs len(w) + 1.
+    :func:`determinize_minimize` walks its input again and charges the
+    states it discovers; a deterministic walk minimized as it stands, as
+    the congruence walks are, charges each of its states once.
     A witness search charges one unit per product state it discovers and
     stops at the first witness, so it charges at most what building the
     product would.  Exhaustion always raises :class:`BudgetExceededError`.
@@ -549,12 +552,14 @@ def _walk_states(a: MultiTrackAutomaton):
 
 
 def _trim(initial: int, trans: dict, accept: set):
-    """Keep states that can reach acceptance; the initial state always stays."""
+    """Keep states that can reach acceptance; the initial state always stays.
+    Returns the kept states and ``trans``, trimmed in place to their moves
+    into live states, so no second copy of the moves is held."""
     live = _reach(accept, _reverse((s, d) for (s, _sym), d in trans.items()))
     keep = set(live) | {initial}
-    trans2 = {(s, sym): d for (s, sym), d in trans.items()
-              if s in keep and d in live}
-    return keep, trans2
+    for key in [(s, sym) for (s, sym), d in trans.items() if s not in keep or d not in live]:
+        del trans[key]
+    return keep, trans
 
 
 def _moore_minimize(states: Collection, trans: dict, accept: set) -> dict:
@@ -589,8 +594,9 @@ def _moore_minimize(states: Collection, trans: dict, accept: set) -> dict:
         count = len(ids)
 
 
-# Instance flag marking a result of determinize_minimize.  Only that
-# function sets it; an automaton loaded from JSON or built otherwise has none.
+# Instance flag marking a canonical result.  Only _minimal_dfa, the tail of
+# determinize_minimize, sets it; an automaton loaded from JSON or built
+# otherwise has none.
 _CANONICAL = "_canonical"
 
 
@@ -607,18 +613,44 @@ def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     breadth-first.  A deterministic input skips the subset construction,
     whose subsets would all be singletons: the walk runs over its states,
     along ``_adj`` in ``_rank`` order, and numbers and charges them alike.
+    A construction whose own walk is deterministic skips this function and
+    its second walk: :func:`_explore_minimal` charges each state once.
     """
     if a.__dict__.get(_CANONICAL):
         return a
     _n, dtrans, daccept = (_walk_states if a.deterministic else _determinize)(a)
-    keep, dtrans = _trim(0, dtrans, daccept)
-    block = _moore_minimize(sorted(keep), dtrans, daccept)
-    c = _freeze(a.tracks, a.alphabet, max(block.values()) + 1, {0},
-                {block[q] for q in daccept},
-                {(block[q], sym, block[d]) for (q, sym), d in dtrans.items()})
+    return _minimal_dfa(a.tracks, a.alphabet, dtrans, daccept)
+
+
+def _minimal_dfa(tracks, alphabet, trans: dict, accept: set) -> MultiTrackAutomaton:
+    """The canonical DFA of a breadth-first numbered walk from state 0:
+    trim it, merge its Moore blocks and flag the result as canonical."""
+    keep, trans = _trim(0, trans, accept)
+    block = _moore_minimize(sorted(keep), trans, accept)
+    c = _freeze(tracks, alphabet, max(block.values()) + 1, {0},
+                {block[q] for q in accept},
+                {(block[q], sym, block[d]) for (q, sym), d in trans.items()})
     # kept beside the fields, like a cached_property, so == and hash ignore it
     c.__dict__[_CANONICAL] = True
     return c
+
+
+def _explore_minimal(tracks, alphabet, start, successors,
+                     accepts) -> MultiTrackAutomaton:
+    """``determinize_minimize(_explore_automaton(...))`` for a deterministic
+    walk, without the second walk over its states.
+
+    ``start`` holds one state, and ``successors`` yields each column at most
+    once, in ``symbol_key`` order.  The walk's breadth-first numbering is
+    then the one :func:`determinize_minimize` would give it again, so its
+    edges go straight to the minimizer, and each state is charged once.
+    """
+    (s0,) = start
+    index, edges = _explore([s0], successors)
+    accept = {i for s, i in index.items() if accepts(s)}
+    trans = {(src, sym): dst for src, sym, dst in edges}
+    del index, edges  # not held while the minimizer runs
+    return _minimal_dfa(tracks, alphabet, trans, accept)
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,10 @@ def main(argv=None) -> int:
     except (CliError, AutomataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        # a construction outgrew the memory it may use: no verdict either way
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -13,6 +13,12 @@ R's DFA restricted to those columns, which changes no walk state's
 language.  The shortlex-least members of the congruence classes form a
 regular set, Reps, built once per relation: its size is the index, and R is
 recognizable exactly when Reps is finite.
+
+Both walks keep their states as Python ints: a set of triples, or of runs of
+E and the shortlex order, is a bit set, so a step is a few big-int ORs and
+acceptance is one AND.  Both are deterministic, and so is the intersection
+of the row and column DFAs; each is minimized straight from its own walk,
+which charges each of its states to the budget once.
 """
 
 from __future__ import annotations
@@ -35,108 +41,183 @@ def build_equiv(r: AutomaticRelation) -> AutomaticRelation:
 
     The pairs with the same row, intersected with the pairs with the same
     column (the same rows of the inverse).  Each side is one subset walk on
-    R's DFA (see :func:`_same_rows`), minimized before the intersection.
+    R's DFA (see :func:`_same_rows`), minimized straight from the walk; the
+    intersection of the two canonical DFAs is deterministic too, and is
+    minimized the same way.
     """
     d = au.determinize_minimize(r.base)
-    rows = au.determinize_minimize(_same_rows(d))
-    cols = au.determinize_minimize(_same_rows(au.permute_tracks(d, (1, 0))))
-    return rel._wrap(au.determinize_minimize(au.intersect(rows, cols)))
+    rows = _same_rows(d)
+    cols = _same_rows(au.permute_tracks(d, (1, 0)))
+    return rel._wrap(au._explore_minimal(2, d.alphabet, *au._intersection_product(rows, cols)))
 
 
 def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """{(u, u') | for every v, (u, v) in R iff (u', v) in R}, for the
-    partial DFA ``d`` of R.
+    partial DFA ``d`` of R, as a canonical DFA.
 
     One subset walk reads the columns (x, x') of (u, u').  Its states hold
     a triple (p, q, done) for every prefix of a witness v read alongside:
-    d's states on (u, v) and on (u', v), None when dead, and whether v has
-    ended.  A side that has read all of its pair stays put.  A walk state
-    accepts unless one of its triples is bad: the rest of v, read as
-    (PAD, y) columns once the pair has ended, leaves exactly one side
-    accepting.
+    d's states on (u, v) and on (u', v), the node n = ``d.states`` when
+    dead, and whether v has ended.  A side that has read all of its pair
+    stays put.  A walk state accepts unless one of its triples is bad: the
+    rest of v, read as (PAD, y) columns once the pair has ended, leaves
+    exactly one side accepting.
+
+    A walk state is a pair of ints: a bit set over triple ids
+    (p * (n + 1) + q) * 2 + done, and the pad mask of (u, u').  The bad
+    triples form one bit set, so a state accepts when it shares no bit with
+    it.  A triple's moves are built once per pad mask, from d's edges
+    grouped by witness letter y: the moves of p and of q on y, each paired
+    with every move of the other side on the legal columns, dead included.
+    A column on which both sides die adds no triple and is not visited.
+    The walk is deterministic, so it is minimized as it stands (see
+    :func:`~autorel.automata._explore_minimal`), and each of its states is
+    charged once.
 
     Each side of a triple is kept as the least member of its class under
     the columns it can still read, which its pad pattern fixes: once its
     own word has ended it reads only (PAD, y) columns, once v has ended
     only (x, PAD) columns, and once both have ended none, so that only
     acceptance is left.  The classes are Moore partitions of d over those
-    columns, with None as the dead state and the least member.  Each
-    partition is stable under its columns and refines acceptance and the
-    partition of every later pattern, and ``bad`` reads only acceptance or
+    columns, with the dead node as the least member.  Each partition is
+    stable under its columns and refines acceptance and the partition of
+    every later pattern, and a triple's badness reads only acceptance or
     ``block``.  So every walk state is the raw walk's state with each side
     replaced, a replaced triple is bad exactly when the raw one is, and the
     language, hence the minimal DFA, is unchanged.  A triple with both
     sides dead can tell nothing apart and is dropped.
     """
+    return au._explore_minimal(2, d.alphabet, *_same_rows_walk(d))
+
+
+def _same_rows_walk(d: MultiTrackAutomaton):
+    """(start, successors, accepts) of :func:`_same_rows`' walk on ``d``."""
+    n1 = d.states + 1
+    dead = d.states
+    nodes = range(n1)
     delta = {(src, sym): dst for src, sym, dst in d.transitions}
-    nodes = set(range(d.states)) | {None}
-    accept = set(d.accepting)
+    accept = [p in d.accepting for p in nodes]
 
     def classes(cols) -> dict:
         return au._moore_minimize(
-            nodes, {(p, col): delta.get((p, col)) for p in nodes for col in cols}, accept)
+            nodes, {(p, col): delta.get((p, col), dead) for p in nodes for col in cols},
+            d.accepting)
+
+    def least(block) -> list:
+        members = _least_members(block, dead)
+        return [members[p] for p in nodes]
 
     # Once the pair has ended, an unfinished v tells p and q apart exactly
     # when they are inequivalent in d restricted to the (PAD, y) columns.
     block = classes([(PAD, y) for y in d.alphabet])
-    # rep[ended][done]: a side's representative, by whether its own word
-    # and v have ended
-    rep = ((dict(zip(nodes, nodes)),
-            _least_members(classes([(x, PAD) for x in d.alphabet]))),
-           (_least_members(block),
-            _least_members({p: p in accept for p in nodes})))
+    # rep[ended][end]: node -> a side's representative, by whether its own
+    # word and v have ended
+    rep = ((list(nodes), least(classes([(x, PAD) for x in d.alphabet]))),
+           (least(block), least(dict(zip(nodes, accept)))))
+    # The bad triples as one bit set, built a row of q's per p: the q's in
+    # another block (done = 0) or of the other acceptance (done = 1).
+    same: dict = {}
+    for q in nodes:
+        for key, bit in (((0, block[q]), 1 << 2 * q), ((1, accept[q]), 2 << 2 * q)):
+            same[key] = same.get(key, 0) | bit
+    every = sum(same.values())
+    bad = sum((every ^ same[0, block[p]] ^ same[1, accept[p]]) << 2 * n1 * p for p in nodes)
 
-    def bad(t) -> bool:
-        p, q, done = t
-        return (p in accept) != (q in accept) if done else block[p] != block[q]
-
-    v_symbols = d.alphabet + (PAD,)
-    columns = list(d.column_universe())
-    legal = {mask: [(col, m2) for col in columns
+    # by_y[p][y]: {x: d's state after (x, y) from p}
+    by_y: list = [{} for _ in nodes]
+    for src, (x, y), dst in d.transitions:
+        by_y[src].setdefault(y, {})[x] = dst
+    pool = (*d.alphabet, PAD)
+    legal = {mask: [(col, m2) for col in d.column_universe()
                     if (m2 := au._pad_mask_step(mask, col)) is not None]
              for mask in range(4)}
-    moves: dict = {}  # (triple, pad mask) -> {column: successor triples}
+    # offset[track][mask]: {letter: its share of the position of a column in
+    # legal[mask]}, for the letters legal on that track.  (PAD, PAD) falls
+    # on position len(legal[mask]), one past the last.
+    index = {x: i for i, x in enumerate(pool)}
+    wide = {x: i * len(pool) for i, x in enumerate(pool)}
+    only_pad = {PAD: 0}
+    offset = ((wide, only_pad, index, only_pad), (index, index, only_pad, only_pad))
+    sides: dict = {}  # (node, ended) -> side(node, ended)
 
-    def move(t, mask) -> dict:
-        p, q, done = t
+    def side(p, ended) -> dict:
+        """The live moves of a side at node p, by whether its own word has
+        ended: {y: {x: representative after (x, y)}}."""
         out = {}
-        for (x, x2), m2 in legal[mask]:
-            p_rep, q_rep = rep[m2 & 1], rep[m2 >> 1]
-            nxt = []
-            for y in (PAD,) if done else v_symbols:
-                end = y == PAD
-                p2 = p_rep[end][p if x == PAD == y else delta.get((p, (x, y)))]
-                q2 = q_rep[end][q if x2 == PAD == y else delta.get((q, (x2, y)))]
-                if p2 is not None or q2 is not None:
-                    nxt.append((p2, q2, end))
-            out[x, x2] = nxt
+        for y, step in by_y[p].items():
+            end = y == PAD
+            live = {x: r for x, dst in step.items() if not ended or x == PAD
+                    if (r := rep[ended or x == PAD][end][dst]) != dead}
+            if live:
+                out[y] = live
+        if p != dead and (r := rep[1][1][p]) != dead:  # the pair and v have ended
+            out.setdefault(PAD, {})[PAD] = r
         return out
 
+    def move(t, mask) -> tuple:
+        """The moves of triple t after pad mask ``mask``: the positions in
+        ``legal[mask]`` of the columns it has moves on, and the successor
+        triples on each, as bits."""
+        p, q = divmod(t >> 1, n1)
+        p_moves = sides.get((p, mask & 1))
+        if p_moves is None:
+            p_moves = sides[p, mask & 1] = side(p, mask & 1)
+        q_moves = sides.get((q, mask >> 1))
+        if q_moves is None:
+            q_moves = sides[q, mask >> 1] = side(q, mask >> 1)
+        firsts, seconds = offset[0][mask], offset[1][mask]
+        # a column with one successor triple shares that triple's int
+        table: dict = {}
+        for y in (PAD,) if t & 1 else p_moves.keys() | q_moves.keys():
+            end = y == PAD
+            ps, qs = p_moves.get(y, _NO_MOVES), q_moves.get(y, _NO_MOVES)
+            for x, p2 in ps.items():  # p lives: q on every legal letter
+                a, row = firsts[x], p2 * n1 * 2 + end
+                alone = 1 << row + 2 * dead
+                for x2, b in seconds.items():
+                    q2 = qs.get(x2)
+                    bit = alone if q2 is None else 1 << row + 2 * q2
+                    old = table.get(a + b)
+                    table[a + b] = bit if old is None else old | bit
+            for x2, q2 in qs.items():  # q lives and p is dead
+                b, bit = seconds[x2], 1 << (dead * n1 + q2) * 2 + end
+                for x, a in firsts.items():
+                    if x not in ps:
+                        old = table.get(a + b)
+                        table[a + b] = bit if old is None else old | bit
+        table.pop(len(legal[mask]), None)  # (PAD, PAD) is no column
+        return tuple(table), tuple(table.values())
+
+    tables: dict = {}  # (triple, pad mask) -> move(triple, pad mask)
+
     def successors(state):
-        triples, mask = state
-        tables = []
-        for t in triples:
-            table = moves.get((t, mask))
+        bits, mask = state
+        cols = legal[mask]
+        out = [0] * len(cols)
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            key = (low.bit_length() - 1, mask)
+            table = tables.get(key)
             if table is None:
-                table = moves[t, mask] = move(t, mask)
-            tables.append(table)
-        for col, m2 in legal[mask]:
-            nxt: set = set()
-            for table in tables:
-                nxt.update(table[col])
-            yield col, (frozenset(nxt), m2)
+                table = tables[key] = move(*key)
+            for i, b in zip(*table):
+                out[i] |= b
+        for (col, m2), b in zip(cols, out):
+            yield col, (b, m2)
 
     q0 = next(iter(d.initial))
-    return au._explore_automaton(
-        2, d.alphabet, [(frozenset({(q0, q0, False)}), 0)], successors,
-        lambda s: not any(map(bad, s[0])))
+    return [(1 << (q0 * n1 + q0) * 2, 0)], successors, lambda s: not s[0] & bad
 
 
-def _least_members(block: dict) -> dict:
-    """Node -> the least node of its block, None (dead) below every state.
+_NO_MOVES: dict = {}  # a side's moves on a letter it dies on
+
+
+def _least_members(block: dict, dead=None) -> dict:
+    """Node -> the least node of its block, the dead node below every state.
     Ties are settled by sorting, not by the iteration order of a set."""
     least: dict = {}
-    for p in sorted(block, key=lambda p: -1 if p is None else p):
+    for p in sorted(block, key=lambda p: (p != dead, p)):
         least.setdefault(block[p], p)
     return {p: least[b] for p, b in block.items()}
 
@@ -145,7 +226,6 @@ def _least_members(block: dict) -> dict:
 # state is accepted from the states above it: greater < equal < less and
 # shorter < less.
 _EQUAL, _LESS, _GREATER, _SHORTER = range(4)
-_BELOW = {_LESS: (_EQUAL, _GREATER, _SHORTER), _EQUAL: (_GREATER,)}
 
 
 def _shortlex_order(alphabet) -> MultiTrackAutomaton:
@@ -166,39 +246,58 @@ def least_representatives(eq: AutomaticRelation) -> MultiTrackAutomaton:
 
     One subset construction reads w and tracks the runs of E and <sl on the
     pairs (w', w) over all candidate w'; it accepts when no run accepts.  A
-    run whose order state lies below another run's on the same E state adds
-    nothing and is dropped, which keeps the subsets small.
+    run (q, o) of E's state q and the order state o is bit 4q + o of an int,
+    so a walk state is one int.  A run whose order state lies below another
+    run's on the same E state adds nothing and is dropped, which keeps the
+    subsets small: a few shifts and masks of the whole set.  The walk is
+    deterministic, so it is minimized as it stands (see
+    :func:`~autorel.automata._explore_minimal`), and each of its states is
+    charged once.
     """
     e, order = eq.base, _shortlex_order(eq.alphabet)
     o_next = {(src, sym): dst for src, sym, dst in order.transitions}
     firsts = eq.alphabet + (au.PAD,)
 
-    def prune(runs: set) -> frozenset:
-        return frozenset(runs.difference(
-            [(q, low) for q, o in runs for low in _BELOW.get(o, ())]))
+    def runs(pairs) -> int:
+        return sum({1 << 4 * q + o for q, o in pairs})
 
-    moves: dict = {}  # (E state, order state) -> {y: successor runs}
+    equal, less = (runs((q, o) for q in range(e.states)) for o in (_EQUAL, _LESS))
+    accepting = runs((q, o) for q in e.accepting for o in order.accepting)
 
-    def move(run) -> dict:
-        if run not in moves:
-            q, o = run
-            moves[run] = {y: [(d, o_next[o, (x, y)]) for x in firsts
-                              if (o, (x, y)) in o_next
-                              for d in e._step_map.get((q, (x, y)), ())]
-                          for y in eq.alphabet}
-        return moves[run]
+    def prune(m: int) -> int:
+        lo, eq_ = m & less, m & equal
+        return m & ~(lo >> 1 | lo << 1 | lo << 2 | eq_ << 2)
 
-    def successors(runs):
-        steps = [move(run) for run in runs]
-        for y in eq.alphabet:
-            yield (y,), prune({run for step in steps for run in step[y]})
+    # The successors of a run on all letters are one int: those on the i-th
+    # letter sit at byte i * width, width bytes holding 4 bits per E state.
+    width = -(-e.states // 2)
+    columns = [(y,) for y in eq.alphabet]
 
-    def no_smaller_equivalent(runs) -> bool:
-        return not any(q in e.accepting and o in order.accepting for q, o in runs)
+    def move(r) -> int:
+        q, o = divmod(r, 4)
+        return sum(runs((d, o_next[o, (x, y)]) for x in firsts if (o, (x, y)) in o_next
+                        for d in e._step_map.get((q, (x, y)), ())) << 8 * width * i
+                   for i, y in enumerate(eq.alphabet))
 
-    start = prune({(q, _EQUAL) for q in e.initial})
-    return au.determinize_minimize(au._explore_automaton(
-        1, eq.alphabet, [start], successors, no_smaller_equivalent))
+    moves: dict = {}  # run -> move(run)
+
+    def successors(m):
+        out = 0
+        while m:
+            low = m & -m
+            m ^= low
+            r = low.bit_length() - 1
+            step = moves.get(r)
+            if step is None:
+                step = moves[r] = move(r)
+            out |= step
+        raw = out.to_bytes(width * len(columns), "little")
+        for i, col in enumerate(columns):
+            yield col, prune(int.from_bytes(raw[i * width:(i + 1) * width], "little"))
+
+    start = prune(runs((q, _EQUAL) for q in e.initial))
+    return au._explore_minimal(1, eq.alphabet, [start], successors,
+                               lambda m: not m & accepting)
 
 
 def _finite(a: MultiTrackAutomaton) -> bool:

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from autorel import automata as au
+from autorel import definability as de
 from autorel import relations as rel
 
 
@@ -189,6 +190,33 @@ def same_rows_oracle(d):
     return au._explore_automaton(
         2, d.alphabet, [(frozenset({(q0, q0, False)}), 0)], successors,
         lambda s: not any(map(bad, s[0])))
+
+
+def least_representatives_oracle(eq):
+    """Reps by a subset walk over frozensets of runs (q, o) of E and the
+    shortlex order on (w', w): a run below another on the same E state is
+    dropped, and the walk is minimized by a second walk over its states."""
+    below = {de._LESS: (de._EQUAL, de._GREATER, de._SHORTER), de._EQUAL: (de._GREATER,)}
+    e, order = eq.base, de._shortlex_order(eq.alphabet)
+    o_next = {(src, sym): dst for src, sym, dst in order.transitions}
+    firsts = eq.alphabet + (au.PAD,)
+
+    def prune(runs: set) -> frozenset:
+        return frozenset(runs.difference(
+            [(q, low) for q, o in runs for low in below.get(o, ())]))
+
+    def successors(runs):
+        for y in eq.alphabet:
+            yield (y,), prune({(d, o_next[o, (x, y)]) for q, o in runs for x in firsts
+                               if (o, (x, y)) in o_next
+                               for d in e._step_map.get((q, (x, y)), ())})
+
+    def no_smaller_equivalent(runs) -> bool:
+        return not any(q in e.accepting and o in order.accepting for q, o in runs)
+
+    start = prune({(q, de._EQUAL) for q in e.initial})
+    return au.determinize_minimize(au._explore_automaton(
+        1, eq.alphabet, [start], successors, no_smaller_equivalent))
 
 
 def decompose_peel_oracle(r, bound, equiv=None):

@@ -191,10 +191,11 @@ def test_determinize_minimize_matches_renumbering_oracle_on_machine_graphs(machi
             _same_canonical_bytes(a)
 
 
-def _random_dfa(rng, alphabet, n):
-    """A random partial DFA over 1 or 2 tracks; sparse moves and a random
-    initial state leave some states unreachable and some dead."""
-    tracks = rng.randint(1, 2)
+def _random_dfa(rng, alphabet, n, tracks=None):
+    """A random partial DFA over 1 or 2 tracks (drawn unless given); sparse
+    moves and a random initial state leave some states unreachable and some
+    dead."""
+    tracks = rng.randint(1, 2) if tracks is None else tracks
     cols = list(nfa(tracks, alphabet, 1, {0}, (), ()).column_universe())
     trans = [(q, c, rng.randrange(n)) for q in range(n) for c in cols
              if rng.random() < 0.3]
@@ -231,6 +232,25 @@ def test_determinize_minimize_charges_a_dfa_like_the_subset_walk(monkeypatch):
             au.determinize_minimize(a)
         with pytest.raises(au.BudgetExceededError), au.state_budget(n - 1):
             au.determinize_minimize(a)
+
+
+def test_explore_minimal_matches_minimizing_the_built_walk_on_dfa_products():
+    # a deterministic walk minimized as it stands gives the bytes of
+    # minimizing the built walk, and charges each state once, not twice
+    rng = random.Random(7008)
+    for i in range(300):
+        alphabet = ("a", "b", "c") if i % 4 == 3 else AB
+        tracks = rng.randint(1, 2)
+        a, b = (_random_dfa(rng, alphabet, rng.randint(1, 7), tracks) for _ in range(2))
+        walk = au._intersection_product(a, b)
+        with au.state_budget():
+            built = au._explore_automaton(tracks, alphabet, *walk)
+            rewalked = au.determinize_minimize(built)
+            assert au._active_budget().used == 2 * built.states
+        with au.state_budget():
+            direct = au._explore_minimal(tracks, alphabet, *walk)
+            assert au._active_budget().used == built.states
+        assert au.dumps(direct) == au.dumps(rewalked)
 
 
 def _constructor_fields(fault=None):

@@ -326,6 +326,15 @@ def test_recognizable_exit_codes(fx, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("recognizable")
 
 
+def test_out_of_memory_exits_2_not_1(fx, monkeypatch, capsys):
+    def exhausted(_r):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.de, "recognizable", exhausted)
+    assert run("recognizable", "--r", str(fx / "fc1.json")) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("sep-verify", "--r1", "FC1", "--r2", "FC1", "--s", "BAD"),
     ("color-verify", "--graph", "FC1", "--coloring", "BAD"),

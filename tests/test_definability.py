@@ -10,8 +10,9 @@ from autorel import recognizable as rc
 from autorel import relations as rel
 
 from conftest import (build_equiv_oracle, decompose_peel_oracle, equiv_oracle,
-                      min_cover_oracle, random_language, random_padded_relation,
-                      random_relation, same_rows_oracle, words_upto)
+                      least_representatives_oracle, min_cover_oracle, random_language,
+                      random_padded_relation, random_relation, same_rows_oracle,
+                      words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -123,7 +124,7 @@ def test_build_equiv_matches_composition_oracle():
 
 def test_build_equiv_stays_small_on_a_five_state_relation():
     # the composition built about 324,000 states here before its complement
-    # finished; the direct walks build about 47,000
+    # finished; the direct walks charge about 3,900, each walk state once
     rng = random.Random(6063)
     r = random_relation(rng, ("a", "b", "c"), rng.randint(1, 2))
     with au.state_budget(100_000):
@@ -132,7 +133,8 @@ def test_build_equiv_stays_small_on_a_five_state_relation():
 
 def test_build_equiv_stays_small_on_an_eight_state_relation():
     # E is the identity; walking raw triples charged about 55,000 states
-    # here, merging equivalent sides of the triples about 4,200
+    # here, merging equivalent sides of the triples about 2,100, each walk
+    # state once
     rng = random.Random(6062)
     for _ in range(2):
         r = random_relation(rng, AB, rng.randint(1, 3))
@@ -150,14 +152,18 @@ def _same_rows_agree(d):
             au.dumps(au.determinize_minimize(same_rows_oracle(side)))
 
 
-def test_same_rows_matches_raw_triple_oracle_on_workload_relations(tmp_path, monkeypatch):
-    # the relations of the benchmark's definability workload, seed 41
+def _workload_relations(tmp_path, monkeypatch) -> list:
+    """The relations of the benchmark's definability workload, seed 41."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
     paths = {q.argv[q.argv.index("--r") + 1] for q in workloads.definability(41, tmp_path)}
     assert len(paths) == 12
-    for path in sorted(paths):
-        _same_rows_agree(au.determinize_minimize(au.loads(Path(path).read_text())))
+    return [rel.relation(au.loads(Path(path).read_text())) for path in sorted(paths)]
+
+
+def test_same_rows_matches_raw_triple_oracle_on_workload_relations(tmp_path, monkeypatch):
+    for r in _workload_relations(tmp_path, monkeypatch):
+        _same_rows_agree(au.determinize_minimize(r.base))
 
 
 @pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c"), ("b", "a")])
@@ -170,6 +176,28 @@ def test_same_rows_matches_raw_triple_oracle_on_random_relations(alphabet):
         if r.base.states <= most:
             _same_rows_agree(r.base)
             drawn += 1
+
+
+def test_same_rows_walk_minimize_directly_matches_minimizing_the_built_walk():
+    # the same bytes, and each walk state charged once instead of twice
+    rng = random.Random(7404)
+    for alphabet in (AB, ("a", "b", "c"), ("b", "a")):
+        drawn = 0
+        while drawn < 20:
+            d = random_relation(rng, alphabet, rng.randint(1, 3)).base
+            if d.states > 5:
+                continue
+            drawn += 1
+            for side in (d, au.permute_tracks(d, (1, 0))):
+                walk = de._same_rows_walk(side)
+                with au.state_budget():
+                    built = au._explore_automaton(2, alphabet, *walk)
+                    rewalked = au.determinize_minimize(built)
+                    assert au._active_budget().used == 2 * built.states
+                with au.state_budget():
+                    direct = de._same_rows(side)
+                    assert au._active_budget().used == built.states
+                assert au.dumps(direct) == au.dumps(rewalked)
 
 
 def test_same_rows_least_members_put_dead_first():
@@ -240,7 +268,7 @@ def test_decompose_agrees_with_the_peel(alphabet, count):
 def test_least_representatives_keep_their_subsets_small():
     # a 7-state relation with a 150-state congruence: projecting E and <sl
     # and then determinizing built about 38,600 states; pruning dominated
-    # runs builds about 9,100
+    # runs charges about 4,600, each walk state once
     rng = random.Random(6062)
     for _ in range(31):
         r = random_relation(rng, AB, rng.randint(1, 3))
@@ -249,6 +277,57 @@ def test_least_representatives_keep_their_subsets_small():
         dec = de.decompose(r, 64, eq)
     assert dec.truncated
     assert dec.representatives == decompose_peel_oracle(r, 64, eq)[0]
+
+
+def _reps_agree(eq):
+    """The bit-set walk and the frozenset walk give the same canonical bytes."""
+    assert au.dumps(de.least_representatives(eq)) == \
+        au.dumps(least_representatives_oracle(eq))
+
+
+def test_least_representatives_match_frozenset_oracle_on_workload_relations(
+        tmp_path, monkeypatch):
+    for r in _workload_relations(tmp_path, monkeypatch):
+        _reps_agree(de.build_equiv(r))
+
+
+@pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c"), ("b", "a")],
+                         ids=["ab", "abc", "ba"])
+def test_least_representatives_match_frozenset_oracle_on_random_relations(alphabet):
+    # relations of at most 4 states keep E, and so the frozenset walk, small
+    rng = random.Random(7500 + len(alphabet) + (alphabet[0] == "b"))
+    drawn = 0
+    while drawn < 30:
+        r = random_relation(rng, alphabet, rng.randint(1, 3))
+        if r.base.states <= 4:
+            _reps_agree(de.build_equiv(r))
+            drawn += 1
+
+
+def test_least_representatives_match_frozenset_oracle_on_the_80_draws():
+    # The 80 draws on which the size of the congruence is measured.  A draw
+    # is compared where E takes at most 5,000 units and 300 states and both
+    # walks finish under 100,000 units each.  Past that a walk state is a
+    # set of thousands of runs: at 100,000 units for E, draws 1, 11 and 40
+    # take 20 to 150 s each.
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(80):
+        r = random_relation(rng, rng.choice([AB, ("a", "b", "c")]), rng.randint(1, 5))
+        try:
+            with au.state_budget(5_000):
+                eq = de.build_equiv(r)
+            if eq.base.states > 300:
+                continue
+            with au.state_budget(100_000):
+                reps = de.least_representatives(eq)
+            with au.state_budget(100_000):
+                oracle = least_representatives_oracle(eq)
+        except au.BudgetExceededError:
+            continue
+        assert au.dumps(reps) == au.dumps(oracle)
+        compared += 1
+    assert compared >= 60
 
 
 def test_truncated_decomposition_builds_classes_on_first_read(monkeypatch):
