@@ -119,14 +119,20 @@ def _explore(start, successors):
     ``successors(state)`` yields ``(label, next_state)`` pairs.  Returns the
     numbering and the ``(src, label, dst)`` edges between state numbers.
     """
-    bud = _active_budget()
     index: dict = {}
+    edges = list(_walk(start, successors, index))
+    return index, edges
+
+
+def _walk(start, successors, index: dict):
+    """The edges of :func:`_explore`, yielded as they are found, while the
+    states are numbered into ``index``."""
+    bud = _active_budget()
     for s in start:
         if s not in index:
             index[s] = len(index)
             bud.charge()
     order = list(index)
-    edges = []
     for src, state in enumerate(order):  # grows while iterated: a BFS queue
         for label, nxt in successors(state):
             dst = index.get(nxt)
@@ -134,8 +140,7 @@ def _explore(start, successors):
                 dst = index[nxt] = len(order)
                 bud.charge()
                 order.append(nxt)
-            edges.append((src, label, dst))
-    return index, edges
+            yield src, label, dst
 
 
 def _shortest_word(start, successors, rank, accepts) -> Optional[tuple]:
@@ -542,15 +547,6 @@ def _determinize(a: MultiTrackAutomaton):
     return len(index), trans, accept
 
 
-def _walk_states(a: MultiTrackAutomaton):
-    """:func:`_determinize` of a deterministic ``a``, whose subsets would
-    all be singletons: the same walk over its states."""
-    index, edges = _explore(a.initial, a._adj.__getitem__)
-    trans = {(src, sym): dst for src, sym, dst in edges}
-    accept = {i for q, i in index.items() if q in a.accepting}
-    return len(index), trans, accept
-
-
 def _trim(initial: int, trans: dict, accept: set):
     """Keep states that can reach acceptance; the initial state always stays.
     Returns the kept states and ``trans``, trimmed in place to their moves
@@ -572,17 +568,19 @@ def _moore_minimize(states: Collection, trans: dict, accept: set) -> dict:
     is given.
     """
     cols: dict = {}  # column -> position, in first-seen order
-    out: dict = {q: [] for q in states}
+    at: dict = {q: [] for q in states}
+    dsts: dict = {q: [] for q in states}
     for (q, sym), d in trans.items():
-        out[q].append((cols.setdefault(sym, len(cols)), d))
-    dsts = {}
+        at[q].append(cols.setdefault(sym, len(cols)))
+        dsts[q].append(d)
     first: dict = {}
     block = {}
-    for q, moves in out.items():
-        moves.sort()  # positions are distinct, so targets are never compared
-        dsts[q] = [d for _c, d in moves]
-        key = (q in accept, *[c for c, _d in moves])
-        block[q] = first.setdefault(key, len(first))
+    for q, pos in at.items():
+        ordered = sorted(pos)
+        if ordered != pos:  # positions are distinct, so targets are never compared
+            dsts[q] = [d for _c, d in sorted(zip(pos, dsts[q]))]
+        block[q] = first.setdefault((q in accept, *ordered), len(first))
+    del at
     count = len(first)
     while True:
         ids: dict = {}
@@ -611,46 +609,64 @@ def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     ``_rank`` order: the states of a block move on the same columns into the
     same blocks, so numbering blocks by least member numbers them
     breadth-first.  A deterministic input skips the subset construction,
-    whose subsets would all be singletons: the walk runs over its states,
-    along ``_adj`` in ``_rank`` order, and numbers and charges them alike.
-    A construction whose own walk is deterministic skips this function and
-    its second walk: :func:`_explore_minimal` charges each state once.
+    whose subsets would all be singletons: :func:`_explore_minimal` walks
+    its states along ``_adj`` in ``_rank`` order, and numbers and charges
+    them alike.  A construction whose own walk is deterministic calls
+    :func:`_explore_minimal` itself, so each of its states is charged once,
+    not once more by a second walk here.
     """
     if a.__dict__.get(_CANONICAL):
         return a
-    _n, dtrans, daccept = (_walk_states if a.deterministic else _determinize)(a)
+    if a.deterministic:
+        return _explore_minimal(a.tracks, a.alphabet, a.initial, a._adj.__getitem__,
+                                a.accepting.__contains__)
+    _n, dtrans, daccept = _determinize(a)
     return _minimal_dfa(a.tracks, a.alphabet, dtrans, daccept)
 
 
-def _minimal_dfa(tracks, alphabet, trans: dict, accept: set) -> MultiTrackAutomaton:
+def _minimal_dfa(tracks, alphabet, trans: dict, accept: set,
+                 expand=None) -> MultiTrackAutomaton:
     """The canonical DFA of a breadth-first numbered walk from state 0:
-    trim it, merge its Moore blocks and flag the result as canonical."""
+    trim it, merge its Moore blocks and flag the result as canonical.
+    ``trans`` is used up.  A block's moves are its first member's;
+    ``expand(label)``, if given, yields the columns a label of the walk
+    stands for."""
     keep, trans = _trim(0, trans, accept)
     block = _moore_minimize(sorted(keep), trans, accept)
+    first: dict = {}
+    for q, b in block.items():
+        first.setdefault(b, q)
+    moves = [(block[q], sym, block[d]) for (q, sym), d in trans.items()
+             if first[block[q]] == q]
+    trans.clear()  # not held while the result is built
     c = _freeze(tracks, alphabet, max(block.values()) + 1, {0},
                 {block[q] for q in accept},
-                {(block[q], sym, block[d]) for (q, sym), d in trans.items()})
+                moves if expand is None else
+                ((b, col, e) for b, sym, e in moves for col in expand(sym)))
     # kept beside the fields, like a cached_property, so == and hash ignore it
     c.__dict__[_CANONICAL] = True
     return c
 
 
-def _explore_minimal(tracks, alphabet, start, successors,
-                     accepts) -> MultiTrackAutomaton:
+def _explore_minimal(tracks, alphabet, start, successors, accepts,
+                     expand=None) -> MultiTrackAutomaton:
     """``determinize_minimize(_explore_automaton(...))`` for a deterministic
     walk, without the second walk over its states.
 
     ``start`` holds one state, and ``successors`` yields each column at most
     once, in ``symbol_key`` order.  The walk's breadth-first numbering is
-    then the one :func:`determinize_minimize` would give it again, so its
-    edges go straight to the minimizer, and each state is charged once.
+    then the one a walk over the built automaton would give it again, so
+    its edges go straight to the minimizer, and each state is charged once.
+    A walk may read one column for each of a few classes of columns that
+    move every state alike; ``expand(column)`` then yields the columns it
+    stands for, and the first of them is the column read.
     """
     (s0,) = start
-    index, edges = _explore([s0], successors)
+    index: dict = {}
+    trans = {(src, sym): dst for src, sym, dst in _walk([s0], successors, index)}
     accept = {i for s, i in index.items() if accepts(s)}
-    trans = {(src, sym): dst for src, sym, dst in edges}
-    del index, edges  # not held while the minimizer runs
-    return _minimal_dfa(tracks, alphabet, trans, accept)
+    del index  # not held while the minimizer runs
+    return _minimal_dfa(tracks, alphabet, trans, accept, expand)
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,17 @@ recognizable exactly when Reps is finite.
 
 Both walks keep their states as Python ints: a set of triples, or of runs of
 E and the shortlex order, is a bit set, so a step is a few big-int ORs and
-acceptance is one AND.  Both are deterministic, and so is the intersection
-of the row and column DFAs; each is minimized straight from its own walk,
-which charges each of its states to the budget once.
+acceptance is one AND.  The same-rows walk reads one letter of each class
+of letters that R's DFA moves alike.  Both walks are deterministic, and so
+is the intersection of the row and column DFAs; each is minimized straight
+from its own walk, which charges each of its states to the budget once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, product
 from typing import Optional
 
 from . import automata as au
@@ -70,6 +71,10 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     grouped by witness letter y: the moves of p and of q on y, each paired
     with every move of the other side on the legal columns, dead included.
     A column on which both sides die adds no triple and is not visited.
+    Letters on which d moves alike from every state move every walk state
+    alike, on either track, so the walk reads one column per pair of letter
+    classes and the minimal DFA gets all columns of the pair.  On a machine
+    alphabet that is a few thousand columns per walk state, not |Σ+1|².
     The walk is deterministic, so it is minimized as it stands (see
     :func:`~autorel.automata._explore_minimal`), and each of its states is
     charged once.
@@ -91,7 +96,9 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
 
 
 def _same_rows_walk(d: MultiTrackAutomaton):
-    """(start, successors, accepts) of :func:`_same_rows`' walk on ``d``."""
+    """(start, successors, accepts, expand) of :func:`_same_rows`' walk on
+    ``d``: the walk reads one column of each class product, and ``expand``
+    gives the columns it stands for."""
     n1 = d.states + 1
     dead = d.states
     nodes = range(n1)
@@ -123,21 +130,35 @@ def _same_rows_walk(d: MultiTrackAutomaton):
     every = sum(same.values())
     bad = sum((every ^ same[0, block[p]] ^ same[1, accept[p]]) << 2 * n1 * p for p in nodes)
 
-    # by_y[p][y]: {x: d's state after (x, y) from p}
+    # Letters on which d moves alike from every state are alike to the walk
+    # on either track.  It reads the first letter of each class, in alphabet
+    # order, so a column it reads stands for the product of two classes.
+    alike: dict = {}
+    for src, (x, y), dst in d.transitions:
+        alike.setdefault(x, set()).add((src, y, dst))
+    classes_of: dict = {}
+    for x in d.alphabet:
+        classes_of.setdefault(frozenset(alike.get(x, ())), []).append(x)
+    members = {xs[0]: xs for xs in classes_of.values()}
+    members[PAD] = [PAD]
+
+    # by_y[p][y]: {x: d's state after (x, y) from p}, for the letters read
     by_y: list = [{} for _ in nodes]
     for src, (x, y), dst in d.transitions:
-        by_y[src].setdefault(y, {})[x] = dst
-    pool = (*d.alphabet, PAD)
+        if x in members:
+            by_y[src].setdefault(y, {})[x] = dst
     legal = {mask: [(col, m2) for col in d.column_universe()
+                    if col[0] in members and col[1] in members
                     if (m2 := au._pad_mask_step(mask, col)) is not None]
              for mask in range(4)}
-    # offset[track][mask]: {letter: its share of the position of a column in
-    # legal[mask]}, for the letters legal on that track.  (PAD, PAD) falls
-    # on position len(legal[mask]), one past the last.
-    index = {x: i for i, x in enumerate(pool)}
-    wide = {x: i * len(pool) for i, x in enumerate(pool)}
-    only_pad = {PAD: 0}
-    offset = ((wide, only_pad, index, only_pad), (index, index, only_pad, only_pad))
+    # after[mask][x]: {x2: index of the column (x, x2) in legal[mask]};
+    # before[mask][x2]: {x: the same index}
+    after: dict = {mask: {} for mask in legal}
+    before: dict = {mask: {} for mask in legal}
+    for mask, cols in legal.items():
+        for i, ((x, x2), _m2) in enumerate(cols):
+            after[mask].setdefault(x, {})[x2] = i
+            before[mask].setdefault(x2, {})[x] = i
     sides: dict = {}  # (node, ended) -> side(node, ended)
 
     def side(p, ended) -> dict:
@@ -165,27 +186,26 @@ def _same_rows_walk(d: MultiTrackAutomaton):
         q_moves = sides.get((q, mask >> 1))
         if q_moves is None:
             q_moves = sides[q, mask >> 1] = side(q, mask >> 1)
-        firsts, seconds = offset[0][mask], offset[1][mask]
+        firsts, seconds = after[mask], before[mask]
         # a column with one successor triple shares that triple's int
         table: dict = {}
         for y in (PAD,) if t & 1 else p_moves.keys() | q_moves.keys():
             end = y == PAD
             ps, qs = p_moves.get(y, _NO_MOVES), q_moves.get(y, _NO_MOVES)
             for x, p2 in ps.items():  # p lives: q on every legal letter
-                a, row = firsts[x], p2 * n1 * 2 + end
+                row = p2 * n1 * 2 + end
                 alone = 1 << row + 2 * dead
-                for x2, b in seconds.items():
+                for x2, i in firsts.get(x, _NO_MOVES).items():
                     q2 = qs.get(x2)
                     bit = alone if q2 is None else 1 << row + 2 * q2
-                    old = table.get(a + b)
-                    table[a + b] = bit if old is None else old | bit
+                    old = table.get(i)
+                    table[i] = bit if old is None else old | bit
             for x2, q2 in qs.items():  # q lives and p is dead
-                b, bit = seconds[x2], 1 << (dead * n1 + q2) * 2 + end
-                for x, a in firsts.items():
+                bit = 1 << (dead * n1 + q2) * 2 + end
+                for x, i in seconds.get(x2, _NO_MOVES).items():
                     if x not in ps:
-                        old = table.get(a + b)
-                        table[a + b] = bit if old is None else old | bit
-        table.pop(len(legal[mask]), None)  # (PAD, PAD) is no column
+                        old = table.get(i)
+                        table[i] = bit if old is None else old | bit
         return tuple(table), tuple(table.values())
 
     tables: dict = {}  # (triple, pad mask) -> move(triple, pad mask)
@@ -206,14 +226,17 @@ def _same_rows_walk(d: MultiTrackAutomaton):
         for (col, m2), b in zip(cols, out):
             yield col, (b, m2)
 
+    def expand(col):
+        return product(members[col[0]], members[col[1]])
+
     q0 = next(iter(d.initial))
-    return [(1 << (q0 * n1 + q0) * 2, 0)], successors, lambda s: not s[0] & bad
+    return [(1 << (q0 * n1 + q0) * 2, 0)], successors, lambda s: not s[0] & bad, expand
 
 
 _NO_MOVES: dict = {}  # a side's moves on a letter it dies on
 
 
-def _least_members(block: dict, dead=None) -> dict:
+def _least_members(block: dict, dead) -> dict:
     """Node -> the least node of its block, the dead node below every state.
     Ties are settled by sorting, not by the iteration order of a set."""
     least: dict = {}

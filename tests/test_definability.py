@@ -189,9 +189,12 @@ def test_same_rows_walk_minimize_directly_matches_minimizing_the_built_walk():
                 continue
             drawn += 1
             for side in (d, au.permute_tracks(d, (1, 0))):
-                walk = de._same_rows_walk(side)
+                start, successors, accepts, expand = de._same_rows_walk(side)
                 with au.state_budget():
-                    built = au._explore_automaton(2, alphabet, *walk)
+                    built = au._explore_automaton(
+                        2, alphabet, start,
+                        lambda s: ((c, n) for col, n in successors(s) for c in expand(col)),
+                        accepts)
                     rewalked = au.determinize_minimize(built)
                     assert au._active_budget().used == 2 * built.states
                 with au.state_budget():
@@ -200,9 +203,48 @@ def test_same_rows_walk_minimize_directly_matches_minimizing_the_built_walk():
                 assert au.dumps(direct) == au.dumps(rewalked)
 
 
+def _with_copied_letter(r, letter, copy):
+    """R over its alphabet and ``copy``, a new letter that R reads as
+    ``letter`` on either track."""
+    def images(x):
+        return (x, copy) if x == letter else (x,)
+    d = r.base
+    trans = {(s, (x2, y2), t) for s, (x, y), t in d.transitions
+             for x2 in images(x) for y2 in images(y)}
+    return rel.relation(au.determinize_minimize(au.MultiTrackAutomaton(
+        2, d.alphabet + (copy,), d.states, d.initial, d.accepting, frozenset(trans))))
+
+
+def test_same_rows_reads_one_column_per_class_of_alike_letters():
+    # c moves as b does from every state, so the walk reads no column with
+    # a c in it, and the minimal DFA still has every column
+    rng = random.Random(7405)
+    drawn = 0
+    while drawn < 40:
+        r = random_relation(rng, AB, rng.randint(1, 3))
+        if r.base.states > 3:
+            continue
+        drawn += 1
+        d = _with_copied_letter(r, "b", "c").base
+        _same_rows_agree(d)
+        for side in (d, au.permute_tracks(d, (1, 0))):
+            start, successors, accepts, expand = de._same_rows_walk(side)
+            read = [col for col, _nxt in successors(start[0])]
+            assert all("c" not in col for col in read)
+            assert sorted(c for col in read for c in expand(col)) == \
+                sorted(au.valid_pad_automaton(2, d.alphabet).column_universe())
+            with au.state_budget():
+                built = au._explore_automaton(
+                    2, d.alphabet, start,
+                    lambda s: ((c, n) for col, n in successors(s) for c in expand(col)),
+                    accepts)
+            assert au.dumps(de._same_rows(side)) == \
+                au.dumps(au.determinize_minimize(built))
+
+
 def test_same_rows_least_members_put_dead_first():
     block = {3: 0, None: 1, 1: 0, 2: 1, 0: 2}
-    assert de._least_members(block) == {0: 0, 1: 1, 2: None, 3: 1, None: None}
+    assert de._least_members(block, None) == {0: 0, 1: 1, 2: None, 3: 1, None: None}
 
 
 # ---------------------------------------------------------------------------
