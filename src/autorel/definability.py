@@ -151,14 +151,14 @@ def _same_rows_walk(d: MultiTrackAutomaton):
                     if col[0] in members and col[1] in members
                     if (m2 := au._pad_mask_step(mask, col)) is not None]
              for mask in range(4)}
-    # after[mask][x]: {x2: index of the column (x, x2) in legal[mask]};
-    # before[mask][x2]: {x: the same index}
-    after: dict = {mask: {} for mask in legal}
-    before: dict = {mask: {} for mask in legal}
+    # by_first[mask][x]: {x2: index of the column (x, x2) in legal[mask]};
+    # by_second[mask][x2]: {x: the same index}
+    by_first: dict = {mask: {} for mask in legal}
+    by_second: dict = {mask: {} for mask in legal}
     for mask, cols in legal.items():
         for i, ((x, x2), _m2) in enumerate(cols):
-            after[mask].setdefault(x, {})[x2] = i
-            before[mask].setdefault(x2, {})[x] = i
+            by_first[mask].setdefault(x, {})[x2] = i
+            by_second[mask].setdefault(x2, {})[x] = i
     sides: dict = {}  # (node, ended) -> side(node, ended)
 
     def side(p, ended) -> dict:
@@ -186,7 +186,7 @@ def _same_rows_walk(d: MultiTrackAutomaton):
         q_moves = sides.get((q, mask >> 1))
         if q_moves is None:
             q_moves = sides[q, mask >> 1] = side(q, mask >> 1)
-        firsts, seconds = after[mask], before[mask]
+        firsts, seconds = by_first[mask], by_second[mask]
         # a column with one successor triple shares that triple's int
         table: dict = {}
         for y in (PAD,) if t & 1 else p_moves.keys() | q_moves.keys():
