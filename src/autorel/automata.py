@@ -92,7 +92,8 @@ def state_budget(limit: Optional[int] = None):
     candidate coloring; a listed class representative w costs len(w) + 1.
     :func:`determinize_minimize` walks its input again and charges the
     states it discovers; a deterministic walk minimized as it stands, as
-    the congruence walks are, charges each of its states once.
+    the congruence walks and the class and union walks of a decomposition
+    are, charges each of its states once.
     A witness search charges one unit per product state it discovers and
     stops at the first witness, so it charges at most what building the
     product would.  Exhaustion always raises :class:`BudgetExceededError`.
@@ -311,8 +312,14 @@ class MultiTrackAutomaton:
     def deterministic(self) -> bool:
         """One initial state and at most one move per column and state,
         read off ``_adj``, where the moves on one column are adjacent."""
-        return len(self.initial) == 1 and all(
-            s != t for moves in self._adj.values() for (s, _d), (t, _e) in pairwise(moves))
+        if len(self.initial) != 1:
+            return False
+        for moves in self._adj.values():
+            if len(moves) > 1:
+                for (s, _d), (t, _e) in pairwise(moves):
+                    if s == t:
+                        return False
+        return True
 
     @cached_property
     def _adj(self) -> dict:
@@ -357,7 +364,22 @@ class MultiTrackAutomaton:
             nxt |= self._step_map.get((q, sym), _EMPTY_SET)
         return frozenset(nxt)
 
+    @cached_property
+    def _delta(self) -> dict:
+        """(src, column) -> dst, for a deterministic automaton."""
+        return {(src, sym): dst for src, sym, dst in self.transitions}
+
     def accepts_columns(self, word: Sequence[TrackSymbol]) -> bool:
+        """Whether the column word is accepted: one state at a time on a
+        deterministic automaton, else by stepping subsets."""
+        if self.deterministic:
+            delta = self._delta
+            (q,) = self.initial
+            for sym in word:
+                q = delta.get((q, tuple(sym)))
+                if q is None:
+                    return False
+            return q in self.accepting
         cur = self.initial
         for sym in word:
             if not cur:
@@ -933,8 +955,66 @@ def iter_column_words(a: MultiTrackAutomaton,
     order.  Lazy, so the first words of an infinite language come cheaply.
 
     Each length is a depth-first walk that follows a column only when the
-    states it leads to can still accept at exactly that length.
+    states it leads to can still accept at exactly that length.  On a
+    deterministic automaton the walk steps one state at a time along
+    ``_adj``, which is in ``symbol_key`` order, and ``ends[r]``, the states
+    that accept a word of exactly r more columns, grows from a reverse
+    adjacency built once.  On an NFA it steps subsets and merges their moves
+    by column.
     """
+    if a.deterministic:
+        return _dfa_column_words(a, max_len)
+    return _subset_column_words(a, max_len)
+
+
+def _dfa_column_words(a: MultiTrackAutomaton, max_len: Optional[int]) -> Iterator[tuple]:
+    adj = a._adj
+    (q0,) = a.initial
+    reach = [q0]
+    back: dict = {}  # reachable state -> its predecessors, with repeats
+    for p in reach:  # grows while iterated
+        for _sym, q in adj[p]:
+            if q not in back:
+                back[q] = []
+                if q != q0:
+                    reach.append(q)
+            back[q].append(p)
+    # ends[r]: the reachable states accepting some word of length r
+    ends = [a.accepting.intersection(reach)]
+    length = 0
+    while (max_len is None or length <= max_len) and ends[length]:
+        if q0 in ends[length]:
+            yield from _dfa_exact_length_words(adj, q0, ends, length)
+        ends.append({p for q in ends[length] for p in back.get(q, ())})
+        length += 1
+
+
+def _dfa_exact_length_words(adj: dict, q0: int, ends: list, length: int) -> Iterator[tuple]:
+    if length == 0:
+        yield ()
+        return
+    path: list = []
+    stack = [iter(adj[q0])]
+    while stack:
+        rem = length - len(stack)  # columns left after the one chosen here
+        live = ends[rem]
+        for sym, dst in stack[-1]:
+            if dst in live:
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        if rem == 0:
+            yield (*path, sym)
+        else:
+            path.append(sym)
+            stack.append(iter(adj[dst]))
+
+
+def _subset_column_words(a: MultiTrackAutomaton,
+                         max_len: Optional[int]) -> Iterator[tuple]:
     adj = a._adj
     start = frozenset(a.initial)
     reach = set(_reach(start, {q: [d for _sym, d in out] for q, out in adj.items()}))
@@ -995,11 +1075,6 @@ def empty_language(tracks: int, alphabet: Sequence[str]) -> MultiTrackAutomaton:
     return _freeze(tracks, check_alphabet(alphabet), 1, {0}, (), ())
 
 
-def epsilon_language(tracks: int, alphabet: Sequence[str]) -> MultiTrackAutomaton:
-    _check_tracks(tracks)
-    return _freeze(tracks, check_alphabet(alphabet), 1, {0}, {0}, ())
-
-
 def full_language(alphabet: Sequence[str]) -> MultiTrackAutomaton:
     """1-track: all words over the alphabet."""
     alphabet = check_alphabet(alphabet)
@@ -1022,14 +1097,6 @@ def _word_automaton(word: Sequence[str], alphabet: tuple) -> MultiTrackAutomaton
             raise UnknownSymbolError(f"symbol {x!r} outside alphabet")
     trans = [(i, (x,), i + 1) for i, x in enumerate(w)]
     return _freeze(1, alphabet, len(w) + 1, {0}, {len(w)}, trans)
-
-
-def from_word_list(words: Iterable[Sequence[str]],
-                   alphabet: Sequence[str]) -> MultiTrackAutomaton:
-    """1-track finite language."""
-    alphabet = check_alphabet(alphabet)
-    return determinize_minimize(union(
-        empty_language(1, alphabet), *(word_language(w, alphabet) for w in words)))
 
 
 # ---------------------------------------------------------------------------

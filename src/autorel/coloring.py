@@ -177,14 +177,6 @@ def coloring_from_separator(s: PartitionedRecognizable) -> RegularColoring:
     return RegularColoring(colors=s.partition)
 
 
-def separator_from_kcoloring(e: AutomaticRelation,
-                             c: RegularColoring) -> PartitionedRecognizable:
-    """For the (E, Id) instance: the union of off-diagonal block products."""
-    k = len(c.colors)
-    pairs = frozenset((i, j) for i in range(k) for j in range(k) if i != j)
-    return PartitionedRecognizable(partition=c.colors, pairs=pairs)
-
-
 # ---------------------------------------------------------------------------
 # Bounded coloring synthesis
 

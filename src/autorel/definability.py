@@ -20,6 +20,12 @@ acceptance is one AND.  The same-rows walk reads one letter of each class
 of letters that R's DFA moves alike.  Both walks are deterministic, and so
 is the intersection of the row and column DFAs; each is minimized straight
 from its own walk, which charges each of its states to the budget once.
+
+Once E is built, everything after it runs on DFAs: the representatives are
+listed one state at a time along Reps' DFA, a class is one walk of E
+against its representative, a union of classes one walk over the tuple of
+their states, and the quotient matrix tests membership in R's automaton
+state by state when it is deterministic.
 """
 
 from __future__ import annotations
@@ -352,12 +358,14 @@ class EquivalenceDecomposition:
     ``representatives`` lists the shortlex-least words of the classes in
     shortlex order: all of them, or, when ``truncated`` (more than the bound
     exist), the first bound + 1.  ``classes[i]`` is the class of
-    ``representatives[i]`` as a canonical 1-track DFA; it is built from
-    ``equiv`` on first read, so a decision that only needs the index or the
-    quotient matrix never builds it.  That first read is a construction:
-    it charges the :func:`~autorel.automata.state_budget` scope active at
-    the read, not the one :func:`decompose` ran in, and can raise
-    ``BudgetExceededError``.
+    ``representatives[i]`` as a canonical 1-track DFA, one deterministic
+    walk of ``equiv``'s DFA against the representative (see
+    :func:`_class_dfa`), minimized as it stands.  The classes are built on
+    first read, so a decision that only needs the index or the quotient
+    matrix never builds them.  That first read is a construction: it
+    charges the :func:`~autorel.automata.state_budget` scope active at the
+    read, not the one :func:`decompose` ran in, one unit per walk state,
+    and can raise ``BudgetExceededError``.
     """
 
     relation: AutomaticRelation
@@ -371,10 +379,44 @@ class EquivalenceDecomposition:
 
     @cached_property
     def classes(self) -> tuple:  # tuple[MultiTrackAutomaton, ...]
-        alpha = self.relation.alphabet
-        return tuple(
-            au.determinize_minimize(rel.image(self.equiv, au.word_language(w, alpha)))
-            for w in self.representatives)
+        e = au.determinize_minimize(self.equiv.base)  # as is when built here
+        return tuple(_class_dfa(e, w) for w in self.representatives)
+
+
+def _class_dfa(e: MultiTrackAutomaton, w: tuple) -> MultiTrackAutomaton:
+    """The class {w' | (w, w') in E} of the word w, for a DFA ``e`` of the
+    congruence E, as a canonical 1-track DFA.
+
+    One deterministic walk reads w' against w.  Its states are (i, q): i
+    letters of w read so far, capped at len(w), and q the state of ``e``.
+    Reading y follows the column (w[i], y), or (PAD, y) once w has ended,
+    and (i, q) accepts when ``e`` accepts after the rest of w read against
+    padding.  The letters y come in alphabet order, so the walk is
+    minimized as it stands (see :func:`~autorel.automata._explore_minimal`)
+    and each of its states is charged once.
+    """
+    delta, alphabet, n = e._delta, e.alphabet, len(w)
+    # the columns read at each position: ((y,), (w[i] or PAD, y)) per letter y
+    reads = [[((y,), (x, y)) for y in alphabet] for x in (*w, PAD)]
+
+    def successors(state):
+        i, q = state
+        j = i + (i < n)
+        for col, pair in reads[i]:
+            q2 = delta.get((q, pair))
+            if q2 is not None:
+                yield col, (j, q2)
+
+    def accepts(state):
+        i, q = state
+        for x in w[i:]:
+            q = delta.get((q, (x, PAD)))
+            if q is None:
+                return False
+        return q in e.accepting
+
+    (q0,) = e.initial
+    return au._explore_minimal(1, alphabet, [(0, q0)], successors, accepts)
 
 
 def decompose(r: AutomaticRelation, bound: int,
@@ -559,9 +601,33 @@ def _kprod_witness(dec: EquivalenceDecomposition, matrix: QuotientMatrix,
 
 
 def _union_of_classes(dec: EquivalenceDecomposition, idxs) -> MultiTrackAutomaton:
-    return au.determinize_minimize(au.union(
-        au.empty_language(1, dec.relation.alphabet),
-        *(dec.classes[i] for i in sorted(idxs))))
+    """The union of the classes ``idxs`` as a canonical DFA: one class as it
+    is, several by a walk over the tuple of their states.
+
+    A component is None once its class has died, and a tuple of Nones is
+    not followed; a tuple accepts when a component does.  The walk reads
+    the letters in alphabet order, so it is minimized as it stands and
+    each of its states is charged once.
+    """
+    classes = [dec.classes[i] for i in sorted(idxs)]
+    if len(classes) == 1:
+        return classes[0]
+    alphabet = dec.relation.alphabet
+    deltas = [c._delta for c in classes]
+    columns = [(x,) for x in alphabet]
+
+    def successors(states):
+        for col in columns:
+            nxt = tuple(None if q is None else delta.get((q, col))
+                        for q, delta in zip(states, deltas))
+            if nxt.count(None) < len(nxt):
+                yield col, nxt
+
+    def accepts(states):
+        return any(q in c.accepting for q, c in zip(states, classes))
+
+    start = tuple(next(iter(c.initial)) for c in classes)
+    return au._explore_minimal(1, alphabet, [start], successors, accepts)
 
 
 def min_prod(r: AutomaticRelation, kmax: int) -> Optional[int]:

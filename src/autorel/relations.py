@@ -276,10 +276,6 @@ def _lockstep_clash(r: AutomaticRelation, shared: int) -> bool:
     return False
 
 
-def equivalent_rel(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
-    return au.equivalent(r1.base, r2.base)
-
-
 def relation_pairs(r: AutomaticRelation, max_conv_len: int) -> Iterator[tuple]:
     """Pairs of R whose convolution length is <= max_conv_len, shortlex."""
     for w in au.iter_column_words(r.base, max_conv_len):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import automata as au
 from . import relations as rel
@@ -95,11 +95,6 @@ def head_token(sym: str, state: str) -> str:
     return f"{sym}|{state}"
 
 
-def split_head_token(token: str) -> tuple:
-    sym, _, state = token.partition("|")
-    return sym, state
-
-
 def config_alphabet(t: TuringMachine) -> tuple:
     """Work symbols plus fused head tokens, in declaration order."""
     toks = list(t.tape)
@@ -125,30 +120,6 @@ def configs_language(t: TuringMachine) -> MultiTrackAutomaton:
             trans.append((0, (head_token(g, q),), 1))
         trans.append((0, (head_token(t.blank, q),), 2))
     return au._freeze(1, config_alphabet(t), 3, {0}, {1, 2}, trans)
-
-
-def decode_config(word: Sequence[str]) -> Optional[tuple]:
-    """(left, head symbol, state, right) or None when not a configuration."""
-    left = []
-    head = None
-    right = []
-    for tok in word:
-        if "|" in tok:
-            if head is not None:
-                return None
-            head = split_head_token(tok)
-        elif head is None:
-            left.append(tok)
-        else:
-            right.append(tok)
-    if head is None:
-        return None
-    return tuple(left), head[0], head[1], tuple(right)
-
-
-def encode_config(left: Sequence[str], sym: str, state: str,
-                  right: Sequence[str]) -> tuple:
-    return tuple(left) + (head_token(sym, state),) + tuple(right)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,67 @@ import pytest
 
 from autorel import automata as au
 from autorel import definability as de
+from autorel import recognizable as rc
 from autorel import relations as rel
+from autorel import tm
 
+
+# ---------------------------------------------------------------------------
+# Helpers that only tests need
+
+def epsilon_language(tracks, alphabet):
+    """{epsilon} on `tracks` tracks, through the checking constructor."""
+    return au.MultiTrackAutomaton(tracks, tuple(alphabet), 1, frozenset({0}),
+                                  frozenset({0}), frozenset())
+
+
+def from_word_list(words, alphabet):
+    """1-track finite language, canonical."""
+    return au.determinize_minimize(au.union(
+        au.empty_language(1, alphabet), *(au.word_language(w, alphabet) for w in words)))
+
+
+def equivalent_rel(r1, r2):
+    return au.equivalent(r1.base, r2.base)
+
+
+def separator_from_kcoloring(e, c):
+    """For the (E, Id) instance: the union of off-diagonal block products."""
+    k = len(c.colors)
+    pairs = frozenset((i, j) for i in range(k) for j in range(k) if i != j)
+    return rc.PartitionedRecognizable(partition=c.colors, pairs=pairs)
+
+
+def split_head_token(token):
+    sym, _, state = token.partition("|")
+    return sym, state
+
+
+def decode_config(word):
+    """(left, head symbol, state, right) or None when not a configuration."""
+    left = []
+    head = None
+    right = []
+    for tok in word:
+        if "|" in tok:
+            if head is not None:
+                return None
+            head = split_head_token(tok)
+        elif head is None:
+            left.append(tok)
+        else:
+            right.append(tok)
+    if head is None:
+        return None
+    return tuple(left), head[0], head[1], tuple(right)
+
+
+def encode_config(left, sym, state, right):
+    return tuple(left) + (tm.head_token(sym, state),) + tuple(right)
+
+
+# ---------------------------------------------------------------------------
+# Oracles
 
 def words_upto(alphabet, n):
     out = [()]
@@ -240,6 +299,26 @@ def decompose_peel_oracle(r, bound, equiv=None):
         uncovered = au.determinize_minimize(au.difference(uncovered, cls))
 
 
+def class_oracle(eq, w):
+    """The class of w under the congruence E by composition: the image of
+    {w} under E, minimized."""
+    return au.determinize_minimize(rel.image(eq, au.word_language(w, eq.alphabet)))
+
+
+def union_of_classes_oracle(alphabet, classes):
+    """The union of class DFAs by the disjoint union of their NFAs and a
+    subset construction."""
+    return au.determinize_minimize(au.union(au.empty_language(1, alphabet), *classes))
+
+
+def accepts_by_subsets(a, word):
+    """Membership of a column word by stepping the subset of live states."""
+    cur = frozenset(a.initial)
+    for sym in word:
+        cur = a.step(cur, tuple(sym))
+    return bool(cur & a.accepting)
+
+
 def min_cover_oracle(ones, kmax):
     """Exhaustive rectangle-cover minimum via combinations of maximal
     rectangles, with validity and maximality checked by brute subset tests.
@@ -319,6 +398,26 @@ def random_language(rng: random.Random, alphabet=("a", "b"), states=3,
     return au.MultiTrackAutomaton(
         tracks=1, alphabet=tuple(alphabet), states=states,
         initial=frozenset(rng.sample(range(states), rng.randint(1, 2))),
+        accepting=frozenset(rng.sample(range(states), rng.randint(0, states))),
+        transitions=frozenset(trans),
+    )
+
+
+def random_dfa(rng: random.Random, tracks, alphabet, states, acyclic=False):
+    """Random partial t-track DFA over every legal column.  The initial state
+    is drawn, so some states may be unreachable; states without a way to
+    acceptance are dead; no state may accept.  When ``acyclic``, every move
+    goes to a greater state, so the language is finite."""
+    cols = list(au.valid_pad_automaton(tracks, alphabet).column_universe())
+    trans = set()
+    for q in range(states):
+        low = q + 1 if acyclic else 0
+        for c in cols:
+            if low < states and rng.random() < 0.5:
+                trans.add((q, c, rng.randrange(low, states)))
+    return au.MultiTrackAutomaton(
+        tracks=tracks, alphabet=tuple(alphabet), states=states,
+        initial=frozenset({rng.randrange(states)}),
         accepting=frozenset(rng.sample(range(states), rng.randint(0, states))),
         transitions=frozenset(trans),
     )

@@ -18,7 +18,9 @@ from autorel import recognizable as rc
 from autorel import relations as rel
 from autorel import tm
 
-from conftest import equiv_oracle, min_cover_oracle, random_relation, words_upto
+from conftest import (decode_config, encode_config, equiv_oracle, equivalent_rel,
+                      min_cover_oracle, random_relation, separator_from_kcoloring,
+                      words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -130,11 +132,11 @@ def test_acceptance_05_reduction_round_trips():
             continue
         done += 1
         pair = co.reduce_coloring_to_sep(e)
-        sep = co.separator_from_kcoloring(e, coloring)
+        sep = separator_from_kcoloring(e, coloring)
         ok = ok and rc.verify_separator(sep.to_recognizable(), *pair).ok
         back = co.coloring_from_separator(sep)
         ok = ok and co.verify_coloring(e, back).ok
-        sep2 = co.separator_from_kcoloring(e, back)
+        sep2 = separator_from_kcoloring(e, back)
         ok = ok and rc.verify_separator(sep2.to_recognizable(), *pair).ok
     ok = ok and done == 10
     report(5, ok, f"separator/coloring reductions round-trip on {done} random "
@@ -198,7 +200,7 @@ def test_acceptance_07_equivalence_laws():
         eq = de.build_equiv(r)
         ident = rel.make_identity(r.alphabet)
         ok = ok and au.included(ident.base, eq.base)
-        ok = ok and rel.equivalent_rel(eq, rel.inverse(eq))
+        ok = ok and equivalent_rel(eq, rel.inverse(eq))
         ok = ok and au.included(rel.compose(eq, eq).base, eq.base)
     report(7, ok, "the congruence is reflexive, symmetric and transitive "
                   "(exact automata checks) on all six fixture relations")
@@ -245,7 +247,7 @@ def test_acceptance_09_tm_pipeline():
 
     # independent simulator over structurally enumerated configurations
     def step_oracle(t, word):
-        parsed = tm.decode_config(word)
+        parsed = decode_config(word)
         left, sym, state, right = parsed
         if state in t.finals:
             return None
@@ -255,11 +257,11 @@ def test_acceptance_09_tm_pipeline():
         q2, y, d = rule
         if d == tm.RIGHT:
             if right:
-                return tm.encode_config(left + (y,), right[0], q2, right[1:])
-            return tm.encode_config(left + (y,), t.blank, q2, ())
+                return encode_config(left + (y,), right[0], q2, right[1:])
+            return encode_config(left + (y,), t.blank, q2, ())
         if not left:
             return None
-        return tm.encode_config(left[:-1], left[-1], q2, (y,) + right)
+        return encode_config(left[:-1], left[-1], q2, (y,) + right)
 
     def all_configs(t, max_len):
         out = []
@@ -269,9 +271,9 @@ def test_acceptance_09_tm_pipeline():
                     for post in product(t.tape, repeat=total - i - 1):
                         for q in t.states:
                             for s in t.tape:
-                                out.append(tm.encode_config(pre, s, q, post))
+                                out.append(encode_config(pre, s, q, post))
                             if not post:
-                                out.append(tm.encode_config(pre, t.blank, q, ()))
+                                out.append(encode_config(pre, t.blank, q, ()))
         return out
 
     g = tm.config_graph(halting)

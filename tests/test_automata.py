@@ -12,12 +12,13 @@ from autorel import relations as rel
 from autorel import tm
 from autorel.automata import PAD
 
-from conftest import (complement_relative_oracle, cylindrify, determinize_minimize_oracle,
-                      difference_oracle, difference_witness_oracle,
+from conftest import (accepts_by_subsets, complement_relative_oracle, cylindrify,
+                      determinize_minimize_oracle, difference_oracle,
+                      difference_witness_oracle, epsilon_language,
                       intersection_witness_oracle, lang_upto, moore_minimize_oracle,
-                      neq_relation, project_oracle, random_language, random_nfa,
-                      random_padded_relation, random_relation, residual_signatures,
-                      satisfies_valid_pad_oracle, words_upto)
+                      neq_relation, project_oracle, random_dfa, random_language,
+                      random_nfa, random_padded_relation, random_relation,
+                      residual_signatures, satisfies_valid_pad_oracle, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -324,18 +325,18 @@ def _loaded_with(**changes):
 # inside the package are not checked again.
 @pytest.mark.parametrize("build, error", [
     (lambda: au.empty_language(0, AB), au.AutomataError),
-    (lambda: au.epsilon_language(0, AB), au.AutomataError),
+    (lambda: rel.successor_relation(0), au.AutomataError),
     (lambda: au.valid_pad_automaton(0, AB), au.AutomataError),
     (lambda: au.empty_language(1, ("a", PAD)), au.AutomataError),
-    (lambda: au.epsilon_language(2, ("a", "a")), au.AutomataError),
+    (lambda: au.word_language(("a",), ("a", "a")), au.AutomataError),
     (lambda: au.valid_pad_automaton(2, ("a", "⊥")), au.AutomataError),
     (lambda: au.full_language(("a", "b", "a")), au.AutomataError),
     (lambda: au.full_language(()), au.AutomataError),
     (lambda: au.word_language(("a", "z"), AB), au.UnknownSymbolError),
     (lambda: au.word_language((PAD,), AB), au.UnknownSymbolError),
     (lambda: au.word_language(("a",), ("a", "")), au.AutomataError),
-    (lambda: au.from_word_list([("a",), ("z",)], AB), au.UnknownSymbolError),
-    (lambda: au.from_word_list([("a",)], ("a", "a")), au.AutomataError),
+    (lambda: rel.finite_relation([("b", "a")], ("a",)), au.UnknownSymbolError),
+    (lambda: au.valid_pad_automaton(1, ()), au.AutomataError),
     (lambda: au.extend_alphabet(a_star(), ("a", "b", PAD)), au.AutomataError),
     (lambda: au.extend_alphabet(a_star(), ("a",)), au.AutomataError),
     (lambda: _loaded_with(tracks=0), au.AutomataError),
@@ -437,7 +438,7 @@ def test_double_complement_is_identity():
 def _difference_cases(tracks, alphabet, rng):
     """Edge languages and seeded random automata on `tracks` tracks."""
     cases = [au.empty_language(tracks, alphabet),
-             au.epsilon_language(tracks, alphabet),
+             epsilon_language(tracks, alphabet),
              au.valid_pad_automaton(tracks, alphabet)]
     if tracks == 1:
         cases.append(au.full_language(alphabet))
@@ -655,7 +656,7 @@ def test_permute_is_relation_inverse():
 def test_emptiness_shortest_examples():
     assert au.emptiness_shortest(au.empty_language(2, A)) is None
     assert au.emptiness_shortest(fc_base(1)) == ((PAD, "a"),)
-    nonempty = au.difference(aa_star(), au.epsilon_language(1, A))
+    nonempty = au.difference(aa_star(), epsilon_language(1, A))
     assert au.emptiness_shortest(nonempty) == (("a",), ("a",))
 
 
@@ -757,6 +758,49 @@ def test_iter_words_without_a_length_bound():
     assert list(au.iter_words(cycles)) == [("a",)]
     gaps = nfa(1, AB, 3, {0}, {0}, [(0, ("a",), 1), (1, ("b",), 2), (2, ("a",), 0)])
     assert list(islice(au.iter_words(gaps), 3)) == [(), ("a", "b", "a"), ("a", "b", "a") * 2]
+
+
+def _dfa_cases(rng):
+    """Random 1- and 2-track DFAs, finite and infinite languages, with
+    unreachable and dead states."""
+    for tracks, alphabet in ((1, AB), (1, ("b", "a", "c")), (2, AB), (2, ("b", "a"))):
+        for acyclic in (False, True):
+            for _ in range(15):
+                yield random_dfa(rng, tracks, alphabet, rng.randint(1, 6), acyclic)
+
+
+def test_iter_words_on_dfas_match_the_subset_enumerator():
+    rng = random.Random(7600)
+    infinite = finite = 0
+    for a in _dfa_cases(rng):
+        assert a.deterministic
+        for max_len in (None, 0, 1, 3):
+            got = list(islice(au.iter_column_words(a, max_len), 65))
+            assert got == list(islice(au._subset_column_words(a, max_len), 65)), (a, max_len)
+        if a.tracks == 1:
+            assert list(islice(au.iter_words(a), 65)) == \
+                [tuple(c[0] for c in w) for w in islice(au._subset_column_words(a, None), 65)]
+        whole = list(islice(au._subset_column_words(a, None), 200))
+        infinite += len(whole) == 200
+        finite += 0 < len(whole) < 200
+    assert infinite >= 20 and finite >= 20
+
+
+def test_accepts_columns_on_dfas_and_nfas_match_subset_stepping():
+    rng = random.Random(7601)
+    cases = list(_dfa_cases(rng))
+    cases += [random_nfa(rng, tracks, AB, rng.randint(1, 5))
+              for tracks in (1, 2) for _ in range(30)]
+    dfas = 0
+    for a in cases:
+        dfas += a.deterministic
+        cols = list(a.column_universe())
+        words = list(islice(au._subset_column_words(a, None), 10))
+        words += [tuple(rng.choice(cols) for _ in range(rng.randint(0, 5)))
+                  for _ in range(30)]
+        for w in words:
+            assert a.accepts_columns(w) == accepts_by_subsets(a, w), (a, w)
+    assert dfas >= 120
 
 
 def test_json_round_trip_object_and_bytes():

@@ -8,7 +8,8 @@ from autorel import coloring as co
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import neq_relation, random_relation, words_upto
+from conftest import (equivalent_rel, neq_relation, random_relation,
+                      separator_from_kcoloring, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -73,7 +74,7 @@ def test_incomp_of_eqlen_and_append_is_length_difference_one():
     for u in words_upto(AB, 3):
         for v in words_upto(AB, 3):
             assert g.contains(u, v) == (abs(len(u) - len(v)) == 1)
-    assert rel.equivalent_rel(g, rel.inverse(g))
+    assert equivalent_rel(g, rel.inverse(g))
 
 
 def test_incomp_of_empty_is_empty():
@@ -163,13 +164,13 @@ def test_reduce_coloring_to_sep_is_edge_identity_pair():
     fc1 = rel.successor_relation(1)
     e, ident = co.reduce_coloring_to_sep(fc1)
     assert e is fc1
-    assert rel.equivalent_rel(ident, rel.make_identity(A))
+    assert equivalent_rel(ident, rel.make_identity(A))
 
 
 def test_coloring_yields_krec_separator_and_back():
     fc1 = rel.successor_relation(1)
     coloring = offset_parity_coloring(1)
-    sep = co.separator_from_kcoloring(fc1, coloring)
+    sep = separator_from_kcoloring(fc1, coloring)
     e, ident = co.reduce_coloring_to_sep(fc1)
     assert rc.verify_separator(sep.to_recognizable(), e, ident).ok
     back = co.coloring_from_separator(sep)
@@ -212,11 +213,11 @@ def test_separator_from_coloring_rejects_improper():
 def test_definability_to_separability():
     full = rel.full_relation(AB)
     r1, r2 = co.definability_to_separability(full)
-    assert rel.equivalent_rel(r1, full)
+    assert equivalent_rel(r1, full)
     assert au.is_empty(r2.base)
     ident = rel.make_identity(AB)
     _, complement = co.definability_to_separability(ident)
-    assert rel.equivalent_rel(complement, neq_relation(AB))
+    assert equivalent_rel(complement, neq_relation(AB))
     # any separator of (a* x b*, complement) must equal the relation itself
     from autorel import definability as de
     axb = rc.to_automatic(rc.RecognizableRelation(
@@ -311,12 +312,12 @@ def test_round_trips_on_random_instances(rng):
             continue
         done += 1
         # coloring -> separator of (E, Id) -> coloring
-        sep = co.separator_from_kcoloring(e, coloring)
+        sep = separator_from_kcoloring(e, coloring)
         pair = co.reduce_coloring_to_sep(e)
         assert rc.verify_separator(sep.to_recognizable(), *pair).ok
         back = co.coloring_from_separator(sep)
         assert co.verify_coloring(e, back).ok
         # separator -> coloring -> separator
-        again = co.separator_from_kcoloring(e, back)
+        again = separator_from_kcoloring(e, back)
         assert rc.verify_separator(again.to_recognizable(), *pair).ok
     assert done == 4

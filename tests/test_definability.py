@@ -1,5 +1,6 @@
 import importlib
 import random
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,10 @@ from autorel import definability as de
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import (build_equiv_oracle, decompose_peel_oracle, equiv_oracle,
-                      least_representatives_oracle, min_cover_oracle, random_language,
-                      random_padded_relation, random_relation, same_rows_oracle,
+from conftest import (build_equiv_oracle, class_oracle, decompose_peel_oracle,
+                      equiv_oracle, equivalent_rel, least_representatives_oracle,
+                      min_cover_oracle, random_language, random_padded_relation,
+                      random_relation, same_rows_oracle, union_of_classes_oracle,
                       words_upto)
 
 A = ("a",)
@@ -41,7 +43,7 @@ def sym_axb():
 def test_equiv_of_identity_is_identity():
     ident = rel.make_identity(AB)
     eq = de.build_equiv(ident)
-    assert rel.equivalent_rel(eq, ident)
+    assert equivalent_rel(eq, ident)
     # brute-force cross-check on words up to 3
     classes = equiv_oracle(ident, 3)
     assert all(len(c) == 1 for c in classes)
@@ -49,7 +51,7 @@ def test_equiv_of_identity_is_identity():
 
 def test_equiv_of_full_is_total():
     full = rel.full_relation(AB)
-    assert rel.equivalent_rel(de.build_equiv(full), full)
+    assert equivalent_rel(de.build_equiv(full), full)
 
 
 def test_equiv_of_product_matches_brute_force():
@@ -80,7 +82,7 @@ def test_equiv_is_an_equivalence(make):
     eq = de.build_equiv(r)
     ident = rel.make_identity(r.alphabet)
     assert au.included(ident.base, eq.base)                     # reflexive
-    assert rel.equivalent_rel(eq, rel.inverse(eq))              # symmetric
+    assert equivalent_rel(eq, rel.inverse(eq))              # symmetric
     assert au.included(rel.compose(eq, eq).base, eq.base)       # transitive
 
 
@@ -141,7 +143,7 @@ def test_build_equiv_stays_small_on_an_eight_state_relation():
     assert r.base.states == 8
     with au.state_budget(10_000):
         eq = de.build_equiv(r)
-    assert rel.equivalent_rel(eq, rel.make_identity(AB))
+    assert equivalent_rel(eq, rel.make_identity(AB))
 
 
 def _same_rows_agree(d):
@@ -374,12 +376,64 @@ def test_least_representatives_match_frozenset_oracle_on_the_80_draws():
 
 def test_truncated_decomposition_builds_classes_on_first_read(monkeypatch):
     calls = []
-    real = rel.image
-    monkeypatch.setattr(rel, "image", lambda *a: calls.append(1) or real(*a))
+    real = de._class_dfa
+    monkeypatch.setattr(de, "_class_dfa", lambda *a: calls.append(1) or real(*a))
     dec = de.decompose(rel.successor_relation(1), 64)
     assert dec.truncated and dec.index == 65 and not calls
     assert len(dec.classes) == 65 and len(calls) == 65
     assert list(au.iter_words(dec.classes[3], 5)) == [("a",) * 3]
+
+
+def _decompositions_agree(r, eq, bounds, rng):
+    """Reps listed on the DFA as the set-based enumerator lists them, each
+    class as its composition oracle, and unions of classes as the subset
+    construction of their disjoint union, byte for byte."""
+    reps = de.least_representatives(eq)
+    oracle: dict = {}  # representative -> class_oracle bytes
+    for bound in bounds:
+        dec = de.decompose(r, bound, eq)
+        listed = islice(au._subset_column_words(reps, None), bound + 1)
+        assert dec.representatives == tuple(tuple(c[0] for c in w) for w in listed)
+        for w, c in zip(dec.representatives, dec.classes):
+            if w not in oracle:
+                oracle[w] = au.dumps(class_oracle(eq, w))
+            assert au.dumps(c) == oracle[w]
+        every = range(dec.index)
+        picks = [[i] for i in every] + [list(every)]
+        picks += [rng.sample(every, rng.randint(2, dec.index)) for _ in range(6)
+                  if dec.index >= 2]
+        if not dec.truncated:
+            matrix = de.QuotientMatrix.from_decomposition(dec)
+            for rows, cols in de.maximal_rectangles(matrix.ones()):
+                picks += [rows, cols]
+        for idxs in picks:
+            assert au.dumps(de._union_of_classes(dec, idxs)) == au.dumps(
+                union_of_classes_oracle(r.alphabet, [dec.classes[i] for i in sorted(idxs)]))
+
+
+def test_classes_and_unions_match_the_oracles_on_workload_relations(tmp_path, monkeypatch):
+    # the class bounds of the workload: 4 for kREC and 1PROD, 16 and 64 for
+    # 2PROD and 3PROD (and min-prod --kmax 3)
+    rng = random.Random(7700)
+    for r in _workload_relations(tmp_path, monkeypatch):
+        _decompositions_agree(r, de.build_equiv(r), (4, 16, 64), rng)
+
+
+@pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c"), ("b", "a")],
+                         ids=["ab", "abc", "ba"])
+def test_classes_and_unions_match_the_oracles_on_random_relations(alphabet):
+    # Relations of at most 4 states whose congruence has at most 300: on
+    # larger ones the Reps walk, listed three times here, takes seconds
+    rng = random.Random(7710 + len(alphabet) + (alphabet[0] == "b"))
+    drawn = 0
+    while drawn < 40:
+        r = random_relation(rng, alphabet, rng.randint(1, 3))
+        if r.base.states > 4:
+            continue
+        eq = de.build_equiv(r)
+        if eq.base.states <= 300:
+            _decompositions_agree(r, eq, (1, 4, 16), rng)
+            drawn += 1
 
 
 def test_quotient_matrix_entries_mean_block_products():
@@ -532,7 +586,7 @@ def test_kprod_witness_certified_by_krec():
     assert not dec.truncated
     krec_w = de.krec_definability(r, dec.index)
     assert krec_w is not None
-    assert rel.equivalent_rel(
+    assert equivalent_rel(
         rc.to_automatic(w), rc.to_automatic(krec_w.to_recognizable()))
 
 
@@ -560,7 +614,7 @@ def test_random_recognizable_roundtrip(rng):
         k = de.min_prod(r, 4)
         assert k is not None
         w = de.kprod_definability(r, k)
-        assert rel.equivalent_rel(rc.to_automatic(w), r)
+        assert equivalent_rel(rc.to_automatic(w), r)
 
 
 def test_min_prod_builds_the_congruence_once(monkeypatch):

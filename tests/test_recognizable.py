@@ -7,7 +7,7 @@ from autorel import coloring as co
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import product_oracle, random_language, words_upto
+from conftest import epsilon_language, product_oracle, random_language, words_upto
 
 A = ("a",)
 AB = ("a", "b")
@@ -37,7 +37,7 @@ def test_to_automatic_examples():
 
 
 def test_product_relation_matches_cylindrify_oracle(rng):
-    langs = [au.empty_language(1, AB), au.epsilon_language(1, AB),
+    langs = [au.empty_language(1, AB), epsilon_language(1, AB),
              au.full_language(AB)]
     langs += [random_language(rng, density=rng.choice((0.2, 0.5, 0.8)))
               for _ in range(12)]

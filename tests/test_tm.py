@@ -8,6 +8,8 @@ from autorel import coloring as co
 from autorel import relations as rel
 from autorel import tm
 
+from conftest import decode_config, encode_config, from_word_list, split_head_token
+
 AB = ("a", "b")
 
 
@@ -16,7 +18,7 @@ AB = ("a", "b")
 # and re-implements the tape semantics from scratch
 
 def step_oracle(t, word):
-    parsed = tm.decode_config(word)
+    parsed = decode_config(word)
     if parsed is None:
         return None
     left, sym, state, right = parsed
@@ -28,11 +30,11 @@ def step_oracle(t, word):
     q2, y, d = rule
     if d == tm.RIGHT:
         if right:
-            return tm.encode_config(left + (y,), right[0], q2, right[1:])
-        return tm.encode_config(left + (y,), t.blank, q2, ())
+            return encode_config(left + (y,), right[0], q2, right[1:])
+        return encode_config(left + (y,), t.blank, q2, ())
     if not left:
         return None  # falling off the left end: no successor
-    return tm.encode_config(left[:-1], left[-1], q2, (y,) + right)
+    return encode_config(left[:-1], left[-1], q2, (y,) + right)
 
 
 def configs_upto(t, n):
@@ -40,9 +42,9 @@ def configs_upto(t, n):
     out = []
     for length in range(1, n + 1):
         for w in product(alpha, repeat=length):
-            if tm.decode_config(w) is not None:
+            if decode_config(w) is not None:
                 # exactly one head token, blank head only at the end
-                sym, _ = tm.split_head_token(
+                sym, _ = split_head_token(
                     next(tok for tok in w if "|" in tok))
                 if sym == t.blank and "|" not in w[-1]:
                     continue
@@ -212,7 +214,7 @@ def test_gadget_reach_coloring_proper_exact():
     e = tm.coloring_gadget(t, 2)
     alpha = e.alphabet
     reach = tm.reach_bfs(tm.config_graph(t), tm.initial_config(t), 8).words
-    reach_lang = au.from_word_list(reach, alpha)
+    reach_lang = from_word_list(reach, alpha)
     configs = au.extend_alphabet(tm.configs_language(t), alpha)
     not_reach = au.determinize_minimize(au.difference(configs, reach_lang))
 
@@ -312,7 +314,7 @@ def test_pad_transform_simulates_the_original():
         out = []
         for tok in word:
             if "|" in tok:
-                sym, state = tm.split_head_token(tok)
+                sym, state = split_head_token(tok)
                 if not state.startswith("run:"):
                     return None
                 if sym.endswith("~"):
