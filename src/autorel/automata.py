@@ -10,13 +10,14 @@ of the word, and no column is padding on all tracks at once.
 All automata are immutable values; the operations below are pure functions
 and safe to call concurrently.  Work that can blow up charges a budget and
 raises :class:`BudgetExceededError` instead of exhausting memory or time:
-see :func:`state_budget` for what costs a unit.  A witness search, such as
-:func:`intersection_witness` or :func:`difference_witness`, builds no
-product: it charges one unit per product state it discovers and stops at
-the first witness.  ``with state_budget(n):`` shares one budget of ``n``
-units among all the work in its body; outside any scope each walk, load,
-decomposition and search has its own budget of
-:data:`DEFAULT_STATE_BUDGET` units.
+see :func:`state_budget` for what costs a unit.  Emptiness and witness
+questions are searches, not constructions: :func:`emptiness_shortest`,
+:func:`intersection_witness`, :func:`difference_witness` and the partition
+check of :mod:`autorel.recognizable` build no automaton, charge one unit
+per state they discover and stop at the first witness.
+``with state_budget(n):`` shares one budget of ``n`` units among all the
+work in its body; outside any scope each walk, load, decomposition and
+search has its own budget of :data:`DEFAULT_STATE_BUDGET` units.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ def state_budget(limit: Optional[int] = None):
     states it discovers; a deterministic walk minimized as it stands, as
     the congruence walks and the class and union walks of a decomposition
     are, charges each of its states once.
-    A witness search charges one unit per product state it discovers and
-    stops at the first witness, so it charges at most what building the
-    product would.  Exhaustion always raises :class:`BudgetExceededError`.
+    An emptiness, witness or partition check is a search: it charges one
+    unit per state it discovers (a product state, a subset or a tuple of
+    subsets) and stops at the first witness, so it charges at most what
+    building the product would.  Exhaustion always raises
+    :class:`BudgetExceededError`.
     """
     token = _ACTIVE_BUDGET.set(_Budget(limit))
     try:
@@ -380,6 +383,8 @@ class MultiTrackAutomaton:
                 if q is None:
                     return False
             return q in self.accepting
+        # An NFA is not determinized first: its canonical DFA can be
+        # exponentially larger, as for the listing in iter_column_words.
         cur = self.initial
         for sym in word:
             if not cur:
@@ -551,24 +556,6 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
 # ---------------------------------------------------------------------------
 # Determinization, minimization, canonical form
 
-def _determinize(a: MultiTrackAutomaton):
-    """Lazy subset construction.  Returns (state count, trans dict, accept set)."""
-    rank = a._rank
-
-    def successors(cur):
-        out: dict = {}
-        for q in cur:
-            for sym, dst in a._adj[q]:
-                out.setdefault(sym, set()).add(dst)
-        for sym in sorted(out, key=rank.__getitem__):
-            yield sym, frozenset(out[sym])
-
-    index, edges = _explore([frozenset(a.initial)], successors)
-    trans = {(src, sym): dst for src, sym, dst in edges}
-    accept = {i for s, i in index.items() if s & a.accepting}
-    return len(index), trans, accept
-
-
 def _trim(initial: int, trans: dict, accept: set):
     """Keep states that can reach acceptance; the initial state always stays.
     Returns the kept states and ``trans``, trimmed in place to their moves
@@ -614,9 +601,9 @@ def _moore_minimize(states: Collection, trans: dict, accept: set) -> dict:
         count = len(ids)
 
 
-# Instance flag marking a canonical result.  Only _minimal_dfa, the tail of
-# determinize_minimize, sets it; an automaton loaded from JSON or built
-# otherwise has none.
+# Instance flag marking a canonical result.  Only _explore_minimal, through
+# which every result of determinize_minimize passes, sets it; an automaton
+# loaded from JSON or built otherwise has none.
 _CANONICAL = "_canonical"
 
 
@@ -627,32 +614,55 @@ def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     dataclass equality of canonical forms decides language equality.  A
     canonical input, i.e. a result of this function, is returned as is.
 
-    The numbering is the subset walk's, breadth-first with moves in
-    ``_rank`` order: the states of a block move on the same columns into the
-    same blocks, so numbering blocks by least member numbers them
-    breadth-first.  A deterministic input skips the subset construction,
-    whose subsets would all be singletons: :func:`_explore_minimal` walks
-    its states along ``_adj`` in ``_rank`` order, and numbers and charges
-    them alike.  A construction whose own walk is deterministic calls
-    :func:`_explore_minimal` itself, so each of its states is charged once,
-    not once more by a second walk here.
+    One deterministic walk, minimized as it stands by
+    :func:`_explore_minimal`: the subset construction of an NFA, or, for a
+    deterministic input, whose subsets would all be singletons, its own
+    states along ``_adj``.  Either walk reads moves in ``_rank`` order, and
+    the numbering is the walk's: the states of a block move on the same
+    columns into the same blocks, so numbering blocks by least member
+    numbers them breadth-first.  A construction whose own walk is
+    deterministic calls :func:`_explore_minimal` itself, so each of its
+    states is charged once, not once more by a second walk here.
     """
     if a.__dict__.get(_CANONICAL):
         return a
     if a.deterministic:
         return _explore_minimal(a.tracks, a.alphabet, a.initial, a._adj.__getitem__,
                                 a.accepting.__contains__)
-    _n, dtrans, daccept = _determinize(a)
-    return _minimal_dfa(a.tracks, a.alphabet, dtrans, daccept)
+    adj, rank = a._adj, a._rank
+
+    def successors(cur):
+        out: dict = {}
+        for q in cur:
+            for sym, dst in adj[q]:
+                out.setdefault(sym, set()).add(dst)
+        for sym in sorted(out, key=rank.__getitem__):
+            yield sym, frozenset(out[sym])
+
+    return _explore_minimal(a.tracks, a.alphabet, [frozenset(a.initial)], successors,
+                            lambda cur: not a.accepting.isdisjoint(cur))
 
 
-def _minimal_dfa(tracks, alphabet, trans: dict, accept: set,
-                 expand=None) -> MultiTrackAutomaton:
-    """The canonical DFA of a breadth-first numbered walk from state 0:
-    trim it, merge its Moore blocks and flag the result as canonical.
-    ``trans`` is used up.  A block's moves are its first member's;
-    ``expand(label)``, if given, yields the columns a label of the walk
-    stands for."""
+def _explore_minimal(tracks, alphabet, start, successors, accepts,
+                     expand=None) -> MultiTrackAutomaton:
+    """``determinize_minimize(_explore_automaton(...))`` for a deterministic
+    walk, without the second walk over its states.
+
+    ``start`` holds one state, and ``successors`` yields each column at most
+    once, in ``symbol_key`` order.  The walk's breadth-first numbering is
+    then the one a walk over the built automaton would give it again, so
+    its edges go straight to the minimizer, and each state is charged once.
+    The walk is trimmed, its Moore blocks merged, and the result, a block's
+    moves being its first member's, is flagged as canonical.  A walk may
+    read one column for each of a few classes of columns that move every
+    state alike; ``expand(column)`` then yields the columns it stands for,
+    and the first of them is the column read.
+    """
+    (s0,) = start
+    index: dict = {}
+    trans = {(src, sym): dst for src, sym, dst in _walk([s0], successors, index)}
+    accept = {i for s, i in index.items() if accepts(s)}
+    del index  # not held while the minimizer runs
     keep, trans = _trim(0, trans, accept)
     block = _moore_minimize(sorted(keep), trans, accept)
     first: dict = {}
@@ -668,27 +678,6 @@ def _minimal_dfa(tracks, alphabet, trans: dict, accept: set,
     # kept beside the fields, like a cached_property, so == and hash ignore it
     c.__dict__[_CANONICAL] = True
     return c
-
-
-def _explore_minimal(tracks, alphabet, start, successors, accepts,
-                     expand=None) -> MultiTrackAutomaton:
-    """``determinize_minimize(_explore_automaton(...))`` for a deterministic
-    walk, without the second walk over its states.
-
-    ``start`` holds one state, and ``successors`` yields each column at most
-    once, in ``symbol_key`` order.  The walk's breadth-first numbering is
-    then the one a walk over the built automaton would give it again, so
-    its edges go straight to the minimizer, and each state is charged once.
-    A walk may read one column for each of a few classes of columns that
-    move every state alike; ``expand(column)`` then yields the columns it
-    stands for, and the first of them is the column read.
-    """
-    (s0,) = start
-    index: dict = {}
-    trans = {(src, sym): dst for src, sym, dst in _walk([s0], successors, index)}
-    accept = {i for s, i in index.items() if accepts(s)}
-    del index  # not held while the minimizer runs
-    return _minimal_dfa(tracks, alphabet, trans, accept, expand)
 
 
 # ---------------------------------------------------------------------------
@@ -808,33 +797,11 @@ def extend_alphabet(a: MultiTrackAutomaton, alphabet: Sequence[str]) -> MultiTra
 # Emptiness, shortest witness, equivalence
 
 def emptiness_shortest(a: MultiTrackAutomaton) -> Optional[tuple]:
-    """None iff the language is empty, else the shortlex-least column word."""
-    dist = _reach(a.accepting,
-                  _reverse((src, dst) for src, _sym, dst in a.transitions))
-    live_init = [q for q in a.initial if q in dist]
-    if not live_init:
-        return None
-    rem = min(dist[q] for q in live_init)
-    cur = set(live_init)
-    rank = a._rank
-    word = []
-    while rem > 0:
-        best_sym = None
-        best_key = None
-        for q in cur:
-            for sym, dst in a._adj[q]:
-                if dist.get(dst, -1) == rem - 1:
-                    k = rank[sym]
-                    if best_key is None or k < best_key:
-                        best_key = k
-                        best_sym = sym
-        nxt = set()
-        for q in cur:
-            nxt |= a._step_map.get((q, best_sym), _EMPTY_SET)
-        cur = {q for q in nxt if dist.get(q, rem) <= rem - 1}
-        word.append(best_sym)
-        rem -= 1
-    return tuple(word)
+    """None iff the language is empty, else the shortlex-least column word:
+    a :func:`_shortest_word` search from the initial states, which charges
+    one unit per state it discovers and stops at the first accepting one."""
+    return _shortest_word(sorted(a.initial), a._adj.__getitem__, a._rank,
+                          a.accepting.__contains__)
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
@@ -964,6 +931,9 @@ def iter_column_words(a: MultiTrackAutomaton,
     """
     if a.deterministic:
         return _dfa_column_words(a, max_len)
+    # An NFA is not listed through its canonical DFA, which can be
+    # exponentially larger: for (a|b)*a(a|b)^14 to length 15 (a DFA of 2^15
+    # states) that took 1.44 s against 95 ms here.
     return _subset_column_words(a, max_len)
 
 

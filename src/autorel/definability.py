@@ -108,7 +108,7 @@ def _same_rows_walk(d: MultiTrackAutomaton):
     n1 = d.states + 1
     dead = d.states
     nodes = range(n1)
-    delta = {(src, sym): dst for src, sym, dst in d.transitions}
+    delta = d._delta
     accept = [p in d.accepting for p in nodes]
 
     def classes(cols) -> dict:
@@ -284,7 +284,7 @@ def least_representatives(eq: AutomaticRelation) -> MultiTrackAutomaton:
     charged once.
     """
     e, order = eq.base, _shortlex_order(eq.alphabet)
-    o_next = {(src, sym): dst for src, sym, dst in order.transitions}
+    o_next = order._delta
     firsts = eq.alphabet + (au.PAD,)
 
     def runs(pairs) -> int:

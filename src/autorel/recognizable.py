@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from . import automata as au
@@ -82,14 +81,26 @@ class PartitionedRecognizable:
 def partition_ok(langs: Sequence[MultiTrackAutomaton]) -> Optional[tuple]:
     """None if the languages partition Sigma*, else a witness word.
 
-    The witness is the shortlex-least word missing from the union or lying
-    in two blocks, read off one automaton: the uncovered words united with
-    every pairwise intersection.
+    The witness is the shortlex-least word that no block accepts (a gap)
+    or that two or more accept (an overlap).  One
+    :func:`~autorel.automata._shortest_word` search over the tuple of the
+    blocks' subsets on a word: it steps every block on each letter in
+    alphabet order and stops at the first tuple where the number of
+    accepting blocks is not exactly one, so no automaton is built.
     """
-    covered = au.union(*langs)
-    bad = au.union(au.difference(au.full_language(covered.alphabet), covered),
-                   *(au.intersect(x, y) for x, y in combinations(langs, 2)))
-    least = au.emptiness_shortest(bad)
+    sigma = au.full_language(langs[0].alphabet)
+    for b in langs:
+        au._require_same_shape(sigma, b)
+
+    def successors(subsets):
+        for col in sigma._rank:
+            yield col, tuple(b.step(s, col) for b, s in zip(langs, subsets))
+
+    def bad(subsets) -> bool:
+        return sum(not b.accepting.isdisjoint(s) for b, s in zip(langs, subsets)) != 1
+
+    least = au._shortest_word([tuple(frozenset(b.initial) for b in langs)],
+                              successors, sigma._rank, bad)
     return None if least is None else tuple(sym[0] for sym in least)
 
 

@@ -130,11 +130,72 @@ def equiv_oracle(r, bound):
     return classes
 
 
+def determinize_oracle(a):
+    """Lazy subset construction.  Returns (state count, trans dict, accept set)."""
+    rank = a._rank
+
+    def successors(cur):
+        out: dict = {}
+        for q in cur:
+            for sym, dst in a._adj[q]:
+                out.setdefault(sym, set()).add(dst)
+        for sym in sorted(out, key=rank.__getitem__):
+            yield sym, frozenset(out[sym])
+
+    index, edges = au._explore([frozenset(a.initial)], successors)
+    trans = {(src, sym): dst for src, sym, dst in edges}
+    accept = {i for s, i in index.items() if s & a.accepting}
+    return len(index), trans, accept
+
+
+def emptiness_shortest_oracle(a):
+    """None iff the language is empty, else the shortlex-least column word,
+    by backward distances to acceptance and a greedy walk over the subsets
+    of states on the least column that keeps the distance falling."""
+    dist = au._reach(a.accepting,
+                     au._reverse((src, dst) for src, _sym, dst in a.transitions))
+    live_init = [q for q in a.initial if q in dist]
+    if not live_init:
+        return None
+    rem = min(dist[q] for q in live_init)
+    cur = set(live_init)
+    rank = a._rank
+    word = []
+    while rem > 0:
+        best_sym = None
+        best_key = None
+        for q in cur:
+            for sym, dst in a._adj[q]:
+                if dist.get(dst, -1) == rem - 1:
+                    k = rank[sym]
+                    if best_key is None or k < best_key:
+                        best_key = k
+                        best_sym = sym
+        nxt = set()
+        for q in cur:
+            nxt |= a._step_map.get((q, best_sym), au._EMPTY_SET)
+        cur = {q for q in nxt if dist.get(q, rem) <= rem - 1}
+        word.append(best_sym)
+        rem -= 1
+    return tuple(word)
+
+
+def partition_ok_oracle(langs):
+    """None if the languages partition Sigma*, else the shortlex-least word
+    missing from their union or lying in two of them, read off one built
+    automaton: the uncovered words united with every pairwise intersection."""
+    covered = au.union(*langs)
+    bad = au.union(au.difference(au.full_language(covered.alphabet), covered),
+                   *(au.intersect(x, y) for x, y in combinations(langs, 2)))
+    least = emptiness_shortest_oracle(bad)
+    return None if least is None else tuple(sym[0] for sym in least)
+
+
 def complement_relative_oracle(a):
     """ValidPad(t) minus L(a) by completion: determinize a, walk every legal
     column from each (DFA state, pad mask) pair, sending missing moves to an
     explicit dead sink, swap acceptance and minimize."""
-    n, dtrans, daccept = au._determinize(a)
+    n, dtrans, daccept = determinize_oracle(a)
     universe = list(a.column_universe())
     dead = n
 
@@ -154,7 +215,7 @@ def determinize_minimize_oracle(a):
     """The canonical form by a second walk: minimize the subset walk's
     states, merge them block-wise and renumber the blocks breadth-first
     from the initial one, moves in ``_rank`` order."""
-    _order, dtrans, daccept = au._determinize(a)
+    _order, dtrans, daccept = determinize_oracle(a)
     keep, dtrans = au._trim(0, dtrans, daccept)
     daccept = daccept & keep
     block = au._moore_minimize(keep, dtrans, daccept)
@@ -287,7 +348,7 @@ def decompose_peel_oracle(r, bound, equiv=None):
     uncovered = au.full_language(r.alphabet)
     reps, classes = [], []
     while True:
-        w = au.emptiness_shortest(uncovered)
+        w = emptiness_shortest_oracle(uncovered)
         if w is None:
             return tuple(reps), tuple(classes), False
         rep = tuple(sym[0] for sym in w)
@@ -491,12 +552,12 @@ def co_functional_oracle(r):
 
 def intersection_witness_oracle(a, b):
     """The shortlex-least word of L(a) and L(b), read off the built product."""
-    return au.emptiness_shortest(au.intersect(a, b))
+    return emptiness_shortest_oracle(au.intersect(a, b))
 
 
 def difference_witness_oracle(a, b):
     """The shortlex-least word of L(a) minus L(b), read off the built product."""
-    return au.emptiness_shortest(au.difference(a, b))
+    return emptiness_shortest_oracle(au.difference(a, b))
 
 
 def satisfies_valid_pad_oracle(a):

@@ -13,8 +13,8 @@ from autorel import tm
 from autorel.automata import PAD
 
 from conftest import (accepts_by_subsets, complement_relative_oracle, cylindrify,
-                      determinize_minimize_oracle, difference_oracle,
-                      difference_witness_oracle, epsilon_language,
+                      determinize_minimize_oracle, determinize_oracle, difference_oracle,
+                      difference_witness_oracle, emptiness_shortest_oracle, epsilon_language,
                       intersection_witness_oracle, lang_upto, moore_minimize_oracle,
                       neq_relation, project_oracle, random_dfa, random_language,
                       random_nfa, random_padded_relation, random_relation,
@@ -127,7 +127,7 @@ def test_moore_minimize_matches_oracle_inside_determinize_minimize():
     for i in range(60):
         a = (random_padded_relation(rng, states=rng.randint(3, 5)).base if i % 2
              else random_language(rng, states=rng.randint(2, 5)))
-        _n, dtrans, daccept = au._determinize(a)
+        _n, dtrans, daccept = determinize_oracle(a)
         keep, dtrans = au._trim(0, dtrans, daccept)
         args = (keep, dtrans, daccept & keep)
         assert _blocks(au._moore_minimize(*args)) == \
@@ -218,16 +218,14 @@ def test_determinize_minimize_matches_renumbering_oracle_on_random_dfas():
     assert unreachable > 100 and dead > 100
 
 
-def test_determinize_minimize_charges_a_dfa_like_the_subset_walk(monkeypatch):
+def test_determinize_minimize_charges_a_dfa_like_the_subset_walk():
     rng = random.Random(7007)
     cases = [_random_dfa(rng, AB, rng.randint(1, 7)) for _ in range(100)]
     charged = []
     for a in cases:
         with au.state_budget():
-            au._determinize(a)
+            determinize_oracle(a)
             charged.append(au._active_budget().used)
-    # a deterministic input never enters the subset construction
-    monkeypatch.setattr(au, "_determinize", None)
     for a, n in zip(cases, charged):
         with au.state_budget(n):
             au.determinize_minimize(a)
@@ -658,6 +656,42 @@ def test_emptiness_shortest_examples():
     assert au.emptiness_shortest(fc_base(1)) == ((PAD, "a"),)
     nonempty = au.difference(aa_star(), epsilon_language(1, A))
     assert au.emptiness_shortest(nonempty) == (("a",), ("a",))
+
+
+def test_emptiness_shortest_matches_the_distance_oracle_on_random_nfas():
+    # 1 and 2 tracks over ab, abc and (b, a), up to three initial states,
+    # with unreachable and dead states; half the draws accept in no initial
+    # state.  A search that finds nothing charges every state it can reach,
+    # and one that finds a word no more.
+    rng = random.Random(4404)
+    found = set()
+    unreachable = dead = merged = longer = 0
+    for i in range(1200):
+        tracks = 1 + i % 2
+        alphabet = (AB, ("a", "b", "c"), ("b", "a"))[i // 2 % 3]
+        a = random_nfa(rng, tracks, alphabet, rng.randint(1, 8))
+        if i % 4 >= 2:
+            a = nfa(tracks, alphabet, a.states, a.initial, a.accepting - a.initial,
+                    a.transitions)
+        with au.state_budget():
+            w = au.emptiness_shortest(a)
+            used = au._active_budget().used
+        assert w == emptiness_shortest_oracle(a), au.dumps(a)
+        reach = au._reach(a.initial, {q: [d for _s, d in m] for q, m in a._adj.items()})
+        live = au._reach(a.accepting, au._reverse((s, d) for s, _c, d in a.transitions))
+        assert used == len(reach) if w is None else used <= len(reach)
+        unreachable += len(reach) < a.states
+        dead += not set(reach) <= set(live)
+        found.add((tracks, alphabet, w is None, w == ()))
+        longer += w is not None and len(w) > 1
+        merged += _per_state_shortest_word(
+            sorted(a.initial), a._adj.__getitem__, a.accepting.__contains__) != w
+    assert found >= {(t, x, e, False) for t in (1, 2) for x in (AB, ("a", "b", "c"), ("b", "a"))
+                     for e in (True, False)}
+    assert any(n for _t, _x, _e, n in found)
+    assert unreachable > 100 and dead > 100 and longer > 30
+    # the draws hold automata on which merging the moves of a group matters
+    assert merged > 0
 
 
 def test_shortlex_prefers_alphabet_order_and_pads_last():

@@ -7,7 +7,8 @@ from autorel import coloring as co
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import epsilon_language, product_oracle, random_language, words_upto
+from conftest import (epsilon_language, partition_ok_oracle, product_oracle,
+                      random_language, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -261,3 +262,84 @@ def test_partition_ok_matches_brute_force_on_random_blocks():
         else:
             assert got is None or len(got) > 5
             assert i % 4 != 3 or got is None
+
+
+def _coloring_blocks(rng, alphabet, k):
+    """k blocks labeling the states of one random complete DFA, as the
+    coloring search builds them: a partition, maybe with empty blocks."""
+    n = rng.randint(1, 4)
+    table = [rng.randrange(n) for _ in range(n * len(alphabet))]
+    labels = [rng.randrange(k) for _ in range(n)]
+    return co._dfa_color_languages(alphabet, n, table, labels, k)
+
+
+def _relabeled(block, accepting):
+    return au.MultiTrackAutomaton(1, block.alphabet, block.states, block.initial,
+                                  frozenset(accepting), block.transitions)
+
+
+def test_partition_ok_matches_the_composition_oracle_on_random_blocks():
+    # true partitions, gaps (a block dropped or a state unlabeled), overlaps
+    # (a state labeled twice) and random NFA blocks, k = 1..4, over ab and
+    # (b, a); a witness lies in no block (a gap) or in two (an overlap)
+    rng = random.Random(7102)
+    seen = set()
+    for i in range(800):
+        alphabet = ("b", "a") if i % 3 == 2 else AB
+        k = 1 + i % 4
+        blocks = _coloring_blocks(rng, alphabet, k)
+        kind = i // 4 % 4
+        j = rng.randrange(k)
+        if kind == 1 and k > 1 and rng.random() < 0.5:
+            blocks = blocks[:j] + blocks[j + 1:]
+        elif kind == 1:
+            b = blocks[j]
+            blocks[j] = _relabeled(b, rng.sample(sorted(b.accepting), max(len(b.accepting) - 1, 0)))
+        elif kind == 2:
+            b = blocks[j]
+            blocks[j] = _relabeled(b, b.accepting | {rng.randrange(b.states)})
+        elif kind == 3:
+            for j in rng.sample(range(k), rng.randint(1, k)):
+                blocks[j] = random_language(rng, alphabet, states=rng.randint(2, 4))
+        got = rc.partition_ok(blocks)
+        assert got == partition_ok_oracle(blocks), [au.dumps(b) for b in blocks]
+        hits = None if got is None else sum(
+            b.accepts_columns([(x,) for x in got]) for b in blocks)
+        assert hits != 1
+        seen.add((kind, alphabet, k, "partition" if got is None else
+                  "gap" if hits == 0 else "overlap"))
+    for alphabet in (AB, ("b", "a")):
+        for k in range(1, 5):
+            assert (0, alphabet, k, "partition") in seen
+        assert {(1, alphabet, k, "gap") for k in (2, 3, 4)} <= seen
+        assert {(2, alphabet, k, "overlap") for k in (2, 3, 4)} <= seen
+        assert {(3, alphabet, k, verdict) for k in (2, 3, 4)
+                for verdict in ("gap", "overlap")} <= seen
+
+
+def test_partition_ok_rejects_blocks_of_mixed_shapes():
+    ab, ba = au.full_language(AB), au.full_language(("b", "a"))
+    pairs = rel.make_identity(AB).base
+    for blocks in ((ab, ba), (ba, ab), (ab, pairs), (pairs, ab), (pairs,), (pairs, pairs),
+                   (ab, au.word_language(("a",), ("a", "b", "c")))):
+        with pytest.raises(au.ArityMismatchError):
+            rc.partition_ok(blocks)
+        with pytest.raises(au.ArityMismatchError):
+            partition_ok_oracle(blocks)
+
+
+def test_partition_ok_builds_no_automaton(monkeypatch):
+    even, odd = rc.even_odd_languages()
+    nfa_blocks = (random_language(random.Random(7103), AB), au.full_language(AB))
+    cases = [(even, odd), (even,), (even, even, odd), nfa_blocks,
+             tuple(_coloring_blocks(random.Random(7104), AB, 3))]
+    expect = [partition_ok_oracle(blocks) for blocks in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("partition_ok built an automaton or ran a second search")
+
+    for name in ("union", "intersect", "difference", "emptiness_shortest"):
+        monkeypatch.setattr(au, name, refuse)
+    assert [rc.partition_ok(blocks) for blocks in cases] == expect
+    assert expect[0] is None and expect[1] == ("a",) and expect[2] == ()
+
