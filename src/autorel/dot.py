@@ -9,6 +9,7 @@ from . import automata as au
 from .coloring import RegularColoring
 from .relations import AutomaticRelation
 
+MAX_DOT_VERTICES = 4000
 _PALETTE = (
     "#a6cee3", "#b2df8a", "#fb9a99", "#fdbf6f",
     "#cab2d6", "#ffff99", "#1f78b4", "#33a02c",
@@ -25,21 +26,21 @@ def _quote(s: str) -> str:
 
 def export_dot(e: AutomaticRelation, max_len: int,
                coloring: Optional[RegularColoring] = None,
-               secondary: Optional[AutomaticRelation] = None,
-               max_vertices: int = 4000) -> str:
+               secondary: Optional[AutomaticRelation] = None) -> str:
     """Render the subgraph on all words of length <= max_len.
 
     Vertices are labeled by their words; edges of the optional secondary
     relation are dashed; colors fill vertices when a coloring is given.
+    More than ``MAX_DOT_VERTICES`` words raise ``BudgetExceededError``.
     """
     alpha = e.alphabet
     vertices = []
     for n in range(max_len + 1):
         for w in _cartesian(alpha, repeat=n):
             vertices.append(w)
-            if len(vertices) > max_vertices:
+            if len(vertices) > MAX_DOT_VERTICES:
                 raise au.BudgetExceededError(
-                    f"more than {max_vertices} vertices at max_len={max_len}")
+                    f"more than {MAX_DOT_VERTICES} vertices at max_len={max_len}")
     lines = ["digraph automatic {", "  rankdir=LR;"]
     for w in vertices:
         attrs = [f"label={_quote(_label(w))}"]

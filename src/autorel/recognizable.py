@@ -86,8 +86,11 @@ def partition_ok(langs: Sequence[MultiTrackAutomaton]) -> Optional[tuple]:
     :func:`~autorel.automata._shortest_word` search over the tuple of the
     blocks' subsets on a word: it steps every block on each letter in
     alphabet order and stops at the first tuple where the number of
-    accepting blocks is not exactly one, so no automaton is built.
+    accepting blocks is not exactly one, so no automaton is built.  With
+    no blocks at all, the empty word is a gap.
     """
+    if not langs:
+        return ()
     sigma = au.full_language(langs[0].alphabet)
     for b in langs:
         au._require_same_shape(sigma, b)
@@ -202,15 +205,14 @@ def one_prod_separability(r1: AutomaticRelation,
     return None
 
 
-def normalize_symmetric_separator(s: RecognizableRelation,
-                                  require_symmetric_context: bool = False
-                                  ) -> RecognizableRelation:
+def normalize_symmetric_separator(s: RecognizableRelation) -> RecognizableRelation:
     """Replace a 2-product separator of a symmetric relation versus the
     identity by its symmetric core S cap S^{-1}, in (A x B) u (B x A) shape.
 
     The input must be A1 x B1 u B2 x A2 with A_i cap B_i empty (which holds
     whenever S avoids the identity); the result is
-    ((A1 cap A2) x (B1 cap B2)) u ((B1 cap B2) x (A1 cap A2)).
+    ((A1 cap A2) x (B1 cap B2)) u ((B1 cap B2) x (A1 cap A2)), which is
+    S cap S^{-1}, as (A1 x B1) cap (B1 x A1) and (B2 x A2) cap (A2 x B2) are empty.
     """
     if len(s.products) != 2:
         raise NotApplicableError("need exactly 2 products")
@@ -220,13 +222,8 @@ def normalize_symmetric_separator(s: RecognizableRelation,
             raise NotApplicableError("product sides must be disjoint (A_i cap B_i = empty)")
     left = au.determinize_minimize(au.intersect(a1, a2))
     right = au.determinize_minimize(au.intersect(b1, b2))
-    out = RecognizableRelation(alphabet=s.alphabet,
-                               products=((left, right), (right, left)))
-    if require_symmetric_context:
-        direct = au.intersect(to_automatic(s).base, rel.inverse(to_automatic(s)).base)
-        if not au.equivalent(to_automatic(out).base, direct):
-            raise NotApplicableError("closed form disagrees with S cap S^-1")
-    return out
+    return RecognizableRelation(alphabet=s.alphabet,
+                                products=((left, right), (right, left)))
 
 
 def lift_to_kprod(r1: AutomaticRelation, r2: AutomaticRelation, k: int) -> tuple:

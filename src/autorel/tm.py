@@ -28,6 +28,8 @@ class PadTransformError(AutomataError):
 
 LEFT = "L"
 RIGHT = "R"
+WF_SAMPLE_LEN = 4
+WF_SAMPLE_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,9 @@ class WfReport:
         return not self.backward_cycles and not self.backward_deep
 
 
-def wf_checks(t: TuringMachine, depth: int = 32, sample_len: int = 4,
-              sample_cap: int = 60) -> WfReport:
+def wf_checks(t: TuringMachine, depth: int = 32) -> WfReport:
+    """Exact checks, and backward walks of at most ``depth`` steps from the
+    first ``WF_SAMPLE_CAP`` configurations of length <= ``WF_SAMPLE_LEN``."""
     graph = config_graph(t)
     # The initial configuration, a lone blank head token, never has a
     # predecessor: every step leads to a word of length >= 2.  A right move
@@ -217,8 +220,8 @@ def wf_checks(t: TuringMachine, depth: int = 32, sample_len: int = 4,
     cycles = []
     deep = []
     sampled = 0
-    for w in au.iter_words(configs_language(t), sample_len):
-        if sampled >= sample_cap:
+    for w in au.iter_words(configs_language(t), WF_SAMPLE_LEN):
+        if sampled >= WF_SAMPLE_CAP:
             break
         sampled += 1
         seen = {w}
@@ -412,6 +415,11 @@ def pad_transform(t: TuringMachine) -> TuringMachine:
         states.append(name)
         return name
 
+    def scan(q, letters, d):  # stay in q, moving over letters unchanged
+        for g in letters:
+            add(q, g, q, g, d)
+
+    zone = (*t.tape, "a", "b")  # what a sweep crosses between the marked cell and "#"
     rules = sorted(t.delta)
     for rid, ((q, x), (q2, y, d)) in enumerate(rules):
         if x != t.blank:
@@ -429,40 +437,23 @@ def pad_transform(t: TuringMachine) -> TuringMachine:
             bk3 = new_state(f"back3:{rid}")
             add(run(q), x, out1, mark[x], RIGHT)
             add(run(q), twin[x], out1, twin_mark[x], RIGHT)
-            for g in t.tape:
-                add(out1, g, out1, g, RIGHT)
-            add(out1, "a", out1, "a", RIGHT)
-            add(out1, "b", out1, "b", RIGHT)
+            scan(out1, zone, RIGHT)
             add(out1, "#", ap1, "b", RIGHT)          # append over the marker
             add(ap1, t.blank, bk1, "#", LEFT)        # re-place the marker
-            for g in t.tape:
-                add(bk1, g, bk1, g, LEFT)
-            add(bk1, "a", bk1, "a", LEFT)
-            add(bk1, "b", bk1, "b", LEFT)
+            scan(bk1, zone, LEFT)
             add(bk1, mark[x], out2, mark[x], RIGHT)  # bounce
             add(bk1, twin_mark[x], out2, twin_mark[x], RIGHT)
-            for g in t.tape:
-                add(out2, g, out2, g, RIGHT)
-            add(out2, "a", out2, "a", RIGHT)
+            scan(out2, (*t.tape, "a"), RIGHT)
             add(out2, "b", cv2, "a", RIGHT)          # convert
-            add(cv2, "b", cv2, "b", RIGHT)
+            scan(cv2, "b", RIGHT)
             add(cv2, "#", bk2, "#", LEFT)            # turn at the marker
-            for g in t.tape:
-                add(bk2, g, bk2, g, LEFT)
-            add(bk2, "a", bk2, "a", LEFT)
-            add(bk2, "b", bk2, "b", LEFT)
+            scan(bk2, zone, LEFT)
             add(bk2, mark[x], out3, mark[x], RIGHT)  # bounce again
             add(bk2, twin_mark[x], out3, twin_mark[x], RIGHT)
-            for g in t.tape:
-                add(out3, g, out3, g, RIGHT)
-            add(out3, "a", out3, "a", RIGHT)
-            add(out3, "b", out3, "b", RIGHT)
+            scan(out3, zone, RIGHT)
             add(out3, "#", ap3, "b", RIGHT)          # append over the marker
             add(ap3, t.blank, bk3, "#", LEFT)        # re-place the marker
-            for g in t.tape:
-                add(bk3, g, bk3, g, LEFT)
-            add(bk3, "a", bk3, "a", LEFT)
-            add(bk3, "b", bk3, "b", LEFT)
+            scan(bk3, zone, LEFT)
             add(bk3, mark[x], run(q2), y, d)         # the simulated step
             add(bk3, twin_mark[x], run(q2), twin[y], d)  # same step at cell one
         else:
@@ -477,22 +468,20 @@ def pad_transform(t: TuringMachine) -> TuringMachine:
             tn2 = new_state(f"tn2:{rid}")
             back2 = new_state(f"back2:{rid}")
             add(run(q), "a", out1, mark["a"], RIGHT)
-            add(out1, "a", out1, "a", RIGHT)
+            scan(out1, "a", RIGHT)
             add(out1, "b", out1b, "a", RIGHT)        # convert #1
-            add(out1b, "b", out1b, "b", RIGHT)
+            scan(out1b, "b", RIGHT)
             add(out1b, "#", ap1, "b", RIGHT)
             add(ap1, t.blank, tn1, "b", RIGHT)
             add(tn1, t.blank, back1, "#", LEFT)
-            add(back1, "a", back1, "a", LEFT)
-            add(back1, "b", back1, "b", LEFT)
+            scan(back1, "ab", LEFT)
             add(back1, mark["a"], out2, mark["a"], RIGHT)  # bounce
-            add(out2, "a", out2, "a", RIGHT)
+            scan(out2, "a", RIGHT)
             add(out2, "b", out2b, "a", RIGHT)        # convert #2
-            add(out2b, "b", out2b, "b", RIGHT)
+            scan(out2b, "b", RIGHT)
             add(out2b, "#", tn2, "b", RIGHT)
             add(tn2, t.blank, back2, "#", LEFT)
-            add(back2, "a", back2, "a", LEFT)
-            add(back2, "b", back2, "b", LEFT)
+            scan(back2, "ab", LEFT)
             add(back2, mark["a"], run(q2), y, d)     # the simulated step
 
     # bootstrap: from a fresh initial state, lay out mark a a b b #, sweep
@@ -510,8 +499,7 @@ def pad_transform(t: TuringMachine) -> TuringMachine:
         add(v[2], t.blank, v[3], "b", RIGHT)
         add(v[3], t.blank, v[4], "b", RIGHT)
         add(v[4], t.blank, v[5], "#", LEFT)
-        add(v[5], "a", v[5], "a", LEFT)
-        add(v[5], "b", v[5], "b", LEFT)
+        scan(v[5], "ab", LEFT)
         add(v[5], boot_mark, run(q2), twin[y], d)    # the first step
 
     finals = frozenset(run(q) for q in t.finals)

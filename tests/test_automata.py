@@ -710,6 +710,40 @@ def test_equivalent_examples():
         au.equivalent(a_star(A), fc_base(1))
 
 
+def _same_language_partner(rng, a):
+    """An automaton of a's language: its subset construction, its union
+    with itself, or a with its states renumbered."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        n, trans, accept = determinize_oracle(a)
+        return nfa(a.tracks, a.alphabet, n, {0}, accept,
+                   [(src, sym, dst) for (src, sym), dst in trans.items()])
+    if kind == 1:
+        return au.union(a, a)
+    perm = list(range(a.states))
+    rng.shuffle(perm)
+    return nfa(a.tracks, a.alphabet, a.states, {perm[q] for q in a.initial},
+               {perm[q] for q in a.accepting},
+               [(perm[src], sym, perm[dst]) for src, sym, dst in a.transitions])
+
+
+def test_equivalent_agrees_with_mutual_inclusion_on_random_pairs():
+    # equal canonical forms decide equality; half of the pairs have equal
+    # languages by construction, the others are drawn independently
+    rng = random.Random(7801)
+    verdicts = []
+    for i in range(540):
+        tracks = 1 + i % 2
+        alphabet = (AB, ("a", "b", "c"), ("b", "a"))[i // 2 % 3]
+        a = random_nfa(rng, tracks, alphabet, rng.randint(1, 4))
+        b = _same_language_partner(rng, a) if i % 4 < 2 else \
+            random_nfa(rng, tracks, alphabet, rng.randint(1, 4))
+        got = au.equivalent(a, b)
+        assert got == (au.included(a, b) and au.included(b, a)), (a, b)
+        verdicts.append(got)
+    assert verdicts.count(True) >= 270 and verdicts.count(False) >= 200
+
+
 def test_budget_error_is_distinct():
     # "12th letter from the end is an a": determinizing needs 2^12 subsets
     n = 12

@@ -302,23 +302,52 @@ def test_decompose_agrees_with_the_peel(alphabet, count):
         eq = de.build_equiv(r)
         for bound in (1, 3, 8, 64):
             reps, classes, truncated = decompose_peel_oracle(r, bound, eq)
-            dec = de.decompose(r, bound, eq)
+            dec = de.decompose(r, bound)
             assert dec.representatives == reps
             assert dec.truncated == truncated
             assert dec.index == len(reps)
             assert [au.determinize_minimize(c) for c in dec.classes] == list(classes)
 
 
+def _prefixes_agree(r):
+    """decompose(r, b) lists the first b + 1 representatives of a larger
+    bound, truncated exactly when that one lists more than b + 1."""
+    bounds = (1, 3, 8, 64)
+    top = de.decompose(r, bounds[-1])
+    for bound in bounds[:-1]:
+        dec = de.decompose(r, bound)
+        assert dec.representatives == top.representatives[:bound + 1]
+        assert dec.truncated == (top.index > bound)
+
+
+def test_decompose_at_a_smaller_bound_is_a_prefix_on_workload_relations(tmp_path, monkeypatch):
+    for r in _workload_relations(tmp_path, monkeypatch):
+        _prefixes_agree(r)
+
+
+@pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c"), ("b", "a")],
+                         ids=["ab", "abc", "ba"])
+def test_decompose_at_a_smaller_bound_is_a_prefix_on_random_relations(alphabet):
+    rng = random.Random(7803 + len(alphabet) + (alphabet[0] == "b"))
+    drawn = 0
+    while drawn < 30:
+        r = random_relation(rng, alphabet, rng.randint(1, 3))
+        if r.base.states <= 4:
+            _prefixes_agree(r)
+            drawn += 1
+
+
 def test_least_representatives_keep_their_subsets_small():
     # a 7-state relation with a 150-state congruence: projecting E and <sl
     # and then determinizing built about 38,600 states; pruning dominated
-    # runs charges about 4,600, each walk state once
+    # runs charges about 4,300, each walk state once
     rng = random.Random(6062)
     for _ in range(31):
         r = random_relation(rng, AB, rng.randint(1, 3))
     eq = de.build_equiv(r)
     with au.state_budget(12_000):
-        dec = de.decompose(r, 64, eq)
+        de.least_representatives(eq)
+    dec = de.decompose(r, 64)
     assert dec.truncated
     assert dec.representatives == decompose_peel_oracle(r, 64, eq)[0]
 
@@ -391,7 +420,7 @@ def _decompositions_agree(r, eq, bounds, rng):
     reps = de.least_representatives(eq)
     oracle: dict = {}  # representative -> class_oracle bytes
     for bound in bounds:
-        dec = de.decompose(r, bound, eq)
+        dec = de.decompose(r, bound)
         listed = islice(au._subset_column_words(reps, None), bound + 1)
         assert dec.representatives == tuple(tuple(c[0] for c in w) for w in listed)
         for w, c in zip(dec.representatives, dec.classes):

@@ -129,7 +129,9 @@ def test_one_prod_separability_examples():
 
 def test_normalize_symmetric_separator_fixed_points():
     s2 = rc.parity_separator()
-    out = rc.normalize_symmetric_separator(s2, require_symmetric_context=True)
+    out = rc.normalize_symmetric_separator(s2)
+    direct = au.intersect(rc.to_automatic(s2).base, rel.inverse(rc.to_automatic(s2)).base)
+    assert au.equivalent(rc.to_automatic(out).base, direct)
     assert au.equivalent(rc.to_automatic(out).base, rc.to_automatic(s2).base)
 
     ab = rc.RecognizableRelation(
@@ -151,6 +153,28 @@ def test_normalize_symmetric_separator_closed_formula():
     # output is symmetric by shape
     assert au.equivalent(rc.to_automatic(out).base,
                          rel.inverse(rc.to_automatic(out)).base)
+
+
+def test_normalize_symmetric_separator_is_the_symmetric_core_on_random_instances():
+    # A1 x B1 u B2 x A2 with A_i cap B_i empty: the closed form is S cap S^-1.
+    # A1 and A2 share a core so that A1 cap A2, and so the result, is often
+    # not empty; B_i is a random language or Sigma*, minus A_i
+    rng = random.Random(7802)
+    nonempty = 0
+    for i in range(220):
+        alphabet = (AB, ("a", "b", "c"), ("b", "a"))[i % 3]
+        core, x1, x2, y1, y2 = (random_language(rng, alphabet, states=rng.randint(2, 3))
+                                for _ in range(5))
+        if i % 2:
+            y1 = y2 = au.full_language(alphabet)
+        a1, a2 = au.union(core, x1), au.union(core, x2)
+        b1, b2 = au.difference(y1, a1), au.difference(y2, a2)
+        s = rc.RecognizableRelation(alphabet=alphabet, products=((a1, b1), (b2, a2)))
+        got = rc.to_automatic(rc.normalize_symmetric_separator(s)).base
+        direct = au.intersect(rc.to_automatic(s).base, rel.inverse(rc.to_automatic(s)).base)
+        assert au.equivalent(got, direct), [au.dumps(x) for x in (a1, b1, b2, a2)]
+        nonempty += not au.is_empty(got)
+    assert nonempty >= 50
 
 
 def test_normalize_requires_two_products():
@@ -223,6 +247,11 @@ def test_partition_ok_reports_least_witness():
     assert rc.partition_ok((even, even)) is not None
     gap = rc.partition_ok((even,))
     assert gap == ("a",)
+
+
+def test_partition_ok_of_no_blocks_is_the_empty_word():
+    # with no blocks, the empty word lies in none of them
+    assert rc.partition_ok(()) == ()
 
 
 def test_partition_ok_ranks_witnesses_in_alphabet_order():

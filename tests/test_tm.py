@@ -83,7 +83,7 @@ def test_empty_delta_machine():
     t = tm.make_machine(("q0",), ("x",), "_", "q0", (), {})
     g = tm.config_graph(t)
     assert au.is_empty(g.base)
-    rep = tm.wf_checks(t, depth=4, sample_len=3)
+    rep = tm.wf_checks(t, depth=4)
     assert rep.exact_ok and rep.backward_ok
 
 
@@ -102,7 +102,7 @@ def test_config_graph_matches_simulator(machine):
 
 
 def test_wf_checks_halting_fixture():
-    rep = tm.wf_checks(tm.halting_fixture(), depth=8, sample_len=3)
+    rep = tm.wf_checks(tm.halting_fixture(), depth=8)
     assert rep.initial_no_predecessor
     assert rep.functional and rep.co_functional
 
@@ -120,7 +120,7 @@ def test_initial_configuration_has_no_predecessor(machine):
 
 
 def test_wf_checks_flags_backward_cycle():
-    rep = tm.wf_checks(tm.two_cycle_fixture(), depth=4, sample_len=3)
+    rep = tm.wf_checks(tm.two_cycle_fixture(), depth=4)
     assert rep.co_functional  # locally fine
     assert rep.backward_cycles  # but the sampled walk finds the 2-cycle
 
@@ -130,7 +130,7 @@ def test_wf_checks_inverts_the_step_relation_once(monkeypatch):
     permute = au.permute_tracks
     monkeypatch.setattr(au, "permute_tracks",
                         lambda a, perm: calls.append(perm) or permute(a, perm))
-    rep = tm.wf_checks(tm.two_cycle_fixture(), depth=4, sample_len=3)
+    rep = tm.wf_checks(tm.two_cycle_fixture(), depth=4)
     assert calls == [(1, 0)]
     assert rep.sampled > 1
     assert rep.co_functional
