@@ -1,30 +1,44 @@
 """Definability of automatic relations inside the recognizable hierarchies.
 
-The pivot is the equivalence relating words with identical rows and
+The pivot is the congruence E relating words with identical rows and
 columns in R; its index bounds decide membership in the k-block partition
 class exactly, and a rectangle cover of the quotient matrix decides the
 k-product class.  It is read directly off R's DFA: one subset walk over
 triples of two R states and a flag finds the pairs with the same row, the
-same walk on the inverse those with the same column, and the congruence is
-their intersection.  The walk stays small because a side of a triple whose
+same walk on the inverse those with the same column, and E is their
+intersection.  The walk stays small because a side of a triple whose
 word has ended, or whose witness has, reads only the columns of one pad
 pattern from then on; it is kept as the least state of its class under
 R's DFA restricted to those columns, which changes no walk state's
-language.  The shortlex-least members of the congruence classes form a
-regular set, Reps, built once per relation: its size is the index, and R is
-recognizable exactly when Reps is finite.
+language.  The shortlex-least members of the classes of an equivalence form
+a regular set, its Reps: its size is the index.
+
+The decision verbs never build E.  R is recognizable exactly when its rows
+alone have finitely many classes, i.e. when the Reps of the same-rows
+equivalence is finite.  The definability verbs list the row classes first
+and the column classes second, each by its own Reps, and stop as soon as
+a side has more classes than a bound that E's index would exceed anyway:
+k for a k-block partition, since E has at least as many classes as
+either side; 2^k for k products, since in a union of k products the row of
+a word depends only on which of the k left factors contain it, and the
+column likewise.  Within the bounds, E's classes are the non-empty meets of
+a row class and a column class, each found by a shortlex witness search of
+the two class DFAs' product.  :func:`build_equiv` and :func:`decompose`
+still build E and list its classes, for library callers.
 
 Both walks keep their states as Python ints: a set of triples, or of runs of
-E and the shortlex order, is a bit set, so a step is a few big-int ORs and
-acceptance is one AND.  The same-rows walk reads one letter of each class
-of letters that R's DFA moves alike.  Both walks are deterministic, and so
-is the intersection of the row and column DFAs; each is minimized straight
-from its own walk, which charges each of its states to the budget once.
+an equivalence and the shortlex order, is a bit set, so a step is a few
+big-int ORs and acceptance is one AND.  The same-rows walk reads one letter
+of each class of letters that R's DFA moves alike.  Both walks are
+deterministic, and so is the intersection of the row and column DFAs; each
+is minimized straight from its own walk, which charges each of its states
+to the budget once.
 
-Once E is built, everything after it runs on DFAs: the representatives are
-listed one state at a time along Reps' DFA, a class is one walk of E
-against its representative, and a union of classes is the subset walk of
-their disjoint union, whose subsets hold at most one state of each class.
+Once an equivalence is built, everything after it runs on DFAs: the
+representatives are listed one state at a time along its Reps' DFA, a class
+is one walk of the equivalence against its representative, and a union of
+classes is the subset walk of their disjoint union, whose subsets hold at
+most one state of each class.
 """
 
 from __future__ import annotations
@@ -345,9 +359,12 @@ def _finite(a: MultiTrackAutomaton) -> bool:
 
 
 def recognizable(r: AutomaticRelation) -> bool:
-    """Whether R is recognizable (a finite union of products), i.e. whether
-    its congruence has finite index: exactly when Reps is finite."""
-    return _finite(least_representatives(build_equiv(r)))
+    """Whether R is recognizable (a finite union of products): whether its
+    rows alone have finitely many classes, i.e. whether the Reps of the
+    same-rows equivalence is finite.  R is automatic, so each row class
+    {u | R_u = L} is regular and R is the union of the products class x L."""
+    rows = _same_rows(au.determinize_minimize(r.base))
+    return _finite(least_representatives(rel._wrap(rows)))
 
 
 @dataclass(frozen=True)
@@ -371,6 +388,11 @@ class EquivalenceDecomposition:
     equiv: AutomaticRelation
     representatives: tuple  # tuple[Word, ...]
     truncated: bool
+
+    def __post_init__(self):
+        e = self.equiv.base
+        if not e.__dict__.get(au._CANONICAL) and not e.deterministic:
+            raise AutomataError("equiv must be a DFA with one initial state")
 
     @property
     def index(self) -> int:
@@ -428,18 +450,103 @@ def decompose(r: AutomaticRelation, bound: int) -> EquivalenceDecomposition:
     them.  So one call answers every smaller bound b with its first b + 1.
     Each representative w is charged to the state budget as len(w) + 1
     states, so a large bound on an infinite index exhausts the budget
-    instead of memory.
+    instead of memory.  The decision verbs do without E (see
+    :func:`_meets`): this is the listing for library callers.
     """
     if bound < 1:
         raise AutomataError("bound must be >= 1")
     eq = build_equiv(r)
+    words = _representatives(eq, bound)
+    return EquivalenceDecomposition(relation=r, equiv=eq, representatives=words,
+                                    truncated=len(words) > bound)
+
+
+def _representatives(eq: AutomaticRelation, bound: int) -> tuple:
+    """The first bound + 1 words of the Reps of the equivalence ``eq``, in
+    shortlex order: all of them when there are no more.  Each word w is
+    charged to the state budget as len(w) + 1 states."""
     budget = au._active_budget()
     words = []
     for w in islice(au.iter_words(least_representatives(eq)), bound + 1):
         budget.charge(len(w) + 1)  # as the len(w) + 1 states of its path
         words.append(w)
-    return EquivalenceDecomposition(relation=r, equiv=eq, representatives=tuple(words),
-                                    truncated=len(words) > bound)
+    return tuple(words)
+
+
+def _side_classes(d: MultiTrackAutomaton, bound: int) -> Optional[list]:
+    """The row classes of R, for its DFA ``d``, as canonical 1-track DFAs in
+    the shortlex order of their least members; None when there are more
+    than ``bound``.  Only the representatives are listed before that
+    verdict, as :func:`decompose` lists them."""
+    rows = _same_rows(d)
+    words = _representatives(rel._wrap(rows), bound)
+    if len(words) > bound:
+        return None
+    return [_class_dfa(rows, w) for w in words]
+
+
+@dataclass(frozen=True)
+class _Meets:
+    """The classes of the congruence E from the two sides: each is the
+    non-empty meet of a row class and a column class.
+
+    It reads as an untruncated :class:`EquivalenceDecomposition`:
+    ``representatives`` in shortlex order, ``index`` and ``classes``, each
+    class the canonical DFA of one deterministic walk of the product of its
+    two sides, built on first read.  ``sides[i]`` holds the row and column
+    class DFAs of ``representatives[i]``.
+    """
+
+    relation: AutomaticRelation
+    representatives: tuple  # tuple[Word, ...]
+    sides: tuple  # tuple[tuple[MultiTrackAutomaton, MultiTrackAutomaton], ...]
+
+    @property
+    def index(self) -> int:
+        return len(self.representatives)
+
+    @cached_property
+    def classes(self) -> tuple:  # tuple[MultiTrackAutomaton, ...]
+        return tuple(au._explore_minimal(1, self.relation.alphabet,
+                                         *au._intersection_product(a, b))
+                     for a, b in self.sides)
+
+
+def _meets(r: AutomaticRelation, side_bound: int) -> Optional[_Meets]:
+    """The classes of R's congruence E, found from its row and column
+    classes without building E; None when either side has more than
+    ``side_bound`` classes.
+
+    The row side is listed first, so when it alone settles the question the
+    column side is never walked.  E relates two words exactly when both
+    sides do, so its classes are the non-empty meets A_i & B_j of a row
+    class and a column class.  The least member of a meet is the
+    shortlex-least word of the product, a search that builds nothing; the
+    meets are listed in the shortlex order of those members, by
+    ``symbol_key``, which is how :func:`decompose` lists E's classes.
+
+    It charges R's canonical DFA, and per side its same-rows walk, the walk
+    of its Reps, len(w) + 1 per representative w listed and, for a side
+    within the bound, the walk of each of its classes; then every state
+    each meet's search discovers.  Reading ``classes`` charges the walk of
+    each meet's product.
+    """
+    d = au.determinize_minimize(r.base)
+    rows = _side_classes(d, side_bound)
+    if rows is None:
+        return None
+    cols = _side_classes(au.permute_tracks(d, (1, 0)), side_bound)
+    if cols is None:
+        return None
+    meets = []
+    for a in rows:
+        for b in cols:
+            w = au.intersection_witness(a, b)
+            if w is not None:
+                meets.append((tuple(c for (c,) in w), (a, b)))
+    meets.sort(key=lambda m: (len(m[0]), d.symbol_key(m[0])))
+    return _Meets(relation=r, representatives=tuple(w for w, _ab in meets),
+                  sides=tuple(ab for _w, ab in meets))
 
 
 @dataclass(frozen=True)
@@ -452,7 +559,7 @@ class QuotientMatrix:
     entries: tuple  # tuple[tuple[bool, ...], ...]
 
     @classmethod
-    def from_decomposition(cls, dec: EquivalenceDecomposition) -> "QuotientMatrix":
+    def from_decomposition(cls, dec) -> "QuotientMatrix":
         reps = dec.representatives
         rows = tuple(
             tuple(dec.relation.contains(u, v) for v in reps)
@@ -470,11 +577,17 @@ class QuotientMatrix:
 def krec_definability(r: AutomaticRelation, k: int) -> Optional[PartitionedRecognizable]:
     """Witness that R is a union of block products over a <= k partition,
     or None when the congruence has more than k classes (a definitive no).
+
+    The congruence has at least as many classes as either side, so a side
+    with more than k classes is a no before the other side is walked (see
+    :func:`_meets`); otherwise the meets of the two sides are its classes.
+    It charges what :func:`_meets` does at side bound k, then the class
+    walks and the rebuild of R from the witness.
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
-    dec = decompose(r, k)
-    if dec.truncated:
+    dec = _meets(r, k)
+    if dec is None or dec.index > k:
         return None
     matrix = QuotientMatrix.from_decomposition(dec)
     witness = PartitionedRecognizable(
@@ -564,22 +677,27 @@ def rectangle_cover(ones: frozenset, k: int) -> Optional[list]:
 def kprod_definability(r: AutomaticRelation, k: int) -> Optional[RecognizableRelation]:
     """Witness that R is a union of <= k products, or None (definitive).
 
-    Any k-product presentation refines the congruence into at most 2^(2k)
-    blocks, so exceeding that class bound already settles the answer; below
-    it, the products must be unions of classes, which reduces the question
-    to a rectangle cover of the quotient matrix.
+    In a union of k products L_i x M_i the row of a word depends only on
+    which L_i contain it, so R has at most 2^k row classes, and likewise at
+    most 2^k column classes: a side with more settles the answer (see
+    :func:`_meets`).  Otherwise the congruence's classes are the at most
+    2^(2k) meets of the two sides, every L_i and M_i may be taken as a
+    union of them, and the question reduces to a rectangle cover of the
+    quotient matrix.  It charges what :func:`_meets` does at side bound
+    2^k, then each cover search step, and for a cover the class walks, the
+    unions of classes and the rebuild of R from the witness.
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
-    dec = decompose(r, 2 ** (2 * k))
-    if dec.truncated:
+    dec = _meets(r, 2 ** k)
+    if dec is None:
         return None
     return _kprod_witness(dec, QuotientMatrix.from_decomposition(dec), k)
 
 
-def _kprod_witness(dec: EquivalenceDecomposition, matrix: QuotientMatrix,
-                   k: int) -> Optional[RecognizableRelation]:
-    """The k-product answer from a complete (untruncated) decomposition."""
+def _kprod_witness(dec, matrix: QuotientMatrix, k: int) -> Optional[RecognizableRelation]:
+    """The k-product answer from all the classes of the congruence: a
+    :func:`_meets` result or an untruncated :func:`decompose`."""
     if dec.index > 2 ** (2 * k):
         return None
     cover = rectangle_cover(matrix.ones(), k)
@@ -598,7 +716,7 @@ def _kprod_witness(dec: EquivalenceDecomposition, matrix: QuotientMatrix,
     return witness
 
 
-def _union_of_classes(dec: EquivalenceDecomposition, idxs) -> MultiTrackAutomaton:
+def _union_of_classes(dec, idxs) -> MultiTrackAutomaton:
     """The union of the classes ``idxs`` as a canonical DFA: one class as it
     is, several by the subset walk of their disjoint union, built free."""
     classes = [dec.classes[i] for i in sorted(idxs)]
@@ -608,13 +726,14 @@ def _union_of_classes(dec: EquivalenceDecomposition, idxs) -> MultiTrackAutomato
 def min_prod(r: AutomaticRelation, kmax: int) -> Optional[int]:
     """Least k <= kmax admitting a k-product presentation, or None.
 
-    The congruence is decomposed once, with the class bound of kmax, and
-    that decomposition answers every k.
+    The classes are found once, with the side bound 2^kmax of kmax products
+    (see :func:`kprod_definability`), and they answer every k; the charges
+    are those of one :func:`_meets` and of each k's cover.
     """
     if kmax < 1:
         raise AutomataError("kmax must be >= 1")
-    dec = decompose(r, 2 ** (2 * kmax))
-    if dec.truncated:
+    dec = _meets(r, 2 ** kmax)
+    if dec is None:
         return None
     matrix = QuotientMatrix.from_decomposition(dec)
     for k in range(1, kmax + 1):

@@ -360,6 +360,50 @@ def decompose_peel_oracle(r, bound, equiv=None):
         uncovered = au.determinize_minimize(au.difference(uncovered, cls))
 
 
+def recognizable_oracle(r):
+    """Recognizability by the congruence E: whether the Reps of E is finite."""
+    return de._finite(de.least_representatives(de.build_equiv(r)))
+
+
+def krec_definability_oracle(r, k):
+    """kREC definability on the decomposition of E at class bound k."""
+    if k < 1:
+        raise au.AutomataError("k must be >= 1")
+    dec = de.decompose(r, k)
+    if dec.truncated:
+        return None
+    matrix = de.QuotientMatrix.from_decomposition(dec)
+    witness = rc.PartitionedRecognizable(partition=dec.classes, pairs=matrix.ones())
+    rebuilt = rc.to_automatic(witness.to_recognizable())
+    if not au.equivalent(rebuilt.base, r.base):
+        raise au.AutomataError("internal error: block union failed to rebuild R")
+    return witness
+
+
+def kprod_definability_oracle(r, k):
+    """kPROD definability on the decomposition of E at class bound 2^(2k)."""
+    if k < 1:
+        raise au.AutomataError("k must be >= 1")
+    dec = de.decompose(r, 2 ** (2 * k))
+    if dec.truncated:
+        return None
+    return de._kprod_witness(dec, de.QuotientMatrix.from_decomposition(dec), k)
+
+
+def min_prod_oracle(r, kmax):
+    """min-prod on one decomposition of E at class bound 2^(2 kmax)."""
+    if kmax < 1:
+        raise au.AutomataError("kmax must be >= 1")
+    dec = de.decompose(r, 2 ** (2 * kmax))
+    if dec.truncated:
+        return None
+    matrix = de.QuotientMatrix.from_decomposition(dec)
+    for k in range(1, kmax + 1):
+        if de._kprod_witness(dec, matrix, k) is not None:
+            return k
+    return None
+
+
 def class_oracle(eq, w):
     """The class of w under the congruence E by composition: the image of
     {w} under E, minimized."""

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from autorel import automata as au
 from autorel import cli
 from autorel import coloring as co
+from autorel import definability as de
 from autorel import recognizable as rc
 
 from conftest import valid_pad_walk_size
@@ -287,7 +288,10 @@ def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--budget", "100", "min-prod", "--r", "FC1", "--kmax", "2"),
+    # loading fc1 charges 4, its canonical DFA 2, the same-rows walk 5, its
+    # Reps 1, and the 5 representatives listed at side bound 4 charge 15:
+    # 27 in all
+    ("--budget", "20", "min-prod", "--r", "FC1", "--kmax", "2"),
     ("--budget", "30", "sep-verify", "--s", "PARITY", "--r1", "FC1", "--r2", "FC2"),
 ])
 def test_budget_bounds_the_whole_command(fx, capsys, argv):
@@ -296,6 +300,33 @@ def test_budget_bounds_the_whole_command(fx, capsys, argv):
              "PARITY": str(fx / "parity-separator.json")}
     assert run(*(paths.get(a, a) for a in argv)) == 2
     assert capsys.readouterr().err.startswith("budget exhausted: ")
+
+
+def test_definability_verbs_never_build_the_congruence(fx, tmp_path, monkeypatch, capsys):
+    # Reps is walked only on a side's own equivalence (same rows of R or of
+    # its inverse), never on their intersection E
+    fin = str(tmp_path / "fin.json")
+    assert run("make-rel", "--spec", "(union (pairs (a b) (aa b)) (pairs (b a) (bb a)))",
+               "--out", fin) == 0
+    sides = []
+    real_rows, real_reps = de._same_rows, de.least_representatives
+    monkeypatch.setattr(de, "_same_rows", lambda *a: sides.append(real_rows(*a)) or sides[-1])
+
+    def reps(eq):
+        assert any(eq.base is side for side in sides)
+        return real_reps(eq)
+
+    monkeypatch.setattr(de, "least_representatives", reps)
+    monkeypatch.setattr(de, "build_equiv", None)
+    monkeypatch.setattr(de, "decompose", None)
+    codes = []
+    for r in (str(fx / "fc1.json"), str(fx / "equal-length.json"), fin):
+        for argv in (("recognizable",), ("min-prod", "--kmax", "2"),
+                     ("definable-kprod", "--k", "2"), ("definable-krec", "--k", "5")):
+            codes.append(run(*argv, "--r", r))
+    assert codes == [1] * 8 + [0] * 4
+    # one side for each verb on the first two, both sides but for recognizable on fin
+    assert len(sides) == 2 * 4 + 1 + 3 * 2
 
 
 def test_representatives_charge_the_budget(fx, capsys):
@@ -524,6 +555,12 @@ _PINNED_CALLS = [
     ("separator-from-coloring", "--r1", "fx/equal-length.json",
      "--r2", "fx/append-one.json", "--coloring", "coloring.json",
      "--out", "separator.json"),
+    ("make-rel", "--spec", "(union (pairs (a b) (aa b)) (pairs (b a) (bb a)))",
+     "--out", "fin.json"),
+    ("definable-kprod", "--r", "fin.json", "--k", "2", "--out", "kprod2.json"),
+    ("definable-kprod", "--r", "fin.json", "--k", "1", "--out", "kprod1.json"),
+    ("definable-krec", "--r", "diff.json", "--k", "4", "--out", "krec-diff.json"),
+    ("definable-krec", "--r", "fin.json", "--k", "5", "--out", "krec5.json"),
 ]
 
 
@@ -569,10 +606,16 @@ _PINNED_DIGESTS = {
     '14 color-search': (0, 'e45f60e7b7eb0ac0'),
     '15 color-verify': (0, '445355ce080fa3e8'),
     '16 separator-from-coloring': (0, '1a33dd52c0feb30e'),
+    '17 make-rel': (0, '8cac28f8f382cdd3'),
+    '18 definable-kprod': (0, '7d869cf8044c975b'),
+    '19 definable-kprod': (1, '8b64593a4b985507'),
+    '20 definable-krec': (1, 'edddf94cb3f3f7bb'),
+    '21 definable-krec': (0, '774fdf412f79c976'),
     'coloring.json': '0fbe6969729f70ef',
     'def1.json': '927f04b5960ccfaf',
     'def2.json': 'a2db2be291584bee',
     'diff.json': '97a602f9f590d540',
+    'fin.json': '3ccf544806e3985f',
     'fx/append-one.json': '0e0a4cb827908e8d',
     'fx/demo-machine.json': '0c6ec754fc580458',
     'fx/equal-length.json': '639d377796f012cc',
@@ -586,6 +629,8 @@ _PINNED_DIGESTS = {
     'gadget2.json': '74364baa99518880',
     'gadget3.json': 'bd30da2fc5170af3',
     'incomp.json': '4a0759b79118d973',
+    'kprod2.json': '8cb04d8ffe43dc56',
+    'krec5.json': '6aeb5693df8866b3',
     'padded.json': '071b07766446828a',
     'separator.json': '068242a0e31782ca',
 }

@@ -11,10 +11,11 @@ from autorel import recognizable as rc
 from autorel import relations as rel
 
 from conftest import (build_equiv_oracle, class_oracle, decompose_peel_oracle,
-                      equiv_oracle, equivalent_rel, least_representatives_oracle,
-                      min_cover_oracle, random_language, random_padded_relation,
-                      random_relation, same_rows_oracle, union_of_classes_oracle,
-                      words_upto)
+                      equiv_oracle, equivalent_rel, kprod_definability_oracle,
+                      krec_definability_oracle, least_representatives_oracle,
+                      min_cover_oracle, min_prod_oracle, random_dfa, random_language,
+                      random_padded_relation, random_relation, recognizable_oracle,
+                      same_rows_oracle, union_of_classes_oracle, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -653,12 +654,113 @@ def test_min_prod_builds_the_congruence_once(monkeypatch):
     expected = [next((k for k in (1, 2, 3)
                       if de.kprod_definability(r, k) is not None), None)
                 for r in cases]
+    # each side's congruence is built once, and E never: the row side of
+    # the identity and of fc1 has infinitely many classes and settles it
     calls = []
-    real = de.build_equiv
-    monkeypatch.setattr(de, "build_equiv",
-                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    for r, want in zip(cases, expected):
+    real = de._same_rows
+    monkeypatch.setattr(de, "_same_rows", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(de, "build_equiv", None)
+    for r, want, walks in zip(cases, expected, [2, 2, 1, 1, 2]):
         calls.clear()
         assert de.min_prod(r, 3) == want
-        assert len(calls) == 1
+        assert len(calls) == walks
     assert expected[:3] == [1, 2, None]
+
+
+def test_decomposition_rejects_an_equiv_that_is_not_a_dfa():
+    r = rel.make_identity(AB)
+    eq = de.build_equiv(r)
+    with pytest.raises(au.AutomataError, match="DFA"):
+        de.EquivalenceDecomposition(relation=r, equiv=rel.relation(au.union(eq.base, eq.base)),
+                                    representatives=(), truncated=False)
+    # a canonical equiv passes unread; a DFA loaded from JSON is checked
+    de.EquivalenceDecomposition(relation=r, equiv=eq, representatives=(), truncated=False)
+    assert "_adj" not in eq.base.__dict__
+    loaded = rel.relation(au.loads(au.dumps(eq.base)))
+    dec = de.EquivalenceDecomposition(relation=r, equiv=loaded, representatives=(("a",),),
+                                      truncated=True)
+    assert list(au.iter_words(dec.classes[0])) == [("a",)]
+
+
+# ---------------------------------------------------------------------------
+# the side route: row and column classes, and their meets, against E
+
+def _planted_relation(rng, alphabet):
+    """A union of 1-3 products of partial DFAs with 1-3 states each."""
+    products = tuple((random_dfa(rng, 1, alphabet, rng.randint(1, 3)),
+                      random_dfa(rng, 1, alphabet, rng.randint(1, 3)))
+                     for _ in range(rng.randint(1, 3)))
+    return rc.to_automatic(rc.RecognizableRelation(alphabet=alphabet, products=products))
+
+
+def _dumped(witness, dumps):
+    return None if witness is None else dumps(witness)
+
+
+def _verbs_agree_with_the_oracles(r):
+    """Verdicts and witness bytes of the side route equal the E route's."""
+    assert de.recognizable(r) == recognizable_oracle(r)
+    assert de.min_prod(r, 3) == min_prod_oracle(r, 3)
+    for k in (1, 2, 3):
+        assert _dumped(de.kprod_definability(r, k), rc.dumps_recognizable) == \
+            _dumped(kprod_definability_oracle(r, k), rc.dumps_recognizable)
+    for k in (1, 2, 4, 6):
+        assert _dumped(de.krec_definability(r, k), rc.dumps_partitioned) == \
+            _dumped(krec_definability_oracle(r, k), rc.dumps_partitioned)
+
+
+def _meets_agree_with_decompose(r):
+    """At side bound b, the meets are E's classes (E has at most b * b), and
+    a side with more than b classes means E has more than b too."""
+    dec = de.decompose(r, 64)
+    classes = None
+    for bound in (1, 2, 4, 8):
+        meets = de._meets(r, bound)
+        if meets is None:
+            assert dec.index > bound
+            continue
+        assert not dec.truncated and meets.representatives == dec.representatives
+        if classes is None:
+            classes = [au.dumps(c) for c in dec.classes]
+            assert [au.dumps(c) for c in meets.classes] == classes
+
+
+def test_side_route_matches_the_congruence_on_workload_relations(tmp_path, monkeypatch):
+    for r in _workload_relations(tmp_path, monkeypatch):
+        _verbs_agree_with_the_oracles(r)
+        _meets_agree_with_decompose(r)
+
+
+@pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c"), ("b", "a")],
+                         ids=["ab", "abc", "ba"])
+def test_side_route_matches_the_congruence_on_random_relations(alphabet):
+    # every other draw a planted union of products; relations of at most 5
+    # states whose congruence has at most 300, as the E route lists up to
+    # 65 of its representatives here
+    rng = random.Random(7750 + len(alphabet) + (alphabet[0] == "b"))
+    drawn = recognizable = 0
+    while drawn < 50:
+        r = (_planted_relation(rng, alphabet) if drawn % 2
+             else random_relation(rng, alphabet, rng.randint(1, 3)))
+        if r.base.states > 5 or de.build_equiv(r).base.states > 300:
+            continue
+        _verbs_agree_with_the_oracles(r)
+        _meets_agree_with_decompose(r)
+        recognizable += de.recognizable(r)
+        drawn += 1
+    assert 20 <= recognizable < 50
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rel.successor_relation(1),
+    lambda: rel.make_identity(AB),
+    lambda: rel.finite_relation([(w, w) for w in ("a", "aa", "aaa", "b", "bb")], AB),
+], ids=["fc1", "identity", "six-row-classes"])
+def test_krec_walks_one_side_when_the_rows_refute(monkeypatch, make):
+    r = make()
+    calls = []
+    real = de._same_rows
+    monkeypatch.setattr(de, "_same_rows", lambda *a: calls.append(1) or real(*a))
+    assert de.krec_definability(r, 4) is None
+    assert len(calls) == 1
+
