@@ -15,24 +15,28 @@ a regular set, its Reps: its size is the index.
 
 The decision verbs never build E.  R is recognizable exactly when its rows
 alone have finitely many classes, i.e. when the Reps of the same-rows
-equivalence is finite.  The definability verbs list the row classes first
-and the column classes second, each by its own Reps, and stop as soon as
-a side has more classes than a bound that E's index would exceed anyway:
-k for a k-block partition, since E has at least as many classes as
-either side; 2^k for k products, since in a union of k products the row of
-a word depends only on which of the k left factors contain it, and the
-column likewise.  Within the bounds, E's classes are the non-empty meets of
-a row class and a column class, each found by a shortlex witness search of
-the two class DFAs' product.  :func:`build_equiv` and :func:`decompose`
-still build E and list its classes, for library callers.
+equivalence is finite.  The definability verbs build neither that
+equivalence nor its Reps.  They list the row classes first and the column
+classes second, each by search, and stop as soon as a side has more classes
+than a bound that E's index would exceed anyway: k for a k-block partition,
+since E has at least as many classes as either side; 2^k for k products,
+since in a union of k products the row of a word depends only on which of
+the k left factors contain it, and the column likewise.  The next class of a
+side is that of the shortlex-least word in none of the classes found so far,
+and a class is one walk of the same-rows walk with its second word pinned to
+that word (see :func:`_side_classes`).  Within the bounds, E's classes are
+the non-empty meets of a row class and a column class, each found by a
+shortlex witness search of the two class DFAs' product.  :func:`build_equiv`
+and :func:`decompose` still build E and list its classes, for library
+callers.
 
 Both walks keep their states as Python ints: a set of triples, or of runs of
 an equivalence and the shortlex order, is a bit set, so a step is a few
 big-int ORs and acceptance is one AND.  The same-rows walk reads one letter
-of each class of letters that R's DFA moves alike.  Both walks are
-deterministic, and so is the intersection of the row and column DFAs; each
-is minimized straight from its own walk, which charges each of its states
-to the budget once.
+of each class of letters that R's DFA moves alike, and so do the pinned
+walks.  Both walks are deterministic, and so is the intersection of the row
+and column DFAs; each is minimized straight from its own walk, which charges
+each of its states to the budget once.
 
 Once an equivalence is built, everything after it runs on DFAs: the
 representatives are listed one state at a time along its Reps' DFA, a class
@@ -111,13 +115,15 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     language, hence the minimal DFA, is unchanged.  A triple with both
     sides dead can tell nothing apart and is dropped.
     """
-    return au._explore_minimal(2, d.alphabet, *_same_rows_walk(d))
+    start, successors, accepts, expand, _doomed = _same_rows_walk(d)
+    return au._explore_minimal(2, d.alphabet, start, successors, accepts, expand)
 
 
 def _same_rows_walk(d: MultiTrackAutomaton):
-    """(start, successors, accepts, expand) of :func:`_same_rows`' walk on
-    ``d``: the walk reads one column of each class product, and ``expand``
-    gives the columns it stands for."""
+    """(start, successors, accepts, expand, doomed) of :func:`_same_rows`'
+    walk on ``d``: the walk reads one column of each class product, and
+    ``expand`` gives the columns it stands for.  ``doomed`` serves walks
+    that pin the second word (see :func:`_side_classes`)."""
     n1 = d.states + 1
     dead = d.states
     nodes = range(n1)
@@ -148,17 +154,28 @@ def _same_rows_walk(d: MultiTrackAutomaton):
             same[key] = same.get(key, 0) | bit
     every = sum(same.values())
     bad = sum((every ^ same[0, block[p]] ^ same[1, accept[p]]) << 2 * n1 * p for p in nodes)
+    row = 2 * n1 * dead  # the bit of triple (dead, 0, 0)
+
+    def doomed(y=None, later=0) -> int:
+        """The triples (dead, q, done), as bits, in which q can still
+        accept when the second word has y and then a rest left, ``later``
+        being those of that rest; with no y, those of the empty rest, the
+        bad ones.  u is dead on such a triple's v, so a walk state that
+        holds one, with u going on, accepts after no continuation of u."""
+        if y is None:
+            return bad & ((1 << 2 * n1) - 1) << row
+        out = 0
+        for q in range(dead):  # v ends alongside y, or reads a letter z
+            ended = later >> row + 2 * delta.get((q, (y, PAD)), dead) + 1 & 1
+            going = ended or any(later >> row + 2 * delta.get((q, (y, z)), dead) & 1
+                                 for z in d.alphabet)
+            out |= (going | ended << 1) << row + 2 * q
+        return out
 
     # Letters on which d moves alike from every state are alike to the walk
     # on either track.  It reads the first letter of each class, in alphabet
     # order, so a column it reads stands for the product of two classes.
-    alike: dict = {}
-    for src, (x, y), dst in d.transitions:
-        alike.setdefault(x, set()).add((src, y, dst))
-    classes_of: dict = {}
-    for x in d.alphabet:
-        classes_of.setdefault(frozenset(alike.get(x, ())), []).append(x)
-    members = {xs[0]: xs for xs in classes_of.values()}
+    members = _letter_classes(d)
     members[PAD] = [PAD]
 
     # by_y[p][y]: {x: d's state after (x, y) from p}, for the letters read
@@ -195,9 +212,9 @@ def _same_rows_walk(d: MultiTrackAutomaton):
         return out
 
     def move(t, mask) -> tuple:
-        """The moves of triple t after pad mask ``mask``: the positions in
-        ``legal[mask]`` of the columns it has moves on, and the successor
-        triples on each, as bits."""
+        """The moves of triple t after pad mask ``mask``: pairs of the
+        position in ``legal[mask]`` of a column it has moves on and the
+        successor triples on it, as bits."""
         p, q = divmod(t >> 1, n1)
         p_moves = sides.get((p, mask & 1))
         if p_moves is None:
@@ -249,10 +266,23 @@ def _same_rows_walk(d: MultiTrackAutomaton):
         return product(members[col[0]], members[col[1]])
 
     q0 = next(iter(d.initial))
-    return [(1 << (q0 * n1 + q0) * 2, 0)], successors, lambda s: not s[0] & bad, expand
+    return [(1 << (q0 * n1 + q0) * 2, 0)], successors, lambda s: not s[0] & bad, expand, doomed
 
 
 _NO_MOVES: dict = {}  # a side's moves on a letter it dies on
+
+
+def _letter_classes(d: MultiTrackAutomaton) -> dict:
+    """The classes of letters x on which ``d`` moves alike on the columns
+    (x, y) from every state, each keyed by its first letter: first letter ->
+    the class in alphabet order, the keys in alphabet order too."""
+    alike: dict = {}
+    for src, (x, y), dst in d.transitions:
+        alike.setdefault(x, set()).add((src, y, dst))
+    classes_of: dict = {}
+    for x in d.alphabet:
+        classes_of.setdefault(frozenset(alike.get(x, ())), []).append(x)
+    return {xs[0]: xs for xs in classes_of.values()}
 
 
 def _least_members(block: dict, dead) -> dict:
@@ -476,13 +506,137 @@ def _representatives(eq: AutomaticRelation, bound: int) -> tuple:
 def _side_classes(d: MultiTrackAutomaton, bound: int) -> Optional[list]:
     """The row classes of R, for its DFA ``d``, as canonical 1-track DFAs in
     the shortlex order of their least members; None when there are more
-    than ``bound``.  Only the representatives are listed before that
-    verdict, as :func:`decompose` lists them."""
-    rows = _same_rows(d)
-    words = _representatives(rel._wrap(rows), bound)
-    if len(words) > bound:
-        return None
-    return [_class_dfa(rows, w) for w in words]
+    than ``bound``.  Neither the same-rows DFA nor its Reps is built.
+
+    The least members r_1 = ε, r_2, ... are found one at a time: r_(i+1)
+    is the shortlex-least word in none of the classes of r_1, ..., r_i.
+    The class {u | R_u = R_r} of r is one deterministic walk: the pair
+    walk of :func:`_same_rows` with its second word pinned to r.  Its
+    state after u is (t, s): t the rest of r not yet read against u, and s
+    the pair walk's state.  It accepts when t, read as (PAD, y) columns,
+    leaves s with no bad triple.  Neither its moves nor its acceptance
+    depend on the part of r already read, so the class walks of a side are
+    walks of one automaton from different starts, and share their states.
+    A state whose s holds a triple that t dooms accepts after no
+    continuation, and is not walked on.  Like the pair walk, the class
+    walks read one letter of each class of letters that ``d`` moves alike,
+    so the least word outside some classes is spelled in those letters,
+    and so is every r.
+
+    The next r is one search of the subsets of the class walks' live
+    states, from their starts, for a subset none of whose states accepts.
+    The class walks found so far are trimmed and not minimized: a class
+    is minimized only when it is returned.  It charges each state of the
+    class walks once, each subset a search discovers, and, for the
+    classes returned, the walk that minimizes each.
+    """
+    (s0,), pair_moves, pair_accepts, _expand, doomed = _same_rows_walk(d)
+    members = _letter_classes(d)
+    cols = [(x,) for x in members]
+    pinned_memo: dict = {}  # s -> {x2: {x: s after (x, x2)}}
+
+    def pinned(s) -> dict:
+        out = pinned_memo.get(s)
+        if out is None:
+            out = pinned_memo[s] = {}
+            for (x, x2), s2 in pair_moves(s):
+                out.setdefault(x2, {})[x] = s2
+        return out
+
+    # A rest of an r is an id: 0 for the empty word, else the id of the
+    # pair (its first letter, the id of its own rest).
+    rest_ids: dict = {}
+    rests: list = [None]
+    dooms: list = [doomed()]  # rest id -> the triples it dooms
+
+    def ends_well(t, s) -> bool:
+        """Whether (t, s) accepts: s after t read as (PAD, y) columns."""
+        while t:
+            y, t = rests[t]
+            s = pinned(s)[y][PAD]
+        return pair_accepts(s)
+
+    # The class walks' states (t, s), numbered from 1 as they are found; per
+    # column, {live state: live state after it}; the accepting states.  A
+    # doomed state has no moves and does not accept.
+    index: dict = {}
+    states: list = [None]
+    moves: list = [None]  # state -> its moves as [(column, state)]
+    live: set = set()
+    steps: dict = {col: {} for col in cols}
+    accepting: set = set()
+    budget = au._active_budget()
+
+    def walk(r) -> int:
+        """The start of r's class walk; the states it finds first are walked,
+        and the live ones join ``steps``."""
+        t = 0
+        for y in reversed(r):
+            later, t = t, rest_ids.get((y, t))
+            if t is None:
+                t = rest_ids[y, later] = len(rests)
+                rests.append((y, later))
+                dooms.append(doomed(y, dooms[later]))
+        first = len(states)
+        q0 = index.setdefault((t, s0), first)
+        if q0 == first:
+            states.append((t, s0))
+            budget.charge()
+        for t, s in islice(states, first, None):  # grows while iterated: a BFS queue
+            if s[0] & dooms[t]:
+                moves.append(())
+                continue
+            if t:
+                y, t = rests[t]
+                step = pinned(s)[y]
+            else:
+                step = pinned(s)[PAD]
+            out = []
+            for x, s2 in step.items():
+                if x != PAD:
+                    q2 = index.get((t, s2))
+                    if q2 is None:
+                        q2 = index[t, s2] = len(states)
+                        states.append((t, s2))
+                        budget.charge()
+                    out.append(((x,), q2))
+            moves.append(out)
+        # A new state is live when it accepts or moves to a live state; the
+        # old states move to none of them.
+        new = range(first, len(states))
+        accepting.update(q for q in new if moves[q] and ends_well(*states[q]))
+        seeds = [q for q in new if q in accepting or any(q2 in live for _c, q2 in moves[q])]
+        live.update(au._reach(seeds, au._reverse((q, q2) for q in new for _c, q2 in moves[q])))
+        for q in new:
+            if q in live:
+                for col, q2 in moves[q]:
+                    if q2 in live:
+                        steps[col][q] = q2
+        return q0
+
+    rank = {col: i for i, col in enumerate(cols)}
+
+    def subset_moves(subset):
+        for col in cols:
+            yield col, frozenset(filter(None, map(steps[col].get, subset)))
+
+    starts: list = []
+    r: Optional[tuple] = ()
+    while r is not None:
+        if len(starts) == bound:
+            return None
+        starts.append(walk(r))
+        word = au._shortest_word([frozenset(starts)], subset_moves, rank, accepting.isdisjoint)
+        r = None if word is None else tuple(x for (x,) in word)
+
+    def live_moves(q):
+        return [(col, q2) for col, q2 in moves[q] if q2 in live]
+
+    def expand(col):
+        return [(x,) for x in members[col[0]]]
+
+    return [au._explore_minimal(1, d.alphabet, [q0], live_moves, accepting.__contains__, expand)
+            for q0 in starts]
 
 
 @dataclass(frozen=True)
@@ -525,11 +679,12 @@ def _meets(r: AutomaticRelation, side_bound: int) -> Optional[_Meets]:
     meets are listed in the shortlex order of those members, by
     ``symbol_key``, which is how :func:`decompose` lists E's classes.
 
-    It charges R's canonical DFA, and per side its same-rows walk, the walk
-    of its Reps, len(w) + 1 per representative w listed and, for a side
-    within the bound, the walk of each of its classes; then every state
-    each meet's search discovers.  Reading ``classes`` charges the walk of
-    each meet's product.
+    It charges R's canonical DFA and, per side, what :func:`_side_classes`
+    charges: each state of its class walks, each subset its searches for
+    the representatives discover and, for a side within the bound, the walk
+    that minimizes each class.  Then it charges every state each meet's
+    search discovers.  Reading ``classes`` charges the walk of each meet's
+    product.
     """
     d = au.determinize_minimize(r.base)
     rows = _side_classes(d, side_bound)
@@ -581,8 +736,9 @@ def krec_definability(r: AutomaticRelation, k: int) -> Optional[PartitionedRecog
     The congruence has at least as many classes as either side, so a side
     with more than k classes is a no before the other side is walked (see
     :func:`_meets`); otherwise the meets of the two sides are its classes.
-    It charges what :func:`_meets` does at side bound k, then the class
-    walks and the rebuild of R from the witness.
+    It charges what :func:`_meets` does at side bound k (the class walks
+    and searches of each side it lists, then the meets' searches), then
+    the walks of the meets and the rebuild of R from the witness.
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
@@ -684,8 +840,10 @@ def kprod_definability(r: AutomaticRelation, k: int) -> Optional[RecognizableRel
     2^(2k) meets of the two sides, every L_i and M_i may be taken as a
     union of them, and the question reduces to a rectangle cover of the
     quotient matrix.  It charges what :func:`_meets` does at side bound
-    2^k, then each cover search step, and for a cover the class walks, the
-    unions of classes and the rebuild of R from the witness.
+    2^k (the class walks and searches of each side it lists, then the
+    meets' searches), then each cover search step, and for a cover the
+    walks of the meets, the unions of classes and the rebuild of R from the
+    witness.
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
@@ -728,7 +886,11 @@ def min_prod(r: AutomaticRelation, kmax: int) -> Optional[int]:
 
     The classes are found once, with the side bound 2^kmax of kmax products
     (see :func:`kprod_definability`), and they answer every k; the charges
-    are those of one :func:`_meets` and of each k's cover.
+    are those of one :func:`_meets` (the class walks and searches of each
+    side it lists, then the meets' searches) and of each k's cover.  On a
+    thin alphabet the searches dominate: over {a}, fc1 has the classes
+    {a^n}, and the search for a^i charges the i + 1 subsets of a^0 .. a^i,
+    about 2^(2 kmax - 1) in all.
     """
     if kmax < 1:
         raise AutomataError("kmax must be >= 1")

@@ -312,6 +312,18 @@ def same_rows_oracle(d):
         lambda s: not any(map(bad, s[0])))
 
 
+def side_classes_oracle(d, bound):
+    """The row classes of R, for its DFA ``d``, by the same-rows DFA S:
+    the first bound + 1 words of S's Reps, then, when there are at most
+    ``bound``, each class as one walk of S against its representative;
+    None when there are more."""
+    rows = de._same_rows(d)
+    words = de._representatives(rel._wrap(rows), bound)
+    if len(words) > bound:
+        return None
+    return [de._class_dfa(rows, w) for w in words]
+
+
 def least_representatives_oracle(eq):
     """Reps by a subset walk over frozensets of runs (q, o) of E and the
     shortlex order on (w', w): a run below another on the same E state is
@@ -476,6 +488,15 @@ def random_relation(rng: random.Random, alphabet=("a", "b"), states=3,
         transitions=frozenset(trans),
     )
     return rel.relation(au.determinize_minimize(au.restrict_valid_pad(raw)))
+
+
+def the_80_draws():
+    """The 80 relations on which the size of the congruence is measured:
+    ``random.Random(7)``, then 80 relations over ab or abc with at most 1
+    to 5 states before padding repair."""
+    rng = random.Random(7)
+    return [random_relation(rng, rng.choice([("a", "b"), ("a", "b", "c")]), rng.randint(1, 5))
+            for _ in range(80)]
 
 
 def random_padded_relation(rng: random.Random, alphabet=("a", "b"), states=4,

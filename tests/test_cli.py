@@ -288,9 +288,9 @@ def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    # loading fc1 charges 4, its canonical DFA 2, the same-rows walk 5, its
-    # Reps 1, and the 5 representatives listed at side bound 4 charge 15:
-    # 27 in all
+    # loading fc1 charges 4, its canonical DFA 2, the row side's class
+    # walks 6 and the searches for a, aa, aaa and aaaa, its representatives
+    # past the first four at side bound 4, 2 + 3 + 4 + 5: 26 in all
     ("--budget", "20", "min-prod", "--r", "FC1", "--kmax", "2"),
     ("--budget", "30", "sep-verify", "--s", "PARITY", "--r1", "FC1", "--r2", "FC2"),
 ])
@@ -303,30 +303,33 @@ def test_budget_bounds_the_whole_command(fx, capsys, argv):
 
 
 def test_definability_verbs_never_build_the_congruence(fx, tmp_path, monkeypatch, capsys):
-    # Reps is walked only on a side's own equivalence (same rows of R or of
-    # its inverse), never on their intersection E
+    # kREC, kPROD and min-prod list each side's classes by search: they
+    # build no same-rows DFA, no Reps and no E; recognizable walks the row
+    # side's same-rows DFA and its Reps once
     fin = str(tmp_path / "fin.json")
     assert run("make-rel", "--spec", "(union (pairs (a b) (aa b)) (pairs (b a) (bb a)))",
                "--out", fin) == 0
-    sides = []
-    real_rows, real_reps = de._same_rows, de.least_representatives
-    monkeypatch.setattr(de, "_same_rows", lambda *a: sides.append(real_rows(*a)) or sides[-1])
-
-    def reps(eq):
-        assert any(eq.base is side for side in sides)
-        return real_reps(eq)
-
-    monkeypatch.setattr(de, "least_representatives", reps)
+    calls: dict = {}
+    for name in ("_side_classes", "_same_rows", "least_representatives"):
+        real = getattr(de, name)
+        monkeypatch.setattr(de, name, lambda *a, name=name, real=real:
+                            calls.setdefault(name, []).append(1) or real(*a))
     monkeypatch.setattr(de, "build_equiv", None)
     monkeypatch.setattr(de, "decompose", None)
-    codes = []
+    codes, sides = [], 0
     for r in (str(fx / "fc1.json"), str(fx / "equal-length.json"), fin):
-        for argv in (("recognizable",), ("min-prod", "--kmax", "2"),
-                     ("definable-kprod", "--k", "2"), ("definable-krec", "--k", "5")):
+        calls.clear()
+        codes.append(run("recognizable", "--r", r))
+        assert calls == {"_same_rows": [1], "least_representatives": [1]}
+        for argv in (("min-prod", "--kmax", "2"), ("definable-kprod", "--k", "2"),
+                     ("definable-krec", "--k", "5")):
+            calls.clear()
             codes.append(run(*argv, "--r", r))
+            assert list(calls) == ["_side_classes"]
+            sides += len(calls["_side_classes"])
     assert codes == [1] * 8 + [0] * 4
-    # one side for each verb on the first two, both sides but for recognizable on fin
-    assert len(sides) == 2 * 4 + 1 + 3 * 2
+    # one side for each verb on the first two, both sides on fin
+    assert sides == 2 * 3 + 3 * 2
 
 
 def test_representatives_charge_the_budget(fx, capsys):

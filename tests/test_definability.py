@@ -15,7 +15,8 @@ from conftest import (build_equiv_oracle, class_oracle, decompose_peel_oracle,
                       krec_definability_oracle, least_representatives_oracle,
                       min_cover_oracle, min_prod_oracle, random_dfa, random_language,
                       random_padded_relation, random_relation, recognizable_oracle,
-                      same_rows_oracle, union_of_classes_oracle, words_upto)
+                      same_rows_oracle, side_classes_oracle, the_80_draws,
+                      union_of_classes_oracle, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -192,7 +193,7 @@ def test_same_rows_walk_minimize_directly_matches_minimizing_the_built_walk():
                 continue
             drawn += 1
             for side in (d, au.permute_tracks(d, (1, 0))):
-                start, successors, accepts, expand = de._same_rows_walk(side)
+                start, successors, accepts, expand, _doomed = de._same_rows_walk(side)
                 with au.state_budget():
                     built = au._explore_automaton(
                         2, alphabet, start,
@@ -231,7 +232,7 @@ def test_same_rows_reads_one_column_per_class_of_alike_letters():
         d = _with_copied_letter(r, "b", "c").base
         _same_rows_agree(d)
         for side in (d, au.permute_tracks(d, (1, 0))):
-            start, successors, accepts, expand = de._same_rows_walk(side)
+            start, successors, accepts, expand, _doomed = de._same_rows_walk(side)
             read = [col for col, _nxt in successors(start[0])]
             assert all("c" not in col for col in read)
             assert sorted(c for col in read for c in expand(col)) == \
@@ -384,10 +385,8 @@ def test_least_representatives_match_frozenset_oracle_on_the_80_draws():
     # walks finish under 100,000 units each.  Past that a walk state is a
     # set of thousands of runs: at 100,000 units for E, draws 1, 11 and 40
     # take 20 to 150 s each.
-    rng = random.Random(7)
     compared = 0
-    for _ in range(80):
-        r = random_relation(rng, rng.choice([AB, ("a", "b", "c")]), rng.randint(1, 5))
+    for r in the_80_draws():
         try:
             with au.state_budget(5_000):
                 eq = de.build_equiv(r)
@@ -654,12 +653,14 @@ def test_min_prod_builds_the_congruence_once(monkeypatch):
     expected = [next((k for k in (1, 2, 3)
                       if de.kprod_definability(r, k) is not None), None)
                 for r in cases]
-    # each side's congruence is built once, and E never: the row side of
-    # the identity and of fc1 has infinitely many classes and settles it
+    # each side's classes are listed once, by search, and neither a side's
+    # same-rows DFA, nor its Reps, nor E is built: the row side of the
+    # identity and of fc1 has infinitely many classes and settles it
     calls = []
-    real = de._same_rows
-    monkeypatch.setattr(de, "_same_rows", lambda *a: calls.append(1) or real(*a))
-    monkeypatch.setattr(de, "build_equiv", None)
+    real = de._side_classes
+    monkeypatch.setattr(de, "_side_classes", lambda *a: calls.append(1) or real(*a))
+    for name in ("_same_rows", "least_representatives", "build_equiv", "decompose"):
+        monkeypatch.setattr(de, name, None)
     for r, want, walks in zip(cases, expected, [2, 2, 1, 1, 2]):
         calls.clear()
         assert de.min_prod(r, 3) == want
@@ -759,8 +760,124 @@ def test_side_route_matches_the_congruence_on_random_relations(alphabet):
 def test_krec_walks_one_side_when_the_rows_refute(monkeypatch, make):
     r = make()
     calls = []
-    real = de._same_rows
-    monkeypatch.setattr(de, "_same_rows", lambda *a: calls.append(1) or real(*a))
+    real = de._side_classes
+    monkeypatch.setattr(de, "_side_classes", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(de, "_same_rows", None)
     assert de.krec_definability(r, 4) is None
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# each side's classes by search, against the same-rows DFA and its Reps
+
+_SIDE_BOUNDS = (1, 2, 4, 8, 16, 64)
+
+
+def _dumps_all(classes):
+    return None if classes is None else [au.dumps(c) for c in classes]
+
+
+def _side_classes_agree(d, bounds=_SIDE_BOUNDS):
+    """On both sides of d, the search route gives the oracle's verdict and
+    class bytes at every bound."""
+    for side in (d, au.permute_tracks(d, (1, 0))):
+        for bound in bounds:
+            assert _dumps_all(de._side_classes(side, bound)) == \
+                _dumps_all(side_classes_oracle(side, bound))
+
+
+def test_side_classes_match_the_oracle_on_workload_relations(tmp_path, monkeypatch):
+    for r in _workload_relations(tmp_path, monkeypatch):
+        _side_classes_agree(au.determinize_minimize(r.base))
+
+
+@pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c"), ("b", "a")],
+                         ids=["ab", "abc", "ba"])
+def test_side_classes_match_the_oracle_on_random_relations(alphabet):
+    # A random relation of at most 4 states, which keeps the oracle's
+    # same-rows DFA and Reps small, a planted union of products, and a
+    # finite relation, whose sides have up to a dozen classes in turn
+    rng = random.Random(7900 + len(alphabet) + (alphabet[0] == "b"))
+    drawn = several = 0
+    while drawn < 24:
+        if drawn % 3 == 0:
+            r = random_relation(rng, alphabet, rng.randint(1, 3))
+            if r.base.states > 4:
+                continue
+        elif drawn % 3 == 1:
+            r = _planted_relation(rng, alphabet)
+        else:
+            words = words_upto(alphabet, 3)
+            r = rel.finite_relation([("".join(rng.choice(words)), "".join(rng.choice(words)))
+                                     for _ in range(rng.randint(1, 4))], alphabet)
+        d = au.determinize_minimize(r.base)
+        _side_classes_agree(d)
+        several += len(de._side_classes(d, 64) or ()) > 2
+        drawn += 1
+    assert several >= 4
+
+
+def test_side_classes_match_the_oracle_with_alike_letters():
+    # c moves as b does from every state, so the walks read no c, and each
+    # class gets its moves on c back from those on b
+    rng = random.Random(7906)
+    drawn = 0
+    while drawn < 20:
+        r = random_relation(rng, AB, rng.randint(1, 3))
+        if r.base.states > 3:
+            continue
+        drawn += 1
+        d = _with_copied_letter(r, "b", "c").base
+        _side_classes_agree(d)
+        for c in de._side_classes(d, 64) or ():
+            on = {x: {(src, dst) for src, (y,), dst in c.transitions if y == x} for x in "bc"}
+            assert on["b"] == on["c"]
+
+
+def test_side_classes_match_the_oracle_on_the_80_draws():
+    # A side is compared where the oracle lists it within 1,000 units at
+    # bound 64, which answers the smaller bounds too; past that its
+    # same-rows walk grows to thousands of states
+    compared = 0
+    for r in the_80_draws():
+        d = au.determinize_minimize(r.base)
+        for side in (d, au.permute_tracks(d, (1, 0))):
+            try:
+                with au.state_budget(1_000):
+                    oracle = _dumps_all(side_classes_oracle(side, 64))
+            except au.BudgetExceededError:
+                continue
+            for bound in (8, 16, 64):
+                with au.state_budget(100_000):
+                    got = _dumps_all(de._side_classes(side, bound))
+                assert got == (None if oracle is None or len(oracle) > bound else oracle)
+            compared += 1
+    assert compared >= 80
+
+
+def test_verbs_decide_the_draws_where_a_same_rows_walk_runs_out():
+    # On draws 14 and 45 the row side's same-rows walk exhausted 100,000
+    # units, and on draw 16 the column side's.  Listed by search, the row
+    # side has more classes than the bound on each: the three verbs charge
+    # 160 to 267 units together, and 1,227 to 6,687 if the walks went on
+    # past the states that the rest of a representative dooms.
+    draws = the_80_draws()
+    for i in (14, 16, 45):
+        with au.state_budget(100_000):
+            assert de.min_prod(draws[i], 3) is None
+            assert de.kprod_definability(draws[i], 2) is None
+            assert de.krec_definability(draws[i], 4) is None
+            assert au._active_budget().used < 500
+
+
+@pytest.mark.parametrize("c", [1, 2], ids=["fc1", "fc2"])
+def test_min_prod_lists_a_thin_alphabet_within_a_quadratic_charge(c):
+    # fc(c) over {a} has the classes {a^n}, one per n.  At kmax 8 the
+    # search for a^i charges the i + 1 subsets of a^0 .. a^i, 2 + ... +
+    # 257 = 33,152 for a^1 .. a^256, and the class walks about one state
+    # per rest of a representative; the charge measured is 33,412 for fc1
+    # and 33,414 for fc2.  34,000 units leave no room for a walk or search
+    # per class that grows with the length of the representatives.
+    with au.state_budget(34_000):
+        assert de.min_prod(rel.successor_relation(c), 8) is None
 
