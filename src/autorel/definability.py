@@ -1,56 +1,54 @@
 """Definability of automatic relations inside the recognizable hierarchies.
 
-The pivot is the congruence E relating words with identical rows and
-columns in R; its index bounds decide membership in the k-block partition
-class exactly, and a rectangle cover of the quotient matrix decides the
-k-product class.  It is read directly off R's DFA: one subset walk over
-triples of two R states and a flag finds the pairs with the same row, the
-same walk on the inverse those with the same column, and E is their
-intersection.  The walk stays small because a side of a triple whose
-word has ended, or whose witness has, reads only the columns of one pad
-pattern from then on; it is kept as the least state of its class under
-R's DFA restricted to those columns, which changes no walk state's
-language.  The shortlex-least members of the classes of an equivalence form
-a regular set, its Reps: its size is the index.
+The decisions rest on the congruence E relating words with identical rows
+and columns in R: its index bounds decide membership in the k-block
+partition class exactly, and a rectangle cover of the quotient matrix
+decides the k-product class.  Two words have the same rows when one subset
+walk over triples of two R states and a flag, reading the pair, leaves no
+triple that a witness tells apart; the same walk on the inverse compares
+columns.  The walk stays small because a side of a triple whose word has
+ended, or whose witness has, reads only the columns of one pad pattern from
+then on; it is kept as the least state of its class under R's DFA
+restricted to those columns, which changes no walk state's language.
 
-The decision verbs never build E.  R is recognizable exactly when its rows
-alone have finitely many classes, i.e. when the Reps of the same-rows
-equivalence is finite.  The definability verbs build neither that
-equivalence nor its Reps.  They list the row classes first and the column
-classes second, each by search, and stop as soon as a side has more classes
-than a bound that E's index would exceed anyway: k for a k-block partition,
-since E has at least as many classes as either side; 2^k for k products,
-since in a union of k products the row of a word depends only on which of
-the k left factors contain it, and the column likewise.  The next class of a
-side is that of the shortlex-least word in none of the classes found so far,
-and a class is one walk of the same-rows walk with its second word pinned to
-that word (see :func:`_side_classes`).  Within the bounds, E's classes are
-the non-empty meets of a row class and a column class, each found by a
-shortlex witness search of the two class DFAs' product.  :func:`build_equiv`
-and :func:`decompose` still build E and list its classes, for library
-callers.
+Classes are listed by search, never from a built equivalence: the next
+class is that of the shortlex-least word in none of the classes found so
+far, and the class of a word is the walk with its second word pinned to it
+(see :func:`_class_search`).  One search serves a side and E: a side's
+classes pin the walk on R or on its inverse, and E's classes pin both walks
+in lockstep, which is how :func:`decompose` lists them.  The definability
+verbs list the row classes first and the column classes second, and stop as
+soon as a side has more classes than a bound that E's index would exceed
+anyway: k for a k-block partition, since E has at least as many classes as
+either side; 2^k for k products, since in a union of k products the row of
+a word depends only on which of the k left factors contain it, and the
+column likewise.  Within the bounds, E's classes are the non-empty meets of
+a row class and a column class, each found by a shortlex witness search of
+the two class DFAs' product.
 
-Both walks keep their states as Python ints: a set of triples, or of runs of
+:func:`build_equiv` builds E as a DFA, for library callers.  R is
+recognizable exactly when its rows alone have finitely many classes, i.e.
+when the Reps of the same-rows equivalence, the regular set of the
+shortlex-least members of its classes, is finite.  Both build an
+equivalence and walk it; nothing else does.
+
+The walks keep their states as Python ints: a set of triples, or of runs of
 an equivalence and the shortlex order, is a bit set, so a step is a few
 big-int ORs and acceptance is one AND.  The same-rows walk reads one letter
 of each class of letters that R's DFA moves alike, and so do the pinned
-walks.  Both walks are deterministic, and so is the intersection of the row
-and column DFAs; each is minimized straight from its own walk, which charges
-each of its states to the budget once.
-
-Once an equivalence is built, everything after it runs on DFAs: the
-representatives are listed one state at a time along its Reps' DFA, a class
-is one walk of the equivalence against its representative, and a union of
-classes is the subset walk of their disjoint union, whose subsets hold at
-most one state of each class.
+walks.  The walks are deterministic, and so is the intersection of two
+DFAs; each is minimized straight from its own walk, which charges each of
+its states to the budget once.  A union of classes is the subset walk of
+their disjoint union, whose subsets hold at most one state of each class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from . import automata as au
 from . import relations as rel
@@ -119,11 +117,87 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     return au._explore_minimal(2, d.alphabet, start, successors, accepts, expand)
 
 
-def _same_rows_walk(d: MultiTrackAutomaton):
+def _same_rows_walk(*ds: MultiTrackAutomaton):
     """(start, successors, accepts, expand, doomed) of :func:`_same_rows`'
-    walk on ``d``: the walk reads one column of each class product, and
+    walk on one DFA ``d``: the walk reads one column of each class product, and
     ``expand`` gives the columns it stands for.  ``doomed`` serves walks
-    that pin the second word (see :func:`_side_classes`)."""
+    that pin the second word (see :func:`_class_search`).
+
+    Given several DFAs of one alphabet, it is their walks in lockstep, which
+    relate (u, u') when u and u' have the same rows in each DFA's relation.
+    A walk state holds one walk state per DFA: their bit sets side by side
+    in one int, each DFA's triples from its own offset, and the pad mask,
+    which they share.  It accepts when no DFA's triple is bad, and it reads
+    one letter of each class of letters that every DFA moves alike.
+    """
+    # Letters on which every DFA moves alike from every state are alike to
+    # the walk on either track.  It reads the first letter of each class, in
+    # alphabet order, so a column it reads stands for the product of two
+    # classes.
+    members = _letter_classes(*ds)
+    members[PAD] = [PAD]
+    legal = {mask: [(col, m2) for col in ds[0].column_universe()
+                    if col[0] in members and col[1] in members
+                    if (m2 := au._pad_mask_step(mask, col)) is not None]
+             for mask in range(4)}
+    # by_first[mask][x]: {x2: index of the column (x, x2) in legal[mask]};
+    # by_second[mask][x2]: {x: the same index}
+    by_first: dict = {mask: {} for mask in legal}
+    by_second: dict = {mask: {} for mask in legal}
+    for mask, cols in legal.items():
+        for i, ((x, x2), _m2) in enumerate(cols):
+            by_first[mask].setdefault(x, {})[x2] = i
+            by_second[mask].setdefault(x2, {})[x] = i
+
+    offsets, moves, dooms = [], [], []  # per DFA
+    offset = start = bad = 0
+    for d in ds:
+        offsets.append(offset)
+        offset, start_d, bad_d, move_d, doomed_d = _pair_walk(d, offset, members,
+                                                              by_first, by_second)
+        start |= start_d
+        bad |= bad_d
+        moves.append(move_d)
+        dooms.append(doomed_d)
+
+    def doomed(y=None, later=0) -> int:
+        """The triples of every DFA that a second word with y and then a rest
+        left dooms, ``later`` being those of that rest (see
+        :func:`_pair_walk`); with no y, those of the empty rest."""
+        return sum(doomed_d(y, later) for doomed_d in dooms)
+
+    tables: dict = {}  # (triple, pad mask) -> its moves
+
+    def successors(state):
+        bits, mask = state
+        cols = legal[mask]
+        out = [0] * len(cols)
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            key = (low.bit_length() - 1, mask)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = moves[bisect_right(offsets, key[0]) - 1](*key)
+            for i, b in zip(*table):
+                out[i] |= b
+        for (col, m2), b in zip(cols, out):
+            yield col, (b, m2)
+
+    def expand(col):
+        return product(members[col[0]], members[col[1]])
+
+    return [(start, 0)], successors, lambda s: not s[0] & bad, expand, doomed
+
+
+def _pair_walk(d: MultiTrackAutomaton, offset: int, members: dict, by_first: dict,
+               by_second: dict):
+    """(end, start, bad, move, doomed) of the walk of :func:`_same_rows` on
+    one DFA ``d``, its triples numbered from ``offset`` to before ``end``,
+    reading the letters ``members`` and the columns that ``by_first`` and
+    ``by_second`` index (see :func:`_same_rows_walk`): the start triple and
+    the bad triples as bits, the moves of a triple, and the triples a rest
+    of the second word dooms."""
     n1 = d.states + 1
     dead = d.states
     nodes = range(n1)
@@ -136,8 +210,8 @@ def _same_rows_walk(d: MultiTrackAutomaton):
             d.accepting)
 
     def least(block) -> list:
-        members = _least_members(block, dead)
-        return [members[p] for p in nodes]
+        least_of = _least_members(block, dead)
+        return [least_of[p] for p in nodes]
 
     # Once the pair has ended, an unfinished v tells p and q apart exactly
     # when they are inequivalent in d restricted to the (PAD, y) columns.
@@ -153,10 +227,11 @@ def _same_rows_walk(d: MultiTrackAutomaton):
         for key, bit in (((0, block[q]), 1 << 2 * q), ((1, accept[q]), 2 << 2 * q)):
             same[key] = same.get(key, 0) | bit
     every = sum(same.values())
-    bad = sum((every ^ same[0, block[p]] ^ same[1, accept[p]]) << 2 * n1 * p for p in nodes)
-    row = 2 * n1 * dead  # the bit of triple (dead, 0, 0)
+    bad = sum((every ^ same[0, block[p]] ^ same[1, accept[p]]) << offset + 2 * n1 * p
+              for p in nodes)
+    row = offset + 2 * n1 * dead  # the bit of triple (dead, 0, 0)
 
-    def doomed(y=None, later=0) -> int:
+    def doomed(y, later) -> int:
         """The triples (dead, q, done), as bits, in which q can still
         accept when the second word has y and then a rest left, ``later``
         being those of that rest; with no y, those of the empty rest, the
@@ -172,29 +247,11 @@ def _same_rows_walk(d: MultiTrackAutomaton):
             out |= (going | ended << 1) << row + 2 * q
         return out
 
-    # Letters on which d moves alike from every state are alike to the walk
-    # on either track.  It reads the first letter of each class, in alphabet
-    # order, so a column it reads stands for the product of two classes.
-    members = _letter_classes(d)
-    members[PAD] = [PAD]
-
     # by_y[p][y]: {x: d's state after (x, y) from p}, for the letters read
     by_y: list = [{} for _ in nodes]
     for src, (x, y), dst in d.transitions:
         if x in members:
             by_y[src].setdefault(y, {})[x] = dst
-    legal = {mask: [(col, m2) for col in d.column_universe()
-                    if col[0] in members and col[1] in members
-                    if (m2 := au._pad_mask_step(mask, col)) is not None]
-             for mask in range(4)}
-    # by_first[mask][x]: {x2: index of the column (x, x2) in legal[mask]};
-    # by_second[mask][x2]: {x: the same index}
-    by_first: dict = {mask: {} for mask in legal}
-    by_second: dict = {mask: {} for mask in legal}
-    for mask, cols in legal.items():
-        for i, ((x, x2), _m2) in enumerate(cols):
-            by_first[mask].setdefault(x, {})[x2] = i
-            by_second[mask].setdefault(x2, {})[x] = i
     sides: dict = {}  # (node, ended) -> side(node, ended)
 
     def side(p, ended) -> dict:
@@ -215,7 +272,7 @@ def _same_rows_walk(d: MultiTrackAutomaton):
         """The moves of triple t after pad mask ``mask``: pairs of the
         position in ``legal[mask]`` of a column it has moves on and the
         successor triples on it, as bits."""
-        p, q = divmod(t >> 1, n1)
+        p, q = divmod(t - offset >> 1, n1)
         p_moves = sides.get((p, mask & 1))
         if p_moves is None:
             p_moves = sides[p, mask & 1] = side(p, mask & 1)
@@ -229,7 +286,7 @@ def _same_rows_walk(d: MultiTrackAutomaton):
             end = y == PAD
             ps, qs = p_moves.get(y, _NO_MOVES), q_moves.get(y, _NO_MOVES)
             for x, p2 in ps.items():  # p lives: q on every legal letter
-                row = p2 * n1 * 2 + end
+                row = offset + p2 * n1 * 2 + end
                 alone = 1 << row + 2 * dead
                 for x2, i in firsts.get(x, _NO_MOVES).items():
                     q2 = qs.get(x2)
@@ -237,50 +294,31 @@ def _same_rows_walk(d: MultiTrackAutomaton):
                     old = table.get(i)
                     table[i] = bit if old is None else old | bit
             for x2, q2 in qs.items():  # q lives and p is dead
-                bit = 1 << (dead * n1 + q2) * 2 + end
+                bit = 1 << offset + (dead * n1 + q2) * 2 + end
                 for x, i in seconds.get(x2, _NO_MOVES).items():
                     if x not in ps:
                         old = table.get(i)
                         table[i] = bit if old is None else old | bit
         return tuple(table), tuple(table.values())
 
-    tables: dict = {}  # (triple, pad mask) -> move(triple, pad mask)
-
-    def successors(state):
-        bits, mask = state
-        cols = legal[mask]
-        out = [0] * len(cols)
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            key = (low.bit_length() - 1, mask)
-            table = tables.get(key)
-            if table is None:
-                table = tables[key] = move(*key)
-            for i, b in zip(*table):
-                out[i] |= b
-        for (col, m2), b in zip(cols, out):
-            yield col, (b, m2)
-
-    def expand(col):
-        return product(members[col[0]], members[col[1]])
-
     q0 = next(iter(d.initial))
-    return [(1 << (q0 * n1 + q0) * 2, 0)], successors, lambda s: not s[0] & bad, expand, doomed
+    return offset + 2 * n1 * n1, 1 << offset + (q0 * n1 + q0) * 2, bad, move, doomed
 
 
 _NO_MOVES: dict = {}  # a side's moves on a letter it dies on
 
 
-def _letter_classes(d: MultiTrackAutomaton) -> dict:
-    """The classes of letters x on which ``d`` moves alike on the columns
-    (x, y) from every state, each keyed by its first letter: first letter ->
-    the class in alphabet order, the keys in alphabet order too."""
+def _letter_classes(*ds: MultiTrackAutomaton) -> dict:
+    """The classes of letters x on which every DFA of ``ds`` moves alike on
+    the columns (x, y) from every state, each keyed by its first letter:
+    first letter -> the class in alphabet order, the keys in alphabet order
+    too."""
     alike: dict = {}
-    for src, (x, y), dst in d.transitions:
-        alike.setdefault(x, set()).add((src, y, dst))
+    for i, d in enumerate(ds):
+        for src, (x, y), dst in d.transitions:
+            alike.setdefault(x, set()).add((i, src, y, dst))
     classes_of: dict = {}
-    for x in d.alphabet:
+    for x in ds[0].alphabet:
         classes_of.setdefault(frozenset(alike.get(x, ())), []).append(x)
     return {xs[0]: xs for xs in classes_of.values()}
 
@@ -397,141 +435,38 @@ def recognizable(r: AutomaticRelation) -> bool:
     return _finite(least_representatives(rel._wrap(rows)))
 
 
-@dataclass(frozen=True)
-class EquivalenceDecomposition:
-    """The first classes of the congruence, by shortlex-least member.
+def _class_search(ds: tuple, bound: int) -> tuple:
+    """The classes of the equivalence that relates two words when they have
+    the same rows in the relation of each DFA of ``ds``, found by search:
+    (their least members, a function building their DFAs).
 
-    ``representatives`` lists the shortlex-least words of the classes in
-    shortlex order: all of them, or, when ``truncated`` (more than the bound
-    exist), the first bound + 1, as at any larger bound.  ``classes[i]`` is
-    the class of ``representatives[i]`` as a canonical 1-track DFA, one
-    deterministic walk of ``equiv``'s DFA against the representative (see
-    :func:`_class_dfa`), minimized as it stands.  The classes are built on
-    first read, so a decision that only needs the index or the quotient
-    matrix never builds them.  That first read is a construction: it
-    charges the :func:`~autorel.automata.state_budget` scope active at the
-    read, not the one :func:`decompose` ran in, one unit per walk state,
-    and can raise ``BudgetExceededError``.
-    """
-
-    relation: AutomaticRelation
-    equiv: AutomaticRelation
-    representatives: tuple  # tuple[Word, ...]
-    truncated: bool
-
-    def __post_init__(self):
-        e = self.equiv.base
-        if not e.__dict__.get(au._CANONICAL) and not e.deterministic:
-            raise AutomataError("equiv must be a DFA with one initial state")
-
-    @property
-    def index(self) -> int:
-        return len(self.representatives)
-
-    @cached_property
-    def classes(self) -> tuple:  # tuple[MultiTrackAutomaton, ...]
-        # per seed-41 round: 44 ms vs 126 for determinize_minimize(image(E, {w}))
-        return tuple(_class_dfa(self.equiv.base, w) for w in self.representatives)
-
-
-def _class_dfa(e: MultiTrackAutomaton, w: tuple) -> MultiTrackAutomaton:
-    """The class {w' | (w, w') in E} of the word w, for a DFA ``e`` of the
-    congruence E, as a canonical 1-track DFA.
-
-    One deterministic walk reads w' against w.  Its states are (i, q): i
-    letters of w read so far, capped at len(w), and q the state of ``e``.
-    Reading y follows the column (w[i], y), or (PAD, y) once w has ended,
-    and (i, q) accepts when ``e`` accepts after the rest of w read against
-    padding.  The letters y come in alphabet order, so the walk is
-    minimized as it stands (see :func:`~autorel.automata._explore_minimal`)
-    and each of its states is charged once.
-    """
-    delta, alphabet, n = e._delta, e.alphabet, len(w)
-    # the columns read at each position: ((y,), (w[i] or PAD, y)) per letter y
-    reads = [[((y,), (x, y)) for y in alphabet] for x in (*w, PAD)]
-
-    def successors(state):
-        i, q = state
-        j = i + (i < n)
-        for col, pair in reads[i]:
-            q2 = delta.get((q, pair))
-            if q2 is not None:
-                yield col, (j, q2)
-
-    def accepts(state):
-        i, q = state
-        for x in w[i:]:
-            q = delta.get((q, (x, PAD)))
-            if q is None:
-                return False
-        return q in e.accepting
-
-    (q0,) = e.initial
-    return au._explore_minimal(1, alphabet, [(0, q0)], successors, accepts)
-
-
-def decompose(r: AutomaticRelation, bound: int) -> EquivalenceDecomposition:
-    """The classes of R's congruence E, read off the regular set Reps of
-    their shortlex-least members (see :func:`least_representatives`).
-
-    The index is |Reps|.  When Reps has more than ``bound`` words, infinitely
-    many included, the decomposition is truncated and lists the first
-    bound + 1 representatives in shortlex order; otherwise it lists all of
-    them.  So one call answers every smaller bound b with its first b + 1.
-    Each representative w is charged to the state budget as len(w) + 1
-    states, so a large bound on an infinite index exhausts the budget
-    instead of memory.  The decision verbs do without E (see
-    :func:`_meets`): this is the listing for library callers.
-    """
-    if bound < 1:
-        raise AutomataError("bound must be >= 1")
-    eq = build_equiv(r)
-    words = _representatives(eq, bound)
-    return EquivalenceDecomposition(relation=r, equiv=eq, representatives=words,
-                                    truncated=len(words) > bound)
-
-
-def _representatives(eq: AutomaticRelation, bound: int) -> tuple:
-    """The first bound + 1 words of the Reps of the equivalence ``eq``, in
-    shortlex order: all of them when there are no more.  Each word w is
-    charged to the state budget as len(w) + 1 states."""
-    budget = au._active_budget()
-    words = []
-    for w in islice(au.iter_words(least_representatives(eq)), bound + 1):
-        budget.charge(len(w) + 1)  # as the len(w) + 1 states of its path
-        words.append(w)
-    return tuple(words)
-
-
-def _side_classes(d: MultiTrackAutomaton, bound: int) -> Optional[list]:
-    """The row classes of R, for its DFA ``d``, as canonical 1-track DFAs in
-    the shortlex order of their least members; None when there are more
-    than ``bound``.  Neither the same-rows DFA nor its Reps is built.
-
-    The least members r_1 = ε, r_2, ... are found one at a time: r_(i+1)
-    is the shortlex-least word in none of the classes of r_1, ..., r_i.
-    The class {u | R_u = R_r} of r is one deterministic walk: the pair
-    walk of :func:`_same_rows` with its second word pinned to r.  Its
-    state after u is (t, s): t the rest of r not yet read against u, and s
-    the pair walk's state.  It accepts when t, read as (PAD, y) columns,
-    leaves s with no bad triple.  Neither its moves nor its acceptance
-    depend on the part of r already read, so the class walks of a side are
-    walks of one automaton from different starts, and share their states.
-    A state whose s holds a triple that t dooms accepts after no
+    The least members r_1 = ε, r_2, ... are listed in shortlex order, the
+    first bound + 1 or, when there are no more, all of them; the function
+    builds the classes of the first min(index, bound) as canonical 1-track
+    DFAs.  Neither the same-rows DFA of the pairs nor its Reps is built.
+    r_(i+1) is the shortlex-least word in none of the classes of r_1, ...,
+    r_i.  The class of r is one deterministic walk: the lockstep walk of
+    :func:`_same_rows_walk` on ``ds`` with its second word pinned to r.
+    Its state after u is (t, s): t the rest of r not yet read against u,
+    and s the pair walk's state, one per DFA.  It accepts when t, read as
+    (PAD, y) columns, leaves s with no bad triple.  Neither its moves nor
+    its acceptance depend on the part of r already read, so the class walks
+    are walks of one automaton from different starts, and share their
+    states.  A state whose s holds a triple that t dooms accepts after no
     continuation, and is not walked on.  Like the pair walk, the class
-    walks read one letter of each class of letters that ``d`` moves alike,
-    so the least word outside some classes is spelled in those letters,
-    and so is every r.
+    walks read one letter of each class of letters that every DFA moves
+    alike, so the least word outside some classes is spelled in those
+    letters, and so is every r.
 
     The next r is one search of the subsets of the class walks' live
     states, from their starts, for a subset none of whose states accepts.
-    The class walks found so far are trimmed and not minimized: a class
-    is minimized only when it is returned.  It charges each state of the
-    class walks once, each subset a search discovers, and, for the
-    classes returned, the walk that minimizes each.
+    The class of r_(bound + 1) is not walked.  The class walks are trimmed
+    and not minimized until the classes are built.  The search charges each
+    state of the class walks once and each subset a search discovers;
+    building the classes charges the walk that minimizes each.
     """
-    (s0,), pair_moves, pair_accepts, _expand, doomed = _same_rows_walk(d)
-    members = _letter_classes(d)
+    (s0,), pair_moves, pair_accepts, _expand, doomed = _same_rows_walk(*ds)
+    members = _letter_classes(*ds)
     cols = [(x,) for x in members]
     pinned_memo: dict = {}  # s -> {x2: {x: s after (x, x2)}}
 
@@ -620,11 +555,13 @@ def _side_classes(d: MultiTrackAutomaton, bound: int) -> Optional[list]:
         for col in cols:
             yield col, frozenset(filter(None, map(steps[col].get, subset)))
 
+    words: list = []
     starts: list = []
     r: Optional[tuple] = ()
     while r is not None:
+        words.append(r)
         if len(starts) == bound:
-            return None
+            break
         starts.append(walk(r))
         word = au._shortest_word([frozenset(starts)], subset_moves, rank, accepting.isdisjoint)
         r = None if word is None else tuple(x for (x,) in word)
@@ -635,25 +572,41 @@ def _side_classes(d: MultiTrackAutomaton, bound: int) -> Optional[list]:
     def expand(col):
         return [(x,) for x in members[col[0]]]
 
-    return [au._explore_minimal(1, d.alphabet, [q0], live_moves, accepting.__contains__, expand)
-            for q0 in starts]
+    def classes() -> list:
+        return [au._explore_minimal(1, ds[0].alphabet, [q0], live_moves,
+                                    accepting.__contains__, expand) for q0 in starts]
+
+    return tuple(words), classes
+
+
+def _side_classes(d: MultiTrackAutomaton, bound: int) -> Optional[list]:
+    """The row classes of R, for its DFA ``d``, as canonical 1-track DFAs in
+    the shortlex order of their least members (see :func:`_class_search`);
+    None, with no class minimized, when there are more than ``bound``."""
+    words, classes = _class_search((d,), bound)
+    return None if len(words) > bound else classes()
 
 
 @dataclass(frozen=True)
-class _Meets:
-    """The classes of the congruence E from the two sides: each is the
-    non-empty meet of a row class and a column class.
+class EquivalenceDecomposition:
+    """The first classes of the congruence E, by shortlex-least member.
 
-    It reads as an untruncated :class:`EquivalenceDecomposition`:
-    ``representatives`` in shortlex order, ``index`` and ``classes``, each
-    class the canonical DFA of one deterministic walk of the product of its
-    two sides, built on first read.  ``sides[i]`` holds the row and column
-    class DFAs of ``representatives[i]``.
+    ``representatives`` lists the shortlex-least words of the classes in
+    shortlex order: all of them, or, when ``truncated`` (more than the bound
+    exist), the first bound + 1, as at any larger bound.  ``classes[i]`` is
+    the class of ``representatives[i]`` as a canonical 1-track DFA.  The
+    classes are built on first read, by calling ``build``, so a decision
+    that only needs the index or the quotient matrix never builds them.
+    That first read is a construction: it charges the
+    :func:`~autorel.automata.state_budget` scope active at the read, not the
+    one the decomposition was found in, and can raise
+    ``BudgetExceededError``.
     """
 
     relation: AutomaticRelation
     representatives: tuple  # tuple[Word, ...]
-    sides: tuple  # tuple[tuple[MultiTrackAutomaton, MultiTrackAutomaton], ...]
+    truncated: bool
+    build: Callable[[], Iterable[MultiTrackAutomaton]] = field(repr=False, compare=False)
 
     @property
     def index(self) -> int:
@@ -661,12 +614,36 @@ class _Meets:
 
     @cached_property
     def classes(self) -> tuple:  # tuple[MultiTrackAutomaton, ...]
-        return tuple(au._explore_minimal(1, self.relation.alphabet,
-                                         *au._intersection_product(a, b))
-                     for a, b in self.sides)
+        return tuple(self.build())
 
 
-def _meets(r: AutomaticRelation, side_bound: int) -> Optional[_Meets]:
+def decompose(r: AutomaticRelation, bound: int) -> EquivalenceDecomposition:
+    """The classes of R's congruence E, found by search: two words are
+    related by E when they have the same rows in R and in its inverse, so
+    E's classes are those of :func:`_class_search` on R's canonical DFA and
+    its track swap, walked in lockstep.
+
+    When E has more than ``bound`` classes, infinitely many included, the
+    decomposition is truncated and lists the first bound + 1
+    representatives in shortlex order; otherwise it lists all of them.  So
+    one call answers every smaller bound b with its first b + 1.  The
+    search runs at bound + 1, so that the class of each listed
+    representative is walked.  It charges R's canonical DFA, each state of
+    the class walks and each subset that the searches for the
+    representatives discover, so a large bound on an infinite index
+    exhausts the budget instead of memory.  Reading ``classes`` charges the
+    walk that minimizes each class.  The decision verbs use the meets of
+    the two sides instead (see :func:`_meets`).
+    """
+    if bound < 1:
+        raise AutomataError("bound must be >= 1")
+    d = au.determinize_minimize(r.base)
+    words, classes = _class_search((d, au.permute_tracks(d, (1, 0))), bound + 1)
+    return EquivalenceDecomposition(relation=r, representatives=words[:bound + 1],
+                                    truncated=len(words) > bound, build=classes)
+
+
+def _meets(r: AutomaticRelation, side_bound: int) -> Optional[EquivalenceDecomposition]:
     """The classes of R's congruence E, found from its row and column
     classes without building E; None when either side has more than
     ``side_bound`` classes.
@@ -677,7 +654,10 @@ def _meets(r: AutomaticRelation, side_bound: int) -> Optional[_Meets]:
     class and a column class.  The least member of a meet is the
     shortlex-least word of the product, a search that builds nothing; the
     meets are listed in the shortlex order of those members, by
-    ``symbol_key``, which is how :func:`decompose` lists E's classes.
+    ``symbol_key``, which is how :func:`decompose` lists E's classes.  The
+    result is an untruncated :class:`EquivalenceDecomposition`, each class
+    the canonical DFA of one deterministic walk of the product of its two
+    sides.
 
     It charges R's canonical DFA and, per side, what :func:`_side_classes`
     charges: each state of its class walks, each subset its searches for
@@ -700,8 +680,13 @@ def _meets(r: AutomaticRelation, side_bound: int) -> Optional[_Meets]:
             if w is not None:
                 meets.append((tuple(c for (c,) in w), (a, b)))
     meets.sort(key=lambda m: (len(m[0]), d.symbol_key(m[0])))
-    return _Meets(relation=r, representatives=tuple(w for w, _ab in meets),
-                  sides=tuple(ab for _w, ab in meets))
+
+    def classes():
+        return (au._explore_minimal(1, r.alphabet, *au._intersection_product(a, b))
+                for _w, (a, b) in meets)
+
+    return EquivalenceDecomposition(relation=r, representatives=tuple(w for w, _ab in meets),
+                                    truncated=False, build=classes)
 
 
 @dataclass(frozen=True)
@@ -854,8 +839,8 @@ def kprod_definability(r: AutomaticRelation, k: int) -> Optional[RecognizableRel
 
 
 def _kprod_witness(dec, matrix: QuotientMatrix, k: int) -> Optional[RecognizableRelation]:
-    """The k-product answer from all the classes of the congruence: a
-    :func:`_meets` result or an untruncated :func:`decompose`."""
+    """The k-product answer from all the classes of the congruence, an
+    untruncated :class:`EquivalenceDecomposition`."""
     if dec.index > 2 ** (2 * k):
         return None
     cover = rectangle_cover(matrix.ones(), k)
@@ -882,7 +867,8 @@ def _union_of_classes(dec, idxs) -> MultiTrackAutomaton:
 
 
 def min_prod(r: AutomaticRelation, kmax: int) -> Optional[int]:
-    """Least k <= kmax admitting a k-product presentation, or None.
+    """Least k <= kmax admitting a k-product presentation, or None; 0 for
+    the empty relation, the union of no products.
 
     The classes are found once, with the side bound 2^kmax of kmax products
     (see :func:`kprod_definability`), and they answer every k; the charges
@@ -898,7 +884,7 @@ def min_prod(r: AutomaticRelation, kmax: int) -> Optional[int]:
     if dec is None:
         return None
     matrix = QuotientMatrix.from_decomposition(dec)
-    for k in range(1, kmax + 1):
+    for k in range(kmax + 1):
         if _kprod_witness(dec, matrix, k) is not None:
             return k
     return None

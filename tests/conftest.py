@@ -4,7 +4,7 @@ they check."""
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -312,16 +312,74 @@ def same_rows_oracle(d):
         lambda s: not any(map(bad, s[0])))
 
 
+def representatives_oracle(eq, bound):
+    """The first bound + 1 words of the Reps of the equivalence ``eq``, in
+    shortlex order: all of them when there are no more.  Each word w is
+    charged to the state budget as len(w) + 1 states."""
+    budget = au._active_budget()
+    words = []
+    for w in islice(au.iter_words(de.least_representatives(eq)), bound + 1):
+        budget.charge(len(w) + 1)  # as the len(w) + 1 states of its path
+        words.append(w)
+    return tuple(words)
+
+
+def class_dfa_oracle(e, w):
+    """The class {w' | (w, w') in E} of the word w, for a DFA ``e`` of the
+    congruence E, as a canonical 1-track DFA.
+
+    One deterministic walk reads w' against w.  Its states are (i, q): i
+    letters of w read so far, capped at len(w), and q the state of ``e``.
+    Reading y follows the column (w[i], y), or (PAD, y) once w has ended,
+    and (i, q) accepts when ``e`` accepts after the rest of w read against
+    padding.  The letters y come in alphabet order, so the walk is
+    minimized as it stands (see :func:`~autorel.automata._explore_minimal`)
+    and each of its states is charged once.
+    """
+    delta, alphabet, n = e._delta, e.alphabet, len(w)
+    # the columns read at each position: ((y,), (w[i] or PAD, y)) per letter y
+    reads = [[((y,), (x, y)) for y in alphabet] for x in (*w, au.PAD)]
+
+    def successors(state):
+        i, q = state
+        j = i + (i < n)
+        for col, pair in reads[i]:
+            q2 = delta.get((q, pair))
+            if q2 is not None:
+                yield col, (j, q2)
+
+    def accepts(state):
+        i, q = state
+        for x in w[i:]:
+            q = delta.get((q, (x, au.PAD)))
+            if q is None:
+                return False
+        return q in e.accepting
+
+    (q0,) = e.initial
+    return au._explore_minimal(1, alphabet, [(0, q0)], successors, accepts)
+
+
+def decompose_oracle(r, bound):
+    """decompose by the congruence E: the first bound + 1 words of the Reps
+    of E, and each class as one walk of E against its representative."""
+    eq = de.build_equiv(r)
+    words = representatives_oracle(eq, bound)
+    return de.EquivalenceDecomposition(
+        relation=r, representatives=words, truncated=len(words) > bound,
+        build=lambda: [class_dfa_oracle(eq.base, w) for w in words])
+
+
 def side_classes_oracle(d, bound):
     """The row classes of R, for its DFA ``d``, by the same-rows DFA S:
     the first bound + 1 words of S's Reps, then, when there are at most
     ``bound``, each class as one walk of S against its representative;
     None when there are more."""
     rows = de._same_rows(d)
-    words = de._representatives(rel._wrap(rows), bound)
+    words = representatives_oracle(rel._wrap(rows), bound)
     if len(words) > bound:
         return None
-    return [de._class_dfa(rows, w) for w in words]
+    return [class_dfa_oracle(rows, w) for w in words]
 
 
 def least_representatives_oracle(eq):
@@ -381,7 +439,7 @@ def krec_definability_oracle(r, k):
     """kREC definability on the decomposition of E at class bound k."""
     if k < 1:
         raise au.AutomataError("k must be >= 1")
-    dec = de.decompose(r, k)
+    dec = decompose_oracle(r, k)
     if dec.truncated:
         return None
     matrix = de.QuotientMatrix.from_decomposition(dec)
@@ -396,7 +454,7 @@ def kprod_definability_oracle(r, k):
     """kPROD definability on the decomposition of E at class bound 2^(2k)."""
     if k < 1:
         raise au.AutomataError("k must be >= 1")
-    dec = de.decompose(r, 2 ** (2 * k))
+    dec = decompose_oracle(r, 2 ** (2 * k))
     if dec.truncated:
         return None
     return de._kprod_witness(dec, de.QuotientMatrix.from_decomposition(dec), k)
@@ -406,11 +464,11 @@ def min_prod_oracle(r, kmax):
     """min-prod on one decomposition of E at class bound 2^(2 kmax)."""
     if kmax < 1:
         raise au.AutomataError("kmax must be >= 1")
-    dec = de.decompose(r, 2 ** (2 * kmax))
+    dec = decompose_oracle(r, 2 ** (2 * kmax))
     if dec.truncated:
         return None
     matrix = de.QuotientMatrix.from_decomposition(dec)
-    for k in range(1, kmax + 1):
+    for k in range(kmax + 1):
         if de._kprod_witness(dec, matrix, k) is not None:
             return k
     return None

@@ -332,6 +332,16 @@ def test_definability_verbs_never_build_the_congruence(fx, tmp_path, monkeypatch
     assert sides == 2 * 3 + 3 * 2
 
 
+def test_min_prod_of_the_empty_relation_is_zero(tmp_path, capsys):
+    empty = str(tmp_path / "empty.json")
+    assert run("make-rel", "--spec", "(pairs)", "--alphabet", "a,b", "--out", empty) == 0
+    capsys.readouterr()
+    assert run("min-prod", "--kmax", "3", "--r", empty) == 0
+    assert capsys.readouterr().out == "min products: 0\n"
+    assert run("definable-kprod", "--k", "1", "--r", empty) == 0
+    assert capsys.readouterr().out.startswith("definable with 0 products")
+
+
 def test_representatives_charge_the_budget(fx, capsys):
     # fc1 has infinite index: --kmax 8 asks for its first 65537 classes
     assert run("--budget", "1000", "min-prod", "--r", str(fx / "fc1.json"),

@@ -10,10 +10,11 @@ from autorel import definability as de
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import (build_equiv_oracle, class_oracle, decompose_peel_oracle,
-                      equiv_oracle, equivalent_rel, kprod_definability_oracle,
-                      krec_definability_oracle, least_representatives_oracle,
-                      min_cover_oracle, min_prod_oracle, random_dfa, random_language,
+from conftest import (build_equiv_oracle, class_oracle, decompose_oracle,
+                      decompose_peel_oracle, equiv_oracle, equivalent_rel,
+                      kprod_definability_oracle, krec_definability_oracle,
+                      least_representatives_oracle, min_cover_oracle, min_prod_oracle,
+                      random_dfa, random_language,
                       random_padded_relation, random_relation, recognizable_oracle,
                       same_rows_oracle, side_classes_oracle, the_80_draws,
                       union_of_classes_oracle, words_upto)
@@ -404,9 +405,11 @@ def test_least_representatives_match_frozenset_oracle_on_the_80_draws():
 
 
 def test_truncated_decomposition_builds_classes_on_first_read(monkeypatch):
+    # a class is a 1-track DFA minimized straight from its walk
     calls = []
-    real = de._class_dfa
-    monkeypatch.setattr(de, "_class_dfa", lambda *a: calls.append(1) or real(*a))
+    real = au._explore_minimal
+    monkeypatch.setattr(au, "_explore_minimal",
+                        lambda tracks, *a: (tracks == 1 and calls.append(1)) or real(tracks, *a))
     dec = de.decompose(rel.successor_relation(1), 64)
     assert dec.truncated and dec.index == 65 and not calls
     assert len(dec.classes) == 65 and len(calls) == 65
@@ -597,6 +600,7 @@ def test_kprod_identity_always_absent():
 
 
 def test_min_prod_examples():
+    assert de.min_prod(rel.finite_relation([], AB), 1) == 0
     assert de.min_prod(axb(), 3) == 1
     assert de.min_prod(sym_axb(), 3) == 2
     assert de.min_prod(rel.make_identity(AB), 3) is None
@@ -668,21 +672,6 @@ def test_min_prod_builds_the_congruence_once(monkeypatch):
     assert expected[:3] == [1, 2, None]
 
 
-def test_decomposition_rejects_an_equiv_that_is_not_a_dfa():
-    r = rel.make_identity(AB)
-    eq = de.build_equiv(r)
-    with pytest.raises(au.AutomataError, match="DFA"):
-        de.EquivalenceDecomposition(relation=r, equiv=rel.relation(au.union(eq.base, eq.base)),
-                                    representatives=(), truncated=False)
-    # a canonical equiv passes unread; a DFA loaded from JSON is checked
-    de.EquivalenceDecomposition(relation=r, equiv=eq, representatives=(), truncated=False)
-    assert "_adj" not in eq.base.__dict__
-    loaded = rel.relation(au.loads(au.dumps(eq.base)))
-    dec = de.EquivalenceDecomposition(relation=r, equiv=loaded, representatives=(("a",),),
-                                      truncated=True)
-    assert list(au.iter_words(dec.classes[0])) == [("a",)]
-
-
 # ---------------------------------------------------------------------------
 # the side route: row and column classes, and their meets, against E
 
@@ -713,7 +702,7 @@ def _verbs_agree_with_the_oracles(r):
 def _meets_agree_with_decompose(r):
     """At side bound b, the meets are E's classes (E has at most b * b), and
     a side with more than b classes means E has more than b too."""
-    dec = de.decompose(r, 64)
+    dec = decompose_oracle(r, 64)
     classes = None
     for bound in (1, 2, 4, 8):
         meets = de._meets(r, bound)
@@ -881,3 +870,76 @@ def test_min_prod_lists_a_thin_alphabet_within_a_quadratic_charge(c):
     with au.state_budget(34_000):
         assert de.min_prod(rel.successor_relation(c), 8) is None
 
+
+# ---------------------------------------------------------------------------
+# decompose by one lockstep search, against the congruence E and its Reps
+
+def test_decompose_matches_the_congruence_when_the_tracks_class_letters_apart():
+    # c moves as b on the first track only, so the row side reads no c and
+    # the column side does: the lockstep walk reads the common refinement
+    rng = random.Random(8110)
+    drawn = split = 0
+    while drawn < 20:
+        r = random_relation(rng, AB, rng.randint(1, 3))
+        if r.base.states > 3:
+            continue
+        d = r.base
+        trans = {(s, (x2, y), t) for s, (x, y), t in d.transitions
+                 for x2 in ((x, "c") if x == "b" else (x,))}
+        copied = rel.relation(au.determinize_minimize(au.MultiTrackAutomaton(
+            2, ("a", "b", "c"), d.states, d.initial, d.accepting, frozenset(trans))))
+        split += (de._letter_classes(copied.base)
+                  != de._letter_classes(au.permute_tracks(copied.base, (1, 0))))
+        for bound in (1, 4, 16):
+            dec, oracle = de.decompose(copied, bound), decompose_oracle(copied, bound)
+            assert dec.representatives == oracle.representatives
+            assert dec.truncated == oracle.truncated
+            assert [au.dumps(c) for c in dec.classes] == [au.dumps(c) for c in oracle.classes]
+        drawn += 1
+    assert split >= 10
+
+
+def test_decompose_matches_the_congruence_on_the_80_draws():
+    # A draw is compared where the E route lists it within 5,000 units at
+    # bound 64, which answers bound 16 too; past that its Reps walk takes
+    # up to minutes per draw
+    compared = 0
+    for r in the_80_draws():
+        try:
+            with au.state_budget(5_000):
+                oracle = decompose_oracle(r, 64)
+                oracle_classes = [au.dumps(c) for c in oracle.classes]
+        except au.BudgetExceededError:
+            continue
+        for bound in (16, 64):
+            with au.state_budget(100_000):
+                dec = de.decompose(r, bound)
+                classes = [au.dumps(c) for c in dec.classes]
+            assert dec.representatives == oracle.representatives[:bound + 1]
+            assert dec.truncated == (oracle.index > bound)
+            assert classes == oracle_classes[:bound + 1]
+        compared += 1
+    assert compared >= 50
+
+
+def test_decompose_builds_neither_the_congruence_nor_a_reps(monkeypatch):
+    for name in ("build_equiv", "least_representatives", "_same_rows"):
+        monkeypatch.setattr(de, name, None)
+    dec = de.decompose(axb(), 8)
+    assert dec.representatives == ((), ("a",), ("b",), ("a", "b"))
+    assert rc.partition_ok(dec.classes) is None
+    dec = de.decompose(rel.make_identity(AB), 3)
+    assert dec.truncated and len(dec.classes) == 4
+
+
+def test_decompose_lists_the_draws_where_the_reps_walk_runs_out():
+    # On these draws E or the Reps walk of E exhausts 100,000 units after
+    # 2 to 50 s each; the lockstep search lists 65 classes on each
+    draws = the_80_draws()
+    for i in (1, 11, 14, 16, 40, 41, 42, 45, 75):
+        with au.state_budget(100_000):
+            top = de.decompose(draws[i], 64)
+            dec = de.decompose(draws[i], 16)
+        assert top.truncated and top.index == 65
+        assert dec.representatives == top.representatives[:17]
+        assert dec.truncated == (top.index > 16)
