@@ -8,9 +8,15 @@ language of 2-track columns.  Every language handled here lives inside
 of the word, and no column is padding on all tracks at once.
 
 All automata are immutable values; the operations below are pure functions
-and safe to call concurrently.  Work that can blow up charges a budget and
-raises :class:`BudgetExceededError` instead of exhausting memory or time:
-see :func:`state_budget` for what costs a unit.  Emptiness and witness
+and safe to call concurrently.  All automata over one alphabet share its
+column order, a symbol -> position index (:func:`_symbol_index`) built
+when the alphabet is first checked.  The indexes sit in one process-wide
+cache of the 64 alphabets used last; a write to it adds or drops a whole
+index, and two callers that miss at once build equal ones.
+
+Work that can blow up charges a budget and raises
+:class:`BudgetExceededError` instead of exhausting memory or time: see
+:func:`state_budget` for what costs a unit.  Emptiness and witness
 questions are searches, not constructions: :func:`emptiness_shortest`,
 :func:`intersection_witness`, :func:`difference_witness` and the partition
 check of :mod:`autorel.recognizable` build no automaton, charge one unit
@@ -26,9 +32,10 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import pairwise, product as _cartesian
-from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 #: Padding token.  Reserved: never a member of any alphabet.
 PAD = "_"
@@ -243,19 +250,45 @@ def _reverse(pairs) -> dict:
 
 
 def check_alphabet(symbols: Iterable[str]) -> tuple:
-    """Validate and freeze an alphabet (ordered, duplicate-free)."""
-    out = []
-    seen = set()
-    for s in symbols:
+    """Validate and freeze an alphabet (ordered, duplicate-free).
+
+    Each distinct alphabet is checked once, when :func:`_symbol_index`
+    first indexes it; a later call finds its index and checks nothing.  A
+    refused alphabet is never stored, so it is refused on every call.
+    """
+    alphabet = tuple(symbols)
+    try:
+        _symbol_index(alphabet)
+    except TypeError:  # an unhashable symbol: refused without the cache
+        _symbol_index.__wrapped__(alphabet)
+    return alphabet
+
+
+# How many alphabets _symbol_index keeps; the least recently used goes first.
+_SHARED_ALPHABETS = 64
+
+
+@lru_cache(maxsize=_SHARED_ALPHABETS)
+def _symbol_index(alphabet: tuple) -> Mapping:
+    """Symbol -> its position in ``alphabet``, PAD last, for an alphabet
+    that :func:`check_alphabet` accepts; raises as it does on any other.
+
+    The column order of every automaton over ``alphabet``: one read-only
+    mapping per alphabet, shared by all of them.  The cache is process-wide
+    and bounded; two callers that miss at once both build equal mappings,
+    and either may be kept.
+    """
+    index: dict = {}
+    for s in alphabet:
         if not isinstance(s, str) or s in RESERVED_SYMBOLS:
             raise AutomataError(f"illegal alphabet symbol: {s!r}")
-        if s in seen:
+        if s in index:
             raise AutomataError(f"duplicate alphabet symbol: {s!r}")
-        seen.add(s)
-        out.append(s)
-    if not out:
+        index[s] = len(index)
+    if not index:
         raise AutomataError("alphabet must be non-empty")
-    return tuple(out)
+    index[PAD] = len(index)
+    return MappingProxyType(index)
 
 
 def _check_tracks(tracks: int) -> None:
@@ -283,7 +316,7 @@ class MultiTrackAutomaton:
 
     def __post_init__(self):
         _check_tracks(self.tracks)
-        check_alphabet(self.alphabet)
+        ok = _symbol_index(check_alphabet(self.alphabet))  # the symbols and PAD
         n = self.states
         if n < 0:
             raise AutomataError("states must be >= 0")
@@ -297,11 +330,9 @@ class MultiTrackAutomaton:
         if bad:
             raise AutomataError(f"transition state out of range: {min(bad, key=repr)}")
         # a column is legal or not wherever it occurs: check each one once
-        ok = set(self.alphabet)
-        ok.add(PAD)
         cols = {sym for _src, sym, _dst in self.transitions}
         bad = [sym for sym in cols if len(sym) != self.tracks
-               or not ok.issuperset(sym) or all(x == PAD for x in sym)]
+               or not all(x in ok for x in sym) or all(x == PAD for x in sym)]
         for sym in sorted(bad, key=repr):  # raises on the first
             if len(sym) != self.tracks:
                 raise ArityMismatchError(f"column {sym!r} has wrong arity")
@@ -326,7 +357,8 @@ class MultiTrackAutomaton:
 
     @cached_property
     def _adj(self) -> dict:
-        """Per state, its (column, dst) moves in (``_rank``, dst) order."""
+        """Per state, its (column, dst) moves in (``_rank``, dst) order:
+        the column order is the alphabet's, shared by every state."""
         rank = self._rank
         out: dict = {q: [] for q in range(self.states)}
         for src, sym, dst in self.transitions:
@@ -338,10 +370,24 @@ class MultiTrackAutomaton:
 
     @cached_property
     def _rank(self) -> dict:
-        """Column -> its position among this automaton's columns in
-        ``symbol_key`` order: one integer sort key per column."""
-        cols = {sym for _src, sym, _dst in self.transitions}
-        return {sym: i for i, sym in enumerate(sorted(cols, key=self.symbol_key))}
+        """Each of this automaton's columns -> its integer sort key, in no
+        particular order.
+
+        The key reads the column as a number in base |alphabet| + 1 whose
+        digits are its symbols' positions in the alphabet's shared
+        :func:`_symbol_index`.  Columns all have ``tracks`` digits, so key
+        order is ``symbol_key`` order, and every automaton over one
+        alphabet gives a column the same key; no columns are sorted.
+        """
+        index = _symbol_index(self.alphabet)
+        base = len(index)
+        rank = {}
+        for sym in {sym for _src, sym, _dst in self.transitions}:
+            key = 0
+            for x in sym:
+                key = key * base + index[x]
+            rank[sym] = key
+        return rank
 
     @cached_property
     def _step_map(self) -> dict:
@@ -351,15 +397,11 @@ class MultiTrackAutomaton:
         return out
 
     def symbol_key(self, sym: TrackSymbol) -> tuple:
-        """Order key for columns: track-wise alphabet order, padding last."""
-        idx = self._symbol_index
-        return tuple(idx[x] for x in sym)
-
-    @cached_property
-    def _symbol_index(self) -> dict:
-        d = {s: i for i, s in enumerate(self.alphabet)}
-        d[PAD] = len(self.alphabet)
-        return d
+        """Order key for columns: track-wise alphabet order, padding last.
+        It reads the alphabet's shared :func:`_symbol_index`; ``_rank`` is
+        the same order as one integer per column."""
+        index = _symbol_index(self.alphabet)
+        return tuple(index[x] for x in sym)
 
     def step(self, states: frozenset, sym: TrackSymbol) -> frozenset:
         nxt: set = set()
@@ -524,7 +566,7 @@ def satisfies_valid_pad(a: MultiTrackAutomaton) -> bool:
     """
     # own walk: a _shortest_word search was 1.4-1.5x slower, on every relation load
     adj, accepting = a._adj, a.accepting
-    table = {sym: _pad_bits(sym) for sym in a._rank}
+    table = {sym: _pad_bits(sym) for sym in a._rank}  # a's own columns
     bud = _active_budget()
     seen = {(q, 0) for q in a.initial}
     bud.charge(len(seen))
@@ -610,8 +652,9 @@ def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     One deterministic walk, minimized as it stands by
     :func:`_explore_minimal`: the subset construction of an NFA, or, for a
     deterministic input, whose subsets would all be singletons, its own
-    states along ``_adj``.  Either walk reads moves in ``_rank`` order, and
-    the numbering is the walk's: the states of a block move on the same
+    states along ``_adj``.  Either walk reads moves in ``_rank`` order, the
+    alphabet's column order that every automaton over it shares, and the
+    numbering is the walk's: the states of a block move on the same
     columns into the same blocks, so numbering blocks by least member
     numbers them breadth-first.  A construction whose own walk is
     deterministic calls :func:`_explore_minimal` itself, so each of its
@@ -643,9 +686,11 @@ def _explore_minimal(tracks, alphabet, start, successors, accepts,
     walk, without the second walk over its states.
 
     ``start`` holds one state, and ``successors`` yields each column at most
-    once, in ``symbol_key`` order.  The walk's breadth-first numbering is
-    then the one a walk over the built automaton would give it again, so
-    its edges go straight to the minimizer, and each state is charged once.
+    once, in ``symbol_key`` order, which ``_rank`` gives every automaton
+    over the alphabet, this result included.  The walk's breadth-first
+    numbering is then the one a walk over the built automaton would give it
+    again, so its edges go straight to the minimizer, and each state is
+    charged once.
     The walk is trimmed, its Moore blocks merged, and the result, a block's
     moves being its first member's, is flagged as canonical.  A walk may
     read one column for each of a few classes of columns that move every
@@ -782,7 +827,8 @@ def permute_tracks(a: MultiTrackAutomaton, permutation: Sequence[int]) -> MultiT
 def extend_alphabet(a: MultiTrackAutomaton, alphabet: Sequence[str]) -> MultiTrackAutomaton:
     """Reinterpret over a larger alphabet (language unchanged)."""
     alphabet = check_alphabet(alphabet)
-    if any(s not in alphabet for s in a.alphabet):
+    known = _symbol_index(alphabet)
+    if any(s not in known for s in a.alphabet):
         raise AutomataError("new alphabet must contain the old one")
     return _freeze(a.tracks, alphabet, a.states, a.initial, a.accepting, a.transitions)
 
@@ -1050,9 +1096,9 @@ def _word_automaton(word: Sequence[str], alphabet: tuple) -> MultiTrackAutomaton
     """:func:`word_language` over an alphabet already checked: only the
     word's symbols are."""
     w = tuple(word)
-    ok = set(alphabet)
+    known = _symbol_index(alphabet)
     for x in w:
-        if x not in ok:
+        if x not in known or x == PAD:
             raise UnknownSymbolError(f"symbol {x!r} outside alphabet")
     trans = [(i, (x,), i + 1) for i, x in enumerate(w)]
     return _freeze(1, alphabet, len(w) + 1, {0}, {len(w)}, trans)
@@ -1106,7 +1152,8 @@ def _json_block(brackets: str, items: list, level: int) -> str:
 def _automaton_json(a: MultiTrackAutomaton, level: int) -> str:
     """The text of ``to_json_dict(a)``, opened ``level`` deep."""
     enc = _encode_str
-    column = {sym: _json_block("[]", [enc(x) for x in sym], level + 3) for sym in a._rank}
+    column = {sym: _json_block("[]", [enc(x) for x in sym], level + 3)
+              for sym in a._rank}  # a's own columns
     row = _json_block("[]", ["%d", "%s", "%d"], level + 2)
     fields = (
         ("tracks", "%d" % a.tracks),

@@ -231,21 +231,22 @@ def bounded_color_search(e: AutomaticRelation, k: int,
     alphabet = e.alphabet
     # cheap rejection first: edges on short words must be bichrome
     sample = [p for p in rel.relation_pairs(e, EDGE_SAMPLE_LEN)]
+    letter = au._symbol_index(alphabet)  # letter -> its column in a table row
+    width = len(alphabet)
+
+    def run(table, word):
+        q = 0
+        for ch in word:
+            q = table[q * width + letter[ch]]
+        return q
+
     for n in range(1, state_bound + 1):
         for table in _canonical_dfas(alphabet, n):
-            k_idx = {a: i for i, a in enumerate(alphabet)}
-
-            def run(word):
-                q = 0
-                for ch in word:
-                    q = table[q * len(alphabet) + k_idx[ch]]
-                return q
-
             for labels in _cartesian(range(k), repeat=n):
                 if labels[0] != 0:
                     continue  # color order is canonical up to renaming
                 budget.charge()
-                if any(labels[run(u)] == labels[run(v)] for u, v in sample):
+                if any(labels[run(table, u)] == labels[run(table, v)] for u, v in sample):
                     continue
                 colors = _dfa_color_languages(alphabet, n, table, labels, k)
                 coloring = RegularColoring(colors=tuple(colors))

@@ -94,9 +94,10 @@ def partition_ok(langs: Sequence[MultiTrackAutomaton]) -> Optional[tuple]:
     sigma = au.full_language(langs[0].alphabet)
     for b in langs:
         au._require_same_shape(sigma, b)
+    letters = [(x,) for x in sigma.alphabet]  # sigma's columns, in _rank order
 
     def successors(subsets):
-        for col in sigma._rank:
+        for col in letters:
             yield col, tuple(b.step(s, col) for b, s in zip(langs, subsets))
 
     def bad(subsets) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import automata as au
@@ -79,6 +80,16 @@ class TuringMachine:
     def rules(self) -> dict:
         return dict(self.delta)
 
+    @cached_property
+    def _config_alphabet(self) -> tuple:
+        """:func:`config_alphabet`, kept beside the fields, so == and hash
+        ignore it."""
+        toks = list(self.tape)
+        for sym in self.tape + (self.blank,):
+            for q in self.states:
+                toks.append(head_token(sym, q))
+        return tuple(toks)
+
 
 def make_machine(states: Sequence[str], tape: Sequence[str], blank: str,
                  initial: str, finals: Iterable[str],
@@ -98,12 +109,9 @@ def head_token(sym: str, state: str) -> str:
 
 
 def config_alphabet(t: TuringMachine) -> tuple:
-    """Work symbols plus fused head tokens, in declaration order."""
-    toks = list(t.tape)
-    for sym in t.tape + (t.blank,):
-        for q in t.states:
-            toks.append(head_token(sym, q))
-    return tuple(toks)
+    """Work symbols plus fused head tokens, in declaration order; built
+    once per machine and kept on it."""
+    return t._config_alphabet
 
 
 def initial_config(t: TuringMachine) -> tuple:

@@ -131,15 +131,15 @@ def equiv_oracle(r, bound):
 
 
 def determinize_oracle(a):
-    """Lazy subset construction.  Returns (state count, trans dict, accept set)."""
-    rank = a._rank
+    """Lazy subset construction, moves in ``symbol_key`` order.  Returns
+    (state count, trans dict, accept set)."""
 
     def successors(cur):
         out: dict = {}
         for q in cur:
             for sym, dst in a._adj[q]:
                 out.setdefault(sym, set()).add(dst)
-        for sym in sorted(out, key=rank.__getitem__):
+        for sym in sorted(out, key=a.symbol_key):
             yield sym, frozenset(out[sym])
 
     index, edges = au._explore([frozenset(a.initial)], successors)
@@ -159,7 +159,6 @@ def emptiness_shortest_oracle(a):
         return None
     rem = min(dist[q] for q in live_init)
     cur = set(live_init)
-    rank = a._rank
     word = []
     while rem > 0:
         best_sym = None
@@ -167,7 +166,7 @@ def emptiness_shortest_oracle(a):
         for q in cur:
             for sym, dst in a._adj[q]:
                 if dist.get(dst, -1) == rem - 1:
-                    k = rank[sym]
+                    k = a.symbol_key(sym)
                     if best_key is None or k < best_key:
                         best_key = k
                         best_sym = sym
@@ -214,7 +213,7 @@ def complement_relative_oracle(a):
 def determinize_minimize_oracle(a):
     """The canonical form by a second walk: minimize the subset walk's
     states, merge them block-wise and renumber the blocks breadth-first
-    from the initial one, moves in ``_rank`` order."""
+    from the initial one, moves in ``symbol_key`` order."""
     _order, dtrans, daccept = determinize_oracle(a)
     keep, dtrans = au._trim(0, dtrans, daccept)
     daccept = daccept & keep
@@ -223,11 +222,10 @@ def determinize_minimize_oracle(a):
     for (q, sym), d in dtrans.items():
         out_sym.setdefault(block[q], {})[sym] = block[d]
     baccept = {block[q] for q in daccept}
-    rank = a._rank
 
     def successors(b):
         moves = out_sym.get(b, {})
-        return [(sym, moves[sym]) for sym in sorted(moves, key=rank.__getitem__)]
+        return [(sym, moves[sym]) for sym in sorted(moves, key=a.symbol_key)]
 
     return au._explore_automaton(a.tracks, a.alphabet, [block[0]], successors,
                                  baccept.__contains__)

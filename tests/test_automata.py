@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from itertools import islice, product
 
 import pytest
@@ -364,6 +366,147 @@ def _loaded_with(**changes):
 def test_public_constructors_reject_bad_input(build, error):
     with pytest.raises(error):
         build()
+
+
+# ---------------------------------------------------------------------------
+# the column order each alphabet shares
+
+def _declared_key(alphabet, sym):
+    """A column's symbol_key by its definition: each track's position in
+    the declared alphabet, padding after every letter."""
+    return tuple(len(alphabet) if x == PAD else alphabet.index(x) for x in sym)
+
+
+def _shuffled_alphabet(rng, size):
+    """``size`` symbols in a declared order that is not string order."""
+    symbols = [f"s{i}" for i in range(size)]
+    while True:
+        rng.shuffle(symbols)
+        if size == 1 or symbols != sorted(symbols):
+            return tuple(symbols)
+
+
+def _random_columns(rng, alphabet, tracks, count):
+    pool = alphabet + (PAD,)
+    cols = {tuple(rng.choice(pool) for _ in range(tracks)) for _ in range(count)}
+    cols.discard((PAD,) * tracks)
+    # the extremes of the order: first letter everywhere, padding on all but one track
+    cols.add((alphabet[0],) * tracks)
+    cols.add((PAD,) * (tracks - 1) + (alphabet[-1],))
+    return sorted(cols)
+
+
+def _over_columns(alphabet, tracks, cols):
+    return au._freeze(tracks, alphabet, 1, {0}, {0}, [(0, sym, 0) for sym in cols])
+
+
+def test_rank_orders_columns_as_symbol_key_on_random_alphabets():
+    rng = random.Random(8101)
+    alphabets = [("b", "a")] + [_shuffled_alphabet(rng, rng.randint(1, 300))
+                                for _ in range(60)]
+    for alphabet in alphabets:
+        for tracks in (1, 2, 3):
+            cols = _random_columns(rng, alphabet, tracks, rng.randint(1, 400))
+            a = _over_columns(alphabet, tracks, cols)
+            assert set(a._rank) == set(cols)  # the automaton's own columns
+            by_rank = sorted(cols, key=a._rank.__getitem__)
+            assert by_rank == sorted(cols, key=a.symbol_key)
+            assert by_rank == sorted(cols, key=lambda c: _declared_key(alphabet, c))
+            assert len(set(a._rank.values())) == len(cols)
+
+
+def test_alphabets_with_the_same_symbols_in_other_orders_never_share_keys():
+    ba = nfa(1, ("b", "a"), 2, {0}, {1}, [(0, ("a",), 1), (0, ("b",), 1)])
+    ab = nfa(1, AB, 2, {0}, {1}, [(0, ("a",), 1), (0, ("b",), 1)])
+    assert ba._rank == {("b",): 0, ("a",): 1} and ab._rank == {("a",): 0, ("b",): 1}
+    assert au.emptiness_shortest(ba) == (("b",),) and au.emptiness_shortest(ab) == (("a",),)
+    rng = random.Random(8102)
+    for _ in range(40):
+        first = _shuffled_alphabet(rng, rng.randint(2, 40))
+        other = first[::-1]
+        cols = _random_columns(rng, first, 2, 50)
+        x, y = _over_columns(first, 2, cols), _over_columns(other, 2, cols)
+        assert sorted(cols, key=x._rank.__getitem__) == \
+            sorted(cols, key=lambda c: _declared_key(first, c))
+        assert sorted(cols, key=y._rank.__getitem__) == \
+            sorted(cols, key=lambda c: _declared_key(other, c))
+        assert x._rank != y._rank
+
+
+def test_more_alphabets_than_the_cache_holds_still_order_correctly():
+    rng = random.Random(8103)
+    limit = au._SHARED_ALPHABETS
+    alphabets = [_shuffled_alphabet(rng, rng.randint(1, 30)) for _ in range(3 * limit)]
+    for _round in range(2):  # the second round meets alphabets the first evicted
+        for alphabet in alphabets:
+            cols = _random_columns(rng, alphabet, 2, 30)
+            a = _over_columns(alphabet, 2, cols)
+            assert sorted(cols, key=a._rank.__getitem__) == \
+                sorted(cols, key=lambda c: _declared_key(alphabet, c))
+            assert au._symbol_index.cache_info().currsize <= limit
+
+
+def test_threads_that_share_the_alphabet_cache_each_see_their_own_order():
+    # more alphabets than the cache holds and more threads than cores, with
+    # a short switch interval, so misses, evictions and hits interleave
+    rng = random.Random(8104)
+    alphabets = [_shuffled_alphabet(rng, rng.randint(1, 30))
+                 for _ in range(2 * au._SHARED_ALPHABETS)]
+    columns = [_random_columns(rng, alphabet, 2, 20) for alphabet in alphabets]
+    faults = []
+
+    def work(offset):
+        for i in range(len(alphabets)):
+            alphabet = alphabets[(i + offset) % len(alphabets)]
+            cols = columns[(i + offset) % len(alphabets)]
+            a = _over_columns(au.check_alphabet(alphabet), 2, cols)
+            if sorted(cols, key=a._rank.__getitem__) != \
+                    sorted(cols, key=lambda c: _declared_key(alphabet, c)):
+                faults.append(alphabet)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(17 * n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert faults == []
+    assert au._symbol_index.cache_info().currsize <= au._SHARED_ALPHABETS
+
+
+def test_a_checked_alphabet_shares_one_index():
+    alphabet = ("q", "p", "r")
+    assert au.check_alphabet(list(alphabet)) == alphabet
+    index = au._symbol_index(alphabet)
+    assert index == {"q": 0, "p": 1, "r": 2, PAD: 3}
+    assert au._symbol_index(tuple(alphabet)) is index
+    a, b = au.full_language(alphabet), au.word_language(("r", "q"), alphabet)
+    assert a._rank == {("q",): 0, ("p",): 1, ("r",): 2}
+    assert b._rank == {("r",): 2, ("q",): 0}
+
+
+@pytest.mark.parametrize("alphabet", [
+    (), ("a", "a"), ("a", PAD), ("a", ""), ("⊥",), ("a", 1), ("a", None),
+    ("a", ["b"]), ("a", ("b",)),
+])
+def test_a_malformed_alphabet_raises_the_same_error_on_every_call(alphabet):
+    calls = [lambda: au.check_alphabet(alphabet),
+             lambda: au.full_language(alphabet),
+             lambda: au.word_language(("a",), alphabet),
+             lambda: au.extend_alphabet(a_star(A), alphabet),
+             lambda: au.empty_language(1, alphabet)]
+    for call in calls:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(au.AutomataError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,18 @@ def test_machine_validation():
                         {("q", "x"): ("q", "_", "R")})  # writing the blank
 
 
+def test_config_alphabet_is_built_once_per_machine():
+    t = tm.halting_fixture()
+    alpha = tm.config_alphabet(t)
+    heads = [tm.head_token(s, q) for s in t.tape + (t.blank,) for q in t.states]
+    assert alpha == t.tape + tuple(heads)
+    assert tm.config_alphabet(t) is alpha
+    # kept beside the fields: an equal machine is equal and hashes alike
+    twin = tm.halting_fixture()
+    assert twin == t and hash(twin) == hash(t)
+    assert tm.config_alphabet(twin) == alpha
+
+
 def test_single_step_machine_edge():
     t = tm.make_machine(("q0", "qf"), ("x",), "_", "q0", ("qf",),
                         {("q0", "_"): ("qf", "x", "R")})
