@@ -97,7 +97,9 @@ def state_budget(limit: Optional[int] = None):
 
     One unit is charged per state a construction discovers, per state
     declared by a loaded automaton, per rectangle cover search step and per
-    candidate coloring; a listed class representative w costs len(w) + 1.
+    candidate coloring.  A class search (of a definability verb or a
+    decomposition) charges each state of its class walks once and each
+    subset its searches for the representatives discover.
     :func:`determinize_minimize` walks its input again and charges the
     states it discovers; a deterministic walk minimized as it stands, as
     the congruence walks and the class walks of a decomposition are,
@@ -137,18 +139,22 @@ def _explore(start, successors):
 
 def _walk(start, successors, index: dict):
     """The edges of :func:`_explore`, yielded as they are found, while the
-    states are numbered into ``index``."""
+    states are numbered into ``index``.  A kept ``index`` numbers on from
+    its states, and only the states this call adds are walked and charged:
+    a start it already holds is not walked again."""
     bud = _active_budget()
+    first = len(index)
+    order = []
     for s in start:
         if s not in index:
             index[s] = len(index)
             bud.charge()
-    order = list(index)
-    for src, state in enumerate(order):  # grows while iterated: a BFS queue
+            order.append(s)
+    for src, state in enumerate(order, first):  # grows while iterated: a BFS queue
         for label, nxt in successors(state):
             dst = index.get(nxt)
             if dst is None:
-                dst = index[nxt] = len(order)
+                dst = index[nxt] = len(index)
                 bud.charge()
                 order.append(nxt)
             yield src, label, dst

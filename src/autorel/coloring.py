@@ -204,13 +204,11 @@ def _canonical_dfas(alphabet: Sequence[str], n: int) -> Iterator[tuple]:
 def _dfa_color_languages(alphabet, n, table, labels, k):
     """Colors as unions of the DFA's state languages; a partition by
     construction."""
-    colors = []
-    for color in range(k):
-        accepting = {q for q in range(n) if labels[q] == color}
-        trans = [(q, (a,), table[q * len(alphabet) + i])
-                 for q in range(n) for i, a in enumerate(alphabet)]
-        colors.append(au._freeze(1, tuple(alphabet), n, {0}, accepting, trans))
-    return colors
+    trans = [(q, (a,), table[q * len(alphabet) + i])
+             for q in range(n) for i, a in enumerate(alphabet)]
+    return [au._freeze(1, tuple(alphabet), n, {0},
+                       {q for q in range(n) if labels[q] == color}, trans)
+            for color in range(k)]
 
 
 def bounded_color_search(e: AutomaticRelation, k: int,
@@ -242,9 +240,8 @@ def bounded_color_search(e: AutomaticRelation, k: int,
 
     for n in range(1, state_bound + 1):
         for table in _canonical_dfas(alphabet, n):
-            for labels in _cartesian(range(k), repeat=n):
-                if labels[0] != 0:
-                    continue  # color order is canonical up to renaming
+            for rest in _cartesian(range(k), repeat=n - 1):
+                labels = (0, *rest)  # color order is canonical up to renaming
                 budget.charge()
                 if any(labels[run(table, u)] == labels[run(table, v)] for u, v in sample):
                     continue

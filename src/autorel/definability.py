@@ -47,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterable, Optional
 
 from . import automata as au
@@ -113,15 +113,17 @@ def _same_rows(d: MultiTrackAutomaton) -> MultiTrackAutomaton:
     language, hence the minimal DFA, is unchanged.  A triple with both
     sides dead can tell nothing apart and is dropped.
     """
-    start, successors, accepts, expand, _doomed = _same_rows_walk(d)
-    return au._explore_minimal(2, d.alphabet, start, successors, accepts, expand)
+    start, successors, accepts, members, _doomed = _same_rows_walk(d)
+    return au._explore_minimal(2, d.alphabet, start, successors, accepts,
+                               lambda col: product(members[col[0]], members[col[1]]))
 
 
 def _same_rows_walk(*ds: MultiTrackAutomaton):
-    """(start, successors, accepts, expand, doomed) of :func:`_same_rows`'
-    walk on one DFA ``d``: the walk reads one column of each class product, and
-    ``expand`` gives the columns it stands for.  ``doomed`` serves walks
-    that pin the second word (see :func:`_class_search`).
+    """(start, successors, accepts, members, doomed) of :func:`_same_rows`'
+    walk on one DFA ``d``: the walk reads one column of each class product,
+    ``members`` maps each letter it reads to the class of letters it stands
+    for, PAD to itself, and ``doomed`` serves walks that pin the second
+    word (see :func:`_class_search`).
 
     Given several DFAs of one alphabet, it is their walks in lockstep, which
     relate (u, u') when u and u' have the same rows in each DFA's relation.
@@ -184,10 +186,7 @@ def _same_rows_walk(*ds: MultiTrackAutomaton):
         for (col, m2), b in zip(cols, out):
             yield col, (b, m2)
 
-    def expand(col):
-        return product(members[col[0]], members[col[1]])
-
-    return [(start, 0)], successors, lambda s: not s[0] & bad, expand, doomed
+    return [(start, 0)], successors, lambda s: not s[0] & bad, members, doomed
 
 
 def _pair_walk(d: MultiTrackAutomaton, offset: int, members: dict, by_first: dict,
@@ -465,9 +464,7 @@ def _class_search(ds: tuple, bound: int) -> tuple:
     state of the class walks once and each subset a search discovers;
     building the classes charges the walk that minimizes each.
     """
-    (s0,), pair_moves, pair_accepts, _expand, doomed = _same_rows_walk(*ds)
-    members = _letter_classes(*ds)
-    cols = [(x,) for x in members]
+    (s0,), pair_moves, pair_accepts, members, doomed = _same_rows_walk(*ds)
     pinned_memo: dict = {}  # s -> {x2: {x: s after (x, x2)}}
 
     def pinned(s) -> dict:
@@ -491,16 +488,24 @@ def _class_search(ds: tuple, bound: int) -> tuple:
             s = pinned(s)[y][PAD]
         return pair_accepts(s)
 
-    # The class walks' states (t, s), numbered from 1 as they are found; per
-    # column, {live state: live state after it}; the accepting states.  A
-    # doomed state has no moves and does not accept.
+    # The class walks' states (t, s), numbered by one walk over them all;
+    # the accepting ones; the live ones and, per column, {live state: live
+    # state after it}.  A doomed state has no moves and does not accept.
     index: dict = {}
-    states: list = [None]
-    moves: list = [None]  # state -> its moves as [(column, state)]
-    live: set = set()
-    steps: dict = {col: {} for col in cols}
     accepting: set = set()
-    budget = au._active_budget()
+    live: set = set()
+    steps: dict = {(x,): {} for x in members if x != PAD}
+
+    def moves(state):
+        """The moves of a class walk's state; an accepting state joins
+        ``accepting`` as it is walked."""
+        t, s = state
+        if s[0] & dooms[t]:
+            return ()
+        if ends_well(t, s):
+            accepting.add(index[state])
+        y, t = rests[t] if t else (PAD, 0)
+        return [((x,), (t, s2)) for x, s2 in pinned(s)[y].items() if x != PAD]
 
     def walk(r) -> int:
         """The start of r's class walk; the states it finds first are walked,
@@ -512,48 +517,22 @@ def _class_search(ds: tuple, bound: int) -> tuple:
                 t = rest_ids[y, later] = len(rests)
                 rests.append((y, later))
                 dooms.append(doomed(y, dooms[later]))
-        first = len(states)
-        q0 = index.setdefault((t, s0), first)
-        if q0 == first:
-            states.append((t, s0))
-            budget.charge()
-        for t, s in islice(states, first, None):  # grows while iterated: a BFS queue
-            if s[0] & dooms[t]:
-                moves.append(())
-                continue
-            if t:
-                y, t = rests[t]
-                step = pinned(s)[y]
-            else:
-                step = pinned(s)[PAD]
-            out = []
-            for x, s2 in step.items():
-                if x != PAD:
-                    q2 = index.get((t, s2))
-                    if q2 is None:
-                        q2 = index[t, s2] = len(states)
-                        states.append((t, s2))
-                        budget.charge()
-                    out.append(((x,), q2))
-            moves.append(out)
+        edges = list(au._walk([(t, s0)], moves, index))
         # A new state is live when it accepts or moves to a live state; the
-        # old states move to none of them.
-        new = range(first, len(states))
-        accepting.update(q for q in new if moves[q] and ends_well(*states[q]))
-        seeds = [q for q in new if q in accepting or any(q2 in live for _c, q2 in moves[q])]
-        live.update(au._reach(seeds, au._reverse((q, q2) for q in new for _c, q2 in moves[q])))
-        for q in new:
-            if q in live:
-                for col, q2 in moves[q]:
-                    if q2 in live:
-                        steps[col][q] = q2
-        return q0
+        # old states move to none of them.  Every new state but a doomed one
+        # has moves.
+        seeds = [q for q, _col, q2 in edges if q in accepting or q2 in live]
+        live.update(au._reach(seeds, au._reverse((q, q2) for q, _col, q2 in edges)))
+        for q, col, q2 in edges:
+            if q in live and q2 in live:
+                steps[col][q] = q2
+        return index[t, s0]
 
-    rank = {col: i for i, col in enumerate(cols)}
+    rank = {col: i for i, col in enumerate(steps)}
 
     def subset_moves(subset):
-        for col in cols:
-            yield col, frozenset(filter(None, map(steps[col].get, subset)))
+        for col, step in steps.items():
+            yield col, frozenset(map(step.__getitem__, filter(step.__contains__, subset)))
 
     words: list = []
     starts: list = []
@@ -567,7 +546,7 @@ def _class_search(ds: tuple, bound: int) -> tuple:
         r = None if word is None else tuple(x for (x,) in word)
 
     def live_moves(q):
-        return [(col, q2) for col, q2 in moves[q] if q2 in live]
+        return [(col, step[q]) for col, step in steps.items() if q in step]
 
     def expand(col):
         return [(x,) for x in members[col[0]]]

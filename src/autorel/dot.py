@@ -41,20 +41,24 @@ def export_dot(e: AutomaticRelation, max_len: int,
             if len(vertices) > MAX_DOT_VERTICES:
                 raise au.BudgetExceededError(
                     f"more than {MAX_DOT_VERTICES} vertices at max_len={max_len}")
+    labels = [_label(w) for w in vertices]
+    # a node is named by its label, or by its position when two words
+    # spell one label (symbols "a", "b" and "ab")
+    names = labels if len(set(labels)) == len(labels) else map(str, range(len(vertices)))
+    node = {w: _quote(name) for w, name in zip(vertices, names)}
     lines = ["digraph automatic {", "  rankdir=LR;"]
-    for w in vertices:
-        attrs = [f"label={_quote(_label(w))}"]
+    for w, label in zip(vertices, labels):
+        attrs = [f"label={_quote(label)}"]
         if coloring is not None:
             idx = coloring.color_of(w)
             if idx is not None:
                 attrs.append(f'style=filled fillcolor="{_PALETTE[idx % len(_PALETTE)]}"')
-        lines.append(f"  {_quote(_label(w))} [{' '.join(attrs)}];")
+        lines.append(f"  {node[w]} [{' '.join(attrs)}];")
     for u in vertices:
         for v in vertices:
             if au.membership(e.base, (u, v)):
-                lines.append(f"  {_quote(_label(u))} -> {_quote(_label(v))};")
+                lines.append(f"  {node[u]} -> {node[v]};")
             elif secondary is not None and au.membership(secondary.base, (u, v)):
-                lines.append(
-                    f"  {_quote(_label(u))} -> {_quote(_label(v))} [style=dashed];")
+                lines.append(f"  {node[u]} -> {node[v]} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

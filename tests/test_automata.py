@@ -926,6 +926,26 @@ def test_kernel_charges_one_per_discovered_state(op):
         build()
 
 
+def test_a_walk_on_a_kept_index_walks_and_charges_only_the_states_it_adds():
+    # the chain 0 -> 1 -> ... -> 5, walked from 3 and then from 0
+    walked = []
+
+    def successors(n):
+        walked.append(n)
+        return [("x", n + 1)] if n < 5 else []
+
+    index: dict = {}
+    with au.state_budget(6):
+        assert list(au._walk([3], successors, index)) == [(0, "x", 1), (1, "x", 2)]
+        assert au._active_budget().used == 3
+        assert list(au._walk([0], successors, index)) == [
+            (3, "x", 4), (4, "x", 5), (5, "x", 0)]
+        assert au._active_budget().used == 6
+        assert list(au._walk([4, 2], successors, index)) == []
+    assert index == {3: 0, 4: 1, 5: 2, 0: 3, 1: 4, 2: 5}
+    assert walked == [3, 4, 5, 0, 1, 2]
+
+
 def test_state_budget_bounds_constructions_together():
     cases = _kernel_cases()
     first, second = cases["intersect"], cases["relational_join"]

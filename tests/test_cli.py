@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -14,7 +15,9 @@ from autorel import automata as au
 from autorel import cli
 from autorel import coloring as co
 from autorel import definability as de
+from autorel import dot
 from autorel import recognizable as rc
+from autorel import relations as rel
 
 from conftest import valid_pad_walk_size
 
@@ -269,6 +272,18 @@ def test_export_dot_with_coloring_and_secondary(fx, tmp_path):
                "--out", str(dotfile)) == 0
     text = dotfile.read_text()
     assert "fillcolor" in text and "style=dashed" in text
+
+
+def test_export_dot_gives_words_that_spell_one_label_their_own_nodes():
+    # ("a", "b") and ("ab",) both read "ab"
+    r = rel.finite_relation([(("a", "b"), ("ab",))], ("a", "b", "ab"))
+    lines = dot.export_dot(r, 2).splitlines()
+    nodes = {line.split(" [")[0].strip(): line for line in lines if " [label=" in line}
+    assert len(nodes) == 1 + 3 + 9
+    [edge] = [line.strip(" ;") for line in lines if " -> " in line]
+    u, v = edge.split(" -> ")
+    assert u != v
+    assert 'label="ab"' in nodes[u] and 'label="ab"' in nodes[v]
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -652,6 +667,25 @@ _PINNED_DIGESTS = {
 def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _pinned_outputs() == _PINNED_DIGESTS
+
+
+def _readme_commands() -> list:
+    """The `autorel` lines of README's "Command line" block, continuations
+    joined: (the arguments after `autorel`, whether the line says "exit 1")."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block = f.read().split("## Command line", 1)[1].split("```", 2)[1]
+    return [(shlex.split(line, comments=True)[1:], "# exit 1" in line)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("autorel ")]
+
+
+def test_readme_command_line_block_runs_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 17
+    codes = [cli.main(argv) for argv, _exit_1 in commands]
+    assert codes == [1 if exit_1 else 0 for _argv, exit_1 in commands]
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -1,6 +1,7 @@
+import hashlib
 import importlib
 import random
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,11 @@ def test_same_rows_matches_raw_triple_oracle_on_random_relations(alphabet):
             drawn += 1
 
 
+def _columns(members, col):
+    """The columns that a column the same-rows walk reads stands for."""
+    return product(members[col[0]], members[col[1]])
+
+
 def test_same_rows_walk_minimize_directly_matches_minimizing_the_built_walk():
     # the same bytes, and each walk state charged once instead of twice
     rng = random.Random(7404)
@@ -194,11 +200,12 @@ def test_same_rows_walk_minimize_directly_matches_minimizing_the_built_walk():
                 continue
             drawn += 1
             for side in (d, au.permute_tracks(d, (1, 0))):
-                start, successors, accepts, expand, _doomed = de._same_rows_walk(side)
+                start, successors, accepts, members, _doomed = de._same_rows_walk(side)
                 with au.state_budget():
                     built = au._explore_automaton(
                         2, alphabet, start,
-                        lambda s: ((c, n) for col, n in successors(s) for c in expand(col)),
+                        lambda s: ((c, n) for col, n in successors(s)
+                                   for c in _columns(members, col)),
                         accepts)
                     rewalked = au.determinize_minimize(built)
                     assert au._active_budget().used == 2 * built.states
@@ -233,15 +240,16 @@ def test_same_rows_reads_one_column_per_class_of_alike_letters():
         d = _with_copied_letter(r, "b", "c").base
         _same_rows_agree(d)
         for side in (d, au.permute_tracks(d, (1, 0))):
-            start, successors, accepts, expand, _doomed = de._same_rows_walk(side)
+            start, successors, accepts, members, _doomed = de._same_rows_walk(side)
             read = [col for col, _nxt in successors(start[0])]
             assert all("c" not in col for col in read)
-            assert sorted(c for col in read for c in expand(col)) == \
+            assert sorted(c for col in read for c in _columns(members, col)) == \
                 sorted(au.valid_pad_automaton(2, d.alphabet).column_universe())
             with au.state_budget():
                 built = au._explore_automaton(
                     2, d.alphabet, start,
-                    lambda s: ((c, n) for col, n in successors(s) for c in expand(col)),
+                    lambda s: ((c, n) for col, n in successors(s)
+                               for c in _columns(members, col)),
                     accepts)
             assert au.dumps(de._same_rows(side)) == \
                 au.dumps(au.determinize_minimize(built))
@@ -943,3 +951,42 @@ def test_decompose_lists_the_draws_where_the_reps_walk_runs_out():
         assert top.truncated and top.index == 65
         assert dec.representatives == top.representatives[:17]
         assert dec.truncated == (top.index > 16)
+
+
+# ---------------------------------------------------------------------------
+# What the class searches list and charge, pinned
+
+def _class_search_records():
+    """Per draw, fc1, fc2 and the identity: what each side's class search
+    lists at bounds 8 and 64 and decompose at bounds 16 and 64, with the
+    units each call charges, building the classes included."""
+    def used() -> int:
+        return au._active_budget().used
+
+    records = []
+    for r in the_80_draws() + [rel.successor_relation(1), rel.successor_relation(2),
+                               rel.make_identity(AB)]:
+        d = au.determinize_minimize(r.base)
+        for side in (d, au.permute_tracks(d, (1, 0))):
+            for bound in (8, 64):
+                with au.state_budget(100_000):
+                    words, _classes = de._class_search((side,), bound)
+                    records.append((words, used()))
+                with au.state_budget(100_000):
+                    records.append((_dumps_all(de._side_classes(side, bound)), used()))
+        for bound in (16, 64):
+            with au.state_budget(100_000):
+                dec = de.decompose(r, bound)
+                listed = used()
+                records.append((dec.representatives, dec.truncated, _dumps_all(dec.classes),
+                                listed, used()))
+    return records
+
+
+def test_class_searches_list_and_charge_what_they_did():
+    # Any change to what the searches list or charge moves the digest; they
+    # charge 848,628 units in all
+    records = _class_search_records()
+    assert sum(r[-1] for r in records) == 848_628
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == "69945d1dd78d1115"
