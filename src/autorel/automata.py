@@ -32,7 +32,7 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import pairwise, product as _cartesian
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -311,6 +311,8 @@ class MultiTrackAutomaton:
     padding on every track.  Missing transitions are implicitly dead, so a
     "deterministic" automaton here is a partial DFA.  The constructor checks
     every field; the constructions below, valid by construction, skip it.
+    A JSON load checks each transition once and sets ``_rank``; a file in
+    ``_adj``'s order, the emitted one, also gives ``deterministic`` and ``_adj``.
     """
 
     tracks: int
@@ -352,21 +354,21 @@ class MultiTrackAutomaton:
     def deterministic(self) -> bool:
         """One initial state and at most one move per column and state,
         read off ``_adj``, where the moves on one column are adjacent."""
-        if len(self.initial) != 1:
-            return False
-        for moves in self._adj.values():
-            if len(moves) > 1:
-                for (s, _d), (t, _e) in pairwise(moves):
-                    if s == t:
-                        return False
-        return True
+        return len(self.initial) == 1 and all(
+            s != t for moves in self._adj.values() for (s, _d), (t, _e) in pairwise(moves))
 
     @cached_property
     def _adj(self) -> dict:
         """Per state, its (column, dst) moves in (``_rank``, dst) order:
-        the column order is the alphabet's, shared by every state."""
-        rank = self._rank
+        the column order is the alphabet's, shared by every state.  Moves
+        kept in that order (``_IN_ORDER``) are only grouped, not sorted."""
         out: dict = {q: [] for q in range(self.states)}
+        moves = self.__dict__.pop(_IN_ORDER, None)
+        if moves is not None:
+            for src, sym, dst in moves:
+                out[src].append((sym, dst))
+            return out
+        rank = self._rank
         for src, sym, dst in self.transitions:
             out[src].append((rank[sym], dst, sym))
         for q, moves in out.items():
@@ -647,6 +649,9 @@ def _moore_minimize(states: Collection, trans: dict, accept: set) -> dict:
 # determinize_minimize calls from 73 to 26 ms (definability), 143 to 85 (separation).
 _CANONICAL = "_canonical"
 
+# Instance key of the transitions listed in (src, _rank, dst) order, until _adj groups them.
+_IN_ORDER = "_moves_in_order"
+
 
 def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Canonical form: minimal partial DFA, states numbered breadth-first.
@@ -721,7 +726,9 @@ def _explore_minimal(tracks, alphabet, start, successors, accepts,
                 moves if expand is None else
                 ((b, col, e) for b, sym, e in moves for col in expand(sym)))
     # kept beside the fields, like a cached_property, so == and hash ignore it
-    c.__dict__[_CANONICAL] = True
+    c.__dict__.update({_CANONICAL: True, "deterministic": True})
+    if expand is None:  # block by block, each block's moves in column order
+        c.__dict__[_IN_ORDER] = moves
     return c
 
 
@@ -1116,21 +1123,17 @@ def _word_automaton(word: Sequence[str], alphabet: tuple) -> MultiTrackAutomaton
 #   { "tracks": t, "alphabet": [..], "states": n, "initial": [..],
 #     "accepting": [..], "transitions": [[src, [sym per track], dst], ..] }
 #
-# "_" encodes the padding token.  Emitted files are canonical: sorted
-# transition lists, fixed key order, two-space indent, trailing newline.
-# :func:`dumps` and :func:`dumps_json` write that text themselves, byte for
-# byte what ``json.dumps(..., indent=2)`` writes for the same dict, as the
-# ``test_dumps_match_json_dumps_*`` tests in tests/test_automata.py pin.
-# With an indent, ``json.dumps`` runs CPython's pure-Python encoder, which
-# renders the same column anew for every transition; here each distinct
-# column is rendered once and each transition is one ``%``-format.
+# "_" encodes the padding token.  Emitted files are canonical: transitions
+# in (src, ``_rank``, dst) order, as ``_adj`` lists them, fixed key order,
+# two-space indent, trailing newline.  :func:`dumps` and :func:`dumps_json`
+# write that text themselves, byte for byte what ``json.dumps(..., indent=2)``
+# writes for the same dict (the ``test_dumps_match_json_dumps_*`` tests pin
+# it), each distinct column rendered once: with an indent, ``json.dumps``
+# runs CPython's pure-Python encoder, which renders it for every transition.
+# A load checks each transition once, in one pass that also keys each
+# distinct column; a file in emitted order keeps that order for ``_adj``.
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
-
-
-def _sorted_transitions(a: MultiTrackAutomaton) -> list:
-    rank = a._rank
-    return sorted(a.transitions, key=lambda t: (t[0], rank[t[1]], t[2]))
 
 
 def to_json_dict(a: MultiTrackAutomaton) -> dict:
@@ -1140,7 +1143,7 @@ def to_json_dict(a: MultiTrackAutomaton) -> dict:
         "states": a.states,
         "initial": sorted(a.initial),
         "accepting": sorted(a.accepting),
-        "transitions": [[src, list(sym), dst] for src, sym, dst in _sorted_transitions(a)],
+        "transitions": [[q, list(sym), d] for q, out in a._adj.items() for sym, d in out],
     }
 
 
@@ -1168,7 +1171,7 @@ def _automaton_json(a: MultiTrackAutomaton, level: int) -> str:
         ("initial", _json_block("[]", ["%d" % q for q in sorted(a.initial)], level + 1)),
         ("accepting", _json_block("[]", ["%d" % q for q in sorted(a.accepting)], level + 1)),
         ("transitions", _json_block(
-            "[]", [row % (src, column[sym], dst) for src, sym, dst in _sorted_transitions(a)],
+            "[]", [row % (q, column[sym], d) for q, out in a._adj.items() for sym, d in out],
             level + 1)),
     )
     return _json_block("{}", [f"{enc(key)}: {text}" for key, text in fields], level)
@@ -1234,27 +1237,49 @@ def from_json_dict(d: dict) -> MultiTrackAutomaton:
             ("accepting", "a list of integers"), ("transitions", "a list")))
     # the declared states cost memory whether or not transitions use them
     _active_budget().charge(states)
+    fields = dict(tracks=tracks, alphabet=tuple(alphabet), states=states,
+                  initial=frozenset(initial), accepting=frozenset(accepting))
+    try:
+        index = _symbol_index(fields["alphabet"])
+    except AutomataError:  # the constructor raises it, after the shape checks
+        index = {}
+    ok = tracks >= 1 and bool(index) and all(
+        0 <= q < states for q in fields["initial"] | fields["accepting"])
+    in_order, deterministic, last = True, len(fields["initial"]) == 1, (-1, -1, -1)
     trans = []
-    columns: dict = {}  # one shared tuple per distinct column, checked once
+    columns: dict = {}  # column -> (one shared tuple, its key or None if illegal)
     for t in raw:
         # a list, not a string: tuple("aa") == ("a", "a")
         if not (isinstance(t, list) and len(t) == 3 and type(t[0]) is int
                 and isinstance(t[1], list) and type(t[2]) is int):
             raise _bad_transition(t)
-        sym = tuple(t[1])
+        src, sym, dst = t[0], tuple(t[1]), t[2]
         try:
-            sym = columns[sym]
+            sym, key = columns[sym]
         except KeyError:
             if not all(type(x) is str for x in sym):
                 raise _bad_transition(t) from None
-            columns[sym] = sym
+            legal = (len(sym) == tracks and all(x in index for x in sym)
+                     and any(x != PAD for x in sym))
+            key = reduce(lambda k, x: k * len(index) + index[x], sym, 0) if legal else None
+            columns[sym] = sym, key
         except TypeError:  # an unhashable symbol
             raise _bad_transition(t) from None
-        trans.append((t[0], sym, t[2]))
-    return MultiTrackAutomaton(
-        tracks=tracks, alphabet=tuple(alphabet), states=states,
-        initial=frozenset(initial), accepting=frozenset(accepting),
-        transitions=frozenset(trans))
+        trans.append((src, sym, dst))
+        if key is None or not (0 <= src < states and 0 <= dst < states):
+            ok = False
+        elif in_order:  # (src, key, dst) has risen strictly so far
+            move = (src, key, dst)
+            in_order = move > last
+            deterministic &= src != last[0] or key != last[1]
+            last = move
+    if not ok:  # the constructor raises its error for these fields
+        return MultiTrackAutomaton(**fields, transitions=frozenset(trans))
+    a = _trusted(MultiTrackAutomaton, **fields, transitions=frozenset(trans))
+    a.__dict__["_rank"] = dict(columns.values())
+    if in_order:
+        a.__dict__.update({_IN_ORDER: trans, "deterministic": deterministic})
+    return a
 
 
 def dumps(a: MultiTrackAutomaton) -> str:

@@ -130,6 +130,115 @@ def equiv_oracle(r, bound):
     return classes
 
 
+def adj_oracle(a):
+    """Per state, its (column, dst) moves sorted by (``symbol_key``, dst):
+    the order ``_adj`` promises, by sorting every state's moves."""
+    out: dict = {q: [] for q in range(a.states)}
+    for src, sym, dst in a.transitions:
+        out[src].append((a.symbol_key(sym), dst, sym))
+    for q, moves in out.items():
+        moves.sort()
+        out[q] = [(sym, dst) for _k, dst, sym in moves]
+    return out
+
+
+def rank_oracle(a):
+    """Each column of ``a`` -> its ``_rank`` key by definition: the column
+    read as a number in base |alphabet| + 1 whose digits are the declared
+    positions of its symbols, padding last."""
+    base = len(a.alphabet) + 1
+
+    def digit(x):
+        return base - 1 if x == au.PAD else a.alphabet.index(x)
+
+    return {sym: sum(digit(x) * base ** (len(sym) - 1 - i) for i, x in enumerate(sym))
+            for _src, sym, _dst in a.transitions}
+
+
+def deterministic_oracle(a):
+    """One initial state and no two moves on one column from one state."""
+    heads = [(src, sym) for src, sym, _dst in a.transitions]
+    return len(a.initial) == 1 and len(heads) == len(set(heads))
+
+
+def automaton_json(tracks, alphabet, states, initial, accepting, transitions) -> dict:
+    """The JSON document of these automaton fields, transitions in the order
+    given; nothing is checked."""
+    return {"tracks": tracks, "alphabet": list(alphabet), "states": states,
+            "initial": sorted(initial), "accepting": sorted(accepting),
+            "transitions": [[src, list(sym), dst] for src, sym, dst in transitions]}
+
+
+def constructor_fields(fault=None):
+    """Fields of a 4-state 2-track automaton with one kind of fault (none by
+    default), a bad column or state on many transitions among good ones."""
+    n, ab, pad = 4, ("a", "b"), au.PAD
+    cols = [(x, y) for x in ab + (pad,) for y in ab + (pad,)][:-1]
+    good = [(q, c, (q + i) % n) for q in range(n) for i, c in enumerate(cols)]
+    fields = dict(tracks=2, alphabet=ab, states=n, initial={0},
+                  accepting={1, 2}, transitions=good)
+    bad_column = {"arity": ("a",), "arity-long": ("a", "b", "a"),
+                  "all-padding": (pad, pad), "unknown": ("a", "c"),
+                  "unknown-display-pad": ("⊥", "a")}
+    if fault in bad_column:
+        fields["transitions"] = good + [(q, bad_column[fault], (q + 1) % n)
+                                        for q in range(n)]
+    elif fault == "initial":
+        fields["initial"] = {0, n}
+    elif fault == "accepting":
+        fields["accepting"] = {1, -1}
+    elif fault == "src":
+        fields["transitions"] = good + [(n + q, ("a", "a"), q) for q in range(n)]
+    elif fault == "dst":
+        fields["transitions"] = good + [(q, ("b", "b"), n) for q in range(n)]
+    elif fault == "tracks":
+        fields["tracks"] = 0
+    elif fault == "states":  # the only fault: no state is used
+        fields.update(states=-3, initial=set(), accepting=set(), transitions=[])
+    elif fault is not None:
+        fields["alphabet"] = {"alphabet-empty": (), "alphabet-dup": ("a", "b", "a"),
+                              "alphabet-pad": ("a", "b", pad),
+                              "alphabet-nonstr": ("a", "b", 1)}[fault]
+    return fields
+
+
+# Each fault of constructor_fields and the error the constructor raises for it.
+CONSTRUCTOR_FAULTS = [
+    ("initial", au.AutomataError),
+    ("accepting", au.AutomataError),
+    ("src", au.AutomataError),
+    ("dst", au.AutomataError),
+    ("arity", au.ArityMismatchError),
+    ("arity-long", au.ArityMismatchError),
+    ("all-padding", au.AutomataError),
+    ("unknown", au.UnknownSymbolError),
+    ("unknown-display-pad", au.UnknownSymbolError),
+    ("tracks", au.AutomataError),
+    ("states", au.AutomataError),
+    ("alphabet-empty", au.AutomataError),
+    ("alphabet-dup", au.AutomataError),
+    ("alphabet-pad", au.AutomataError),
+    ("alphabet-nonstr", au.AutomataError),
+]
+
+# The faults a JSON document cannot carry to the constructor: the field
+# check of the load refuses a negative state count and a non-string symbol.
+JSON_REFUSED_FAULTS = {"states", "alphabet-nonstr"}
+
+
+def constructor_error(fault):
+    """The class and message of the error the constructor raises for ``fault``."""
+    f = constructor_fields(fault)
+    try:
+        au.MultiTrackAutomaton(
+            tracks=f["tracks"], alphabet=tuple(f["alphabet"]), states=f["states"],
+            initial=frozenset(f["initial"]), accepting=frozenset(f["accepting"]),
+            transitions=frozenset(f["transitions"]))
+    except au.AutomataError as e:
+        return type(e), str(e)
+    raise AssertionError(f"the constructor accepted the {fault!r} fault")
+
+
 def determinize_oracle(a):
     """Lazy subset construction, moves in ``symbol_key`` order.  Returns
     (state count, trans dict, accept set)."""

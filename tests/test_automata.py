@@ -1,26 +1,34 @@
+import importlib
 import json
 import random
 import sys
 import threading
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from autorel import automata as au
+from autorel import cli
 from autorel import coloring as co
+from autorel import definability as de
 from autorel import recognizable as rc
 from autorel import relations as rel
 from autorel import tm
 from autorel.automata import PAD
 
-from conftest import (accepts_by_subsets, complement_relative_oracle, cylindrify,
-                      determinize_minimize_oracle, determinize_oracle, difference_oracle,
-                      difference_witness_oracle, emptiness_shortest_oracle, epsilon_language,
+from conftest import (CONSTRUCTOR_FAULTS, JSON_REFUSED_FAULTS, accepts_by_subsets,
+                      adj_oracle, automaton_json, complement_relative_oracle,
+                      constructor_error, constructor_fields, cylindrify,
+                      determinize_minimize_oracle, determinize_oracle,
+                      deterministic_oracle, difference_oracle, difference_witness_oracle,
+                      emptiness_shortest_oracle, epsilon_language,
                       intersection_witness_oracle, lang_upto, moore_minimize_oracle,
                       neq_relation, project_oracle, random_dfa, random_language,
-                      random_nfa, random_padded_relation, random_relation,
-                      residual_signatures, satisfies_valid_pad_oracle, words_upto)
+                      random_nfa, random_padded_relation, random_relation, rank_oracle,
+                      residual_signatures, satisfies_valid_pad_oracle, the_80_draws,
+                      words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -254,64 +262,15 @@ def test_explore_minimal_matches_minimizing_the_built_walk_on_dfa_products():
         assert au.dumps(direct) == au.dumps(rewalked)
 
 
-def _constructor_fields(fault=None):
-    """Fields of a 4-state 2-track automaton with one kind of fault (none by
-    default), a bad column or state on many transitions among good ones."""
-    n = 4
-    cols = [(x, y) for x in AB + (PAD,) for y in AB + (PAD,)][:-1]
-    good = [(q, c, (q + i) % n) for q in range(n) for i, c in enumerate(cols)]
-    fields = dict(tracks=2, alphabet=AB, states=n, initial={0},
-                  accepting={1, 2}, transitions=good)
-    bad_column = {"arity": ("a",), "arity-long": ("a", "b", "a"),
-                  "all-padding": (PAD, PAD), "unknown": ("a", "c"),
-                  "unknown-display-pad": ("⊥", "a")}
-    if fault in bad_column:
-        fields["transitions"] = good + [(q, bad_column[fault], (q + 1) % n)
-                                        for q in range(n)]
-    elif fault == "initial":
-        fields["initial"] = {0, n}
-    elif fault == "accepting":
-        fields["accepting"] = {1, -1}
-    elif fault == "src":
-        fields["transitions"] = good + [(n + q, ("a", "a"), q) for q in range(n)]
-    elif fault == "dst":
-        fields["transitions"] = good + [(q, ("b", "b"), n) for q in range(n)]
-    elif fault == "tracks":
-        fields["tracks"] = 0
-    elif fault == "states":  # the only fault: no state is used
-        fields.update(states=-3, initial=set(), accepting=set(), transitions=[])
-    elif fault is not None:
-        fields["alphabet"] = {"alphabet-empty": (), "alphabet-dup": ("a", "b", "a"),
-                              "alphabet-pad": ("a", "b", PAD),
-                              "alphabet-nonstr": ("a", "b", 1)}[fault]
-    return fields
-
-
-@pytest.mark.parametrize("fault, error", [
-    ("initial", au.AutomataError),
-    ("accepting", au.AutomataError),
-    ("src", au.AutomataError),
-    ("dst", au.AutomataError),
-    ("arity", au.ArityMismatchError),
-    ("arity-long", au.ArityMismatchError),
-    ("all-padding", au.AutomataError),
-    ("unknown", au.UnknownSymbolError),
-    ("unknown-display-pad", au.UnknownSymbolError),
-    ("tracks", au.AutomataError),
-    ("states", au.AutomataError),
-    ("alphabet-empty", au.AutomataError),
-    ("alphabet-dup", au.AutomataError),
-    ("alphabet-pad", au.AutomataError),
-    ("alphabet-nonstr", au.AutomataError),
-])
+@pytest.mark.parametrize("fault, error", CONSTRUCTOR_FAULTS)
 def test_constructor_rejects_each_fault(fault, error):
     with pytest.raises(error) as info:
-        nfa(**_constructor_fields(fault))
+        nfa(**constructor_fields(fault))
     assert type(info.value) is error
 
 
 def test_constructor_accepts_the_fault_free_fields():
-    f = _constructor_fields()
+    f = constructor_fields()
     assert len(nfa(**f).transitions) == len(f["transitions"])
 
 
@@ -1093,6 +1052,144 @@ def test_dumps_match_json_dumps_on_machine_graphs(machine):
         graph = tm.config_graph(t).base
         for a in (graph, au.determinize_minimize(graph)):
             assert au.dumps(a) == _json_dumps(au.to_json_dict(a))
+
+
+# ---------------------------------------------------------------------------
+# what a load and the minimizer leave precomputed
+
+def _assert_as_oracles(a):
+    """``_adj``, ``_rank`` and ``deterministic``, as a load or the minimizer
+    set them or as built on first read, equal the oracles', and ``dumps``
+    lists the transitions in the oracle's order."""
+    assert a._adj == adj_oracle(a)
+    assert a._rank == rank_oracle(a)
+    assert a.deterministic == deterministic_oracle(a)
+    listed = [[q, list(sym), d] for q, moves in adj_oracle(a).items() for sym, d in moves]
+    assert json.loads(au.dumps(a))["transitions"] == listed
+
+
+def _assert_loads(text, rng):
+    """``text``, an emitted automaton, loads with its transitions kept in
+    their order and emits the same bytes.  Copies with the transitions
+    shuffled or with duplicates load out of order to the same automaton.
+    Returns the automaton loaded from ``text``."""
+    d = json.loads(text)
+    moves = d["transitions"]
+    copies = [moves, rng.sample(moves, len(moves)),
+              [t for t in moves for _ in range(2)],  # each one twice, side by side
+              moves + rng.sample(moves, min(3, len(moves)))]  # repeats at the end
+    first = None
+    for raw in copies:
+        a = au.from_json_dict(dict(d, transitions=raw))
+        kept = raw == moves  # the load kept them only if they rise strictly
+        assert (au._IN_ORDER in vars(a), "deterministic" in vars(a)) == (kept, kept)
+        assert "_rank" in vars(a)
+        _assert_as_oracles(a)
+        assert au.dumps(a) == text
+        first = a if first is None else first
+        assert a == first
+    return first
+
+
+def _assert_minimized(a):
+    """The canonical form of ``a``, fresh from the minimizer, kept its moves
+    in order for ``_adj``; returns it."""
+    c = au.determinize_minimize(a)
+    assert au._IN_ORDER in vars(c) and vars(c)["deterministic"] is True
+    _assert_as_oracles(c)
+    return c
+
+
+def _automaton_docs(doc):
+    """The automata of a JSON document: its objects with transitions."""
+    if isinstance(doc, dict):
+        if "transitions" in doc:
+            yield doc
+        else:
+            for v in doc.values():
+                yield from _automaton_docs(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _automaton_docs(v)
+
+
+def test_loads_and_minimizer_keep_the_order_on_every_fixture(tmp_path):
+    assert cli.main(["fixtures", "--outdir", str(tmp_path)]) == 0
+    rng = random.Random(2601)
+    docs = [doc for path in sorted(tmp_path.glob("*.json"))
+            for doc in _automaton_docs(json.loads(path.read_text()))]
+    assert len(docs) == 10  # six relations and the separator's four languages
+    for doc in docs:
+        text = _json_dumps(doc)
+        a = _assert_loads(text, rng)
+        assert au.dumps(_assert_minimized(a)) == text  # every fixture is canonical
+
+
+def test_loads_and_minimizer_keep_the_order_on_the_80_draws():
+    rng = random.Random(2602)
+    for r in the_80_draws():
+        _assert_as_oracles(r.base)
+        text = au.dumps(r.base)
+        a = _assert_loads(text, rng)
+        assert au.dumps(_assert_minimized(a)) == text
+        # the inverse, a DFA numbered otherwise, and an NFA, each minimized afresh
+        inverse = au.permute_tracks(a, (1, 0))
+        for raw in (inverse, au.union(a, inverse)):
+            _assert_loads(au.dumps(_assert_minimized(raw)), rng)
+        # minimized from walks over classes of letters: no moves are kept
+        for c in de._side_classes(r.base, 8) or ():
+            assert au._IN_ORDER not in vars(c)
+            _assert_as_oracles(c)
+
+
+def test_loads_keep_the_order_on_random_nfas():
+    rng = random.Random(2604)
+    one_initial = 0
+    for _ in range(60):
+        a = random_nfa(rng, rng.randint(1, 2), AB, rng.randint(1, 5))
+        one_initial += len(a.initial) == 1 and not deterministic_oracle(a)
+        _assert_loads(au.dumps(a), rng)
+        _assert_loads(au.dumps(_assert_minimized(a)), rng)
+    assert one_initial >= 5
+
+
+def test_loads_and_minimizer_keep_the_order_on_the_separation_graph(tmp_path, monkeypatch):
+    # G: the largest incompatibility graph of the benchmark's separation round
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    texts = []
+    for q in workloads.separation(41, tmp_path):
+        if q.argv[0] == "incomp":
+            assert cli.main(q.argv) == 0
+            texts.append(Path(q.argv[q.argv.index("--out") + 1]).read_text())
+    text = max(texts, key=len)
+    g = _assert_loads(text, random.Random(2603))
+    assert (g.states, len(g.transitions)) == (2115, 11554)
+    assert au.dumps(_assert_minimized(g)) == text
+
+
+def _outcome(build):
+    """None if ``build()`` returns, else the class and message it raises."""
+    try:
+        build()
+    except au.AutomataError as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("fault", [fault for fault, _error in CONSTRUCTOR_FAULTS])
+def test_a_load_raises_the_constructors_error_for_each_fault(fault):
+    fields = constructor_fields(fault)
+    moves = list(fields["transitions"])
+    assert _outcome(lambda: nfa(**fields)) == constructor_error(fault)
+    # the moves in other orders, and none: a fault on the moves is then gone
+    for order in (moves, moves[::-1], sorted(moves, key=repr), []):
+        loaded = _outcome(lambda: au.from_json_dict(
+            automaton_json(**dict(fields, transitions=order))))
+        if fault in JSON_REFUSED_FAULTS:
+            assert loaded[0] is au.FormatError
+        else:
+            assert loaded == _outcome(lambda: nfa(**dict(fields, transitions=order)))
 
 
 def test_json_pad_encoding_and_errors():

@@ -19,7 +19,8 @@ from autorel import dot
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import valid_pad_walk_size
+from conftest import (CONSTRUCTOR_FAULTS, JSON_REFUSED_FAULTS, automaton_json,
+                      constructor_error, constructor_fields, valid_pad_walk_size)
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +216,9 @@ def _in_own_process(argv, cwd) -> tuple:
     # both transitions lead to state 1 of 1
     ({"states": 1, "accepting": [0], "transitions": [[0, ["b", "b"], 1], [0, ["a", "a"], 1]]},
      "transition state out of range: (0, ('a', 'a'), 1)"),
+    # every constructor fault a JSON file can carry: a load reports it as the constructor does
+    *[(automaton_json(**constructor_fields(fault)), constructor_error(fault)[1])
+      for fault, _error in CONSTRUCTOR_FAULTS if fault not in JSON_REFUSED_FAULTS],
 ])
 def test_bad_column_or_transition_error_is_the_same_under_two_hash_seeds(
         fx, tmp_path, edit, message):
