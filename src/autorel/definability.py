@@ -763,35 +763,32 @@ def rectangle_cover(ones: frozenset, k: int) -> Optional[list]:
         return []
     if k <= 0:
         return None
-    budget = au._active_budget()
-    rects = maximal_rectangles(ones)
-    memo: set = set()
+    return _cover_search(frozenset(ones), k, maximal_rectangles(ones), set(),
+                         au._active_budget())
 
-    def covers(rect, cell):
-        return cell[0] in rect[0] and cell[1] in rect[1]
 
-    def cells(rect):
-        return {(i, j) for i in rect[0] for j in rect[1]}
-
-    def search(uncovered: frozenset, budget_k: int):
-        budget.charge()
-        if not uncovered:
-            return []
-        if budget_k == 0:
-            return None
-        key = (uncovered, budget_k)
-        if key in memo:
-            return None
-        pivot = min(uncovered)
-        for rect in rects:
-            if covers(rect, pivot):
-                rest = search(uncovered - cells(rect), budget_k - 1)
-                if rest is not None:
-                    return [rect] + rest
-        memo.add(key)
+def _cover_search(uncovered: frozenset, k: int, rects: list, memo: set, budget):
+    """The search step of :func:`rectangle_cover`: a module-level function,
+    not a closure that calls itself, so a search leaves no reference cycle
+    for the garbage collector."""
+    budget.charge()
+    if not uncovered:
+        return []
+    if k == 0:
         return None
-
-    return search(frozenset(ones), k)
+    key = (uncovered, k)
+    if key in memo:
+        return None
+    i, j = min(uncovered)
+    for rect in rects:
+        rows, cols = rect
+        if i in rows and j in cols:
+            rest = _cover_search(uncovered - {(r, c) for r in rows for c in cols},
+                                 k - 1, rects, memo, budget)
+            if rest is not None:
+                return [rect] + rest
+    memo.add(key)
+    return None
 
 
 def kprod_definability(r: AutomaticRelation, k: int) -> Optional[RecognizableRelation]:

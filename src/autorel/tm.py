@@ -590,7 +590,7 @@ def machine_from_json_dict(d: dict) -> TuringMachine:
 
 
 def dumps_machine(t: TuringMachine) -> str:
-    return json.dumps(machine_to_json_dict(t), indent=2) + "\n"
+    return au.dumps_json(machine_to_json_dict(t))
 
 
 def loads_machine(text: str) -> TuringMachine:

@@ -1054,6 +1054,34 @@ def test_dumps_match_json_dumps_on_machine_graphs(machine):
             assert au.dumps(a) == _json_dumps(au.to_json_dict(a))
 
 
+def _random_machine(rng):
+    """A random machine over symbols json.dumps escapes; it may have no
+    final states and no transitions."""
+    pool = [s for s in AB + _ODD_SYMBOLS if "|" not in s]
+    states = rng.sample(pool, rng.randint(1, 4))
+    tape = rng.sample(pool, rng.randint(1, 4))
+    blank = rng.choice([s for s in pool + ["_"] if s not in tape])
+    initial = rng.choice(states)
+    finals = rng.sample(states, rng.randint(0, len(states) - 1))
+    delta = {(q, s): (rng.choice(states), rng.choice(tape), rng.choice("LR"))
+             for q in states if q not in finals for s in tape + [blank]
+             if rng.random() < 0.5}
+    return tm.make_machine(states, tape, blank, initial, finals, delta)
+
+
+def test_dumps_match_json_dumps_on_machines():
+    # the fixtures, their padded machines (alphabets of 179 to 545 symbols)
+    # and random machines
+    fixtures = [tm.halting_fixture(), tm.looping_fixture(), tm.mixed_fixture(),
+                tm.two_cycle_fixture()]
+    rng = random.Random(2727)
+    machines = (fixtures + [tm.pad_transform(t) for t in fixtures]
+                + [_random_machine(rng) for _ in range(200)])
+    assert any(not t.delta for t in machines) and any(not t.finals for t in machines)
+    for t in machines:
+        assert tm.dumps_machine(t) == _json_dumps(tm.machine_to_json_dict(t))
+
+
 # ---------------------------------------------------------------------------
 # what a load and the minimizer leave precomputed
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ from autorel import definability as de
 from autorel import dot
 from autorel import recognizable as rc
 from autorel import relations as rel
+from autorel import tm
 
 from conftest import (CONSTRUCTOR_FAULTS, JSON_REFUSED_FAULTS, automaton_json,
                       constructor_error, constructor_fields, valid_pad_walk_size)
@@ -163,13 +165,14 @@ def test_tm_pipeline(fx, tmp_path):
     assert run("tm-check", "--tm", str(padded), "--depth", "4") == 0
 
 
+_IRREVERSIBLE = tm.make_machine(
+    ("p", "q"), ("x", "z"), "_", "p", (),
+    {("p", "x"): ("q", "z", "R"), ("p", "z"): ("q", "z", "R")})
+
+
 def test_tm_pad_rejects_irreversible(tmp_path):
-    from autorel import tm
-    bad = tm.make_machine(
-        ("p", "q"), ("x", "z"), "_", "p", (),
-        {("p", "x"): ("q", "z", "R"), ("p", "z"): ("q", "z", "R")})
     path = tmp_path / "bad.json"
-    path.write_text(tm.dumps_machine(bad))
+    path.write_text(tm.dumps_machine(_IRREVERSIBLE))
     assert run("tm-pad", "--tm", str(path)) == 1
 
 
@@ -299,6 +302,24 @@ def test_parse_error_exit_code(tmp_path):
     assert run("tm-check", "--tm", str(missing)) == 2
 
 
+@pytest.mark.parametrize("verb", [("recognizable", "--r"), ("tm-check", "--tm")])
+def test_non_utf8_input_exits_2(tmp_path, capsys, verb):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert run(*verb, str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000],
+                         ids=["open", "closed"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    assert run("recognizable", "--r", str(deep)) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
 def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):
     padded = tmp_path / "padded.json"
     assert run("tm-pad", "--tm", str(fx / "demo-machine.json"),
@@ -396,6 +417,109 @@ def test_out_of_memory_exits_2_not_1(fx, monkeypatch, capsys):
     monkeypatch.setattr(cli.de, "recognizable", exhausted)
     assert run("recognizable", "--r", str(fx / "fc1.json")) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+# what the stand-in verdict below returns, or raises, and main's exit code;
+# None: the exception propagates
+_OUTCOMES = {
+    "yes": (lambda: True, 0),
+    "no": (lambda: False, 1),
+    "error": (lambda: au.AutomataError("bad"), 2),
+    "budget": (lambda: au.BudgetExceededError("spent"), 2),
+    "out-of-memory": (MemoryError, 2),
+    "unexpected": (lambda: RuntimeError("boom"), None),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("outcome", list(_OUTCOMES))
+def test_a_command_runs_with_the_collector_paused_and_restores_it(
+        fx, monkeypatch, collecting, outcome):
+    make, code = _OUTCOMES[outcome]
+    during = []
+
+    def verdict(_r):
+        during.append(gc.isenabled())
+        result = make()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    monkeypatch.setattr(cli.de, "recognizable", verdict)
+    argv = ("recognizable", "--r", str(fx / "fc1.json"))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="boom"):
+                run(*argv)
+        else:
+            assert run(*argv) == code
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+    assert after is collecting
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
+    # a command runs with the collector paused, so anything it left in a
+    # reference cycle would outlive it until the caller's next collection
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe\x00")
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "broken.json").write_text("{ not json")
+    (tmp_path / "irreversible.json").write_text(tm.dumps_machine(_IRREVERSIBLE))
+    errors = [
+        ("--budget", "20", "min-prod", "--r", "fx/fc1.json", "--kmax", "2"),
+        ("reach", "--rel", "fx/fc1.json", "--start", "zz"),
+        ("reduce", "--mode", "def-to-sep", "--r", "fx/fc1.json"),
+        ("definable-kprod", "--r", "fx/fc1.json", "--k", "0"),
+        ("recognizable", "--r", "latin1.json"),
+        ("tm-check", "--tm", "latin1.json"),
+        ("sep-1prod", "--r1", "deep.json", "--r2", "fx/fc2.json"),
+        ("color-verify", "--graph", "fx/fc1.json", "--coloring", "broken.json"),
+        ("tm-gadget", "--tm", "missing.json", "--out", "g.json"),
+        ("sep-verify", "--s", "fx/fc1.json", "--r1", "fx/fc1.json", "--r2", "fx/fc2.json"),
+        ("separator-from-coloring", "--r1", "fx/fc1.json", "--r2", "fx/fc2.json",
+         "--coloring", "fx/fc1.json"),
+        ("definable-krec", "--r", "fx/demo-machine.json", "--k", "2"),
+        ("make-rel", "--spec", "(fc", "--out", "x.json"),
+        ("fixtures", "--outdir", "a-file"),
+    ]
+    rejected = ("recognizable", "--r")  # argparse: --r expects an argument
+    calls = [*_PINNED_CALLS,
+             ("recognizable", "--r", "fx/fc1.json"),
+             ("make-rel", "--spec", "(pairs (a b) (aa b))", "--out", "finite.json"),
+             ("recognizable", "--r", "finite.json"),
+             ("lift-kprod", "--r1", "fx/equal-length.json", "--r2", "fx/append-one.json",
+              "--k", "3", "--out1", "l1.json", "--out2", "l2.json"),
+             ("tm-compile", "--tm", "fx/demo-machine.json", "--out", "step.json"),
+             ("reach", "--rel", "fx/fc1.json", "--max-len", "3"),
+             ("export-dot", "--graph", "incomp.json", "--coloring", "coloring.json",
+              "--max-len", "2"),
+             ("tm-check", "--tm", "irreversible.json", "--depth", "3"),
+             ("tm-pad", "--tm", "irreversible.json"),
+             ("color-search", "--graph", "fx/tree.json", "--k", "2", "--states", "3"),
+             *errors, rejected]
+    [verbs] = [a.choices for a in cli.build_parser()._actions if a.dest == "verb"]
+    assert len(verbs) == 20 and {argv[0] for argv in calls} >= set(verbs)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        left = {argv: (_in_process(argv)[0], gc.collect()) for argv in calls}
+    finally:
+        if was:
+            gc.enable()
+    assert {code for code, _n in left.values()} == {0, 1, 2}
+    assert [left[argv][0] for argv in errors] == [2] * len(errors)
+    # argparse rejects a command line before the pause begins, and leaves
+    # cycles of its own (a HelpFormatter and its _Section refer to each
+    # other), so what it leaves is not the command's
+    assert left.pop(rejected)[0] == 2
+    assert {argv: n for argv, (_code, n) in left.items() if n} == {}
 
 
 @pytest.mark.parametrize("argv", [
