@@ -32,7 +32,7 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import pairwise, product as _cartesian
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -97,8 +97,9 @@ def state_budget(limit: Optional[int] = None):
 
     One unit is charged per state a construction discovers, per state
     declared by a loaded automaton, per rectangle cover search step and per
-    candidate coloring.  A class search (of a definability verb or a
-    decomposition) charges each state of its class walks once and each
+    candidate coloring; the offset successor ``(fc c)`` charges its c + 1
+    states before it builds them.  A class search (of a definability verb
+    or a decomposition) charges each state of its class walks once and each
     subset its searches for the representatives discover.
     :func:`determinize_minimize` walks its input again and charges the
     states it discovers; a deterministic walk minimized as it stands, as
@@ -123,25 +124,15 @@ def _active_budget() -> _Budget:
     return _ACTIVE_BUDGET.get() or _Budget(None)
 
 
-def _explore(start, successors):
-    """Breadth-first closure of ``start`` under ``successors``.
-
-    States are numbered in discovery order, start states first in the order
-    given (repeats dropped), and each new state is charged to the budget of
-    the enclosing :func:`state_budget` scope, else to one for this walk.
-    ``successors(state)`` yields ``(label, next_state)`` pairs.  Returns the
-    numbering and the ``(src, label, dst)`` edges between state numbers.
-    """
-    index: dict = {}
-    edges = list(_walk(start, successors, index))
-    return index, edges
-
-
 def _walk(start, successors, index: dict):
-    """The edges of :func:`_explore`, yielded as they are found, while the
-    states are numbered into ``index``.  A kept ``index`` numbers on from
-    its states, and only the states this call adds are walked and charged:
-    a start it already holds is not walked again."""
+    """Breadth-first closure of ``start`` under ``successors``, which yields
+    ``(label, next_state)`` pairs: the ``(src, label, dst)`` edges between
+    state numbers, yielded as they are found, while the states are numbered
+    into ``index`` in discovery order, start states first (repeats dropped).
+    Each new state is charged to the budget of the enclosing
+    :func:`state_budget` scope, else to one for this walk.  A kept ``index``
+    numbers on from its states, and only the states this call adds are
+    walked and charged: a start it already holds is not walked again."""
     bud = _active_budget()
     first = len(index)
     order = []
@@ -161,7 +152,7 @@ def _walk(start, successors, index: dict):
 
 
 def _shortest_word(start, successors, rank, accepts) -> Optional[tuple]:
-    """The shortlex-least word on which :func:`_explore` would reach a state
+    """The shortlex-least word on which :func:`_walk` would reach a state
     satisfying ``accepts`` from ``start``, or None if there is none.
 
     A breadth-first walk that keeps no edges and stops at the first
@@ -169,7 +160,7 @@ def _shortest_word(start, successors, rank, accepts) -> Optional[tuple]:
     ``(column, next_state)`` pairs with columns in ``rank`` order (a column
     -> integer mapping) and the moves on one column adjacent, as ``_adj``
     gives them.  Each new state is charged to the budget as in
-    :func:`_explore`, so a search that finds nothing charges what the full
+    :func:`_walk`, so a search that finds nothing charges what the full
     walk does.
 
     The states of a level are grouped by their least word, and a group's
@@ -226,9 +217,10 @@ def _shortest_word(start, successors, rank, accepts) -> Optional[tuple]:
 
 def _explore_automaton(tracks, alphabet, start, successors,
                        accepts) -> MultiTrackAutomaton:
-    """The automaton :func:`_explore` spans from ``start``, accepting the
-    explored states that satisfy ``accepts``."""
-    index, trans = _explore(start, successors)
+    """The automaton :func:`_walk` spans from ``start``, accepting the
+    walked states that satisfy ``accepts``."""
+    index: dict = {}
+    trans = list(_walk(start, successors, index))
     accepting = {i for s, i in index.items() if accepts(s)}
     return _freeze(tracks, alphabet, max(len(index), 1),
                    {index[s] for s in start}, accepting, trans)
@@ -677,18 +669,21 @@ def determinize_minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     if a.deterministic:
         return _explore_minimal(a.tracks, a.alphabet, a.initial, a._adj.__getitem__,
                                 a.accepting.__contains__)
-    adj, rank = a._adj, a._rank
-
-    def successors(cur):
-        out: dict = {}
-        for q in cur:
-            for sym, dst in adj[q]:
-                out.setdefault(sym, set()).add(dst)
-        for sym in sorted(out, key=rank.__getitem__):
-            yield sym, frozenset(out[sym])
-
-    return _explore_minimal(a.tracks, a.alphabet, [frozenset(a.initial)], successors,
+    return _explore_minimal(a.tracks, a.alphabet, [frozenset(a.initial)],
+                            partial(_subset_moves, a._adj, a._rank),
                             lambda cur: not a.accepting.isdisjoint(cur))
+
+
+def _subset_moves(adj: dict, rank: Mapping, cur) -> Iterator[tuple]:
+    """The subset construction's moves from the states ``cur``: each column
+    on which one of them moves along ``adj``, in ``rank`` order, with the
+    frozenset of its targets."""
+    out: dict = {}
+    for q in cur:
+        for sym, dst in adj[q]:
+            out.setdefault(sym, set()).add(dst)
+    for sym in sorted(out, key=rank.__getitem__):
+        yield sym, frozenset(out[sym])
 
 
 def _explore_minimal(tracks, alphabet, start, successors, accepts,
@@ -929,7 +924,8 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
                        + symb[:join_b] + symb[join_b + 1:]), (p2, q2)
 
     start = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
-    index, edges = _explore(start, successors)
+    index: dict = {}
+    edges = list(_walk(start, successors, index))
     all_pad = (PAD,) * out_tracks
     trans = [e for e in edges if e[1] != all_pad]
     suffix = [(src, dst) for src, out, dst in edges if out == all_pad]
@@ -968,56 +964,70 @@ def iter_column_words(a: MultiTrackAutomaton,
     in shortlex order: by length, then column by column in ``symbol_key``
     order.  Lazy, so the first words of an infinite language come cheaply.
 
-    Each length is a depth-first walk that follows a column only when the
-    states it leads to can still accept at exactly that length.  On a
-    deterministic automaton the walk steps one state at a time along
-    ``_adj``, which is in ``symbol_key`` order, and ``ends[r]``, the states
-    that accept a word of exactly r more columns, grows from a reverse
-    adjacency built once.  On an NFA it steps subsets and merges their moves
-    by column.
+    DFAs and NFAs share one pass that finds the reachable states and their
+    predecessors, the sets ``ends[r]`` of reachable states that accept a
+    word of exactly r columns (``accepting``, then the predecessors of
+    ``ends[r-1]``), and one :func:`_exact_length_words` walk per length.
+    Only a move is read apart: a DFA steps one state along ``_adj``, which
+    is in ``symbol_key`` order; an NFA steps subsets, whose moves
+    :func:`_subset_moves` merges by column, and a subset meeting ``ends[r]``
+    is in it.
     """
-    # per seed-41 round: 6.8 vs 33.0 ms by subsets (definability), 6.7 vs 21.1 (separation)
-    if a.deterministic:
-        return _dfa_column_words(a, max_len)
-    # An NFA is not listed through its canonical DFA, which can be
-    # exponentially larger: for (a|b)*a(a|b)^14 to length 15 (a DFA of 2^15
-    # states) that took 1.44 s against 95 ms here.
-    return _subset_column_words(a, max_len)
-
-
-def _dfa_column_words(a: MultiTrackAutomaton, max_len: Optional[int]) -> Iterator[tuple]:
     adj = a._adj
-    (q0,) = a.initial
-    reach = [q0]
-    back: dict = {}  # reachable state -> its predecessors, with repeats
+    back = {q: [] for q in a.initial}  # reachable state -> its predecessors, with repeats
+    reach = list(back)
     for p in reach:  # grows while iterated
         for _sym, q in adj[p]:
             if q not in back:
                 back[q] = []
-                if q != q0:
-                    reach.append(q)
+                reach.append(q)
             back[q].append(p)
-    # ends[r]: the reachable states accepting some word of length r
-    ends = [a.accepting.intersection(reach)]
+    # per seed-41 round: 6.8 vs 33.0 ms by subsets (definability), 6.7 vs 21.1 (separation)
+    if a.deterministic:  # kind of ends[r]: holds a state in it
+        (start,), kind = a.initial, frozenset
+
+        def moves(q, _live):
+            return adj[q]
+    else:  # kind of ends[r]: holds a subset meeting it
+        # An NFA is not listed through its canonical DFA, which can be
+        # exponentially larger: for (a|b)*a(a|b)^14 to length 15 (a DFA of 2^15
+        # states) that took 0.7 s against 40 ms by subsets.
+        start, kind, rank = a.initial, _Meets, a._rank
+
+        def moves(cur, live):  # only the states of cur in live can still accept
+            return _subset_moves(adj, rank, live.intersection(cur))
+    ends = [kind(a.accepting.intersection(back))]
     length = 0
     while (max_len is None or length <= max_len) and ends[length]:
-        if q0 in ends[length]:
-            yield from _dfa_exact_length_words(adj, q0, ends, length)
-        ends.append({p for q in ends[length] for p in back.get(q, ())})
+        if start in ends[length]:
+            yield from _exact_length_words(moves, start, ends, length)
+        ends.append(kind({p for q in ends[length] for p in back[q]}))
         length += 1
 
 
-def _dfa_exact_length_words(adj: dict, q0: int, ends: list, length: int) -> Iterator[tuple]:
+class _Meets(frozenset):
+    """States that hold, for ``in``, each set of states meeting them."""
+
+    def __contains__(self, states) -> bool:
+        return not self.isdisjoint(states)
+
+
+def _exact_length_words(moves, start, ends: list, length: int) -> Iterator[tuple]:
+    """The words of exactly ``length`` columns from ``start`` that end in
+    ``ends[0]``, in column order: a depth-first walk that follows a move
+    only to a target in ``ends[r]``, r being the columns left after it.
+    ``moves(target, live)`` lists the (column, target) moves of a target in
+    ``live``, in column order."""
     if length == 0:
         yield ()
         return
     path: list = []
-    stack = [iter(adj[q0])]
+    stack = [iter(moves(start, ends[length]))]
     while stack:
         rem = length - len(stack)  # columns left after the one chosen here
         live = ends[rem]
-        for sym, dst in stack[-1]:
-            if dst in live:
+        for sym, nxt in stack[-1]:
+            if nxt in live:
                 break
         else:
             stack.pop()
@@ -1028,52 +1038,7 @@ def _dfa_exact_length_words(adj: dict, q0: int, ends: list, length: int) -> Iter
             yield (*path, sym)
         else:
             path.append(sym)
-            stack.append(iter(adj[dst]))
-
-
-def _subset_column_words(a: MultiTrackAutomaton,
-                         max_len: Optional[int]) -> Iterator[tuple]:
-    adj = a._adj
-    start = frozenset(a.initial)
-    reach = set(_reach(start, {q: [d for _sym, d in out] for q, out in adj.items()}))
-    ends = [frozenset(a.accepting)]  # ends[r]: states accepting some word of length r
-    length = 0
-    while (max_len is None or length <= max_len) and reach & ends[length]:
-        if start & ends[length]:
-            yield from _exact_length_words(a, start, ends, length)
-        ends.append(frozenset(q for q in adj
-                              if any(d in ends[length] for _sym, d in adj[q])))
-        length += 1
-
-
-def _exact_length_words(a: MultiTrackAutomaton, start: frozenset, ends: list,
-                        length: int) -> Iterator[tuple]:
-    if length == 0:
-        yield ()
-        return
-    rank = a._rank
-
-    def steps(states, rem):  # columns to states that accept at length rem
-        out: dict = {}
-        for q in states:
-            for sym, dst in a._adj[q]:
-                if dst in ends[rem]:
-                    out.setdefault(sym, set()).add(dst)
-        return iter([(sym, out[sym]) for sym in sorted(out, key=rank.__getitem__)])
-
-    path: list = []
-    stack = [steps(start, length - 1)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if path:
-                path.pop()
-        elif len(path) + 1 == length:
-            yield (*path, step[0])
-        else:
-            path.append(step[0])
-            stack.append(steps(step[1], length - len(path) - 1))
+            stack.append(iter(moves(nxt, live)))
 
 
 def iter_words(a: MultiTrackAutomaton,

@@ -83,6 +83,7 @@ def successor_relation(c: int, alphabet: Sequence[str] = ("a",),
     alphabet = au.check_alphabet(alphabet)
     if letter not in alphabet:
         raise FixtureError(f"letter {letter!r} not in alphabet")
+    au._active_budget().charge(c + 1)  # before its c + 1 states are built, as a load does
     trans = [(0, (letter, letter), 0)]
     for i in range(c):
         trans.append((i, (PAD, letter), i + 1))
@@ -431,6 +432,8 @@ def _eval_spec(expr, alphabet):
                 data = json.loads(fh.read())
         except (OSError, ValueError) as e:
             raise AutomataError(f"(load {path!r}): {e}") from None
+        except RecursionError:  # else parse_relation_spec blames the spec's nesting
+            raise AutomataError(f"(load {path!r}): JSON nested too deeply") from None
         return relation(au.from_json_dict(data))
     if op == "union":
         return union_rel(sub(args[0]), sub(args[1]))

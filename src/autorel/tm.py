@@ -286,10 +286,10 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
     if k < 2:
         raise AutomataError("k must be >= 2")
     base_alpha = config_alphabet(t)
-    for tag in ("B", "R"):
+    clique = tuple(f"K#{i}" for i in range(1, k - 1))
+    for tag in ("B", "R", *clique):
         if tag in base_alpha:
             raise MachineError(f"tag symbol {tag!r} collides with the machine alphabet")
-    clique = tuple(f"K#{i}" for i in range(1, k - 1))
     alpha = base_alpha + ("B", "R") + clique
 
     configs = au.extend_alphabet(configs_language(t), alpha)

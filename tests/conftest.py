@@ -239,6 +239,54 @@ def constructor_error(fault):
     raise AssertionError(f"the constructor accepted the {fault!r} fault")
 
 
+def subset_column_words(a, max_len):
+    """The reference lister for ``iter_column_words``, on DFAs and NFAs
+    alike: per length, a depth-first walk over subsets of states that
+    merges their moves by column and keeps a column only when some target
+    accepts at exactly the length left.  ``ends`` is recomputed over every
+    state, reachable or not."""
+    adj = a._adj
+    start = frozenset(a.initial)
+    reach = set(au._reach(start, {q: [d for _sym, d in out] for q, out in adj.items()}))
+    ends = [frozenset(a.accepting)]  # ends[r]: states accepting some word of length r
+    length = 0
+    while (max_len is None or length <= max_len) and reach & ends[length]:
+        if start & ends[length]:
+            yield from _exact_length_words(a, start, ends, length)
+        ends.append(frozenset(q for q in adj
+                              if any(d in ends[length] for _sym, d in adj[q])))
+        length += 1
+
+
+def _exact_length_words(a, start: frozenset, ends: list, length: int):
+    if length == 0:
+        yield ()
+        return
+    rank = a._rank
+
+    def steps(states, rem):  # columns to states that accept at length rem
+        out: dict = {}
+        for q in states:
+            for sym, dst in a._adj[q]:
+                if dst in ends[rem]:
+                    out.setdefault(sym, set()).add(dst)
+        return iter([(sym, out[sym]) for sym in sorted(out, key=rank.__getitem__)])
+
+    path: list = []
+    stack = [steps(start, length - 1)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif len(path) + 1 == length:
+            yield (*path, step[0])
+        else:
+            path.append(step[0])
+            stack.append(steps(step[1], length - len(path) - 1))
+
+
 def determinize_oracle(a):
     """Lazy subset construction, moves in ``symbol_key`` order.  Returns
     (state count, trans dict, accept set)."""
@@ -251,7 +299,8 @@ def determinize_oracle(a):
         for sym in sorted(out, key=a.symbol_key):
             yield sym, frozenset(out[sym])
 
-    index, edges = au._explore([frozenset(a.initial)], successors)
+    index: dict = {}
+    edges = list(au._walk([frozenset(a.initial)], successors, index))
     trans = {(src, sym): dst for src, sym, dst in edges}
     accept = {i for s, i in index.items() if s & a.accepting}
     return len(index), trans, accept
@@ -791,7 +840,7 @@ def difference_witness_oracle(a, b):
 
 
 def satisfies_valid_pad_oracle(a):
-    """L(a) inside ValidPad(t), by a whole `_explore` walk over (state, pad
+    """L(a) inside ValidPad(t), by a whole `_walk` over (state, pad
     mask) pairs that records every edge; the mask turns None for good when
     a column breaks the padding rule, and a broken pair must not accept."""
     def successors(state):
@@ -799,7 +848,8 @@ def satisfies_valid_pad_oracle(a):
         for sym, dst in a._adj[q]:
             yield sym, (dst, None if mask is None else au._pad_mask_step(mask, sym))
 
-    index, _edges = au._explore([(q, 0) for q in sorted(a.initial)], successors)
+    index: dict = {}
+    _edges = list(au._walk([(q, 0) for q in sorted(a.initial)], successors, index))
     return not any(mask is None and q in a.accepting for q, mask in index)
 
 

@@ -27,8 +27,8 @@ from conftest import (CONSTRUCTOR_FAULTS, JSON_REFUSED_FAULTS, accepts_by_subset
                       intersection_witness_oracle, lang_upto, moore_minimize_oracle,
                       neq_relation, project_oracle, random_dfa, random_language,
                       random_nfa, random_padded_relation, random_relation, rank_oracle,
-                      residual_signatures, satisfies_valid_pad_oracle, the_80_draws,
-                      words_upto)
+                      residual_signatures, satisfies_valid_pad_oracle, subset_column_words,
+                      the_80_draws, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -961,19 +961,34 @@ def _dfa_cases(rng):
 
 def test_iter_words_on_dfas_match_the_subset_enumerator():
     rng = random.Random(7600)
+    dfas = list(_dfa_cases(rng))
+    assert all(a.deterministic for a in dfas)
+    nfas = [random_nfa(rng, tracks, alphabet, rng.randint(2, 5))
+            for tracks, alphabet in ((1, AB), (1, ("b", "a", "c")), (2, AB), (2, ("b", "a")))
+            for _ in range(15)]
     infinite = finite = 0
-    for a in _dfa_cases(rng):
-        assert a.deterministic
+    for a in dfas + nfas:
         for max_len in (None, 0, 1, 3):
             got = list(islice(au.iter_column_words(a, max_len), 65))
-            assert got == list(islice(au._subset_column_words(a, max_len), 65)), (a, max_len)
+            assert got == list(islice(subset_column_words(a, max_len), 65)), (a, max_len)
         if a.tracks == 1:
             assert list(islice(au.iter_words(a), 65)) == \
-                [tuple(c[0] for c in w) for w in islice(au._subset_column_words(a, None), 65)]
-        whole = list(islice(au._subset_column_words(a, None), 200))
+                [tuple(c[0] for c in w) for w in islice(subset_column_words(a, None), 65)]
+        whole = list(islice(subset_column_words(a, None), 200))
         infinite += len(whole) == 200
         finite += 0 < len(whole) < 200
     assert infinite >= 20 and finite >= 20
+    # NFAs with several initial states, with two moves on one column, and
+    # with states that are unreachable or, reachable, cannot accept
+    several = two_moves = unreachable = dead = 0
+    for a in nfas:
+        reach = au._reach(a.initial, {q: [d for _sym, d in out] for q, out in a._adj.items()})
+        live = au._reach(a.accepting, au._reverse((s, d) for s, _sym, d in a.transitions))
+        several += len(a.initial) > 1
+        two_moves += any(len(dsts) > 1 for dsts in a._step_map.values())
+        unreachable += len(reach) < a.states
+        dead += any(q not in live for q in reach)
+    assert min(several, two_moves, unreachable, dead) >= 5
 
 
 def test_accepts_columns_on_dfas_and_nfas_match_subset_stepping():
@@ -985,7 +1000,7 @@ def test_accepts_columns_on_dfas_and_nfas_match_subset_stepping():
     for a in cases:
         dfas += a.deterministic
         cols = list(a.column_universe())
-        words = list(islice(au._subset_column_words(a, None), 10))
+        words = list(islice(subset_column_words(a, None), 10))
         words += [tuple(rng.choice(cols) for _ in range(rng.randint(0, 5)))
                   for _ in range(30)]
         for w in words:

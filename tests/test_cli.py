@@ -318,6 +318,9 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, text):
     deep.write_text(text)
     assert run("recognizable", "--r", str(deep)) == 2
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+    # loaded by a spec, the file is named, not the spec's own nesting
+    assert run("make-rel", "--spec", f'(load "{deep}")', "--out", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == f"error: (load {str(deep)!r}): JSON nested too deeply\n"
 
 
 def test_tm_check_budget_exhausted_exit_code(fx, tmp_path):

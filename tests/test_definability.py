@@ -17,8 +17,8 @@ from conftest import (build_equiv_oracle, class_oracle, decompose_oracle,
                       least_representatives_oracle, min_cover_oracle, min_prod_oracle,
                       random_dfa, random_language,
                       random_padded_relation, random_relation, recognizable_oracle,
-                      same_rows_oracle, side_classes_oracle, the_80_draws,
-                      union_of_classes_oracle, words_upto)
+                      same_rows_oracle, side_classes_oracle, subset_column_words,
+                      the_80_draws, union_of_classes_oracle, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -432,7 +432,7 @@ def _decompositions_agree(r, eq, bounds, rng):
     oracle: dict = {}  # representative -> class_oracle bytes
     for bound in bounds:
         dec = de.decompose(r, bound)
-        listed = islice(au._subset_column_words(reps, None), bound + 1)
+        listed = islice(subset_column_words(reps, None), bound + 1)
         assert dec.representatives == tuple(tuple(c[0] for c in w) for w in listed)
         for w, c in zip(dec.representatives, dec.classes):
             if w not in oracle:

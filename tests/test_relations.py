@@ -190,6 +190,15 @@ def test_fixture_registry():
         rel.fixtures("nope")
 
 
+def test_successor_relation_charges_its_states_before_building_them():
+    with au.state_budget(10), pytest.raises(au.BudgetExceededError):
+        rel.successor_relation(10)
+    for c in (1, 2, 7):
+        with au.state_budget(100):
+            r = rel.successor_relation(c)
+            assert au._active_budget().used == c + 1 == r.base.states
+
+
 def test_relation_spec_parsing():
     fc1 = rel.successor_relation(1)
     got = rel.parse_relation_spec("(union (fc 1) (inverse (fc 1)))", A)

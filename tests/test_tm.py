@@ -258,6 +258,12 @@ def test_gadget_tag_clash_rejected():
     bad = tm.make_machine(("q0",), ("B",), "_", "q0", (), {})
     with pytest.raises(tm.MachineError):
         tm.coloring_gadget(bad, 2)
+    # a clique letter collides only when k adds it
+    clique_clash = tm.make_machine(("q0",), ("K#1",), "_", "q0", (), {})
+    with pytest.raises(tm.MachineError, match="'K#1' collides"):
+        tm.coloring_gadget(clique_clash, 3)
+    c0 = tm.initial_config(clique_clash)
+    assert tm.coloring_gadget(clique_clash, 2).contains(("B",) + c0, ("R",) + c0)
 
 
 def test_gadget_available_through_the_fixture_registry():
