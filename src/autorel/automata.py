@@ -10,9 +10,9 @@ of the word, and no column is padding on all tracks at once.
 All automata are immutable values; the operations below are pure functions
 and safe to call concurrently.  All automata over one alphabet share its
 column order, a symbol -> position index (:func:`_symbol_index`) built
-when the alphabet is first checked.  The indexes sit in one process-wide
-cache of the 64 alphabets used last; a write to it adds or drops a whole
-index, and two callers that miss at once build equal ones.
+when the alphabet is first checked.  Checks and loads hand out one shared
+tuple per alphabet, whose index is found by identity, else by hashing, in
+process-wide caches; two callers that miss at once build equal indexes.
 
 Work that can blow up charges a budget and raises
 :class:`BudgetExceededError` instead of exhausting memory or time: see
@@ -248,34 +248,46 @@ def _reverse(pairs) -> dict:
 
 
 def check_alphabet(symbols: Iterable[str]) -> tuple:
-    """Validate and freeze an alphabet (ordered, duplicate-free).
-
-    Each distinct alphabet is checked once, when :func:`_symbol_index`
-    first indexes it; a later call finds its index and checks nothing.  A
+    """Validate and freeze an alphabet (ordered, duplicate-free) into the
+    shared tuple of its index: checked once, when first indexed.  A
     refused alphabet is never stored, so it is refused on every call.
     """
     alphabet = tuple(symbols)
     try:
-        _symbol_index(alphabet)
-    except TypeError:  # an unhashable symbol: refused without the cache
-        _symbol_index.__wrapped__(alphabet)
-    return alphabet
+        return (_by_identity.get(id(alphabet)) or _hashed_index(alphabet))[0]
+    except TypeError:  # an unhashable symbol: refused without the caches
+        return _hashed_index.__wrapped__(alphabet)[0]
 
 
-# How many alphabets _symbol_index keeps; the least recently used goes first.
+# How many alphabets _hashed_index keeps; the least recently used goes first.
 _SHARED_ALPHABETS = 64
+_BY_IDENTITY = 4  # shared tuples found by id
+_by_identity: dict = {}  # id(alphabet) -> _hashed_index(alphabet); emptied when full
 
 
-@lru_cache(maxsize=_SHARED_ALPHABETS)
 def _symbol_index(alphabet: tuple) -> Mapping:
     """Symbol -> its position in ``alphabet``, PAD last, for an alphabet
     that :func:`check_alphabet` accepts; raises as it does on any other.
 
-    The column order of every automaton over ``alphabet``: one read-only
-    mapping per alphabet, shared by all of them.  The cache is process-wide
-    and bounded; two callers that miss at once both build equal mappings,
-    and either may be kept.
+    The column order of every automaton over ``alphabet``, shared by all
+    of them.  A shared tuple is found by identity among the 4 looked up
+    last, each entry holding it so that no other object takes its id;
+    other tuples hash into :func:`_hashed_index`.  Each write to either map
+    is one dict operation; callers that miss at once build equal mappings.
     """
+    entry = _by_identity.get(id(alphabet))
+    if entry is None:
+        entry = _hashed_index(alphabet)
+        if entry[0] is alphabet:
+            if len(_by_identity) >= _BY_IDENTITY:
+                _by_identity.clear()
+            _by_identity[id(alphabet)] = entry
+    return entry[1]
+
+
+@lru_cache(maxsize=_SHARED_ALPHABETS)
+def _hashed_index(alphabet: tuple) -> tuple:
+    """(shared tuple, :func:`_symbol_index`): the first equal tuple indexed."""
     index: dict = {}
     for s in alphabet:
         if not isinstance(s, str) or s in RESERVED_SYMBOLS:
@@ -286,7 +298,7 @@ def _symbol_index(alphabet: tuple) -> Mapping:
     if not index:
         raise AutomataError("alphabet must be non-empty")
     index[PAD] = len(index)
-    return MappingProxyType(index)
+    return alphabet, MappingProxyType(index)
 
 
 def _check_tracks(tracks: int) -> None:
@@ -969,9 +981,9 @@ def iter_column_words(a: MultiTrackAutomaton,
     word of exactly r columns (``accepting``, then the predecessors of
     ``ends[r-1]``), and one :func:`_exact_length_words` walk per length.
     Only a move is read apart: a DFA steps one state along ``_adj``, which
-    is in ``symbol_key`` order; an NFA steps subsets, whose moves
-    :func:`_subset_moves` merges by column, and a subset meeting ``ends[r]``
-    is in it.
+    is in ``symbol_key`` order; an NFA steps subsets, merging their moves
+    by column into the targets that accept in the columns left, and a
+    subset meeting ``ends[r]`` is in it.
     """
     adj = a._adj
     back = {q: [] for q in a.initial}  # reachable state -> its predecessors, with repeats
@@ -988,14 +1000,25 @@ def iter_column_words(a: MultiTrackAutomaton,
 
         def moves(q, _live):
             return adj[q]
-    else:  # kind of ends[r]: holds a subset meeting it
+    else:  # kind of ends[r]: holds a subset meeting it; its below: ends[r-1]'s states
         # An NFA is not listed through its canonical DFA, which can be
         # exponentially larger: for (a|b)*a(a|b)^14 to length 15 (a DFA of 2^15
         # states) that took 0.7 s against 40 ms by subsets.
-        start, kind, rank = a.initial, _Meets, a._rank
+        start, rank, shorter = a.initial, a._rank, _EMPTY_SET
 
-        def moves(cur, live):  # only the states of cur in live can still accept
-            return _subset_moves(adj, rank, live.intersection(cur))
+        def kind(states):
+            nonlocal shorter
+            level = _Meets(states)
+            level.below, shorter = shorter, frozenset(states)
+            return level
+
+        def moves(cur, live):  # targets dropped before any column's set is built
+            keep, out = live.below, {}
+            for q in cur:
+                for sym, dst in adj[q]:
+                    if dst in keep:
+                        out.setdefault(sym, set()).add(dst)
+            return [(sym, frozenset(out[sym])) for sym in sorted(out, key=rank.__getitem__)]
     ends = [kind(a.accepting.intersection(back))]
     length = 0
     while (max_len is None or length <= max_len) and ends[length]:
@@ -1205,7 +1228,7 @@ def from_json_dict(d: dict) -> MultiTrackAutomaton:
     fields = dict(tracks=tracks, alphabet=tuple(alphabet), states=states,
                   initial=frozenset(initial), accepting=frozenset(accepting))
     try:
-        index = _symbol_index(fields["alphabet"])
+        fields["alphabet"], index = _hashed_index(fields["alphabet"])
     except AutomataError:  # the constructor raises it, after the shape checks
         index = {}
     ok = tracks >= 1 and bool(index) and all(

@@ -88,7 +88,7 @@ class TuringMachine:
         for sym in self.tape + (self.blank,):
             for q in self.states:
                 toks.append(head_token(sym, q))
-        return tuple(toks)
+        return au.check_alphabet(toks)
 
 
 def make_machine(states: Sequence[str], tape: Sequence[str], blank: str,
@@ -109,8 +109,8 @@ def head_token(sym: str, state: str) -> str:
 
 
 def config_alphabet(t: TuringMachine) -> tuple:
-    """Work symbols plus fused head tokens, in declaration order; built
-    once per machine and kept on it."""
+    """Work symbols plus fused head tokens, in declaration order, as the
+    alphabet's shared tuple; built once per machine and kept on it."""
     return t._config_alphabet
 
 
@@ -259,14 +259,6 @@ def wf_checks(t: TuringMachine, depth: int = 32) -> WfReport:
 # ---------------------------------------------------------------------------
 # The tagged colorability gadget
 
-def _prepend_column(base: MultiTrackAutomaton, col: tuple) -> MultiTrackAutomaton:
-    """New automaton accepting col . w for w accepted by base."""
-    n = base.states
-    trans = list(base.transitions) + [(n, col, q) for q in base.initial]
-    accepting = set(base.accepting)
-    return au._freeze(base.tracks, base.alphabet, n + 1, {n}, accepting, trans)
-
-
 def _equal_pairs(lang: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """{(w, w) : w in lang} as a 2-track automaton."""
     trans = [(src, (sym[0], sym[0]), dst) for src, sym, dst in lang.transitions]
@@ -281,7 +273,8 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
     Vertices B.c / R.c; edges B.c -> R.c, R.c -> B.c' for steps c -> c',
     and B.c_init -> B.c' for every other predecessor-free configuration.
     For k > 2 a (k-2)-clique of fresh letters is wired to every vertex
-    incident to an edge.
+    incident to an edge.  The three tagged parts share one initial state,
+    which reads the tag column (B,R), (R,B) or (B,B) into its part.
     """
     if k < 2:
         raise AutomataError("k must be >= 2")
@@ -290,23 +283,24 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
     for tag in ("B", "R", *clique):
         if tag in base_alpha:
             raise MachineError(f"tag symbol {tag!r} collides with the machine alphabet")
-    alpha = base_alpha + ("B", "R") + clique
+    alpha = au.check_alphabet(base_alpha + ("B", "R") + clique)
 
     configs = au.extend_alphabet(configs_language(t), alpha)
     step = au.extend_alphabet(config_graph(t).base, alpha)
-
-    blue_red = _prepend_column(_equal_pairs(configs), ("B", "R"))
-    red_blue = _prepend_column(step, ("R", "B"))
 
     c_init = initial_config(t)
     inits = au.extend_alphabet(machine_init_configs(t), alpha)
     others = au.difference(inits, au.word_language(c_init, alpha))
     from . import recognizable as rc
-    init_edges = _prepend_column(
-        rc.product_relation(au.word_language(c_init, alpha), others).base,
-        ("B", "B"))
-
-    edges = au.union(blue_red, red_blue, init_edges)
+    init_pairs = rc.product_relation(au.word_language(c_init, alpha), others).base
+    trans, accepting, off = [], set(), 1  # state 0 reads each tag into its part
+    for tag, part in ((("B", "R"), _equal_pairs(configs)), (("R", "B"), step),
+                      (("B", "B"), init_pairs)):
+        trans += [(0, tag, q + off) for q in part.initial]
+        trans += [(s + off, sym, d + off) for s, sym, d in part.transitions]
+        accepting.update(q + off for q in part.accepting)
+        off += part.states
+    edges = au._freeze(2, alpha, off, {0}, accepting, trans)  # a DFA, as the parts are
 
     if k > 2:
         tagged = rel._wrap(edges)

@@ -684,6 +684,45 @@ def min_cover_oracle(ones, kmax):
     return None
 
 
+def coloring_gadget_oracle(t, k):
+    """The tagged gadget as three prepended parts joined by ``au.union``:
+    an NFA with three initial states, which the canonical form
+    determinizes."""
+
+    def prepend_column(base, col):  # col . L(base)
+        n = base.states
+        trans = list(base.transitions) + [(n, col, q) for q in base.initial]
+        return au._freeze(base.tracks, base.alphabet, n + 1, {n}, base.accepting, trans)
+
+    base_alpha = tm.config_alphabet(t)
+    clique = tuple(f"K#{i}" for i in range(1, k - 1))
+    alpha = base_alpha + ("B", "R") + clique
+    configs = au.extend_alphabet(tm.configs_language(t), alpha)
+    step = au.extend_alphabet(tm.config_graph(t).base, alpha)
+    blue_red = prepend_column(tm._equal_pairs(configs), ("B", "R"))
+    red_blue = prepend_column(step, ("R", "B"))
+    c_init = tm.initial_config(t)
+    inits = au.extend_alphabet(tm.machine_init_configs(t), alpha)
+    others = au.difference(inits, au.word_language(c_init, alpha))
+    init_edges = prepend_column(
+        rc.product_relation(au.word_language(c_init, alpha), others).base, ("B", "B"))
+    edges = au.union(blue_red, red_blue, init_edges)
+    if k > 2:
+        tagged = rel._wrap(edges)
+        incident = au.determinize_minimize(
+            au.union(rel.project_first(tagged), rel.project_second(tagged)))
+        parts = [edges]
+        for i, ki in enumerate(clique):
+            ki_lang = au.word_language((ki,), alpha)
+            parts.append(rc.product_relation(ki_lang, incident).base)
+            for j, kj in enumerate(clique):
+                if i != j:
+                    parts.append(rc.product_relation(
+                        ki_lang, au.word_language((kj,), alpha)).base)
+        edges = au.union(*parts)
+    return rel._wrap(au.determinize_minimize(edges))
+
+
 def random_relation(rng: random.Random, alphabet=("a", "b"), states=3,
                     density=0.5):
     """Random small automatic relation (associated automaton has at most

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+from functools import lru_cache
 from itertools import islice, product
 from pathlib import Path
 
@@ -402,17 +403,25 @@ def test_more_alphabets_than_the_cache_holds_still_order_correctly():
             a = _over_columns(alphabet, 2, cols)
             assert sorted(cols, key=a._rank.__getitem__) == \
                 sorted(cols, key=lambda c: _declared_key(alphabet, c))
-            assert au._symbol_index.cache_info().currsize <= limit
+            assert au._hashed_index.cache_info().currsize <= limit
+            assert len(au._by_identity) <= au._BY_IDENTITY
 
 
-def test_threads_that_share_the_alphabet_cache_each_see_their_own_order():
-    # more alphabets than the cache holds and more threads than cores, with
-    # a short switch interval, so misses, evictions and hits interleave
+def test_threads_that_share_the_alphabet_cache_each_see_their_own_order(monkeypatch):
+    # more alphabets than the caches hold and more threads than cores, with
+    # a short switch interval, so misses, evictions and hits interleave, by
+    # identity and by hashing alike
     rng = random.Random(8104)
     alphabets = [_shuffled_alphabet(rng, rng.randint(1, 30))
                  for _ in range(2 * au._SHARED_ALPHABETS)]
     columns = [_random_columns(rng, alphabet, 2, 20) for alphabet in alphabets]
     faults = []
+    lookups, hashed = [], []  # list.append is atomic: one entry per call
+    by_identity, by_hash = au._symbol_index, au._hashed_index
+    monkeypatch.setattr(au, "_symbol_index",
+                        lambda alphabet: lookups.append(1) or by_identity(alphabet))
+    monkeypatch.setattr(au, "_hashed_index",
+                        lambda alphabet: hashed.append(1) or by_hash(alphabet))
 
     def work(offset):
         for i in range(len(alphabets)):
@@ -422,6 +431,10 @@ def test_threads_that_share_the_alphabet_cache_each_see_their_own_order():
             if sorted(cols, key=a._rank.__getitem__) != \
                     sorted(cols, key=lambda c: _declared_key(alphabet, c)):
                 faults.append(alphabet)
+            for _ in range(3):  # found again by identity, unless another thread emptied the map
+                if dict(au._symbol_index(alphabet)) != {**{s: alphabet.index(s) for s in alphabet},
+                                                        PAD: len(alphabet)}:
+                    faults.append(alphabet)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -435,18 +448,34 @@ def test_threads_that_share_the_alphabet_cache_each_see_their_own_order():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert faults == []
-    assert au._symbol_index.cache_info().currsize <= au._SHARED_ALPHABETS
+    assert len(hashed) < len(lookups) == 6 * len(alphabets) * 4
+    assert by_hash.cache_info().currsize <= au._SHARED_ALPHABETS
+    # a miss may insert after other threads' misses checked the size
+    assert len(au._by_identity) <= au._BY_IDENTITY + len(threads) - 1
 
 
-def test_a_checked_alphabet_shares_one_index():
-    alphabet = ("q", "p", "r")
-    assert au.check_alphabet(list(alphabet)) == alphabet
+def test_a_checked_alphabet_shares_one_index(monkeypatch):
+    # equal alphabets built as separate tuples share one index, and a check
+    # hands out one tuple for them, the first one indexed; only that tuple
+    # is found by identity, so the identity map keeps no other one alive
+    alphabet, other = ("q", "p", "r"), tuple(["q", "p", "r"])
+    assert alphabet is not other
+    hashed, by_hash = [], lru_cache(maxsize=au._SHARED_ALPHABETS)(au._hashed_index.__wrapped__)
+    monkeypatch.setattr(au, "_by_identity", {})
+    monkeypatch.setattr(au, "_hashed_index",
+                        lambda alphabet: hashed.append(alphabet) or by_hash(alphabet))
     index = au._symbol_index(alphabet)
     assert index == {"q": 0, "p": 1, "r": 2, PAD: 3}
-    assert au._symbol_index(tuple(alphabet)) is index
-    a, b = au.full_language(alphabet), au.word_language(("r", "q"), alphabet)
+    assert au._symbol_index(other) is index and id(other) not in au._by_identity
+    for symbols in (list(alphabet), other, alphabet, tuple(alphabet)):
+        assert au.check_alphabet(symbols) is alphabet
+    assert au._symbol_index(alphabet) is index
+    assert len(hashed) == 4 and hashed[0] is alphabet and hashed[1] is other is hashed[3]
+    a, b = au.full_language(other), au.word_language(("r", "q"), other)
+    assert a.alphabet is alphabet and b.alphabet is alphabet
     assert a._rank == {("q",): 0, ("p",): 1, ("r",): 2}
     assert b._rank == {("r",): 2, ("q",): 0}
+    assert len(hashed) == 6  # the two checks of other; automata over alphabet hash nothing
 
 
 @pytest.mark.parametrize("alphabet", [
@@ -466,6 +495,7 @@ def test_a_malformed_alphabet_raises_the_same_error_on_every_call(alphabet):
                 call()
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+        assert id(alphabet) not in au._by_identity
 
 
 # ---------------------------------------------------------------------------
@@ -989,6 +1019,16 @@ def test_iter_words_on_dfas_match_the_subset_enumerator():
         unreachable += len(reach) < a.states
         dead += any(q not in live for q in reach)
     assert min(several, two_moves, unreachable, dead) >= 5
+    # the draws of the NFA listing timing in CHANGES.md, to 200 words each
+    rng = random.Random(6800)
+    listed = 0
+    for tracks in (1, 2):
+        for _ in range(60):
+            a = random_nfa(rng, tracks, AB, rng.randint(2, 6))
+            got = list(islice(au.iter_column_words(a), 200))
+            assert got == list(islice(subset_column_words(a, None), 200)), a
+            listed += len(got)
+    assert listed == 14404
 
 
 def test_accepts_columns_on_dfas_and_nfas_match_subset_stepping():

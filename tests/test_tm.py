@@ -8,7 +8,8 @@ from autorel import coloring as co
 from autorel import relations as rel
 from autorel import tm
 
-from conftest import decode_config, encode_config, from_word_list, split_head_token
+from conftest import (coloring_gadget_oracle, decode_config, encode_config, from_word_list,
+                      split_head_token)
 
 AB = ("a", "b")
 
@@ -252,6 +253,24 @@ def test_gadget_clique_extension():
     assert not e.contains(("K#1",), ("K#1",))
     c0 = tm.initial_config(t)
     assert e.contains(("K#1",), ("B",) + c0)
+
+
+@pytest.mark.parametrize("machine", [tm.halting_fixture(), tm.looping_fixture(),
+                                     tm.mixed_fixture(), tm.two_cycle_fixture()])
+def test_gadget_matches_the_union_of_three_prepended_parts(machine):
+    # the tagged parts share one initial state, so the canonical form walks
+    # a DFA; the bytes match the NFA of three initial states, and the two
+    # projections at k >= 3 each charge two initial states fewer
+    for t in (machine, tm.pad_transform(machine)):
+        for k in (2, 3, 4):
+            with au.state_budget():
+                got = au.dumps(tm.coloring_gadget(t, k).base)
+                charged = au._active_budget().used
+            with au.state_budget():
+                want = au.dumps(coloring_gadget_oracle(t, k).base)
+                oracle_charged = au._active_budget().used
+            assert got == want, (t, k)
+            assert charged == oracle_charged - (4 if k > 2 else 0), (t, k)
 
 
 def test_gadget_tag_clash_rejected():
