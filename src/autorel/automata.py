@@ -104,7 +104,10 @@ def state_budget(limit: Optional[int] = None):
     :func:`determinize_minimize` walks its input again and charges the
     states it discovers; a deterministic walk minimized as it stands, as
     the congruence walks and the class walks of a decomposition are,
-    charges each of its states once.
+    charges each of its states once.  The tagged gadget of
+    :mod:`autorel.tm` is such a walk: at k = 2 it charges the states of its
+    one walk over the three tagged parts and of the join for the machine's
+    successor configurations.
     An emptiness, witness or partition check is a search: it charges one
     unit per state it discovers (a product state, a subset or a tuple of
     subsets) and stops at the first witness, so it charges at most what

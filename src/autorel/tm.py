@@ -259,13 +259,6 @@ def wf_checks(t: TuringMachine, depth: int = 32) -> WfReport:
 # ---------------------------------------------------------------------------
 # The tagged colorability gadget
 
-def _equal_pairs(lang: MultiTrackAutomaton) -> MultiTrackAutomaton:
-    """{(w, w) : w in lang} as a 2-track automaton."""
-    trans = [(src, (sym[0], sym[0]), dst) for src, sym, dst in lang.transitions]
-    return au._freeze(2, lang.alphabet, lang.states, lang.initial,
-                      lang.accepting, trans)
-
-
 def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
     """Tagged configuration graph whose 2-regular colorability encodes the
     regularity of the machine's reachable set.
@@ -273,8 +266,12 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
     Vertices B.c / R.c; edges B.c -> R.c, R.c -> B.c' for steps c -> c',
     and B.c_init -> B.c' for every other predecessor-free configuration.
     For k > 2 a (k-2)-clique of fresh letters is wired to every vertex
-    incident to an edge.  The three tagged parts share one initial state,
-    which reads the tag column (B,R), (R,B) or (B,B) into its part.
+    incident to an edge.  The k = 2 edges are one deterministic walk,
+    minimized as it stands: from a fresh initial state, the tag column
+    (B,B), (B,R) or (R,B) leads into its part, which reads the machine's
+    own automata in place, so no part is built, frozen and read again.
+    At k = 2 only that walk's states and those of the join for the
+    successor configurations are charged to the state budget.
     """
     if k < 2:
         raise AutomataError("k must be >= 2")
@@ -285,24 +282,46 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
             raise MachineError(f"tag symbol {tag!r} collides with the machine alphabet")
     alpha = au.check_alphabet(base_alpha + ("B", "R") + clique)
 
-    configs = au.extend_alphabet(configs_language(t), alpha)
-    step = au.extend_alphabet(config_graph(t).base, alpha)
+    configs = configs_language(t)
+    graph = config_graph(t)
+    step = graph.base
+    (head,) = c_init = initial_config(t)
+    # B.c_init -> B.c' for c' in configs \ (pi2(step) + {c_init}), walked
+    # lazily: c_init's one letter beside the first of c', then padding beside
+    # the rest (no configuration is empty).  Each part is deterministic, so
+    # the walk is.
+    others, other_moves, other_accepts = au._difference_product(
+        configs, au.union(rel.project_second(graph),
+                          au.word_language(c_init, base_alpha)))
 
-    c_init = initial_config(t)
-    inits = au.extend_alphabet(machine_init_configs(t), alpha)
-    others = au.difference(inits, au.word_language(c_init, alpha))
-    from . import recognizable as rc
-    init_pairs = rc.product_relation(au.word_language(c_init, alpha), others).base
-    trans, accepting, off = [], set(), 1  # state 0 reads each tag into its part
-    for tag, part in ((("B", "R"), _equal_pairs(configs)), (("R", "B"), step),
-                      (("B", "B"), init_pairs)):
-        trans += [(0, tag, q + off) for q in part.initial]
-        trans += [(s + off, sym, d + off) for s, sym, d in part.transitions]
-        accepting.update(q + off for q in part.accepting)
-        off += part.states
-    edges = au._freeze(2, alpha, off, {0}, accepting, trans)  # a DFA, as the parts are
+    def successors(state):
+        part, s = state
+        if part == "B.c'":  # c_init's letter, else padding, beside others' state
+            x, r = s
+            for (y,), d in other_moves(r):
+                yield (x, y), (part, (PAD, d))
+        elif part == "B.c":
+            for (x,), d in configs._adj[s]:
+                yield (x, x), (part, d)
+        elif part == "R.c":
+            for sym, d in au._subset_moves(step._adj, step._rank, s):
+                yield sym, (part, d)
+        else:  # the fresh initial state, tag columns in column order
+            yield ("B", "B"), ("B.c'", (head, *others))
+            yield ("B", "R"), ("B.c", *configs.initial)
+            yield ("R", "B"), ("R.c", step.initial)
 
+    def accepts(state):
+        part, s = state
+        if part == "B.c'":
+            return s[0] == PAD and other_accepts(s[1])
+        if part == "B.c":
+            return s in configs.accepting
+        return part == "R.c" and not step.accepting.isdisjoint(s)
+
+    edges = au._explore_minimal(2, alpha, [("", None)], successors, accepts)
     if k > 2:
+        from . import recognizable as rc
         tagged = rel._wrap(edges)
         incident = au.determinize_minimize(
             au.union(rel.project_first(tagged), rel.project_second(tagged)))

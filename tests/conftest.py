@@ -684,10 +684,38 @@ def min_cover_oracle(ones, kmax):
     return None
 
 
+# symbols json.dumps escapes, and "%" for the emitter's %-format rows
+ODD_SYMBOLS = ('"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "λ", "日", "\U0001f600",
+               "%s", "%d", "a b")
+
+
+def random_machine(rng, symbols=("a", "b") + ODD_SYMBOLS):
+    """A random machine over ``symbols`` ("a", "b" and symbols json.dumps
+    escapes by default); it may have no final states and no transitions."""
+    pool = [s for s in symbols if "|" not in s]
+    states = rng.sample(pool, rng.randint(1, 4))
+    tape = rng.sample(pool, rng.randint(1, 4))
+    blank = rng.choice([s for s in pool + ["_"] if s not in tape])
+    initial = rng.choice(states)
+    finals = rng.sample(states, rng.randint(0, len(states) - 1))
+    delta = {(q, s): (rng.choice(states), rng.choice(tape), rng.choice("LR"))
+             for q in states if q not in finals for s in tape + [blank]
+             if rng.random() < 0.5}
+    return tm.make_machine(states, tape, blank, initial, finals, delta)
+
+
+def equal_pairs(lang):
+    """{(w, w) : w in lang} as a 2-track automaton."""
+    trans = [(src, (sym[0], sym[0]), dst) for src, sym, dst in lang.transitions]
+    return au._freeze(2, lang.alphabet, lang.states, lang.initial,
+                      lang.accepting, trans)
+
+
 def coloring_gadget_oracle(t, k):
     """The tagged gadget as three prepended parts joined by ``au.union``:
     an NFA with three initial states, which the canonical form
-    determinizes."""
+    determinizes.  Each part is built and frozen, over the tagged
+    alphabet, before the union reads it."""
 
     def prepend_column(base, col):  # col . L(base)
         n = base.states
@@ -696,10 +724,13 @@ def coloring_gadget_oracle(t, k):
 
     base_alpha = tm.config_alphabet(t)
     clique = tuple(f"K#{i}" for i in range(1, k - 1))
+    for tag in ("B", "R", *clique):
+        if tag in base_alpha:
+            raise tm.MachineError(f"tag symbol {tag!r} collides with the machine alphabet")
     alpha = base_alpha + ("B", "R") + clique
     configs = au.extend_alphabet(tm.configs_language(t), alpha)
     step = au.extend_alphabet(tm.config_graph(t).base, alpha)
-    blue_red = prepend_column(tm._equal_pairs(configs), ("B", "R"))
+    blue_red = prepend_column(equal_pairs(configs), ("B", "R"))
     red_blue = prepend_column(step, ("R", "B"))
     c_init = tm.initial_config(t)
     inits = au.extend_alphabet(tm.machine_init_configs(t), alpha)

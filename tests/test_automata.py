@@ -26,7 +26,8 @@ from conftest import (CONSTRUCTOR_FAULTS, JSON_REFUSED_FAULTS, accepts_by_subset
                       deterministic_oracle, difference_oracle, difference_witness_oracle,
                       emptiness_shortest_oracle, epsilon_language,
                       intersection_witness_oracle, lang_upto, moore_minimize_oracle,
-                      neq_relation, project_oracle, random_dfa, random_language,
+                      neq_relation, ODD_SYMBOLS, project_oracle, random_dfa,
+                      random_language, random_machine,
                       random_nfa, random_padded_relation, random_relation, rank_oracle,
                       residual_signatures, satisfies_valid_pad_oracle, subset_column_words,
                       the_80_draws, words_upto)
@@ -1056,11 +1057,6 @@ def test_json_round_trip_object_and_bytes():
     assert au.dumps(back) == text
 
 
-# symbols json.dumps escapes, and "%" for the emitter's %-format rows
-_ODD_SYMBOLS = ('"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "λ", "日", "\U0001f600",
-                "%s", "%d", "a b")
-
-
 def _random_emittable(rng, tracks, alphabet):
     """A random automaton that may have no states, no initial or accepting
     states and no transitions."""
@@ -1080,7 +1076,7 @@ def test_dumps_match_json_dumps_on_random_automata():
     rng = random.Random(1515)
     seen = set()
     for _ in range(400):
-        alphabet = tuple(rng.sample(AB + _ODD_SYMBOLS, rng.randint(1, 4)))
+        alphabet = tuple(rng.sample(AB + ODD_SYMBOLS, rng.randint(1, 4)))
         a = _random_emittable(rng, rng.randint(1, 3), alphabet)
         seen.update(field for field in ("states", "initial", "accepting", "transitions")
                     if not getattr(a, field))
@@ -1109,21 +1105,6 @@ def test_dumps_match_json_dumps_on_machine_graphs(machine):
             assert au.dumps(a) == _json_dumps(au.to_json_dict(a))
 
 
-def _random_machine(rng):
-    """A random machine over symbols json.dumps escapes; it may have no
-    final states and no transitions."""
-    pool = [s for s in AB + _ODD_SYMBOLS if "|" not in s]
-    states = rng.sample(pool, rng.randint(1, 4))
-    tape = rng.sample(pool, rng.randint(1, 4))
-    blank = rng.choice([s for s in pool + ["_"] if s not in tape])
-    initial = rng.choice(states)
-    finals = rng.sample(states, rng.randint(0, len(states) - 1))
-    delta = {(q, s): (rng.choice(states), rng.choice(tape), rng.choice("LR"))
-             for q in states if q not in finals for s in tape + [blank]
-             if rng.random() < 0.5}
-    return tm.make_machine(states, tape, blank, initial, finals, delta)
-
-
 def test_dumps_match_json_dumps_on_machines():
     # the fixtures, their padded machines (alphabets of 179 to 545 symbols)
     # and random machines
@@ -1131,7 +1112,7 @@ def test_dumps_match_json_dumps_on_machines():
                 tm.two_cycle_fixture()]
     rng = random.Random(2727)
     machines = (fixtures + [tm.pad_transform(t) for t in fixtures]
-                + [_random_machine(rng) for _ in range(200)])
+                + [random_machine(rng) for _ in range(200)])
     assert any(not t.delta for t in machines) and any(not t.finals for t in machines)
     for t in machines:
         assert tm.dumps_machine(t) == _json_dumps(tm.machine_to_json_dict(t))

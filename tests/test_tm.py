@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import islice, product
 
@@ -8,8 +9,8 @@ from autorel import coloring as co
 from autorel import relations as rel
 from autorel import tm
 
-from conftest import (coloring_gadget_oracle, decode_config, encode_config, from_word_list,
-                      split_head_token)
+from conftest import (ODD_SYMBOLS, coloring_gadget_oracle, decode_config, encode_config,
+                      from_word_list, random_machine, split_head_token)
 
 AB = ("a", "b")
 
@@ -255,14 +256,25 @@ def test_gadget_clique_extension():
     assert e.contains(("K#1",), ("B",) + c0)
 
 
-@pytest.mark.parametrize("machine", [tm.halting_fixture(), tm.looping_fixture(),
-                                     tm.mixed_fixture(), tm.two_cycle_fixture()])
+# Units the gadget charges, for the machine and for its pad transform, at
+# k = 2, 3, 4.  At k = 2: the states of the join for pi2(step), then those
+# of the one walk over the tagged parts.  At k >= 3 also the two
+# projections of the canonical k = 2 edges, the clique products and the
+# canonical form of their union.
+GADGET_UNITS = {
+    tm.halting_fixture(): ((22, 90, 105), (83, 287, 302)),
+    tm.looping_fixture(): ((16, 68, 83), (60, 217, 232)),
+    tm.mixed_fixture(): ((28, 107, 122), (110, 389, 404)),
+    tm.two_cycle_fixture(): ((24, 95, 110), (74, 271, 286)),
+}
+
+
+@pytest.mark.parametrize("machine", list(GADGET_UNITS))
 def test_gadget_matches_the_union_of_three_prepended_parts(machine):
-    # the tagged parts share one initial state, so the canonical form walks
-    # a DFA; the bytes match the NFA of three initial states, and the two
-    # projections at k >= 3 each charge two initial states fewer
-    for t in (machine, tm.pad_transform(machine)):
-        for k in (2, 3, 4):
+    # one deterministic walk gives the bytes of the NFA of three prepended
+    # parts, and charges fewer units than building those parts does
+    for units, t in zip(GADGET_UNITS[machine], (machine, tm.pad_transform(machine))):
+        for k, pinned in zip((2, 3, 4), units):
             with au.state_budget():
                 got = au.dumps(tm.coloring_gadget(t, k).base)
                 charged = au._active_budget().used
@@ -270,7 +282,34 @@ def test_gadget_matches_the_union_of_three_prepended_parts(machine):
                 want = au.dumps(coloring_gadget_oracle(t, k).base)
                 oracle_charged = au._active_budget().used
             assert got == want, (t, k)
-            assert charged == oracle_charged - (4 if k > 2 else 0), (t, k)
+            assert charged == pinned < oracle_charged, (t, k, charged, oracle_charged)
+
+
+def test_gadget_matches_the_oracle_on_random_machines():
+    # 40 seeded machines, every fourth drawn with the tag letters among its
+    # symbols, and the pad transform of each reversible one
+    rng = random.Random(3030)
+    tags = ("B", "R", "K#1")
+    machines = [random_machine(rng, ("a", "b") + ODD_SYMBOLS + (tags if i % 4 == 0 else ()))
+                for i in range(40)]
+    padded = []
+    for t in machines:
+        try:
+            padded.append(tm.pad_transform(t))
+        except tm.PadTransformError:
+            pass
+    clashes = 0
+    for t in machines + padded:
+        for k in (2, 3):
+            try:
+                want = au.dumps(coloring_gadget_oracle(t, k).base)
+            except tm.MachineError as e:
+                clashes += 1
+                with pytest.raises(tm.MachineError, match=re.escape(str(e))):
+                    tm.coloring_gadget(t, k)
+                continue
+            assert au.dumps(tm.coloring_gadget(t, k).base) == want, (t, k)
+    assert padded and clashes
 
 
 def test_gadget_tag_clash_rejected():
