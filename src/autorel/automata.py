@@ -104,10 +104,11 @@ def state_budget(limit: Optional[int] = None):
     :func:`determinize_minimize` walks its input again and charges the
     states it discovers; a deterministic walk minimized as it stands, as
     the congruence walks and the class walks of a decomposition are,
-    charges each of its states once.  The tagged gadget of
-    :mod:`autorel.tm` is such a walk: at k = 2 it charges the states of its
-    one walk over the three tagged parts and of the join for the machine's
-    successor configurations.
+    charges each of its states once, as :func:`complement_relative` and
+    the tagged gadget of :mod:`autorel.tm`, at every k, do.  The gadget and
+    :func:`~autorel.recognizable.lift_to_kprod` also charge each column
+    between two fresh letters before writing any: n(n-1) and 2n^2 units,
+    n = k - 2.
     An emptiness, witness or partition check is a search: it charges one
     unit per state it discovers (a product state, a subset or a tuple of
     subsets) and stops at the first witness, so it charges at most what
@@ -788,12 +789,13 @@ def union(first: MultiTrackAutomaton, *rest: MultiTrackAutomaton) -> MultiTrackA
 def complement_relative(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """ValidPad(t) minus L(a), canonical.
 
-    The :func:`difference` of the ValidPad DFA and ``a``: it follows every
-    legal column, (|alphabet|+1)^t - 1 of them, from each pad mask, so it
-    is meant for the small alphabets where a true complement is needed.
+    The :func:`difference` of the ValidPad DFA and ``a``, a deterministic
+    walk minimized as it stands.  It follows every legal column,
+    (|alphabet|+1)^t - 1 of them, from each pad mask, so it is meant for
+    the small alphabets where a true complement is needed.
     """
-    return determinize_minimize(
-        difference(valid_pad_automaton(a.tracks, a.alphabet), a))
+    return _explore_minimal(a.tracks, a.alphabet, *_difference_product(
+        valid_pad_automaton(a.tracks, a.alphabet), a))
 
 
 def difference(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> MultiTrackAutomaton:

@@ -232,7 +232,10 @@ def lift_to_kprod(r1: AutomaticRelation, r2: AutomaticRelation, k: int) -> tuple
 
     Adds letters a#1..a#(k-2), b#1..b#(k-2); R1 gains the pairs (a#i, b#i)
     and R2 gains every other pair touching a fresh letter, so any k-product
-    separator must spend k-2 products on the fresh diagonal.
+    separator must spend k-2 products on the fresh diagonal.  Each side's
+    fresh pairs are one DFA, of 2 states for R1 and 4 for R2, and the
+    2(k-2)^2 columns between two fresh letters are charged to the state
+    budget before any is written.
     """
     if k < 2:
         raise AutomataError("k must be >= 2")
@@ -245,28 +248,24 @@ def lift_to_kprod(r1: AutomaticRelation, r2: AutomaticRelation, k: int) -> tuple
     for sym in fresh_a + fresh_b:
         if sym in r1.alphabet:
             raise SymbolClashError(f"fresh symbol {sym!r} already in alphabet")
-    alpha = tuple(r1.alphabet) + fresh_a + fresh_b
+    au._active_budget().charge(2 * (k - 2) ** 2)
+    old = tuple(r1.alphabet)
+    alpha = au.check_alphabet(old + fresh_a + fresh_b)
+    diagonal = au._freeze(2, alpha, 2, {0}, {1}, [(0, p, 1) for p in zip(fresh_a, fresh_b)])
+    new_r1 = rel._wrap(au.union(au.extend_alphabet(r1.base, alpha), diagonal))
 
-    base1 = au.extend_alphabet(r1.base, alpha)
-    pairs1 = rel.finite_relation(
-        [((fresh_a[i],), (fresh_b[i],)) for i in range(k - 2)], alpha)
-    new_r1 = rel._wrap(au.union(base1, pairs1.base))
-
-    old_words = au.extend_alphabet(au.full_language(r1.alphabet), alpha)
-    parts = [au.extend_alphabet(r2.base, alpha)]
-    for i in range(k - 2):
-        ai = au.word_language((fresh_a[i],), alpha)
-        bi = au.word_language((fresh_b[i],), alpha)
-        parts.append(product_relation(ai, old_words).base)
-        parts.append(product_relation(old_words, bi).base)
-        for j in range(k - 2):
-            bj = au.word_language((fresh_b[j],), alpha)
-            aj = au.word_language((fresh_a[j],), alpha)
-            if i != j:
-                parts.append(product_relation(ai, bj).base)
-            parts.append(product_relation(bi, aj).base)
-    new_r2 = rel._wrap(au.determinize_minimize(au.union(*parts)))
-    return (new_r1, new_r2)
+    # a#i x old, old x b#i, a#i x b#j (i != j) and b#i x a#j: state 0 reads
+    # the first column, 1 and 2 the rest of an old word beside padding, and
+    # 3 nothing more
+    trans = [(1, (x, PAD), 1) for x in old] + [(2, (PAD, x), 2) for x in old]
+    for ai, bi in zip(fresh_a, fresh_b):
+        trans += [(0, (ai, x), 2) for x in old] + [(0, (x, bi), 1) for x in old]
+        trans += [(0, (ai, PAD), 3), (0, (PAD, bi), 3)]
+        trans += [(0, (ai, bj), 3) for bj in fresh_b if bj != bi]
+        trans += [(0, (bi, aj), 3) for aj in fresh_a]
+    fresh_pairs = au._freeze(2, alpha, 4, {0}, {1, 2, 3}, trans)
+    return (new_r1, rel._wrap(au.determinize_minimize(
+        au.union(au.extend_alphabet(r2.base, alpha), fresh_pairs))))
 
 
 # ---------------------------------------------------------------------------

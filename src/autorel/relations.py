@@ -316,6 +316,8 @@ def fixtures(name: str, **params) -> AutomaticRelation:
     if key == "tree":
         return tree_relation(params.get("alphabet", ("a", "b")))
     if key == "gadget":
+        if "machine" not in params:
+            raise FixtureError("the gadget fixture needs machine=<a TuringMachine>")
         from . import tm
         return tm.coloring_gadget(params["machine"], params.get("k", 2))
     raise FixtureError(f"unknown fixture {name!r}")

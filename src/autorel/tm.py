@@ -265,13 +265,16 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
 
     Vertices B.c / R.c; edges B.c -> R.c, R.c -> B.c' for steps c -> c',
     and B.c_init -> B.c' for every other predecessor-free configuration.
-    For k > 2 a (k-2)-clique of fresh letters is wired to every vertex
-    incident to an edge.  The k = 2 edges are one deterministic walk,
-    minimized as it stands: from a fresh initial state, the tag column
-    (B,B), (B,R) or (R,B) leads into its part, which reads the machine's
-    own automata in place, so no part is built, frozen and read again.
-    At k = 2 only that walk's states and those of the join for the
-    successor configurations are charged to the state budget.
+    For k > 2 a (k-2)-clique of fresh letters K#i is wired to every vertex
+    incident to an edge: to every B.c and R.c, as B.c -> R.c is an edge
+    for every configuration c.  At every k the edges are one deterministic
+    walk, minimized as it stands.  From a fresh initial state, in column
+    order, (B,B), (B,R) or (R,B) leads into its part, (K#i, B) and (K#i, R)
+    into a part that reads c beside padding, and (K#i, K#j), i != j, into
+    an accepting state with no moves.  The parts read the machine's own
+    automata in place.  The walk's states, those of the join for the
+    successor configurations and, before the walk, the n(n-1) columns
+    (K#i, K#j), n = k - 2, are charged to the state budget.
     """
     if k < 2:
         raise AutomataError("k must be >= 2")
@@ -280,6 +283,7 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
     for tag in ("B", "R", *clique):
         if tag in base_alpha:
             raise MachineError(f"tag symbol {tag!r} collides with the machine alphabet")
+    au._active_budget().charge(len(clique) * (len(clique) - 1))
     alpha = au.check_alphabet(base_alpha + ("B", "R") + clique)
 
     configs = configs_language(t)
@@ -300,41 +304,30 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
             x, r = s
             for (y,), d in other_moves(r):
                 yield (x, y), (part, (PAD, d))
-        elif part == "B.c":
+        elif part in ("B.c", "K.c"):  # c beside itself, or beside padding
             for (x,), d in configs._adj[s]:
-                yield (x, x), (part, d)
+                yield (x if part == "B.c" else PAD, x), (part, d)
         elif part == "R.c":
             for sym, d in au._subset_moves(step._adj, step._rank, s):
                 yield sym, (part, d)
-        else:  # the fresh initial state, tag columns in column order
+        elif part == "":  # the fresh initial state, columns in column order
             yield ("B", "B"), ("B.c'", (head, *others))
             yield ("B", "R"), ("B.c", *configs.initial)
             yield ("R", "B"), ("R.c", step.initial)
+            for ki in clique:
+                yield (ki, "B"), ("K.c", *configs.initial)
+                yield (ki, "R"), ("K.c", *configs.initial)
+                yield from (((ki, kj), ("K.K", None)) for kj in clique if kj != ki)
 
     def accepts(state):
         part, s = state
         if part == "B.c'":
             return s[0] == PAD and other_accepts(s[1])
-        if part == "B.c":
+        if part in ("B.c", "K.c"):
             return s in configs.accepting
-        return part == "R.c" and not step.accepting.isdisjoint(s)
+        return part == "K.K" or part == "R.c" and not step.accepting.isdisjoint(s)
 
-    edges = au._explore_minimal(2, alpha, [("", None)], successors, accepts)
-    if k > 2:
-        from . import recognizable as rc
-        tagged = rel._wrap(edges)
-        incident = au.determinize_minimize(
-            au.union(rel.project_first(tagged), rel.project_second(tagged)))
-        parts = [edges]
-        for i, ki in enumerate(clique):
-            ki_lang = au.word_language((ki,), alpha)
-            parts.append(rc.product_relation(ki_lang, incident).base)
-            for j, kj in enumerate(clique):
-                if i != j:
-                    parts.append(rc.product_relation(
-                        ki_lang, au.word_language((kj,), alpha)).base)
-        edges = au.union(*parts)
-    return rel._wrap(au.determinize_minimize(edges))
+    return rel._wrap(au._explore_minimal(2, alpha, [("", None)], successors, accepts))
 
 
 # ---------------------------------------------------------------------------

@@ -754,6 +754,45 @@ def coloring_gadget_oracle(t, k):
     return rel._wrap(au.determinize_minimize(edges))
 
 
+def lift_to_kprod_oracle(r1, r2, k):
+    """The lifted instance as O(k^2) products of one-letter languages and
+    Sigma*, joined by ``au.union``: R1's diagonal is a finite relation,
+    and R2's fresh pairs are canonicalized with ``r2`` in one union."""
+    if k < 2:
+        raise au.AutomataError("k must be >= 2")
+    if r1.alphabet != r2.alphabet:
+        raise au.ArityMismatchError("instance relations need one alphabet")
+    if k == 2:
+        return (r1, r2)
+    fresh_a = tuple(f"a#{i}" for i in range(1, k - 1))
+    fresh_b = tuple(f"b#{i}" for i in range(1, k - 1))
+    for sym in fresh_a + fresh_b:
+        if sym in r1.alphabet:
+            raise rc.SymbolClashError(f"fresh symbol {sym!r} already in alphabet")
+    alpha = tuple(r1.alphabet) + fresh_a + fresh_b
+
+    base1 = au.extend_alphabet(r1.base, alpha)
+    pairs1 = rel.finite_relation(
+        [((fresh_a[i],), (fresh_b[i],)) for i in range(k - 2)], alpha)
+    new_r1 = rel._wrap(au.union(base1, pairs1.base))
+
+    old_words = au.extend_alphabet(au.full_language(r1.alphabet), alpha)
+    parts = [au.extend_alphabet(r2.base, alpha)]
+    for i in range(k - 2):
+        ai = au.word_language((fresh_a[i],), alpha)
+        bi = au.word_language((fresh_b[i],), alpha)
+        parts.append(rc.product_relation(ai, old_words).base)
+        parts.append(rc.product_relation(old_words, bi).base)
+        for j in range(k - 2):
+            bj = au.word_language((fresh_b[j],), alpha)
+            aj = au.word_language((fresh_a[j],), alpha)
+            if i != j:
+                parts.append(rc.product_relation(ai, bj).base)
+            parts.append(rc.product_relation(bi, aj).base)
+    new_r2 = rel._wrap(au.determinize_minimize(au.union(*parts)))
+    return (new_r1, new_r2)
+
+
 def random_relation(rng: random.Random, alphabet=("a", "b"), states=3,
                     density=0.5):
     """Random small automatic relation (associated automaton has at most

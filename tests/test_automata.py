@@ -600,6 +600,20 @@ def test_difference_matches_complement_composition():
                 assert au.difference_witness(a, b) == au.emptiness_shortest(expect)
 
 
+def test_complement_relative_charges_each_product_state_once():
+    # the ValidPad product is deterministic and minimized as it is walked,
+    # not walked once more by determinize_minimize
+    rng = random.Random(9095)
+    for tracks, alphabet in ((1, AB), (1, ("b", "a", "c")), (2, AB), (2, ("b", "a"))):
+        for _ in range(10):
+            a = random_nfa(rng, tracks, alphabet, rng.randint(1, 4))
+            with au.state_budget():
+                au.complement_relative(a)
+                charged = au._active_budget().used
+            vp = au.valid_pad_automaton(tracks, alphabet)
+            assert charged == au.difference(vp, a).states, a
+
+
 def _random_pairs(seed, count):
     """``count`` pairs of random NFAs of 1 to 4 states sharing a shape: 1
     track over two or three letters, or 2 tracks over two, in both orders."""

@@ -7,8 +7,8 @@ from autorel import coloring as co
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import (epsilon_language, partition_ok_oracle, product_oracle,
-                      random_language, words_upto)
+from conftest import (epsilon_language, lift_to_kprod_oracle, partition_ok_oracle,
+                      product_oracle, random_language, random_relation, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -220,6 +220,35 @@ def test_lift_separator_transfer():
                       au.word_language((f"b#{i}",), alpha)),)
     lifted = rc.RecognizableRelation(alphabet=alpha, products=products)
     assert rc.verify_separator(lifted, l1, l2).ok
+
+
+def test_lift_matches_the_product_oracle():
+    # a 2-state and a 4-state DFA give the bytes of the O(k^2) products
+    rng = random.Random(3131)
+    pairs = [(rel.successor_relation(1), rel.successor_relation(2)),
+             (rel.equal_length_relation(AB), rel.append_one_relation(AB)),
+             (rel.tree_relation(), rel.make_identity(AB))]
+    for _ in range(20):
+        alpha = rng.choice((A, AB, ("a", "b", "c")))
+        pairs.append((random_relation(rng, alpha, rng.randint(1, 3)),
+                      random_relation(rng, alpha, rng.randint(1, 3))))
+    for r1, r2 in pairs:
+        for k in range(3, 9):
+            (l1, l2), (o1, o2) = rc.lift_to_kprod(r1, r2, k), lift_to_kprod_oracle(r1, r2, k)
+            assert au.dumps(au.determinize_minimize(l1.base)) == \
+                au.dumps(au.determinize_minimize(o1.base)), (r1, r2, k)
+            assert au.dumps(l2.base) == au.dumps(o2.base), (r1, r2, k)
+
+
+def test_lift_charges_its_fresh_pair_columns_before_writing_them():
+    # the fresh pairs are two DFAs of 2 and 4 states, so only the charge for
+    # the 2(k-2)^2 columns between two fresh letters exhausts the budget
+    fc1, fc2 = rel.successor_relation(1), rel.successor_relation(2)
+    with au.state_budget(1000), pytest.raises(au.BudgetExceededError):
+        rc.lift_to_kprod(fc1, fc2, 100)
+    with au.state_budget():
+        rc.lift_to_kprod(fc1, fc2, 100)
+        assert 2 * 98 ** 2 < au._active_budget().used < 2 * 98 ** 2 + 20
 
 
 def test_lift_symbol_clash():

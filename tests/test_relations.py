@@ -190,6 +190,11 @@ def test_fixture_registry():
         rel.fixtures("nope")
 
 
+def test_gadget_fixture_without_a_machine_names_the_parameter():
+    with pytest.raises(rel.FixtureError, match="machine="):
+        rel.fixtures("gadget")
+
+
 def test_successor_relation_charges_its_states_before_building_them():
     with au.state_budget(10), pytest.raises(au.BudgetExceededError):
         rel.successor_relation(10)

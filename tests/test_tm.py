@@ -258,14 +258,15 @@ def test_gadget_clique_extension():
 
 # Units the gadget charges, for the machine and for its pad transform, at
 # k = 2, 3, 4.  At k = 2: the states of the join for pi2(step), then those
-# of the one walk over the tagged parts.  At k >= 3 also the two
-# projections of the canonical k = 2 edges, the clique products and the
-# canonical form of their union.
+# of the one walk over the tagged parts.  k = 3 adds the 3 states of the
+# K.c part, which walks configs_language beside padding.  k = 4 adds the
+# one accepting state that the (K#i, K#j) columns lead to, and the 2 units
+# charged for those columns, n(n-1) with n = k - 2.
 GADGET_UNITS = {
-    tm.halting_fixture(): ((22, 90, 105), (83, 287, 302)),
-    tm.looping_fixture(): ((16, 68, 83), (60, 217, 232)),
-    tm.mixed_fixture(): ((28, 107, 122), (110, 389, 404)),
-    tm.two_cycle_fixture(): ((24, 95, 110), (74, 271, 286)),
+    tm.halting_fixture(): ((22, 25, 28), (83, 86, 89)),
+    tm.looping_fixture(): ((16, 19, 22), (60, 63, 66)),
+    tm.mixed_fixture(): ((28, 31, 34), (110, 113, 116)),
+    tm.two_cycle_fixture(): ((24, 27, 30), (74, 77, 80)),
 }
 
 
@@ -300,7 +301,7 @@ def test_gadget_matches_the_oracle_on_random_machines():
             pass
     clashes = 0
     for t in machines + padded:
-        for k in (2, 3):
+        for k in (2, 3, 4):
             try:
                 want = au.dumps(coloring_gadget_oracle(t, k).base)
             except tm.MachineError as e:
@@ -310,6 +311,17 @@ def test_gadget_matches_the_oracle_on_random_machines():
                 continue
             assert au.dumps(tm.coloring_gadget(t, k).base) == want, (t, k)
     assert padded and clashes
+
+
+def test_gadget_charges_its_clique_columns_before_writing_them():
+    # (K#i, K#j) columns lead to one state, so only the charge for the
+    # n(n-1) columns, n = k - 2, exhausts the budget
+    t = tm.halting_fixture()
+    with au.state_budget(1000), pytest.raises(au.BudgetExceededError):
+        tm.coloring_gadget(t, 100)
+    with au.state_budget():
+        tm.coloring_gadget(t, 100)
+        assert au._active_budget().used == GADGET_UNITS[t][0][0] + 3 + 1 + 98 * 97
 
 
 def test_gadget_tag_clash_rejected():
