@@ -2,8 +2,11 @@
 
 Decision verbs exit 0 (yes, witness emitted), 1 (definitive no) or
 2 (parse error, precondition failure, or exhausted budget).  Witnesses are
-written as canonical JSON so their bytes are reproducible and every emitted
-file re-verifies under the matching verify verb.
+written as canonical JSON so their bytes are reproducible.  Separators
+(from sep-1prod, separator-from-coloring, and definable-kprod against the
+pair that ``reduce --mode def-to-sep`` writes) re-verify under sep-verify,
+and colorings from color-search under color-verify.  No verb reads the
+block partition that definable-krec writes.
 """
 
 from __future__ import annotations

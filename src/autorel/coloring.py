@@ -184,21 +184,29 @@ def coloring_from_separator(s: PartitionedRecognizable) -> RegularColoring:
 
 def _canonical_dfas(alphabet: Sequence[str], n: int) -> Iterator[tuple]:
     """Complete DFAs with n states over the alphabet, every state reachable,
-    states in breadth-first first-visit order; emitted in lexicographic
-    transition-table order."""
+    states in breadth-first first-visit order (Ulyantsev, Zakirzyanov &
+    Shalyto, LATA 2015); emitted in lexicographic transition-table order.
+    Built cell by cell, depth first: a cell holds a state the cells before
+    it reach, or the next one, and a row is filled only once its state is
+    reached, so every table built is yielded."""
     k = len(alphabet)
-    for table in _cartesian(range(n), repeat=n * k):
-        seen = [0]
-        seen_set = {0}
-        for q in seen:
-            for a in range(k):
-                d = table[q * k + a]
-                if d not in seen_set:
-                    seen_set.add(d)
-                    seen.append(d)
-        if len(seen) != n or seen != sorted(seen):
-            continue
-        yield table
+    size = n * k
+    table = [-1] * size  # -1: the cell is not filled yet
+    reached = [1] * (size + 1)  # reached[i]: the states cells 0..i-1 reach, and 0
+    i = 0
+    while i >= 0:
+        if i == size:
+            yield tuple(table)
+            i -= 1
+        elif i % k == 0 and reached[i] <= i // k:  # the row's state is unreached
+            i -= 1
+        elif table[i] < min(reached[i], n - 1):
+            table[i] += 1
+            reached[i + 1] = max(reached[i], table[i] + 1)
+            i += 1
+        else:
+            table[i] = -1
+            i -= 1
 
 
 def _dfa_color_languages(alphabet, n, table, labels, k):
@@ -219,9 +227,10 @@ def bounded_color_search(e: AutomaticRelation, k: int,
     Enumeration is canonical (state count, then transition table, then
     labeling), so the first hit is reproducible.  Each candidate charges
     one unit to the state budget; it is rejected unverified when an edge on
-    words of length <= ``EDGE_SAMPLE_LEN`` is monochrome.  Returns None when
-    the bounded space is exhausted; that is no proof the graph is not
-    k-regular-colorable.
+    words of length <= ``EDGE_SAMPLE_LEN`` is monochrome.  Every table the
+    search builds is followed by at least one charged labeling, so the
+    budget bounds the whole search.  Returns None when the bounded space is
+    exhausted; that is no proof the graph is not k-regular-colorable.
     """
     if k < 1 or state_bound < 1:
         raise AutomataError("k and state_bound must be >= 1")

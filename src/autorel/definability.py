@@ -135,11 +135,10 @@ def _same_rows_walk(*ds: MultiTrackAutomaton):
     # Letters on which every DFA moves alike from every state are alike to
     # the walk on either track.  It reads the first letter of each class, in
     # alphabet order, so a column it reads stands for the product of two
-    # classes.
+    # classes.  PAD comes last, so the pairs of firsts are in column order.
     members = _letter_classes(*ds)
     members[PAD] = [PAD]
-    legal = {mask: [(col, m2) for col in ds[0].column_universe()
-                    if col[0] in members and col[1] in members
+    legal = {mask: [(col, m2) for col in product(members, repeat=2) if col != (PAD, PAD)
                     if (m2 := au._pad_mask_step(mask, col)) is not None]
              for mask in range(4)}
     # by_first[mask][x]: {x2: index of the column (x, x2) in legal[mask]};

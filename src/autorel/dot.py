@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 from . import automata as au
 from .coloring import RegularColoring
-from .relations import AutomaticRelation
+from .relations import AutomaticRelation, relation_pairs
 
 MAX_DOT_VERTICES = 4000
 _PALETTE = (
@@ -30,8 +30,9 @@ def export_dot(e: AutomaticRelation, max_len: int,
     """Render the subgraph on all words of length <= max_len.
 
     Vertices are labeled by their words; edges of the optional secondary
-    relation are dashed; colors fill vertices when a coloring is given.
-    More than ``MAX_DOT_VERTICES`` words raise ``BudgetExceededError``.
+    relation, over the graph's alphabet, are dashed; colors fill vertices
+    when a coloring is given.  Edges are listed off the relations.  More
+    than ``MAX_DOT_VERTICES`` words raise ``BudgetExceededError``.
     """
     alpha = e.alphabet
     vertices = []
@@ -54,11 +55,15 @@ def export_dot(e: AutomaticRelation, max_len: int,
             if idx is not None:
                 attrs.append(f'style=filled fillcolor="{_PALETTE[idx % len(_PALETTE)]}"')
         lines.append(f"  {node[w]} [{' '.join(attrs)}];")
-    for u in vertices:
-        for v in vertices:
-            if au.membership(e.base, (u, v)):
-                lines.append(f"  {node[u]} -> {node[v]};")
-            elif secondary is not None and au.membership(secondary.base, (u, v)):
-                lines.append(f"  {node[u]} -> {node[v]} [style=dashed];")
+    # a pair's words are <= max_len long exactly when its convolution is
+    style: dict = {}  # (u, v) -> the attributes of its edge
+    if secondary is not None:
+        if secondary.alphabet != alpha:
+            raise au.ArityMismatchError("graph and secondary relation must share the alphabet")
+        style = dict.fromkeys(relation_pairs(secondary, max_len), " [style=dashed]")
+    style.update(dict.fromkeys(relation_pairs(e, max_len), ""))  # a pair of both is solid
+    index = {w: i for i, w in enumerate(vertices)}
+    for u, v in sorted(style, key=lambda p: (index[p[0]], index[p[1]])):
+        lines.append(f"  {node[u]} -> {node[v]}{style[u, v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -331,9 +331,9 @@ def parse_relation_spec(text: str,
                         alphabet: Optional[Sequence[str]] = None) -> AutomaticRelation:
     tokens = _tokenize(text)
     try:  # parsing and evaluation both recurse once per nesting level
-        expr, rest = _parse_expr(tokens)
-        if rest:
-            raise AutomataError(f"trailing tokens in relation spec: {rest[:3]}")
+        expr, end = _parse_expr(tokens, 0)
+        if end < len(tokens):
+            raise AutomataError(f"trailing tokens in relation spec: {tokens[end:end + 3]}")
         return _eval_spec(expr, tuple(alphabet) if alphabet else None)
     except RecursionError:
         raise AutomataError("relation spec nested too deeply") from None
@@ -365,21 +365,22 @@ def _tokenize(text: str) -> list:
     return out
 
 
-def _parse_expr(tokens: list):
-    if not tokens:
+def _parse_expr(tokens: list, i: int):
+    """The expression that starts at token i, and the index after it."""
+    if i == len(tokens):
         raise AutomataError("empty relation spec")
-    head, rest = tokens[0], tokens[1:]
+    head, i = tokens[i], i + 1
     if head == "(":
         items = []
-        while rest and rest[0] != ")":
-            item, rest = _parse_expr(rest)
+        while i < len(tokens) and tokens[i] != ")":
+            item, i = _parse_expr(tokens, i)
             items.append(item)
-        if not rest:
+        if i == len(tokens):
             raise AutomataError("unbalanced parenthesis in relation spec")
-        return items, rest[1:]
+        return items, i + 1
     if head == ")":
         raise AutomataError("unexpected ) in relation spec")
-    return head, rest
+    return head, i
 
 
 #: Argument count of each fixed-arity spec constructor; ``pairs`` takes any.

@@ -289,31 +289,32 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
     configs = configs_language(t)
     graph = config_graph(t)
     step = graph.base
-    (head,) = c_init = initial_config(t)
+    (head,) = initial_config(t)
     # B.c_init -> B.c' for c' in configs \ (pi2(step) + {c_init}), walked
     # lazily: c_init's one letter beside the first of c', then padding beside
-    # the rest (no configuration is empty).  Each part is deterministic, so
-    # the walk is.
+    # the rest (no configuration is empty; a blank head token ends one, so
+    # only c_init starts with its own).  Each part is deterministic, so the
+    # walk is.
     others, other_moves, other_accepts = au._difference_product(
-        configs, au.union(rel.project_second(graph),
-                          au.word_language(c_init, base_alpha)))
+        configs, rel.project_second(graph))
 
     def successors(state):
         part, s = state
         if part == "B.c'":  # c_init's letter, else padding, beside others' state
             x, r = s
             for (y,), d in other_moves(r):
-                yield (x, y), (part, (PAD, d))
+                if y != x:  # x is PAD after the first column
+                    yield (x, y), (part, (PAD, d))
         elif part in ("B.c", "K.c"):  # c beside itself, or beside padding
             for (x,), d in configs._adj[s]:
                 yield (x if part == "B.c" else PAD, x), (part, d)
-        elif part == "R.c":
-            for sym, d in au._subset_moves(step._adj, step._rank, s):
+        elif part == "R.c":  # config_graph is deterministic
+            for sym, d in step._adj[s]:
                 yield sym, (part, d)
         elif part == "":  # the fresh initial state, columns in column order
             yield ("B", "B"), ("B.c'", (head, *others))
             yield ("B", "R"), ("B.c", *configs.initial)
-            yield ("R", "B"), ("R.c", step.initial)
+            yield ("R", "B"), ("R.c", *step.initial)
             for ki in clique:
                 yield (ki, "B"), ("K.c", *configs.initial)
                 yield (ki, "R"), ("K.c", *configs.initial)
@@ -325,7 +326,7 @@ def coloring_gadget(t: TuringMachine, k: int = 2) -> AutomaticRelation:
             return s[0] == PAD and other_accepts(s[1])
         if part in ("B.c", "K.c"):
             return s in configs.accepting
-        return part == "K.K" or part == "R.c" and not step.accepting.isdisjoint(s)
+        return part == "K.K" or part == "R.c" and s in step.accepting
 
     return rel._wrap(au._explore_minimal(2, alpha, [("", None)], successors, accepts))
 
@@ -344,6 +345,10 @@ def reach_bfs(r: AutomaticRelation, start: Sequence[str], max_len: int,
     """Forward closure from one word, capped by word length and step count."""
     from collections import deque
     start = tuple(start)
+    order = {s: i for i, s in enumerate(r.alphabet)}
+    for x in start:
+        if x not in order:
+            raise au.UnknownSymbolError(f"symbol {x!r} outside alphabet")
     seen = {start}
     queue = deque([start])
     truncated = False
@@ -360,8 +365,7 @@ def reach_bfs(r: AutomaticRelation, start: Sequence[str], max_len: int,
             elif nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    order = {s: i for i, s in enumerate(r.alphabet)}
-    words = sorted(seen, key=lambda w: (len(w), [order.get(c, len(order)) for c in w]))
+    words = sorted(seen, key=lambda w: (len(w), [order[c] for c in w]))
     return ReachResult(words=tuple(words), truncated=truncated)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from autorel import automata as au
 from autorel import definability as de
+from autorel import dot
 from autorel import recognizable as rc
 from autorel import relations as rel
 from autorel import tm
@@ -1003,6 +1004,57 @@ def valid_pad_walk_size(a):
                 seen.add(nxt)
                 todo.append(nxt)
     return len(seen)
+
+
+def canonical_dfas_oracle(alphabet, n):
+    """Every n-state transition table over the alphabet, in lexicographic
+    order, kept when a breadth-first walk from state 0 visits all n states
+    in increasing order."""
+    k = len(alphabet)
+    for table in product(range(n), repeat=n * k):
+        seen = [0]
+        seen_set = {0}
+        for q in seen:
+            for a in range(k):
+                d = table[q * k + a]
+                if d not in seen_set:
+                    seen_set.add(d)
+                    seen.append(d)
+        if len(seen) != n or seen != sorted(seen):
+            continue
+        yield table
+
+
+def export_dot_oracle(e, max_len, coloring=None, secondary=None):
+    """The DOT slice with its edges found by a membership test of every
+    ordered pair of vertices."""
+    alpha = e.alphabet
+    vertices = []
+    for n in range(max_len + 1):
+        for w in product(alpha, repeat=n):
+            vertices.append(w)
+            if len(vertices) > dot.MAX_DOT_VERTICES:
+                raise au.BudgetExceededError(
+                    f"more than {dot.MAX_DOT_VERTICES} vertices at max_len={max_len}")
+    labels = [dot._label(w) for w in vertices]
+    names = labels if len(set(labels)) == len(labels) else map(str, range(len(vertices)))
+    node = {w: dot._quote(name) for w, name in zip(vertices, names)}
+    lines = ["digraph automatic {", "  rankdir=LR;"]
+    for w, label in zip(vertices, labels):
+        attrs = [f"label={dot._quote(label)}"]
+        if coloring is not None:
+            idx = coloring.color_of(w)
+            if idx is not None:
+                attrs.append(f'style=filled fillcolor="{dot._PALETTE[idx % len(dot._PALETTE)]}"')
+        lines.append(f"  {node[w]} [{' '.join(attrs)}];")
+    for u in vertices:
+        for v in vertices:
+            if au.membership(e.base, (u, v)):
+                lines.append(f"  {node[u]} -> {node[v]};")
+            elif secondary is not None and au.membership(secondary.base, (u, v)):
+                lines.append(f"  {node[u]} -> {node[v]} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

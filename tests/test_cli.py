@@ -195,6 +195,13 @@ def test_reach_rejects_a_start_word_outside_the_alphabet(fx, capsys):
     assert captured.err.startswith("error: ") and "'z'" in captured.err
 
 
+@pytest.mark.parametrize("max_steps", ["0", "1"])
+def test_reach_checks_the_start_word_before_any_step(fx, capsys, max_steps):
+    assert run("reach", "--rel", str(fx / "fc1.json"), "--start", "zz",
+               "--max-steps", max_steps) == 2
+    assert capsys.readouterr() == ("", "error: symbol 'z' outside alphabet\n")
+
+
 def _in_process(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -279,6 +286,15 @@ def test_export_dot_with_coloring_and_secondary(fx, tmp_path):
                "--out", str(dotfile)) == 0
     text = dotfile.read_text()
     assert "fillcolor" in text and "style=dashed" in text
+
+
+@pytest.mark.parametrize("graph, secondary", [("fc1.json", "equal-length.json"),
+                                               ("equal-length.json", "fc1.json")])
+def test_export_dot_refuses_a_secondary_over_another_alphabet(fx, capsys, graph, secondary):
+    assert run("export-dot", "--graph", str(fx / graph), "--r2", str(fx / secondary),
+               "--max-len", "2") == 2
+    assert capsys.readouterr() == (
+        "", "error: graph and secondary relation must share the alphabet\n")
 
 
 def test_export_dot_gives_words_that_spell_one_label_their_own_nodes():

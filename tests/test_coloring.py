@@ -1,15 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
 from autorel import automata as au
 from autorel import coloring as co
+from autorel import dot
 from autorel import recognizable as rc
 from autorel import relations as rel
 
-from conftest import (equivalent_rel, neq_relation, random_relation,
-                      separator_from_kcoloring, words_upto)
+from conftest import (canonical_dfas_oracle, equivalent_rel, export_dot_oracle, neq_relation,
+                      random_nfa, random_relation, separator_from_kcoloring, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -261,6 +265,26 @@ def test_bounded_search_tree_absent_small_bounds():
     assert co.bounded_color_search(tree, 2, 3) is None
 
 
+@pytest.mark.parametrize("alphabet, nmax", [("a", 4), ("ab", 4), ("abc", 3)])
+def test_canonical_dfas_match_the_filter_oracle(alphabet, nmax):
+    for n in range(1, nmax + 1):
+        assert list(co._canonical_dfas(alphabet, n)) == list(canonical_dfas_oracle(alphabet, n))
+
+
+def test_canonical_dfas_count_at_five_states():
+    assert sum(1 for _ in co._canonical_dfas("ab", 5)) == 160_675
+
+
+def test_first_canonical_dfa_over_many_letters_comes_at_once():
+    # a filter over all tables scans 2^40 of them before this first one
+    code = ("from autorel import coloring as co\n"
+            "print(next(co._canonical_dfas([f'x{i}' for i in range(40)], 2)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(co.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.stdout == f"{(0,) * 39 + (1,) + (0,) * 40}\n"
+
+
 def test_bounded_search_budget_distinct():
     # each candidate coloring charges one unit: the whole bounded space
     # holds no coloring, and one unit less raises instead of answering
@@ -321,3 +345,21 @@ def test_round_trips_on_random_instances(rng):
         again = separator_from_kcoloring(e, back)
         assert rc.verify_separator(again.to_recognizable(), *pair).ok
     assert done == 4
+
+
+def test_export_dot_lists_the_edges_the_membership_loop_finds():
+    eqlen, ap1 = rel.equal_length_relation(AB), rel.append_one_relation(AB)
+    nfa = au.restrict_valid_pad(random_nfa(random.Random(4242), 2, AB, 4))
+    assert not nfa.deterministic
+    cases = [
+        (rel.successor_relation(1), None, None),
+        (rel.tree_relation(), None, None),
+        (eqlen, co.RegularColoring(colors=parity_colors(AB)), ap1),
+        (rel.finite_relation([(("a", "b"), ("ab",)), (("ab",), ())], ("a", "b", "ab")),
+         None, None),
+        (rel.relation(nfa), None, eqlen),
+    ]
+    for e, coloring, secondary in cases:
+        for max_len in range(6):
+            want = export_dot_oracle(e, max_len, coloring, secondary)
+            assert dot.export_dot(e, max_len, coloring, secondary) == want, (e, max_len)

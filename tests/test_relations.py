@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,32 @@ def test_relation_spec_parsing():
     assert equivalent_rel(comp, rel.successor_relation(2))
     with pytest.raises(au.AutomataError):
         rel.parse_relation_spec("(union (fc 1)", A)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("", "empty relation spec"),
+    (")", "unexpected ) in relation spec"),
+    ("(fc 1) )", "trailing tokens in relation spec: [')']"),
+    ("(union (fc 1)", "unbalanced parenthesis in relation spec"),
+    ("(fc 1) x (y) z w", "trailing tokens in relation spec: "
+                         "[('atom', 'x'), '(', ('atom', 'y')]"),
+    ("(fc 1) ((fc 2)", "trailing tokens in relation spec: ['(', '(', ('atom', 'fc')]"),
+    ("(inverse " * 2000, "relation spec nested too deeply"),
+])
+def test_relation_spec_parse_errors(spec, message):
+    with pytest.raises(au.AutomataError) as info:
+        rel.parse_relation_spec(spec, A)
+    assert str(info.value) == message
+
+
+def test_relation_spec_parses_in_linear_time():
+    # 64,003 tokens in one list, refused only once parsed: a parse that
+    # copies the tokens left at every token takes seconds on this input
+    spec = "(no-such" + " a" * 64_000 + " \"a\")"
+    start = time.perf_counter()
+    with pytest.raises(au.AutomataError, match="unknown relation constructor 'no-such'"):
+        rel.parse_relation_spec(spec, A)
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=12, deadline=None)

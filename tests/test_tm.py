@@ -261,12 +261,13 @@ def test_gadget_clique_extension():
 # of the one walk over the tagged parts.  k = 3 adds the 3 states of the
 # K.c part, which walks configs_language beside padding.  k = 4 adds the
 # one accepting state that the (K#i, K#j) columns lead to, and the 2 units
-# charged for those columns, n(n-1) with n = k - 2.
+# charged for those columns, n(n-1) with n = k - 2.  The (B,B) part leaves
+# c_init out at its first column, so no state is reached by c_init's word.
 GADGET_UNITS = {
-    tm.halting_fixture(): ((22, 25, 28), (83, 86, 89)),
-    tm.looping_fixture(): ((16, 19, 22), (60, 63, 66)),
-    tm.mixed_fixture(): ((28, 31, 34), (110, 113, 116)),
-    tm.two_cycle_fixture(): ((24, 27, 30), (74, 77, 80)),
+    tm.halting_fixture(): ((21, 24, 27), (82, 85, 88)),
+    tm.looping_fixture(): ((15, 18, 21), (59, 62, 65)),
+    tm.mixed_fixture(): ((27, 30, 33), (109, 112, 115)),
+    tm.two_cycle_fixture(): ((23, 26, 29), (73, 76, 79)),
 }
 
 
@@ -286,9 +287,9 @@ def test_gadget_matches_the_union_of_three_prepended_parts(machine):
             assert charged == pinned < oracle_charged, (t, k, charged, oracle_charged)
 
 
-def test_gadget_matches_the_oracle_on_random_machines():
-    # 40 seeded machines, every fourth drawn with the tag letters among its
-    # symbols, and the pad transform of each reversible one
+def _random_machines():
+    """40 seeded machines, every fourth drawn with the tag letters among its
+    symbols, and the pad transform of each reversible one."""
     rng = random.Random(3030)
     tags = ("B", "R", "K#1")
     machines = [random_machine(rng, ("a", "b") + ODD_SYMBOLS + (tags if i % 4 == 0 else ()))
@@ -299,6 +300,20 @@ def test_gadget_matches_the_oracle_on_random_machines():
             padded.append(tm.pad_transform(t))
         except tm.PadTransformError:
             pass
+    return machines, padded
+
+
+def test_config_graph_is_deterministic():
+    # the gadget's (R,B) part walks the step DFA one state at a time
+    fixtures = [f() for f in (tm.halting_fixture, tm.looping_fixture,
+                              tm.mixed_fixture, tm.two_cycle_fixture)]
+    machines, padded = _random_machines()
+    for t in fixtures + [tm.pad_transform(t) for t in fixtures] + machines + padded:
+        assert tm.config_graph(t).base.deterministic, t
+
+
+def test_gadget_matches_the_oracle_on_random_machines():
+    machines, padded = _random_machines()
     clashes = 0
     for t in machines + padded:
         for k in (2, 3, 4):
