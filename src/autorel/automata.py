@@ -105,10 +105,12 @@ def state_budget(limit: Optional[int] = None):
     states it discovers; a deterministic walk minimized as it stands, as
     the congruence walks and the class walks of a decomposition are,
     charges each of its states once, as :func:`complement_relative` and
-    the tagged gadget of :mod:`autorel.tm`, at every k, do.  The gadget and
-    :func:`~autorel.recognizable.lift_to_kprod` also charge each column
-    between two fresh letters before writing any: n(n-1) and 2n^2 units,
-    n = k - 2.
+    the tagged gadget of :mod:`autorel.tm`, at every k, do.  The walk
+    beside one word (:func:`autorel.relations.successor_words` and
+    ``predecessor_words``) charges each (position, state) pair it discovers
+    once.  The gadget and :func:`~autorel.recognizable.lift_to_kprod` also
+    charge each column between two fresh letters before writing any: n(n-1)
+    and 2n^2 units, n = k - 2.
     An emptiness, witness or partition check is a search: it charges one
     unit per state it discovers (a product state, a subset or a tuple of
     subsets) and stops at the first witness, so it charges at most what
@@ -922,19 +924,11 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
     adj_a = _augmented_adj(a)
     acc_a = set(a.accepting) | {a.states}
     acc_b = set(b.accepting) | {b.states}
-    # b state -> join symbol -> [(column, dst)], grouped once per b state in
-    # adjacency order and kept on b, as _step_map is, for the next join on
-    # this track: a walk of images steps through one graph many times
-    by_join = b.__dict__.setdefault(_JOIN_GROUPS, {}).setdefault(join_b, {})
+    moves_of = _moves_by_track(b, join_b)
 
     def successors(state):
         p, q = state
-        moves_b = by_join.get(q)
-        if moves_b is None:  # stored once whole, for concurrent readers
-            moves_b = {}
-            for sym, dst in _augmented_moves(b, q):
-                moves_b.setdefault(sym[join_b], []).append((sym, dst))
-            by_join[q] = moves_b
+        moves_b = moves_of(q)
         for syma, p2 in adj_a.get(p, ()):
             for symb, q2 in moves_b.get(syma[join_a], ()):
                 yield (syma[:join_a] + syma[join_a + 1:]
@@ -953,9 +947,29 @@ def relational_join(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
                    {index[s] for s in start}, accepting, trans)
 
 
-# Instance key of relational_join's cached grouping of an operand's moves.
+# Instance key of _moves_by_track's cached grouping of an automaton's moves.
 # The median seed-41 tm-pipeline round took 57 ms with it and 60 ms without.
 _JOIN_GROUPS = "_join_groups"
+
+
+def _moves_by_track(a: MultiTrackAutomaton, track: int):
+    """The function q -> {symbol: [(column, dst)]}: state q's moves in the
+    adjacency of :func:`_augmented_adj`, grouped by their symbol on
+    ``track`` in adjacency order.  Each state is grouped once and kept on
+    ``a``, as ``_step_map`` is, for the next join or walk on this track: a
+    walk of images or of the words beside one word steps through one graph
+    many times."""
+    groups = a.__dict__.setdefault(_JOIN_GROUPS, {}).setdefault(track, {})
+
+    def moves(q: int) -> dict:
+        out = groups.get(q)
+        if out is None:  # stored once whole, for concurrent readers
+            out = {}
+            for sym, dst in _augmented_moves(a, q):
+                out.setdefault(sym[track], []).append((sym, dst))
+            groups[q] = out
+        return out
+    return moves
 
 
 def _augmented_moves(a: MultiTrackAutomaton, q: int) -> list:
@@ -980,18 +994,28 @@ def iter_column_words(a: MultiTrackAutomaton,
     """Accepted column words of length <= max_len (of any length when None),
     in shortlex order: by length, then column by column in ``symbol_key``
     order.  Lazy, so the first words of an infinite language come cheaply.
+    Listed by :func:`_shortlex_words` along ``_adj``."""
+    yield from _shortlex_words(a.initial, a._adj, a.accepting, a.deterministic,
+                               a._rank, max_len)
+
+
+def _shortlex_words(start: Collection, adj: Mapping, accepting: Collection,
+                    deterministic: bool, rank: Mapping,
+                    max_len: Optional[int]) -> Iterator[tuple]:
+    """The words of the walk from the states ``start`` along ``adj`` (state
+    -> its (label, target) moves, in ``rank`` order) that end in
+    ``accepting``, of length <= max_len (any when None), in shortlex order.
 
     DFAs and NFAs share one pass that finds the reachable states and their
     predecessors, the sets ``ends[r]`` of reachable states that accept a
-    word of exactly r columns (``accepting``, then the predecessors of
+    word of exactly r labels (``accepting``, then the predecessors of
     ``ends[r-1]``), and one :func:`_exact_length_words` walk per length.
-    Only a move is read apart: a DFA steps one state along ``_adj``, which
-    is in ``symbol_key`` order; an NFA steps subsets, merging their moves
-    by column into the targets that accept in the columns left, and a
-    subset meeting ``ends[r]`` is in it.
+    Only a move is read apart: a ``deterministic`` walk, one start state and
+    at most one move per label, steps one state along ``adj``; any other
+    steps subsets, merging their moves by label into the targets that
+    accept in the labels left, and a subset meeting ``ends[r]`` is in it.
     """
-    adj = a._adj
-    back = {q: [] for q in a.initial}  # reachable state -> its predecessors, with repeats
+    back = {q: [] for q in start}  # reachable state -> its predecessors, with repeats
     reach = list(back)
     for p in reach:  # grows while iterated
         for _sym, q in adj[p]:
@@ -1000,8 +1024,8 @@ def iter_column_words(a: MultiTrackAutomaton,
                 reach.append(q)
             back[q].append(p)
     # per seed-41 round: 6.8 vs 33.0 ms by subsets (definability), 6.7 vs 21.1 (separation)
-    if a.deterministic:  # kind of ends[r]: holds a state in it
-        (start,), kind = a.initial, frozenset
+    if deterministic:  # kind of ends[r]: holds a state in it
+        (start,), kind = start, frozenset
 
         def moves(q, _live):
             return adj[q]
@@ -1009,7 +1033,7 @@ def iter_column_words(a: MultiTrackAutomaton,
         # An NFA is not listed through its canonical DFA, which can be
         # exponentially larger: for (a|b)*a(a|b)^14 to length 15 (a DFA of 2^15
         # states) that took 0.7 s against 40 ms by subsets.
-        start, rank, shorter = a.initial, a._rank, _EMPTY_SET
+        start, shorter = frozenset(start), _EMPTY_SET
 
         def kind(states):
             nonlocal shorter
@@ -1017,14 +1041,14 @@ def iter_column_words(a: MultiTrackAutomaton,
             level.below, shorter = shorter, frozenset(states)
             return level
 
-        def moves(cur, live):  # targets dropped before any column's set is built
+        def moves(cur, live):  # targets dropped before any label's set is built
             keep, out = live.below, {}
             for q in cur:
                 for sym, dst in adj[q]:
                     if dst in keep:
                         out.setdefault(sym, set()).add(dst)
             return [(sym, frozenset(out[sym])) for sym in sorted(out, key=rank.__getitem__)]
-    ends = [kind(a.accepting.intersection(back))]
+    ends = [kind({q for q in back if q in accepting})]
     length = 0
     while (max_len is None or length <= max_len) and ends[length]:
         if start in ends[length]:
@@ -1095,12 +1119,7 @@ def full_language(alphabet: Sequence[str]) -> MultiTrackAutomaton:
 
 def word_language(word: Sequence[str], alphabet: Sequence[str]) -> MultiTrackAutomaton:
     """1-track singleton {word}."""
-    return _word_automaton(word, check_alphabet(alphabet))
-
-
-def _word_automaton(word: Sequence[str], alphabet: tuple) -> MultiTrackAutomaton:
-    """:func:`word_language` over an alphabet already checked: only the
-    word's symbols are."""
+    alphabet = check_alphabet(alphabet)
     w = tuple(word)
     known = _symbol_index(alphabet)
     for x in w:

@@ -72,11 +72,16 @@ class ColoringVerdict:
         return self.kind == PROPER
 
 
+def require_shared_alphabet(e: AutomaticRelation, c: RegularColoring) -> None:
+    """Refuse a coloring over another alphabet than the graph's."""
+    if e.alphabet != c.alphabet:
+        raise AutomataError("graph and coloring must share the alphabet")
+
+
 def verify_coloring(e: AutomaticRelation, c: RegularColoring) -> ColoringVerdict:
     """PROPER, or NOT_PARTITION / MONOCHROME_EDGE with the shortlex-least
     violation."""
-    if e.alphabet != c.alphabet:
-        raise AutomataError("graph and coloring must share the alphabet")
+    require_shared_alphabet(e, c)
     bad_word = rc.partition_ok(c.colors)
     if bad_word is not None:
         return ColoringVerdict(NOT_PARTITION, bad_word)

@@ -6,7 +6,7 @@ from itertools import product as _cartesian
 from typing import Optional, Sequence
 
 from . import automata as au
-from .coloring import RegularColoring
+from .coloring import RegularColoring, require_shared_alphabet
 from .relations import AutomaticRelation, relation_pairs
 
 MAX_DOT_VERTICES = 4000
@@ -30,10 +30,13 @@ def export_dot(e: AutomaticRelation, max_len: int,
     """Render the subgraph on all words of length <= max_len.
 
     Vertices are labeled by their words; edges of the optional secondary
-    relation, over the graph's alphabet, are dashed; colors fill vertices
-    when a coloring is given.  Edges are listed off the relations.  More
-    than ``MAX_DOT_VERTICES`` words raise ``BudgetExceededError``.
+    relation, over the graph's alphabet, are dashed; colors of a coloring
+    over the graph's alphabet fill vertices.  Edges are listed off the
+    relations.  More than ``MAX_DOT_VERTICES`` words raise
+    ``BudgetExceededError``.
     """
+    if coloring is not None:
+        require_shared_alphabet(e, coloring)
     alpha = e.alphabet
     vertices = []
     for n in range(max_len + 1):

@@ -8,6 +8,7 @@ and the library of named relations used as fixtures throughout.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -287,8 +288,65 @@ def relation_pairs(r: AutomaticRelation, max_conv_len: int) -> Iterator[tuple]:
 def successor_words(r: AutomaticRelation, word: Sequence[str],
                     max_len: int) -> list:
     """Words v with (word, v) in R and |v| <= max_len, in shortlex order:
-    the image of {word}, enumerated."""
-    return list(au.iter_words(image(r, au._word_automaton(word, r.alphabet)), max_len))
+    the image of {word}, read off R's automaton by :func:`_words_beside`
+    with ``word`` on track 0."""
+    return _words_beside(r, word, max_len, 0)
+
+
+def predecessor_words(r: AutomaticRelation, word: Sequence[str],
+                      max_len: int) -> list:
+    """Words u with (u, word) in R and |u| <= max_len, in shortlex order:
+    the preimage of {word}, read off R's automaton by :func:`_words_beside`
+    with ``word`` on track 1.  No inverse of R is built."""
+    return _words_beside(r, word, max_len, 1)
+
+
+def _words_beside(r: AutomaticRelation, word: Sequence[str], max_len: int,
+                  fixed: int) -> list:
+    """The words v, |v| <= max_len, that R pairs with ``word`` on track
+    ``fixed`` and v on the other, in shortlex order.
+
+    A walk of (position in ``word``, state of ``r.base``) pairs: the states
+    of the join of {word} with R, without the word's automaton.  A pair
+    follows its state's moves whose symbol on track ``fixed`` is the word's
+    next letter, or PAD once the word has ended, grouped once per state and
+    track (:func:`automata._moves_by_track`).  A move with PAD on the other
+    track ends v, so, as in :func:`automata.relational_join`, it only feeds
+    acceptance: a pair accepts if such moves lead it to the word's end in an
+    accepting state.  :func:`automata._walk` charges each pair once, and
+    :func:`automata._shortlex_words` lists the walk, which is deterministic
+    when ``r.base`` is; no automaton is built.
+    """
+    a = r.base
+    w = tuple(word)
+    known = au._symbol_index(a.alphabet)
+    for x in w:
+        if x not in known or x == PAD:
+            raise au.UnknownSymbolError(f"symbol {x!r} outside alphabet")
+    free, end = 1 - fixed, len(w)
+    moves_of = au._moves_by_track(a, fixed)
+
+    def successors(state):
+        i, q = state
+        key, nxt = (w[i], i + 1) if i < end else (PAD, end)
+        for sym, dst in moves_of(q).get(key, ()):
+            yield sym[free], (nxt, dst)
+
+    index: dict = {}
+    edges = list(au._walk([(0, q) for q in sorted(a.initial)], successors, index))
+    done = [n for (i, q), n in index.items() if i == end and q in a.accepting]
+    if not done:  # no pair reads the whole word into acceptance
+        return []
+    adj = defaultdict(list)
+    ended = []  # moves with PAD on the free track: (src, dst)
+    for src, y, dst in edges:
+        if y == PAD:
+            ended.append((src, dst))
+        else:
+            adj[src].append((y, dst))
+    accepting = au._reach(done, au._reverse(ended))
+    return list(au._shortlex_words(range(len(a.initial)), adj, accepting,
+                                   a.deterministic, known, max_len))
 
 
 # ---------------------------------------------------------------------------

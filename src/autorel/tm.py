@@ -212,7 +212,12 @@ class WfReport:
 
 def wf_checks(t: TuringMachine, depth: int = 32) -> WfReport:
     """Exact checks, and backward walks of at most ``depth`` steps from the
-    first ``WF_SAMPLE_CAP`` configurations of length <= ``WF_SAMPLE_LEN``."""
+    first ``WF_SAMPLE_CAP`` configurations of length <= ``WF_SAMPLE_LEN``.
+
+    Each backward step reads the configuration's predecessors off the step
+    relation's automaton (:func:`~autorel.relations.predecessor_words`), so
+    no inverse of the step relation is built, and no join or automaton per
+    word."""
     graph = config_graph(t)
     # The initial configuration, a lone blank head token, never has a
     # predecessor: every step leads to a word of length >= 2.  A right move
@@ -223,7 +228,6 @@ def wf_checks(t: TuringMachine, depth: int = 32) -> WfReport:
     initial_ok = True
     func = rel.functional(graph)
     cofunc = rel.co_functional(graph)
-    inv = rel.inverse(graph)  # shared by every backward walk below
 
     cycles = []
     deep = []
@@ -235,7 +239,7 @@ def wf_checks(t: TuringMachine, depth: int = 32) -> WfReport:
         seen = {w}
         cur = w
         for step in range(depth):
-            preds = rel.successor_words(inv, cur, len(cur) + 2)
+            preds = rel.predecessor_words(graph, cur, len(cur) + 2)
             if not preds:
                 break
             cur = preds[0]

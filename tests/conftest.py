@@ -288,6 +288,13 @@ def _exact_length_words(a, start: frozenset, ends: list, length: int):
             stack.append(steps(step[1], length - len(path) - 1))
 
 
+def successor_words_oracle(r, word, max_len):
+    """The words v, |v| <= max_len, with (word, v) in R, shortlex: the image
+    of {word} built as a join with R and listed.  With the inverse of R it
+    gives the predecessors."""
+    return list(au.iter_words(rel.image(r, au.word_language(word, r.alphabet)), max_len))
+
+
 def determinize_oracle(a):
     """Lazy subset construction, moves in ``symbol_key`` order.  Returns
     (state count, trans dict, accept set)."""

@@ -297,6 +297,20 @@ def test_export_dot_refuses_a_secondary_over_another_alphabet(fx, capsys, graph,
         "", "error: graph and secondary relation must share the alphabet\n")
 
 
+@pytest.mark.parametrize("colored, graph", [("length-incomp.json", "fc1.json"),
+                                            ("fc1.json", "equal-length.json")])
+def test_export_dot_refuses_a_coloring_over_another_alphabet(fx, tmp_path, capsys,
+                                                             colored, graph):
+    # a coloring over {a, b} on a graph over {a}, and one over {a} on {a, b}
+    col = tmp_path / "col.json"
+    assert run("color-search", "--k", "2", "--states", "2", "--graph", str(fx / colored),
+               "--out", str(col)) == 0
+    capsys.readouterr()
+    assert run("export-dot", "--graph", str(fx / graph), "--coloring", str(col),
+               "--max-len", "2") == 2
+    assert capsys.readouterr() == ("", "error: graph and coloring must share the alphabet\n")
+
+
 def test_export_dot_gives_words_that_spell_one_label_their_own_nodes():
     # ("a", "b") and ("ab",) both read "ab"
     r = rel.finite_relation([(("a", "b"), ("ab",))], ("a", "b", "ab"))
@@ -736,6 +750,8 @@ _PINNED_CALLS = [
     ("definable-kprod", "--r", "fin.json", "--k", "1", "--out", "kprod1.json"),
     ("definable-krec", "--r", "diff.json", "--k", "4", "--out", "krec-diff.json"),
     ("definable-krec", "--r", "fin.json", "--k", "5", "--out", "krec5.json"),
+    ("tm-compile", "--tm", "padded.json", "--out", "pstep.json"),
+    ("reach", "--rel", "pstep.json", "--start", "_|boot:0", "--max-len", "12"),
 ]
 
 
@@ -786,6 +802,8 @@ _PINNED_DIGESTS = {
     '19 definable-kprod': (1, '8b64593a4b985507'),
     '20 definable-krec': (1, 'edddf94cb3f3f7bb'),
     '21 definable-krec': (0, '774fdf412f79c976'),
+    '22 tm-compile': (0, '24e82884aecedd4b'),
+    '23 reach': (0, 'cbd8000535a07251'),
     'coloring.json': '0fbe6969729f70ef',
     'def1.json': '927f04b5960ccfaf',
     'def2.json': 'a2db2be291584bee',
@@ -807,6 +825,7 @@ _PINNED_DIGESTS = {
     'kprod2.json': '8cb04d8ffe43dc56',
     'krec5.json': '6aeb5693df8866b3',
     'padded.json': '071b07766446828a',
+    'pstep.json': '1b81375292972cd7',
     'separator.json': '068242a0e31782ca',
 }
 

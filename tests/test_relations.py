@@ -10,7 +10,7 @@ from autorel import relations as rel
 
 from conftest import (co_functional_oracle, equivalent_rel, from_word_list,
                       functional_oracle, pairs_upto, random_padded_relation,
-                      random_relation, words_upto)
+                      random_relation, successor_words_oracle, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -179,6 +179,36 @@ def test_successor_words_match_membership(rng):
                 [v for v in ws if r.contains(v, u)]
     with pytest.raises(au.UnknownSymbolError):
         rel.successor_words(rel.successor_relation(1), ("z",), 3)
+
+
+@pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c")])
+def test_words_beside_one_word_match_the_join(rng, alphabet):
+    # canonical DFAs, NFAs with up to three initial states, and unions whose
+    # two parts both read (x, x), so that one prefix reaches several pairs
+    draws = [random_relation(rng, alphabet, rng.randint(1, 4)) for _ in range(8)]
+    draws += [random_padded_relation(rng, alphabet, rng.randint(3, 5)) for _ in range(8)]
+    draws += [rel.union_rel(rel.make_identity(alphabet), rel.equal_length_relation(alphabet)),
+              rel.union_rel(rel.append_one_relation(alphabet), rel.make_identity(alphabet))]
+    assert any(r.base.deterministic for r in draws)
+    assert any(not r.base.deterministic for r in draws)
+    for r in draws:
+        inv = rel.inverse(r)
+        for w in words_upto(alphabet, 3):
+            succ, pred = successor_words_oracle(r, w, 4), successor_words_oracle(inv, w, 4)
+            for m in range(5):
+                assert rel.successor_words(r, w, m) == [v for v in succ if len(v) <= m]
+                assert rel.predecessor_words(r, w, m) == [u for u in pred if len(u) <= m]
+
+
+def test_words_beside_one_word_charge_each_pair():
+    # a^50 beside fc1 walks at least the 51 pairs (i, 0), i <= 50
+    fc1 = rel.successor_relation(1)
+    with au.state_budget(20), pytest.raises(au.BudgetExceededError):
+        rel.successor_words(fc1, ("a",) * 50, 60)
+    with au.state_budget(60):
+        assert rel.successor_words(fc1, ("a",) * 50, 60) == [("a",) * 51]
+    with pytest.raises(au.UnknownSymbolError):
+        rel.predecessor_words(fc1, ("a", "z"), 3)
 
 
 def test_fixture_registry():

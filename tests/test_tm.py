@@ -10,7 +10,8 @@ from autorel import relations as rel
 from autorel import tm
 
 from conftest import (ODD_SYMBOLS, coloring_gadget_oracle, decode_config, encode_config,
-                      from_word_list, random_machine, split_head_token)
+                      from_word_list, random_machine, split_head_token,
+                      successor_words_oracle)
 
 AB = ("a", "b")
 
@@ -128,7 +129,7 @@ def test_initial_configuration_has_no_predecessor(machine):
     # at least two letters, and the initial configuration has one
     for t in (machine, tm.pad_transform(machine)):
         graph = tm.config_graph(t)
-        start = au._word_automaton(tm.initial_config(t), graph.alphabet)
+        start = au.word_language(tm.initial_config(t), graph.alphabet)
         assert au.is_empty(rel.preimage(graph, start))
         assert not list(au.iter_words(rel.project_second(graph), 1))
 
@@ -139,13 +140,19 @@ def test_wf_checks_flags_backward_cycle():
     assert rep.backward_cycles  # but the sampled walk finds the 2-cycle
 
 
-def test_wf_checks_inverts_the_step_relation_once(monkeypatch):
+def test_wf_checks_builds_no_inverse_and_no_join(monkeypatch):
+    # the backward walks read predecessors off the step relation's automaton:
+    # no inverse, no join, and no automaton built or listed per sampled word
     calls = []
-    permute = au.permute_tracks
-    monkeypatch.setattr(au, "permute_tracks",
-                        lambda a, perm: calls.append(perm) or permute(a, perm))
+    for name in ("permute_tracks", "relational_join", "_freeze", "iter_words"):
+        monkeypatch.setattr(au, name, lambda *args, _name=name, _fn=getattr(au, name):
+                            calls.append(_name) or _fn(*args))
+    tm.wf_checks(tm.two_cycle_fixture(), depth=0)  # samples, with no backward step
+    unwalked = sorted(calls)
+    calls.clear()
     rep = tm.wf_checks(tm.two_cycle_fixture(), depth=4)
-    assert calls == [(1, 0)]
+    assert "permute_tracks" not in calls and "relational_join" not in calls
+    assert sorted(calls) == unwalked
     assert rep.sampled > 1
     assert rep.co_functional
     assert rep.backward_cycles
@@ -168,7 +175,7 @@ def test_empty_preimage_agrees_with_machine_init_configs(machine):
         inits = tm.machine_init_configs(t)
         verdicts = set()
         for w in islice(au.iter_words(tm.configs_language(t), 3), 0, None, stride):
-            no_pred = au.is_empty(rel.preimage(graph, au._word_automaton(w, graph.alphabet)))
+            no_pred = au.is_empty(rel.preimage(graph, au.word_language(w, graph.alphabet)))
             assert no_pred == au.membership(inits, (w,)), w
             verdicts.add(no_pred)
         assert verdicts == {True, False}
@@ -356,6 +363,41 @@ def test_gadget_available_through_the_fixture_registry():
     via_registry = rel.fixtures("gadget", machine=t, k=2)
     direct = tm.coloring_gadget(t, 2)
     assert au.equivalent(via_registry.base, direct.base)
+
+
+def _machines_and_pads():
+    """The fixture machines, their pad transforms, the 40 random machines
+    and the pad transforms of the reversible ones."""
+    fixtures = [f() for f in (tm.halting_fixture, tm.looping_fixture,
+                              tm.mixed_fixture, tm.two_cycle_fixture)]
+    machines, padded = _random_machines()
+    return fixtures + [tm.pad_transform(t) for t in fixtures] + machines + padded
+
+
+def test_configurations_beside_one_word_match_the_join():
+    # the successors and predecessors of the first 60 configurations of
+    # length <= 4, as tm-check's backward walks ask for them
+    found = set()
+    for t in _machines_and_pads():
+        graph = tm.config_graph(t)
+        inv = rel.inverse(graph)
+        for w in islice(au.iter_words(tm.configs_language(t), 4), 60):
+            m = len(w) + 2
+            succ = rel.successor_words(graph, w, m)
+            pred = rel.predecessor_words(graph, w, m)
+            assert succ == successor_words_oracle(graph, w, m), (t, w)
+            assert pred == successor_words_oracle(inv, w, m), (t, w)
+            found.update({"succ"} if succ else (), {"pred"} if pred else ())
+    assert found == {"succ", "pred"}
+
+
+def test_reach_matches_the_join_route(monkeypatch):
+    for t in _machines_and_pads():
+        graph, start = tm.config_graph(t), tm.initial_config(t)
+        got = tm.reach_bfs(graph, start, 10, max_steps=200)
+        with monkeypatch.context() as m:
+            m.setattr(rel, "successor_words", successor_words_oracle)
+            assert got == tm.reach_bfs(graph, start, 10, max_steps=200), t
 
 
 # ---------------------------------------------------------------------------
