@@ -11,8 +11,8 @@ All automata are immutable values; the operations below are pure functions
 and safe to call concurrently.  All automata over one alphabet share its
 column order, a symbol -> position index (:func:`_symbol_index`) built
 when the alphabet is first checked.  Checks and loads hand out one shared
-tuple per alphabet, whose index is found by identity, else by hashing, in
-process-wide caches; two callers that miss at once build equal indexes.
+tuple per alphabet, whose index is found by hashing in a process-wide
+cache; two callers that miss at once build equal indexes.
 
 Work that can blow up charges a budget and raises
 :class:`BudgetExceededError` instead of exhausting memory or time: see
@@ -105,12 +105,16 @@ def state_budget(limit: Optional[int] = None):
     states it discovers; a deterministic walk minimized as it stands, as
     the congruence walks and the class walks of a decomposition are,
     charges each of its states once, as :func:`complement_relative` and
-    the tagged gadget of :mod:`autorel.tm`, at every k, do.  The walk
-    beside one word (:func:`autorel.relations.successor_words` and
-    ``predecessor_words``) charges each (position, state) pair it discovers
-    once.  The gadget and :func:`~autorel.recognizable.lift_to_kprod` also
-    charge each column between two fresh letters before writing any: n(n-1)
-    and 2n^2 units, n = k - 2.
+    the tagged gadget of :mod:`autorel.tm`, at every k, do.
+    :func:`~autorel.definability.recognizable` charges R's canonical DFA,
+    then each state of the same-rows walk, of its product with the
+    shorter-word DFA, of the join that projects that product and of the
+    complement walk.  The walk beside one word
+    (:func:`autorel.relations.successor_words` and ``predecessor_words``)
+    charges each (position, state) pair it discovers once.  The gadget and
+    :func:`~autorel.recognizable.lift_to_kprod` also charge each column
+    between two fresh letters before writing any: n(n-1) and 2n^2 units,
+    n = k - 2.
     An emptiness, witness or partition check is a search: it charges one
     unit per state it discovers (a product state, a subset or a tuple of
     subsets) and stops at the first witness, so it charges at most what
@@ -260,15 +264,13 @@ def check_alphabet(symbols: Iterable[str]) -> tuple:
     """
     alphabet = tuple(symbols)
     try:
-        return (_by_identity.get(id(alphabet)) or _hashed_index(alphabet))[0]
-    except TypeError:  # an unhashable symbol: refused without the caches
+        return _hashed_index(alphabet)[0]
+    except TypeError:  # an unhashable symbol: refused without the cache
         return _hashed_index.__wrapped__(alphabet)[0]
 
 
 # How many alphabets _hashed_index keeps; the least recently used goes first.
 _SHARED_ALPHABETS = 64
-_BY_IDENTITY = 4  # shared tuples found by id
-_by_identity: dict = {}  # id(alphabet) -> _hashed_index(alphabet); emptied when full
 
 
 def _symbol_index(alphabet: tuple) -> Mapping:
@@ -276,19 +278,10 @@ def _symbol_index(alphabet: tuple) -> Mapping:
     that :func:`check_alphabet` accepts; raises as it does on any other.
 
     The column order of every automaton over ``alphabet``, shared by all
-    of them.  A shared tuple is found by identity among the 4 looked up
-    last, each entry holding it so that no other object takes its id;
-    other tuples hash into :func:`_hashed_index`.  Each write to either map
-    is one dict operation; callers that miss at once build equal mappings.
+    of them through the process-wide cache of :func:`_hashed_index`;
+    callers that miss at once build equal mappings.
     """
-    entry = _by_identity.get(id(alphabet))
-    if entry is None:
-        entry = _hashed_index(alphabet)
-        if entry[0] is alphabet:
-            if len(_by_identity) >= _BY_IDENTITY:
-                _by_identity.clear()
-            _by_identity[id(alphabet)] = entry
-    return entry[1]
+    return _hashed_index(alphabet)[1]
 
 
 @lru_cache(maxsize=_SHARED_ALPHABETS)

@@ -275,7 +275,8 @@ def cmd_tm_pad(args) -> int:
         print(f"precondition failed: {e}")
         return EXIT_NO
     _write(args.out, tm.dumps_machine(t2))
-    print(f"padded machine ({len(t2.states)} states) -> {args.out}")
+    print(f"padded machine ({len(t2.states)} states)"
+          + (f" -> {args.out}" if args.out else ""))
     return EXIT_YES
 
 

@@ -28,18 +28,18 @@ the two class DFAs' product.
 
 :func:`build_equiv` builds E as a DFA, for library callers.  R is
 recognizable exactly when its rows alone have finitely many classes, i.e.
-when the Reps of the same-rows equivalence, the regular set of the
-shortlex-least members of its classes, is finite.  Both build an
-equivalence and walk it; nothing else does.
+when finitely many words have no strictly shorter word of the same row
+(see :func:`recognizable`).  Both build the same-rows DFA; nothing else
+does.
 
-The walks keep their states as Python ints: a set of triples, or of runs of
-an equivalence and the shortlex order, is a bit set, so a step is a few
-big-int ORs and acceptance is one AND.  The same-rows walk reads one letter
-of each class of letters that R's DFA moves alike, and so do the pinned
-walks.  The walks are deterministic, and so is the intersection of two
-DFAs; each is minimized straight from its own walk, which charges each of
-its states to the budget once.  A union of classes is the subset walk of
-their disjoint union, whose subsets hold at most one state of each class.
+The walks keep their states as Python ints: a set of triples is a bit set,
+so a step is a few big-int ORs and acceptance is one AND.  The same-rows
+walk reads one letter of each class of letters that R's DFA moves alike,
+and so do the pinned walks.  The walks are deterministic, and so is the
+intersection of two DFAs; each is minimized straight from its own walk,
+which charges each of its states to the budget once.  A union of classes
+is the subset walk of their disjoint union, whose subsets hold at most one
+state of each class.
 """
 
 from __future__ import annotations
@@ -330,82 +330,11 @@ def _least_members(block: dict, dead) -> dict:
     return {p: least[b] for p, b in block.items()}
 
 
-# States of the shortlex-order DFA.  Every continuation accepted from one
-# state is accepted from the states above it: greater < equal < less and
-# shorter < less.
-_EQUAL, _LESS, _GREATER, _SHORTER = range(4)
-
-
-def _shortlex_order(alphabet) -> MultiTrackAutomaton:
-    """{(u, v) | u <sl v}: u is shorter than v, or as long and
-    lexicographically smaller in alphabet order."""
-    trans = []
-    for i, x in enumerate(alphabet):
-        trans += [(q, (au.PAD, x), _SHORTER) for q in range(4)]
-        for j, y in enumerate(alphabet):
-            trans += [(_EQUAL, (x, y), _EQUAL if i == j else _LESS if i < j else _GREATER),
-                      (_LESS, (x, y), _LESS), (_GREATER, (x, y), _GREATER)]
-    return au._freeze(2, alphabet, 4, {_EQUAL}, {_LESS, _SHORTER}, trans)
-
-
-def least_representatives(eq: AutomaticRelation) -> MultiTrackAutomaton:
-    """Reps = Sigma* minus pi2(E and <sl): the shortlex-least word of every
-    class of the equivalence E, as a canonical 1-track DFA.
-
-    One subset construction reads w and tracks the runs of E and <sl on the
-    pairs (w', w) over all candidate w'; it accepts when no run accepts.  A
-    run (q, o) of E's state q and the order state o is bit 4q + o of an int,
-    so a walk state is one int.  A run whose order state lies below another
-    run's on the same E state adds nothing and is dropped, which keeps the
-    subsets small: a few shifts and masks of the whole set.  The walk is
-    deterministic, so it is minimized as it stands (see
-    :func:`~autorel.automata._explore_minimal`), and each of its states is
-    charged once.
-    """
-    e, order = eq.base, _shortlex_order(eq.alphabet)
-    o_next = order._delta
-    firsts = eq.alphabet + (au.PAD,)
-
-    def runs(pairs) -> int:
-        return sum({1 << 4 * q + o for q, o in pairs})
-
-    equal, less = (runs((q, o) for q in range(e.states)) for o in (_EQUAL, _LESS))
-    accepting = runs((q, o) for q in e.accepting for o in order.accepting)
-
-    def prune(m: int) -> int:
-        lo, eq_ = m & less, m & equal
-        return m & ~(lo >> 1 | lo << 1 | lo << 2 | eq_ << 2)
-
-    # The successors of a run on all letters are one int: those on the i-th
-    # letter sit at byte i * width, width bytes holding 4 bits per E state.
-    width = -(-e.states // 2)
-    columns = [(y,) for y in eq.alphabet]
-
-    def move(r) -> int:
-        q, o = divmod(r, 4)
-        return sum(runs((d, o_next[o, (x, y)]) for x in firsts if (o, (x, y)) in o_next
-                        for d in e._step_map.get((q, (x, y)), ())) << 8 * width * i
-                   for i, y in enumerate(eq.alphabet))
-
-    moves: dict = {}  # run -> move(run)
-
-    def successors(m):
-        out = 0
-        while m:
-            low = m & -m
-            m ^= low
-            r = low.bit_length() - 1
-            step = moves.get(r)
-            if step is None:
-                step = moves[r] = move(r)
-            out |= step
-        raw = out.to_bytes(width * len(columns), "little")
-        for i, col in enumerate(columns):
-            yield col, prune(int.from_bytes(raw[i * width:(i + 1) * width], "little"))
-
-    start = prune(runs((q, _EQUAL) for q in e.initial))
-    return au._explore_minimal(1, eq.alphabet, [start], successors,
-                               lambda m: not m & accepting)
+def _shorter(alphabet) -> MultiTrackAutomaton:
+    """{(u, u') | |u'| < |u|}: u' ends first, so its track pads to the end."""
+    trans = [(q, (x, PAD), 1) for q in (0, 1) for x in alphabet]
+    trans += [(0, col, 0) for col in product(alphabet, repeat=2)]
+    return au._freeze(2, alphabet, 2, {0}, {1}, trans)
 
 
 def _finite(a: MultiTrackAutomaton) -> bool:
@@ -426,11 +355,21 @@ def _finite(a: MultiTrackAutomaton) -> bool:
 
 def recognizable(r: AutomaticRelation) -> bool:
     """Whether R is recognizable (a finite union of products): whether its
-    rows alone have finitely many classes, i.e. whether the Reps of the
-    same-rows equivalence is finite.  R is automatic, so each row class
-    {u | R_u = L} is regular and R is the union of the products class x L."""
+    rows alone have finitely many classes.  R is automatic, so each row
+    class {u | R_u = L} is regular and R is the union of the products
+    class x L.
+
+    The index is finite exactly when T, the words with no strictly shorter
+    word of the same row, is finite.  With finitely many classes every
+    word of T is a shortest member of its class, so T is finite.  With
+    infinitely many, the words up to any length n meet finitely many
+    classes, so some class has no member of length n or less and its
+    shortest members lie in T.  T is Sigma* minus the first track of the
+    same-rows DFA met with :func:`_shorter`.
+    """
     rows = _same_rows(au.determinize_minimize(r.base))
-    return _finite(least_representatives(rel._wrap(rows)))
+    longer = au.project(au.intersect(rows, _shorter(rows.alphabet)), 1)
+    return _finite(au.complement_relative(longer))
 
 
 def _class_search(ds: tuple, bound: int) -> tuple:

@@ -453,13 +453,22 @@ _SPEC_ARITY = {
 def _spec_text(e) -> str:
     """The text of an atom or string argument."""
     if not isinstance(e, tuple):
-        raise AutomataError(f"expected a word or number in relation spec, got {e!r}")
+        raise AutomataError(
+            f"expected a word or number in relation spec, got {_spec_source(e)!r}")
     return e[1]
+
+
+def _spec_source(e) -> str:
+    """A parsed form written back as spec text, for error messages."""
+    if isinstance(e, list):
+        return "(" + " ".join(map(_spec_source, e)) + ")"
+    kind, text = e
+    return f'"{text}"' if kind == "str" else text
 
 
 def _eval_spec(expr, alphabet):
     if not isinstance(expr, list) or not expr:
-        raise AutomataError(f"bad relation spec form: {expr!r}")
+        raise AutomataError(f"bad relation spec form: {_spec_source(expr)!r}")
     op = expr[0][1] if isinstance(expr[0], tuple) else expr[0]
     args = expr[1:]
     arity = _SPEC_ARITY.get(op) if isinstance(op, str) else None
@@ -508,4 +517,4 @@ def _eval_spec(expr, alphabet):
         return symmetric_closure(sub(args[0]))
     if op == "compose":
         return compose(sub(args[0]), sub(args[1]))
-    raise AutomataError(f"unknown relation constructor {op!r}")
+    raise AutomataError(f"unknown relation constructor {_spec_source(expr[0])!r}")

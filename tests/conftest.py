@@ -482,7 +482,7 @@ def representatives_oracle(eq, bound):
     charged to the state budget as len(w) + 1 states."""
     budget = au._active_budget()
     words = []
-    for w in islice(au.iter_words(de.least_representatives(eq)), bound + 1):
+    for w in islice(au.iter_words(least_representatives_oracle(eq)), bound + 1):
         budget.charge(len(w) + 1)  # as the len(w) + 1 states of its path
         words.append(w)
     return tuple(words)
@@ -546,12 +546,30 @@ def side_classes_oracle(d, bound):
     return [class_dfa_oracle(rows, w) for w in words]
 
 
+# States of the shortlex-order DFA.  Every continuation accepted from one
+# state is accepted from the states above it: greater < equal < less and
+# shorter < less.
+_EQUAL, _LESS, _GREATER, _SHORTER = range(4)
+
+
+def shortlex_order(alphabet):
+    """{(u, v) | u <sl v}: u is shorter than v, or as long and
+    lexicographically smaller in alphabet order."""
+    trans = []
+    for i, x in enumerate(alphabet):
+        trans += [(q, (au.PAD, x), _SHORTER) for q in range(4)]
+        for j, y in enumerate(alphabet):
+            trans += [(_EQUAL, (x, y), _EQUAL if i == j else _LESS if i < j else _GREATER),
+                      (_LESS, (x, y), _LESS), (_GREATER, (x, y), _GREATER)]
+    return au._freeze(2, alphabet, 4, {_EQUAL}, {_LESS, _SHORTER}, trans)
+
+
 def least_representatives_oracle(eq):
     """Reps by a subset walk over frozensets of runs (q, o) of E and the
     shortlex order on (w', w): a run below another on the same E state is
     dropped, and the walk is minimized by a second walk over its states."""
-    below = {de._LESS: (de._EQUAL, de._GREATER, de._SHORTER), de._EQUAL: (de._GREATER,)}
-    e, order = eq.base, de._shortlex_order(eq.alphabet)
+    below = {_LESS: (_EQUAL, _GREATER, _SHORTER), _EQUAL: (_GREATER,)}
+    e, order = eq.base, shortlex_order(eq.alphabet)
     o_next = {(src, sym): dst for src, sym, dst in order.transitions}
     firsts = eq.alphabet + (au.PAD,)
 
@@ -568,7 +586,7 @@ def least_representatives_oracle(eq):
     def no_smaller_equivalent(runs) -> bool:
         return not any(q in e.accepting and o in order.accepting for q, o in runs)
 
-    start = prune({(q, de._EQUAL) for q in e.initial})
+    start = prune({(q, _EQUAL) for q in e.initial})
     return au.determinize_minimize(au._explore_automaton(
         1, eq.alphabet, [start], successors, no_smaller_equivalent))
 
@@ -596,7 +614,7 @@ def decompose_peel_oracle(r, bound, equiv=None):
 
 def recognizable_oracle(r):
     """Recognizability by the congruence E: whether the Reps of E is finite."""
-    return de._finite(de.least_representatives(de.build_equiv(r)))
+    return de._finite(least_representatives_oracle(de.build_equiv(r)))
 
 
 def krec_definability_oracle(r, k):

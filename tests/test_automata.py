@@ -405,24 +405,20 @@ def test_more_alphabets_than_the_cache_holds_still_order_correctly():
             assert sorted(cols, key=a._rank.__getitem__) == \
                 sorted(cols, key=lambda c: _declared_key(alphabet, c))
             assert au._hashed_index.cache_info().currsize <= limit
-            assert len(au._by_identity) <= au._BY_IDENTITY
 
 
 def test_threads_that_share_the_alphabet_cache_each_see_their_own_order(monkeypatch):
-    # more alphabets than the caches hold and more threads than cores, with
-    # a short switch interval, so misses, evictions and hits interleave, by
-    # identity and by hashing alike
+    # more alphabets than the cache holds and more threads than cores, with
+    # a short switch interval, so misses, evictions and hits interleave
     rng = random.Random(8104)
     alphabets = [_shuffled_alphabet(rng, rng.randint(1, 30))
                  for _ in range(2 * au._SHARED_ALPHABETS)]
     columns = [_random_columns(rng, alphabet, 2, 20) for alphabet in alphabets]
     faults = []
-    lookups, hashed = [], []  # list.append is atomic: one entry per call
-    by_identity, by_hash = au._symbol_index, au._hashed_index
+    lookups = []  # list.append is atomic: one entry per call
+    real = au._symbol_index
     monkeypatch.setattr(au, "_symbol_index",
-                        lambda alphabet: lookups.append(1) or by_identity(alphabet))
-    monkeypatch.setattr(au, "_hashed_index",
-                        lambda alphabet: hashed.append(1) or by_hash(alphabet))
+                        lambda alphabet: lookups.append(1) or real(alphabet))
 
     def work(offset):
         for i in range(len(alphabets)):
@@ -432,7 +428,7 @@ def test_threads_that_share_the_alphabet_cache_each_see_their_own_order(monkeypa
             if sorted(cols, key=a._rank.__getitem__) != \
                     sorted(cols, key=lambda c: _declared_key(alphabet, c)):
                 faults.append(alphabet)
-            for _ in range(3):  # found again by identity, unless another thread emptied the map
+            for _ in range(3):  # found again, unless another thread evicted it
                 if dict(au._symbol_index(alphabet)) != {**{s: alphabet.index(s) for s in alphabet},
                                                         PAD: len(alphabet)}:
                     faults.append(alphabet)
@@ -449,34 +445,27 @@ def test_threads_that_share_the_alphabet_cache_each_see_their_own_order(monkeypa
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert faults == []
-    assert len(hashed) < len(lookups) == 6 * len(alphabets) * 4
-    assert by_hash.cache_info().currsize <= au._SHARED_ALPHABETS
-    # a miss may insert after other threads' misses checked the size
-    assert len(au._by_identity) <= au._BY_IDENTITY + len(threads) - 1
+    assert len(lookups) == 6 * len(alphabets) * 4
+    assert au._hashed_index.cache_info().currsize <= au._SHARED_ALPHABETS
 
 
 def test_a_checked_alphabet_shares_one_index(monkeypatch):
     # equal alphabets built as separate tuples share one index, and a check
-    # hands out one tuple for them, the first one indexed; only that tuple
-    # is found by identity, so the identity map keeps no other one alive
+    # hands out one tuple for them, the first one indexed
     alphabet, other = ("q", "p", "r"), tuple(["q", "p", "r"])
     assert alphabet is not other
-    hashed, by_hash = [], lru_cache(maxsize=au._SHARED_ALPHABETS)(au._hashed_index.__wrapped__)
-    monkeypatch.setattr(au, "_by_identity", {})
-    monkeypatch.setattr(au, "_hashed_index",
-                        lambda alphabet: hashed.append(alphabet) or by_hash(alphabet))
+    by_hash = lru_cache(maxsize=au._SHARED_ALPHABETS)(au._hashed_index.__wrapped__)
+    monkeypatch.setattr(au, "_hashed_index", by_hash)
     index = au._symbol_index(alphabet)
     assert index == {"q": 0, "p": 1, "r": 2, PAD: 3}
-    assert au._symbol_index(other) is index and id(other) not in au._by_identity
+    assert au._symbol_index(other) is index
     for symbols in (list(alphabet), other, alphabet, tuple(alphabet)):
         assert au.check_alphabet(symbols) is alphabet
     assert au._symbol_index(alphabet) is index
-    assert len(hashed) == 4 and hashed[0] is alphabet and hashed[1] is other is hashed[3]
     a, b = au.full_language(other), au.word_language(("r", "q"), other)
     assert a.alphabet is alphabet and b.alphabet is alphabet
     assert a._rank == {("q",): 0, ("p",): 1, ("r",): 2}
     assert b._rank == {("r",): 2, ("q",): 0}
-    assert len(hashed) == 6  # the two checks of other; automata over alphabet hash nothing
 
 
 @pytest.mark.parametrize("alphabet", [
@@ -496,7 +485,6 @@ def test_a_malformed_alphabet_raises_the_same_error_on_every_call(alphabet):
                 call()
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert id(alphabet) not in au._by_identity
 
 
 # ---------------------------------------------------------------------------

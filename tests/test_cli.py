@@ -176,6 +176,14 @@ def test_tm_pad_rejects_irreversible(tmp_path):
     assert run("tm-pad", "--tm", str(path)) == 1
 
 
+def test_tm_pad_without_out_prints_no_arrow(fx, tmp_path, capsys):
+    assert run("tm-pad", "--tm", str(fx / "looping-machine.json")) == 0
+    assert capsys.readouterr().out == "padded machine (17 states)\n"
+    padded = tmp_path / "padded.json"
+    assert run("tm-pad", "--tm", str(fx / "looping-machine.json"), "--out", str(padded)) == 0
+    assert capsys.readouterr().out == f"padded machine (17 states) -> {padded}\n"
+
+
 def test_reach_and_dot(fx, tmp_path, capsys):
     assert run("reach", "--rel", str(fx / "fc1.json"), "--start", "",
                "--max-len", "3") == 0
@@ -377,13 +385,13 @@ def test_budget_bounds_the_whole_command(fx, capsys, argv):
 
 def test_definability_verbs_never_build_the_congruence(fx, tmp_path, monkeypatch, capsys):
     # kREC, kPROD and min-prod list each side's classes by search: they
-    # build no same-rows DFA, no Reps and no E; recognizable walks the row
-    # side's same-rows DFA and its Reps once
+    # build no same-rows DFA and no E; recognizable walks the row side's
+    # same-rows DFA once
     fin = str(tmp_path / "fin.json")
     assert run("make-rel", "--spec", "(union (pairs (a b) (aa b)) (pairs (b a) (bb a)))",
                "--out", fin) == 0
     calls: dict = {}
-    for name in ("_side_classes", "_same_rows", "least_representatives"):
+    for name in ("_side_classes", "_same_rows"):
         real = getattr(de, name)
         monkeypatch.setattr(de, name, lambda *a, name=name, real=real:
                             calls.setdefault(name, []).append(1) or real(*a))
@@ -393,7 +401,7 @@ def test_definability_verbs_never_build_the_congruence(fx, tmp_path, monkeypatch
     for r in (str(fx / "fc1.json"), str(fx / "equal-length.json"), fin):
         calls.clear()
         codes.append(run("recognizable", "--r", r))
-        assert calls == {"_same_rows": [1], "least_representatives": [1]}
+        assert calls == {"_same_rows": [1]}
         for argv in (("min-prod", "--kmax", "2"), ("definable-kprod", "--k", "2"),
                      ("definable-krec", "--k", "5")):
             calls.clear()
@@ -861,6 +869,11 @@ def test_readme_command_line_block_runs_as_written(tmp_path, monkeypatch):
     ("(fc x)", "needs an integer"),
     ('(load "no-such-file.json")', "no-such-file.json"),
     pytest.param("(" * 2000, "nested too deeply", id="deep-nesting"),
+    # a form is quoted as written, not as parser tokens
+    pytest.param("fc", "bad relation spec form: 'fc'\n", id="atom-form"),
+    pytest.param("((fc 1))", "unknown relation constructor '(fc 1)'\n", id="list-constructor"),
+    pytest.param("(fc (1))", "expected a word or number in relation spec, got '(1)'\n",
+                 id="list-argument"),
 ])
 def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):
     assert run("make-rel", f"--spec={spec}", "--out", str(tmp_path / "r.json")) == 2

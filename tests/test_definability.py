@@ -17,8 +17,9 @@ from conftest import (build_equiv_oracle, class_oracle, decompose_oracle,
                       least_representatives_oracle, min_cover_oracle, min_prod_oracle,
                       random_dfa, random_language,
                       random_padded_relation, random_relation, recognizable_oracle,
-                      same_rows_oracle, side_classes_oracle, subset_column_words,
-                      the_80_draws, union_of_classes_oracle, words_upto)
+                      same_rows_oracle, shortlex_order, side_classes_oracle,
+                      subset_column_words, the_80_draws, union_of_classes_oracle,
+                      words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -285,7 +286,7 @@ def test_decompose_truncates_on_infinite_index():
 
 def test_shortlex_order_matches_brute_force():
     abc = ("a", "b", "c")
-    order = rel.relation(de._shortlex_order(abc))
+    order = rel.relation(shortlex_order(abc))
     ws = words_upto(abc, 3)
     rank = {w: i for i, w in enumerate(ws)}  # words_upto lists them shortlex
     for u in ws:
@@ -348,68 +349,14 @@ def test_decompose_at_a_smaller_bound_is_a_prefix_on_random_relations(alphabet):
             drawn += 1
 
 
-def test_least_representatives_keep_their_subsets_small():
-    # a 7-state relation with a 150-state congruence: projecting E and <sl
-    # and then determinizing built about 38,600 states; pruning dominated
-    # runs charges about 4,300, each walk state once
+def test_decompose_agrees_with_the_peel_on_a_large_congruence():
+    # a 7-state relation with a 150-state congruence
     rng = random.Random(6062)
     for _ in range(31):
         r = random_relation(rng, AB, rng.randint(1, 3))
-    eq = de.build_equiv(r)
-    with au.state_budget(12_000):
-        de.least_representatives(eq)
     dec = de.decompose(r, 64)
     assert dec.truncated
-    assert dec.representatives == decompose_peel_oracle(r, 64, eq)[0]
-
-
-def _reps_agree(eq):
-    """The bit-set walk and the frozenset walk give the same canonical bytes."""
-    assert au.dumps(de.least_representatives(eq)) == \
-        au.dumps(least_representatives_oracle(eq))
-
-
-def test_least_representatives_match_frozenset_oracle_on_workload_relations(
-        tmp_path, monkeypatch):
-    for r in _workload_relations(tmp_path, monkeypatch):
-        _reps_agree(de.build_equiv(r))
-
-
-@pytest.mark.parametrize("alphabet", [AB, ("a", "b", "c"), ("b", "a")],
-                         ids=["ab", "abc", "ba"])
-def test_least_representatives_match_frozenset_oracle_on_random_relations(alphabet):
-    # relations of at most 4 states keep E, and so the frozenset walk, small
-    rng = random.Random(7500 + len(alphabet) + (alphabet[0] == "b"))
-    drawn = 0
-    while drawn < 30:
-        r = random_relation(rng, alphabet, rng.randint(1, 3))
-        if r.base.states <= 4:
-            _reps_agree(de.build_equiv(r))
-            drawn += 1
-
-
-def test_least_representatives_match_frozenset_oracle_on_the_80_draws():
-    # The 80 draws on which the size of the congruence is measured.  A draw
-    # is compared where E takes at most 5,000 units and 300 states and both
-    # walks finish under 100,000 units each.  Past that a walk state is a
-    # set of thousands of runs: at 100,000 units for E, draws 1, 11 and 40
-    # take 20 to 150 s each.
-    compared = 0
-    for r in the_80_draws():
-        try:
-            with au.state_budget(5_000):
-                eq = de.build_equiv(r)
-            if eq.base.states > 300:
-                continue
-            with au.state_budget(100_000):
-                reps = de.least_representatives(eq)
-            with au.state_budget(100_000):
-                oracle = least_representatives_oracle(eq)
-        except au.BudgetExceededError:
-            continue
-        assert au.dumps(reps) == au.dumps(oracle)
-        compared += 1
-    assert compared >= 60
+    assert dec.representatives == decompose_peel_oracle(r, 64, de.build_equiv(r))[0]
 
 
 def test_truncated_decomposition_builds_classes_on_first_read(monkeypatch):
@@ -428,7 +375,7 @@ def _decompositions_agree(r, eq, bounds, rng):
     """Reps listed on the DFA as the set-based enumerator lists them, each
     class as its composition oracle, and unions of classes as the subset
     construction of their disjoint union, byte for byte."""
-    reps = de.least_representatives(eq)
+    reps = least_representatives_oracle(eq)
     oracle: dict = {}  # representative -> class_oracle bytes
     for bound in bounds:
         dec = de.decompose(r, bound)
@@ -463,7 +410,7 @@ def test_classes_and_unions_match_the_oracles_on_workload_relations(tmp_path, mo
                          ids=["ab", "abc", "ba"])
 def test_classes_and_unions_match_the_oracles_on_random_relations(alphabet):
     # Relations of at most 4 states whose congruence has at most 300: on
-    # larger ones the Reps walk, listed three times here, takes seconds
+    # larger ones the frozenset Reps walk takes seconds
     rng = random.Random(7710 + len(alphabet) + (alphabet[0] == "b"))
     drawn = 0
     while drawn < 40:
@@ -512,6 +459,60 @@ def test_recognizable_products_and_planted_unions(rng):
                          for _ in range(rng.randint(1, 3)))
         r = rc.to_automatic(rc.RecognizableRelation(alphabet=AB, products=products))
         assert de.recognizable(r) is True
+
+
+def test_recognizable_agrees_with_the_congruence_on_the_80_draws():
+    # At 100,000 units the route decides all draws but 14 and 45, whose row
+    # side's same-rows walk runs out.  The E route is compared where it
+    # finishes within 5,000 units; past that it takes seconds per draw
+    found, compared = [], 0
+    for i, r in enumerate(the_80_draws()):
+        with au.state_budget(100_000):
+            if i in (14, 45):
+                with pytest.raises(au.BudgetExceededError):
+                    de.recognizable(r)
+                continue
+            verdict = de.recognizable(r)
+        if verdict:
+            found.append(i)
+        try:
+            with au.state_budget(5_000):
+                expected = recognizable_oracle(r)
+        except au.BudgetExceededError:
+            continue
+        assert verdict == expected, i
+        compared += 1
+    assert found == [17, 35, 37, 48, 77]
+    assert compared >= 60
+
+
+@pytest.mark.parametrize("source", ["ab", "abc", "fixtures"])
+def test_recognizable_walks_the_words_with_no_shorter_word_of_their_row(source, monkeypatch):
+    # T, the set whose finiteness recognizable decides, holds exactly the
+    # words u that no shorter u' shares a row with, (u, u') in S
+    if source == "fixtures":
+        cases = [rel.successor_relation(1), rel.successor_relation(2), rel.tree_relation(),
+                 rel.equal_length_relation(AB), rel.append_one_relation(AB),
+                 rel.make_identity(AB), rel.full_relation(AB), axb(), sym_axb()]
+    else:
+        rng = random.Random(7900 + len(source))
+        cases = []
+        while len(cases) < 12:
+            r = random_relation(rng, tuple(source), rng.randint(1, 3))
+            if r.base.states <= 4:
+                cases.append(r)
+    seen = []
+    real = de._finite
+    monkeypatch.setattr(de, "_finite", lambda a: seen.append(a) or real(a))
+    for r in cases:
+        seen.clear()
+        de.recognizable(r)
+        (t,) = seen
+        rows = rel._wrap(de._same_rows(au.determinize_minimize(r.base)))
+        words = words_upto(r.alphabet, 5)
+        expected = [u for u in words
+                    if not any(rows.contains(u, v) for v in words if len(v) < len(u))]
+        assert list(au.iter_words(t, 5)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +672,7 @@ def test_min_prod_builds_the_congruence_once(monkeypatch):
     calls = []
     real = de._side_classes
     monkeypatch.setattr(de, "_side_classes", lambda *a: calls.append(1) or real(*a))
-    for name in ("_same_rows", "least_representatives", "build_equiv", "decompose"):
+    for name in ("_same_rows", "build_equiv", "decompose"):
         monkeypatch.setattr(de, name, None)
     for r, want, walks in zip(cases, expected, [2, 2, 1, 1, 2]):
         calls.clear()
@@ -931,7 +932,7 @@ def test_decompose_matches_the_congruence_on_the_80_draws():
 
 
 def test_decompose_builds_neither_the_congruence_nor_a_reps(monkeypatch):
-    for name in ("build_equiv", "least_representatives", "_same_rows"):
+    for name in ("build_equiv", "_same_rows"):
         monkeypatch.setattr(de, name, None)
     dec = de.decompose(axb(), 8)
     assert dec.representatives == ((), ("a",), ("b",), ("a", "b"))
