@@ -26,6 +26,13 @@ column likewise.  Within the bounds, E's classes are the non-empty meets of
 a row class and a column class, each found by a shortlex witness search of
 the two class DFAs' product.
 
+Whether (u, v) is in R depends only on u's row class and v's column class,
+so the quotient matrix is read off one word per row class and one per
+column class, and a k-product witness is written from the sides: each of
+its factors is a union of row classes or of column classes (see
+:func:`_kprod_witness`).  Only the emitted kREC partition and
+:func:`decompose` build DFAs of E's classes.
+
 :func:`build_equiv` builds E as a DFA, for library callers.  R is
 recognizable exactly when its rows alone have finitely many classes, i.e.
 when finitely many words have no strictly shorter word of the same row
@@ -37,9 +44,9 @@ so a step is a few big-int ORs and acceptance is one AND.  The same-rows
 walk reads one letter of each class of letters that R's DFA moves alike,
 and so do the pinned walks.  The walks are deterministic, and so is the
 intersection of two DFAs; each is minimized straight from its own walk,
-which charges each of its states to the budget once.  A union of classes
-is the subset walk of their disjoint union, whose subsets hold at most one
-state of each class.
+which charges each of its states to the budget once.  A union of side
+classes is the subset walk of their disjoint union, whose subsets hold at
+most one state of each class.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import automata as au
 from . import relations as rel
@@ -518,12 +525,17 @@ class EquivalenceDecomposition:
     :func:`~autorel.automata.state_budget` scope active at the read, not the
     one the decomposition was found in, and can raise
     ``BudgetExceededError``.
+
+    ``sides[e]``, when given, is the pair (i, j) of the row class and the
+    column class whose meet class e is (see :func:`_meets`); by default
+    each class is its own row class and column class, (e, e).
     """
 
     relation: AutomaticRelation
     representatives: tuple  # tuple[Word, ...]
     truncated: bool
     build: Callable[[], Iterable[MultiTrackAutomaton]] = field(repr=False, compare=False)
+    sides: tuple = ()  # tuple[tuple[int, int], ...]
 
     @property
     def index(self) -> int:
@@ -560,7 +572,19 @@ def decompose(r: AutomaticRelation, bound: int) -> EquivalenceDecomposition:
                                     truncated=len(words) > bound, build=classes)
 
 
-def _meets(r: AutomaticRelation, side_bound: int) -> Optional[EquivalenceDecomposition]:
+class _Sides(NamedTuple):
+    """What :func:`_meets` finds: E's classes as meets, and for the steps
+    after it the row classes A_i and column classes B_j as canonical 1-track
+    DFAs, in the order that ``dec.sides`` numbers them, and R's canonical
+    DFA."""
+
+    dec: EquivalenceDecomposition
+    rows: list
+    cols: list
+    canonical: MultiTrackAutomaton
+
+
+def _meets(r: AutomaticRelation, side_bound: int) -> Optional[_Sides]:
     """The classes of R's congruence E, found from its row and column
     classes without building E; None when either side has more than
     ``side_bound`` classes.
@@ -572,9 +596,9 @@ def _meets(r: AutomaticRelation, side_bound: int) -> Optional[EquivalenceDecompo
     shortlex-least word of the product, a search that builds nothing; the
     meets are listed in the shortlex order of those members, by
     ``symbol_key``, which is how :func:`decompose` lists E's classes.  The
-    result is an untruncated :class:`EquivalenceDecomposition`, each class
-    the canonical DFA of one deterministic walk of the product of its two
-    sides.
+    decomposition is untruncated, its ``sides`` name each meet's (i, j),
+    and each of its classes is the canonical DFA of one deterministic walk
+    of the product of its two sides, built only when ``classes`` is read.
 
     It charges R's canonical DFA and, per side, what :func:`_side_classes`
     charges: each state of its class walks, each subset its searches for
@@ -591,19 +615,21 @@ def _meets(r: AutomaticRelation, side_bound: int) -> Optional[EquivalenceDecompo
     if cols is None:
         return None
     meets = []
-    for a in rows:
-        for b in cols:
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
             w = au.intersection_witness(a, b)
             if w is not None:
-                meets.append((tuple(c for (c,) in w), (a, b)))
+                meets.append((tuple(c for (c,) in w), (i, j)))
     meets.sort(key=lambda m: (len(m[0]), d.symbol_key(m[0])))
 
     def classes():
-        return (au._explore_minimal(1, r.alphabet, *au._intersection_product(a, b))
-                for _w, (a, b) in meets)
+        return (au._explore_minimal(1, r.alphabet, *au._intersection_product(rows[i], cols[j]))
+                for _w, (i, j) in meets)
 
-    return EquivalenceDecomposition(relation=r, representatives=tuple(w for w, _ab in meets),
-                                    truncated=False, build=classes)
+    dec = EquivalenceDecomposition(relation=r, representatives=tuple(w for w, _ij in meets),
+                                   truncated=False, build=classes,
+                                   sides=tuple(ij for _w, ij in meets))
+    return _Sides(dec, rows, cols, d)
 
 
 @dataclass(frozen=True)
@@ -617,18 +643,36 @@ class QuotientMatrix:
 
     @classmethod
     def from_decomposition(cls, dec) -> "QuotientMatrix":
-        reps = dec.representatives
-        rows = tuple(
-            tuple(dec.relation.contains(u, v) for v in reps)
-            for u in reps
-        )
-        return cls(size=len(reps), entries=rows)
+        """Whether (u, v) is in R depends only on u's row class and v's
+        column class, so entry (e, f) is one ``contains`` test of a member
+        of e's row class against one of f's column class (see
+        ``EquivalenceDecomposition.sides``): one test per pair of a row
+        class and a column class, and, when each class is its own sides,
+        one per pair of representatives."""
+        sides = dec.sides or [(e, e) for e in range(dec.index)]
+        row_words: dict = {}  # row class -> a member
+        col_words: dict = {}  # column class -> a member
+        for w, (i, j) in zip(dec.representatives, sides):
+            row_words.setdefault(i, w)
+            col_words.setdefault(j, w)
+        contains = dec.relation.contains
+        table = {i: {j: contains(u, v) for j, v in col_words.items()}
+                 for i, u in row_words.items()}
+        rows = tuple(tuple(table[i][j] for _i, j in sides) for i, _j in sides)
+        return cls(size=len(sides), entries=rows)
 
     def ones(self) -> frozenset:
         return frozenset((i, j)
                          for i in range(self.size)
                          for j in range(self.size)
                          if self.entries[i][j])
+
+
+def _check_rebuild(rebuilt: AutomaticRelation, canonical: MultiTrackAutomaton, what: str):
+    """Raise unless a witness rebuilt into ``rebuilt`` has R's language, by
+    canonicalizing it against R's canonical DFA ``canonical``."""
+    if au.determinize_minimize(rebuilt.base) != canonical:
+        raise AutomataError(f"internal error: {what} failed to rebuild R")
 
 
 def krec_definability(r: AutomaticRelation, k: int) -> Optional[PartitionedRecognizable]:
@@ -639,20 +683,19 @@ def krec_definability(r: AutomaticRelation, k: int) -> Optional[PartitionedRecog
     with more than k classes is a no before the other side is walked (see
     :func:`_meets`); otherwise the meets of the two sides are its classes.
     It charges what :func:`_meets` does at side bound k (the class walks
-    and searches of each side it lists, then the meets' searches), then
-    the walks of the meets and the rebuild of R from the witness.
+    and searches of each side it lists, then the meets' searches), then,
+    for a witness, the walks of the meets, which are its partition, and the
+    walk that canonicalizes the relation rebuilt from it.
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
-    dec = _meets(r, k)
-    if dec is None or dec.index > k:
+    met = _meets(r, k)
+    if met is None or met.dec.index > k:
         return None
-    matrix = QuotientMatrix.from_decomposition(dec)
+    matrix = QuotientMatrix.from_decomposition(met.dec)
     witness = PartitionedRecognizable(
-        partition=dec.classes, pairs=matrix.ones())
-    rebuilt = to_automatic(witness.to_recognizable())
-    if not au.equivalent(rebuilt.base, r.base):
-        raise AutomataError("internal error: block union failed to rebuild R")
+        partition=met.dec.classes, pairs=matrix.ones())
+    _check_rebuild(to_automatic(witness.to_recognizable()), met.canonical, "block union")
     return witness
 
 
@@ -741,43 +784,48 @@ def kprod_definability(r: AutomaticRelation, k: int) -> Optional[RecognizableRel
     quotient matrix.  It charges what :func:`_meets` does at side bound
     2^k (the class walks and searches of each side it lists, then the
     meets' searches), then each cover search step, and for a cover the
-    walks of the meets, the unions of classes and the rebuild of R from the
-    witness.
+    subset walk of each factor that unites several side classes and the
+    walk that canonicalizes the relation rebuilt from the witness.  It
+    builds no class of E.
     """
     if k < 1:
         raise AutomataError("k must be >= 1")
-    dec = _meets(r, 2 ** k)
-    if dec is None:
+    met = _meets(r, 2 ** k)
+    if met is None:
         return None
-    return _kprod_witness(dec, QuotientMatrix.from_decomposition(dec), k)
+    return _kprod_witness(met, QuotientMatrix.from_decomposition(met.dec), k)
 
 
-def _kprod_witness(dec, matrix: QuotientMatrix, k: int) -> Optional[RecognizableRelation]:
-    """The k-product answer from all the classes of the congruence, an
-    untruncated :class:`EquivalenceDecomposition`."""
+def _kprod_witness(met: _Sides, matrix: QuotientMatrix, k: int) -> Optional[RecognizableRelation]:
+    """The k-product answer from the meets of the two sides.
+
+    The matrix rows of the meets of one row class are equal, and so are the
+    columns of the meets of one column class, so a maximal rectangle holds
+    all the meets of a row class or none of them, and likewise for a column
+    class.  The union of the meets of A_i is A_i itself, so each left
+    factor is the union of the row classes of its rectangle's rows, and
+    each right factor that of the column classes of its columns: the
+    languages of the unions of E's classes, from classes already built."""
+    dec = met.dec
     if dec.index > 2 ** (2 * k):
         return None
     cover = rectangle_cover(matrix.ones(), k)
     if cover is None:
         return None
-    r = dec.relation
-    products = []
-    for rows, cols in cover:
-        left = _union_of_classes(dec, rows)
-        right = _union_of_classes(dec, cols)
-        products.append((left, right))
-    witness = RecognizableRelation(alphabet=r.alphabet, products=tuple(products))
-    rebuilt = to_automatic(witness)
-    if not au.equivalent(rebuilt.base, r.base):
-        raise AutomataError("internal error: cover products failed to rebuild R")
+    products = tuple((_union_of_sides(met.rows, {dec.sides[e][0] for e in rows}),
+                      _union_of_sides(met.cols, {dec.sides[f][1] for f in cols}))
+                     for rows, cols in cover)
+    witness = RecognizableRelation(alphabet=dec.relation.alphabet, products=products)
+    _check_rebuild(to_automatic(witness), met.canonical, "cover products")
     return witness
 
 
-def _union_of_classes(dec, idxs) -> MultiTrackAutomaton:
-    """The union of the classes ``idxs`` as a canonical DFA: one class as it
-    is, several by the subset walk of their disjoint union, built free."""
-    classes = [dec.classes[i] for i in sorted(idxs)]
-    return classes[0] if len(classes) == 1 else au.determinize_minimize(au.union(*classes))
+def _union_of_sides(classes: list, idxs: set) -> MultiTrackAutomaton:
+    """The union of the side classes ``idxs`` as a canonical DFA: one class
+    as it is, several by the subset walk of their disjoint union, built
+    free."""
+    picked = [classes[i] for i in sorted(idxs)]
+    return picked[0] if len(picked) == 1 else au.determinize_minimize(au.union(*picked))
 
 
 def min_prod(r: AutomaticRelation, kmax: int) -> Optional[int]:
@@ -787,18 +835,20 @@ def min_prod(r: AutomaticRelation, kmax: int) -> Optional[int]:
     The classes are found once, with the side bound 2^kmax of kmax products
     (see :func:`kprod_definability`), and they answer every k; the charges
     are those of one :func:`_meets` (the class walks and searches of each
-    side it lists, then the meets' searches) and of each k's cover.  On a
-    thin alphabet the searches dominate: over {a}, fc1 has the classes
-    {a^n}, and the search for a^i charges the i + 1 subsets of a^0 .. a^i,
-    about 2^(2 kmax - 1) in all.
+    side it lists, then the meets' searches) and of each k's cover, and for
+    the least k's cover those of its witness: the unions of side classes
+    and the rebuild of R.  No class of E is built.  On a thin alphabet the
+    searches dominate: over {a}, fc1 has the classes {a^n}, and the search
+    for a^i charges the i + 1 subsets of a^0 .. a^i, about 2^(2 kmax - 1)
+    in all.
     """
     if kmax < 1:
         raise AutomataError("kmax must be >= 1")
-    dec = _meets(r, 2 ** kmax)
-    if dec is None:
+    met = _meets(r, 2 ** kmax)
+    if met is None:
         return None
-    matrix = QuotientMatrix.from_decomposition(dec)
+    matrix = QuotientMatrix.from_decomposition(met.dec)
     for k in range(kmax + 1):
-        if _kprod_witness(dec, matrix, k) is not None:
+        if _kprod_witness(met, matrix, k) is not None:
             return k
     return None

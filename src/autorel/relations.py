@@ -387,24 +387,28 @@ def fixtures(name: str, **params) -> AutomaticRelation:
 
 def parse_relation_spec(text: str,
                         alphabet: Optional[Sequence[str]] = None) -> AutomaticRelation:
-    tokens = _tokenize(text)
+    tokens, starts = _tokenize(text)
     try:  # parsing and evaluation both recurse once per nesting level
         expr, end = _parse_expr(tokens, 0)
         if end < len(tokens):
-            raise AutomataError(f"trailing tokens in relation spec: {tokens[end:end + 3]}")
+            raise AutomataError(
+                f"trailing input in relation spec: {text[starts[end]:].rstrip()!r}")
         return _eval_spec(expr, tuple(alphabet) if alphabet else None)
     except RecursionError:
         raise AutomataError("relation spec nested too deeply") from None
 
 
-def _tokenize(text: str) -> list:
-    out = []
+def _tokenize(text: str) -> tuple:
+    """The tokens of ``text``, and the position in it where each starts."""
+    out, starts = [], []
     i = 0
     while i < len(text):
         c = text[i]
         if c.isspace():
             i += 1
-        elif c in "()":
+            continue
+        starts.append(i)
+        if c in "()":
             out.append(c)
             i += 1
         elif c == '"':
@@ -420,7 +424,7 @@ def _tokenize(text: str) -> list:
                 j += 1
             out.append(("atom", text[i:j]))
             i = j
-    return out
+    return out, starts
 
 
 def _parse_expr(tokens: list, i: int):

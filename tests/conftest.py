@@ -639,7 +639,7 @@ def kprod_definability_oracle(r, k):
     dec = decompose_oracle(r, 2 ** (2 * k))
     if dec.truncated:
         return None
-    return de._kprod_witness(dec, de.QuotientMatrix.from_decomposition(dec), k)
+    return kprod_witness_oracle(dec, de.QuotientMatrix.from_decomposition(dec), k)
 
 
 def min_prod_oracle(r, kmax):
@@ -651,9 +651,36 @@ def min_prod_oracle(r, kmax):
         return None
     matrix = de.QuotientMatrix.from_decomposition(dec)
     for k in range(kmax + 1):
-        if de._kprod_witness(dec, matrix, k) is not None:
+        if kprod_witness_oracle(dec, matrix, k) is not None:
             return k
     return None
+
+
+def kprod_witness_oracle(dec, matrix, k):
+    """The k-product answer from all the classes of the congruence, an
+    untruncated decomposition: each factor is the union of the classes of
+    its rectangle's rows or of its columns, and the witness is checked by
+    rebuilding R and comparing canonical forms."""
+    if dec.index > 2 ** (2 * k):
+        return None
+    cover = de.rectangle_cover(matrix.ones(), k)
+    if cover is None:
+        return None
+    r = dec.relation
+    products = tuple((union_of_classes(dec, rows), union_of_classes(dec, cols))
+                     for rows, cols in cover)
+    witness = rc.RecognizableRelation(alphabet=r.alphabet, products=products)
+    if not au.equivalent(rc.to_automatic(witness).base, r.base):
+        raise au.AutomataError("internal error: cover products failed to rebuild R")
+    return witness
+
+
+def union_of_classes(dec, idxs):
+    """The union of the classes ``idxs`` of a decomposition as a canonical
+    DFA: one class as it is, several by the subset walk of their disjoint
+    union."""
+    classes = [dec.classes[i] for i in sorted(idxs)]
+    return classes[0] if len(classes) == 1 else au.determinize_minimize(au.union(*classes))
 
 
 def class_oracle(eq, w):

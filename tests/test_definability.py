@@ -18,8 +18,8 @@ from conftest import (build_equiv_oracle, class_oracle, decompose_oracle,
                       random_dfa, random_language,
                       random_padded_relation, random_relation, recognizable_oracle,
                       same_rows_oracle, shortlex_order, side_classes_oracle,
-                      subset_column_words, the_80_draws, union_of_classes_oracle,
-                      words_upto)
+                      subset_column_words, the_80_draws, union_of_classes,
+                      union_of_classes_oracle, words_upto)
 
 A = ("a",)
 AB = ("a", "b")
@@ -394,7 +394,7 @@ def _decompositions_agree(r, eq, bounds, rng):
             for rows, cols in de.maximal_rectangles(matrix.ones()):
                 picks += [rows, cols]
         for idxs in picks:
-            assert au.dumps(de._union_of_classes(dec, idxs)) == au.dumps(
+            assert au.dumps(union_of_classes(dec, idxs)) == au.dumps(
                 union_of_classes_oracle(r.alphabet, [dec.classes[i] for i in sorted(idxs)]))
 
 
@@ -714,11 +714,16 @@ def _meets_agree_with_decompose(r):
     dec = decompose_oracle(r, 64)
     classes = None
     for bound in (1, 2, 4, 8):
-        meets = de._meets(r, bound)
-        if meets is None:
+        met = de._meets(r, bound)
+        if met is None:
             assert dec.index > bound
             continue
+        meets = met.dec
         assert not dec.truncated and meets.representatives == dec.representatives
+        # each meet's least member lies in the row class and the column
+        # class that its sides name
+        for w, (i, j) in zip(meets.representatives, meets.sides):
+            assert au.membership(met.rows[i], (w,)) and au.membership(met.cols[j], (w,))
         if classes is None:
             classes = [au.dumps(c) for c in dec.classes]
             assert [au.dumps(c) for c in meets.classes] == classes
@@ -748,6 +753,57 @@ def test_side_route_matches_the_congruence_on_random_relations(alphabet):
         recognizable += de.recognizable(r)
         drawn += 1
     assert 20 <= recognizable < 50
+
+
+def _build_refused():
+    raise AssertionError("a class of E was built")
+
+
+def test_kprod_and_min_prod_build_no_class_of_the_congruence(monkeypatch):
+    # The witnesses are written from the row and column classes: no class
+    # of E is built, and the bytes are the oracle's, which unites E's
+    # classes.  Planted unions of products answer yes at their own count.
+    rng = random.Random(7760)
+    expected = []
+    for alphabet in (AB, ("a", "b", "c")):
+        for _ in range(8):
+            r = _planted_relation(rng, alphabet)
+            expected.append((r, min_prod_oracle(r, 3), [
+                _dumped(kprod_definability_oracle(r, k), rc.dumps_recognizable)
+                for k in (1, 2, 3)]))
+    real = de.EquivalenceDecomposition
+
+    def refusing(**fields):
+        return real(**dict(fields, build=_build_refused))
+
+    monkeypatch.setattr(de, "EquivalenceDecomposition", refusing)
+    found = 0
+    for r, least, witnesses in expected:
+        assert de.min_prod(r, 3) == least
+        assert [_dumped(de.kprod_definability(r, k), rc.dumps_recognizable)
+                for k in (1, 2, 3)] == witnesses
+        found += least is not None
+    assert found == len(expected)
+    with pytest.raises(AssertionError, match="a class of E was built"):
+        de.krec_definability(expected[0][0], 64)
+
+
+def test_quotient_matrix_from_the_sides_is_the_membership_matrix_on_the_80_draws():
+    # Read off one member per row class and column class, the matrix is
+    # the |E|^2 membership matrix of E's least members.  Both sides are
+    # within bound 8 on the five recognizable draws only.
+    compared = []
+    for i, r in enumerate(the_80_draws()):
+        with au.state_budget(100_000):
+            met = de._meets(r, 8)
+        if met is None:
+            continue
+        reps = met.dec.representatives
+        matrix = de.QuotientMatrix.from_decomposition(met.dec)
+        assert matrix.size == len(reps)
+        assert matrix.entries == tuple(tuple(r.contains(u, v) for v in reps) for u in reps)
+        compared.append(i)
+    assert compared == [17, 35, 37, 48, 77]
 
 
 @pytest.mark.parametrize("make", [

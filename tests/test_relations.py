@@ -251,11 +251,10 @@ def test_relation_spec_parsing():
 @pytest.mark.parametrize("spec, message", [
     ("", "empty relation spec"),
     (")", "unexpected ) in relation spec"),
-    ("(fc 1) )", "trailing tokens in relation spec: [')']"),
+    ("(fc 1) )", "trailing input in relation spec: ')'"),
     ("(union (fc 1)", "unbalanced parenthesis in relation spec"),
-    ("(fc 1) x (y) z w", "trailing tokens in relation spec: "
-                         "[('atom', 'x'), '(', ('atom', 'y')]"),
-    ("(fc 1) ((fc 2)", "trailing tokens in relation spec: ['(', '(', ('atom', 'fc')]"),
+    ("(fc 1) x (y) z w", "trailing input in relation spec: 'x (y) z w'"),
+    ("(fc 1) ((fc 2)", "trailing input in relation spec: '((fc 2)'"),
     ("(inverse " * 2000, "relation spec nested too deeply"),
 ])
 def test_relation_spec_parse_errors(spec, message):
